@@ -42,10 +42,8 @@ def main() -> int:
     out.write("q2,u1,u2,u3,B1,B2,bmax,active_set\n")
     for q2 in np.linspace(0.0, 1.0, args.points):
         u = ewl_eigenvalues(p, q2)
-        b1 = 2.0 * math.sqrt(u.u1 + u.u2)
-        b2 = 2.0 * math.sqrt(u.u1 + u.u3)
         out.write(f"{q2:.9g},{u.u1:.9g},{u.u2:.9g},{u.u3:.9g},"
-                  f"{b1:.9g},{b2:.9g},{u.bmax:.9g},{int(u.region)}\n")
+                  f"{u.b1:.9g},{u.b2:.9g},{u.bmax:.9g},{int(u.region)}\n")
 
     for root in crossing_roots(p):
         state = evolve_x(x0, math.sqrt(root))

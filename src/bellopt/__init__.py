@@ -23,13 +23,12 @@ from .chsh import (
     Region,
     BellEigenvalues,
     BellSettings,
-    NotSymmetric,
     TSIRELSON,
     correlation,
     bell_function,
     x_state_eigenvalues,
     bmax_x,
-    sym3_eigenvalues,
+    horodecki_eigenvalues,
     horodecki_bmax,
 )
 from .angles import (
@@ -74,9 +73,9 @@ __all__ = [
     "StateValidationError", "NotHermitian", "TraceNotOne", "NotPositive",
     "NotXStructured", "validate_density_matrix", "as_x_state", "x_to_dense",
     "pauli_correlation_matrix", "normalize_direction",
-    "Region", "BellEigenvalues", "BellSettings", "NotSymmetric", "TSIRELSON",
+    "Region", "BellEigenvalues", "BellSettings", "TSIRELSON",
     "correlation", "bell_function", "x_state_eigenvalues", "bmax_x",
-    "sym3_eigenvalues", "horodecki_bmax",
+    "horodecki_eigenvalues", "horodecki_bmax",
     "AngleSettings", "settings_set1", "settings_set2", "optimal_settings",
     "settings_distance",
     "OracleConfig", "OracleResult", "BudgetExceeded", "Splitmix64",

@@ -60,16 +60,18 @@ class AngleSettings:
     def phis(self) -> tuple[float, float, float, float]:
         return (self.phi1, self.phi1p, self.phi2, self.phi2p)
 
-
-def _build(set_id: Region, thetas, phis) -> AngleSettings:
-    pairs = [normalize_direction(t, p) for t, p in zip(thetas, phis)]
-    return AngleSettings(
-        theta1=pairs[0][0], theta1p=pairs[1][0],
-        theta2=pairs[2][0], theta2p=pairs[3][0],
-        phi1=pairs[0][1], phi1p=pairs[1][1],
-        phi2=pairs[2][1], phi2p=pairs[3][1],
-        set_id=set_id,
-    )
+    @classmethod
+    def from_angles(cls, set_id: Region, thetas, phis) -> "AngleSettings":
+        """Settings from four raw (theta, phi) pairs, each canonicalized by
+        normalize_direction."""
+        pairs = [normalize_direction(t, p) for t, p in zip(thetas, phis)]
+        return cls(
+            theta1=pairs[0][0], theta1p=pairs[1][0],
+            theta2=pairs[2][0], theta2p=pairs[3][0],
+            phi1=pairs[0][1], phi1p=pairs[1][1],
+            phi2=pairs[2][1], phi2p=pairs[3][1],
+            set_id=set_id,
+        )
 
 
 def settings_set1(x: XState) -> AngleSettings:
@@ -86,7 +88,7 @@ def settings_set1(x: XState) -> AngleSettings:
     theta2 = _HALF_PI - _sign(x.diagonal_gap) * tilt
     phi1 = -0.5 * (arg14 + arg23)
     phi2 = 0.5 * (arg23 - arg14)
-    return _build(
+    return AngleSettings.from_angles(
         Region.SET1,
         (_HALF_PI, 0.0, theta2, math.pi - theta2),
         (phi1, 0.0, phi2, phi2),
@@ -106,7 +108,7 @@ def settings_set2(x: XState) -> AngleSettings:
     phi1 = -0.5 * (arg14 + arg23)
     phi1p = phi1 + _sign(abs(x.rho23) - abs(x.rho14)) * _HALF_PI
     half_rel = 0.5 * (arg23 - arg14)
-    return _build(
+    return AngleSettings.from_angles(
         Region.SET2,
         (_HALF_PI, _HALF_PI, _HALF_PI, _HALF_PI),
         (phi1, phi1p, half_rel + spread, half_rel - spread),

@@ -1,9 +1,10 @@
 """CHSH-Bell function evaluation and its state-dependent maximum.
 
 The maximum over all measurement settings is 2*sqrt(s) where s is the sum of
-the two largest eigenvalues of U = T^T T and T is the Pauli correlation
-matrix.  For X states the three eigenvalues have closed forms in the density
-matrix elements, which is what makes explicit optimal settings possible.
+the two largest eigenvalues of U = T^T T (the squared singular values of T)
+and T is the Pauli correlation matrix.  For X states the three eigenvalues
+have closed forms in the density matrix elements, which is what makes
+explicit optimal settings possible.
 """
 
 from __future__ import annotations
@@ -33,10 +34,6 @@ class Region(IntEnum):
     SET2 = 2
 
 
-class NotSymmetric(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class BellEigenvalues:
     """Eigenvalues (u1, u2, u3) of T^T T for an X state, in closed-form order.
@@ -64,8 +61,18 @@ class BellEigenvalues:
             raise ValueError("u1 + max(u2, u3) exceeds the Tsirelson bound")
 
     @property
+    def b1(self) -> float:
+        """Bell value at settings set 1: 2*sqrt(u1 + u2)."""
+        return 2.0 * math.sqrt(max(0.0, self.u1 + self.u2))
+
+    @property
+    def b2(self) -> float:
+        """Bell value at settings set 2: 2*sqrt(u1 + u3)."""
+        return 2.0 * math.sqrt(max(0.0, self.u1 + self.u3))
+
+    @property
     def bmax(self) -> float:
-        return 2.0 * math.sqrt(max(0.0, self.u1 + max(self.u2, self.u3)))
+        return max(self.b1, self.b2)
 
 
 @dataclass(frozen=True)
@@ -124,86 +131,18 @@ def bmax_x(x: XState) -> float:
     return u.bmax
 
 
-def _sym3_trig(u_mat: np.ndarray) -> tuple[float, float, float]:
-    # Trigonometric solution of the characteristic cubic, shifted by the mean
-    # eigenvalue for conditioning.
-    q = u_mat.trace() / 3.0
-    p1 = u_mat[0, 1] ** 2 + u_mat[0, 2] ** 2 + u_mat[1, 2] ** 2
-    p2 = ((u_mat[0, 0] - q) ** 2 + (u_mat[1, 1] - q) ** 2
-          + (u_mat[2, 2] - q) ** 2 + 2.0 * p1)
-    if p2 <= 0.0:
-        return (q, q, q)
-    p = math.sqrt(p2 / 6.0)
-    b = (u_mat - q * np.eye(3)) / p
-    r = float(np.linalg.det(b)) / 2.0
-    r = min(1.0, max(-1.0, r))
-    phi = math.acos(r) / 3.0
-    e1 = q + 2.0 * p * math.cos(phi)
-    e3 = q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
-    e2 = 3.0 * q - e1 - e3
-    return (e1, e2, e3)
+def horodecki_eigenvalues(rho: DensityMatrix4) -> tuple[float, float, float]:
+    """Eigenvalues of U = T^T T for an arbitrary two-qubit state, descending.
 
-
-def _sym3_jacobi(u_mat: np.ndarray) -> tuple[float, float, float]:
-    # Cyclic Jacobi sweeps; a 3x3 symmetric matrix converges in a few sweeps.
-    a = u_mat.copy()
-    scale = max(1.0, float(np.abs(a).max()))
-    for _ in range(30):
-        off = abs(a[0, 1]) + abs(a[0, 2]) + abs(a[1, 2])
-        if off <= 1e-15 * scale:
-            break
-        for p_idx, q_idx in ((0, 1), (0, 2), (1, 2)):
-            apq = a[p_idx, q_idx]
-            if abs(apq) <= 1e-18 * scale:
-                continue
-            tau = (a[q_idx, q_idx] - a[p_idx, p_idx]) / (2.0 * apq)
-            t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-            c = 1.0 / math.hypot(1.0, t)
-            s = t * c
-            rot = np.eye(3)
-            rot[p_idx, p_idx] = rot[q_idx, q_idx] = c
-            rot[p_idx, q_idx] = s
-            rot[q_idx, p_idx] = -s
-            a = rot.T @ a @ rot
-    e = sorted((a[0, 0], a[1, 1], a[2, 2]), reverse=True)
-    return (e[0], e[1], e[2])
-
-
-def _char_poly_residual(u_mat: np.ndarray, lam: float) -> float:
-    return abs(float(np.linalg.det(u_mat - lam * np.eye(3))))
-
-
-def sym3_eigenvalues(u_mat) -> tuple[float, float, float]:
-    """Eigenvalues of a real symmetric 3x3 matrix, sorted descending.
-
-    Primary path is the closed-form trigonometric solution; when the
-    characteristic-polynomial residual is large or the spectrum is nearly
-    degenerate (where the closed form can lose digits) the result is polished
-    with Jacobi sweeps instead.
+    They are the squared singular values of the Pauli correlation matrix T;
+    taking them from the SVD of T avoids squaring its condition number.
     """
-    u_mat = np.asarray(u_mat, dtype=float)
-    if u_mat.shape != (3, 3):
-        raise NotSymmetric(f"expected a 3x3 matrix, got {u_mat.shape}")
-    asym = float(np.abs(u_mat - u_mat.T).max())
-    if asym > 1e-10:
-        raise NotSymmetric(f"worst asymmetry {asym:.3e}")
-    u_mat = 0.5 * (u_mat + u_mat.T)
-    evals = _sym3_trig(u_mat)
-    scale = max(1.0, float(np.abs(u_mat).max()))
-    residual = max(_char_poly_residual(u_mat, lam) for lam in evals)
-    min_gap = min(evals[0] - evals[1], evals[1] - evals[2])
-    if residual > 1e-9 * scale ** 3 or min_gap < 1e-4 * scale:
-        evals = _sym3_jacobi(u_mat)
-    return evals
+    s = np.linalg.svd(pauli_correlation_matrix(rho).t, compute_uv=False)
+    return tuple((s * s).tolist())
 
 
 def horodecki_bmax(rho: DensityMatrix4) -> float:
-    """Maximum of the Bell function for an arbitrary two-qubit state.
-
-    Builds U = T^T T from the Pauli correlation matrix and returns
-    2*sqrt(sum of the two largest eigenvalues of U).
-    """
-    t = pauli_correlation_matrix(rho).t
-    u_mat = t.T @ t
-    e1, e2, _ = sym3_eigenvalues(u_mat)
-    return 2.0 * math.sqrt(max(0.0, e1 + e2))
+    """Maximum of the Bell function for an arbitrary two-qubit state:
+    2*sqrt(u1 + u2) over the two largest eigenvalues of U = T^T T."""
+    u1, u2, _ = horodecki_eigenvalues(rho)
+    return 2.0 * math.sqrt(u1 + u2)

@@ -21,9 +21,8 @@ from .angles import AngleSettings, optimal_settings, settings_set2
 from .chsh import (
     Region,
     bell_function,
-    bmax_x,
     horodecki_bmax,
-    sym3_eigenvalues,
+    horodecki_eigenvalues,
     x_state_eigenvalues,
 )
 from .dynamics import (
@@ -43,8 +42,6 @@ from .states import (
     NotXStructured,
     StateValidationError,
     as_x_state,
-    normalize_direction,
-    pauli_correlation_matrix,
     validate_density_matrix,
 )
 
@@ -95,22 +92,58 @@ def _load_density(path: str, off_x_tol_flag):
     rho = validate_density_matrix(arr)
     off_x_tol = DEFAULT_OFF_X_TOL
     if "off_x_tol" in doc:
-        off_x_tol = float(doc["off_x_tol"])
+        try:
+            off_x_tol = float(doc["off_x_tol"])
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"'off_x_tol' must be a number: {exc}") from exc
     if off_x_tol_flag is not None:
-        off_x_tol = float(off_x_tol_flag)
+        off_x_tol = off_x_tol_flag
     return rho, off_x_tol
 
 
-def _emit(text: str, output) -> None:
-    if output:
-        with open(output, "w", newline="\n") as fh:
+def _emit(args, doc: dict, text_fn) -> None:
+    """Write the command's result document: as JSON under --format json,
+    otherwise as text_fn(doc) (human-readable text or CSV)."""
+    text = json.dumps(doc, indent=2) + "\n" if args.format == "json" else text_fn(doc)
+    if args.output:
+        with open(args.output, "w", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _emit_json(doc: dict, output) -> None:
-    _emit(json.dumps(doc, indent=2) + "\n", output)
+def _bmax_doc(bmax: float, u, region, tie: bool) -> dict:
+    return {"version": __version__, "bmax": bmax, "u": list(u),
+            "region": region, "tie": tie, "violates": bmax > 2.0}
+
+
+def _bmax_text(doc: dict) -> str:
+    u = ", ".join(fmt9(v) for v in doc["u"])
+    if doc["region"] is None:
+        u_line = f"u (sorted) = ({u})"
+    else:
+        tie_note = " (tie)" if doc["tie"] else ""
+        u_line = f"u = ({u})   region = {doc['region']}{tie_note}"
+    return (
+        f"B_max = {fmt9(doc['bmax'])}\n"
+        f"{u_line}\n"
+        f"violates CHSH (B_max > 2): {'yes' if doc['violates'] else 'no'}\n"
+    )
+
+
+def cmd_bmax(args) -> int:
+    rho, off_x_tol = _load_density(args.input, args.off_x_tol)
+    try:
+        u = x_state_eigenvalues(as_x_state(rho, off_x_tol))
+    except NotXStructured as exc:
+        # No closed form: one SVD of T gives both the eigenvalues and B_max.
+        u_desc = horodecki_eigenvalues(rho)
+        doc = _bmax_doc(2.0 * math.sqrt(u_desc[0] + u_desc[1]), u_desc, None, False)
+        note = f"state is not X-structured ({exc}); Horodecki value only\n"
+        _emit(args, doc, lambda d: note + _bmax_text(d))
+        return EXIT_NOT_X
+    _emit(args, _bmax_doc(u.bmax, (u.u1, u.u2, u.u3), int(u.region), u.tie), _bmax_text)
+    return EXIT_OK
 
 
 def _angles_doc(settings) -> dict:
@@ -121,109 +154,40 @@ def _angles_doc(settings) -> dict:
     }
 
 
-def _angle_display(value: float, degrees: bool) -> str:
-    return fmt9(value * _DEG if degrees else value)
+def _angles_text(doc: dict, degrees: bool) -> str:
+    unit = "deg" if degrees else "rad"
+    scale = _DEG if degrees else 1.0
 
+    def block(d: dict) -> list[str]:
+        thetas = ", ".join(fmt9(v * scale) for v in d["theta"])
+        phis = ", ".join(fmt9(v * scale) for v in d["phi"])
+        return [
+            f"theta ({unit}) = ({thetas})",
+            f"phi   ({unit}) = ({phis})",
+            f"B at settings = {fmt9(d['bell_value'])}",
+        ]
 
-def cmd_bmax(args) -> int:
-    rho, off_x_tol = _load_density(args.input, args.off_x_tol)
-    b_horodecki = horodecki_bmax(rho)
-    try:
-        x = as_x_state(rho, off_x_tol)
-    except NotXStructured as exc:
-        t = pauli_correlation_matrix(rho).t
-        u_desc = sym3_eigenvalues(t.T @ t)
-        doc = {
-            "version": __version__,
-            "bmax": b_horodecki,
-            "u": [u_desc[0], u_desc[1], u_desc[2]],
-            "region": None,
-            "tie": False,
-            "violates": b_horodecki > 2.0,
-        }
-        if args.format == "json":
-            _emit_json(doc, args.output)
-        else:
-            _emit(
-                f"state is not X-structured ({exc}); Horodecki value only\n"
-                f"B_max = {fmt9(b_horodecki)}\n"
-                f"u (sorted) = ({fmt9(u_desc[0])}, {fmt9(u_desc[1])}, {fmt9(u_desc[2])})\n"
-                f"violates CHSH (B_max > 2): {'yes' if b_horodecki > 2 else 'no'}\n",
-                args.output,
-            )
-        return EXIT_NOT_X
-    u = x_state_eigenvalues(x)
-    b = bmax_x(x)
-    doc = {
-        "version": __version__,
-        "bmax": b,
-        "u": [u.u1, u.u2, u.u3],
-        "region": int(u.region),
-        "tie": u.tie,
-        "violates": b > 2.0,
-    }
-    if args.format == "json":
-        _emit_json(doc, args.output)
-    else:
-        tie_note = " (tie)" if u.tie else ""
-        _emit(
-            f"B_max = {fmt9(b)}\n"
-            f"u = ({fmt9(u.u1)}, {fmt9(u.u2)}, {fmt9(u.u3)})   "
-            f"region = {int(u.region)}{tie_note}\n"
-            f"violates CHSH (B_max > 2): {'yes' if b > 2 else 'no'}\n",
-            args.output,
-        )
-    return EXIT_OK
+    lines = [f"active set: {doc['set']}   tie: {'yes' if doc['tie'] else 'no'}",
+             *block(doc)]
+    alt = doc["tied_alternative"]
+    if alt is not None:
+        lines += [f"tied set {alt['set']}:", *block(alt)]
+    return "\n".join(lines) + "\n"
 
 
 def cmd_angles(args) -> int:
     rho, off_x_tol = _load_density(args.input, args.off_x_tol)
-    try:
-        x = as_x_state(rho, off_x_tol)
-    except NotXStructured as exc:
-        print(f"error: state is not X-structured ({exc})", file=sys.stderr)
-        return EXIT_NOT_X
+    x = as_x_state(rho, off_x_tol)
     settings, u = optimal_settings(x)
     certified = bell_function(rho, settings.bell_settings())
-    doc = _angles_doc(settings)
-    doc["tie"] = u.tie
-    doc["bell_value"] = certified
-    doc["violates"] = certified > 2.0
-    doc["version"] = __version__
-    alternatives = []
+    doc = {**_angles_doc(settings), "tie": u.tie, "bell_value": certified,
+           "violates": certified > 2.0, "version": __version__,
+           "tied_alternative": None}
     if u.tie:
         alt = settings_set2(x)
-        alt_value = bell_function(rho, alt.bell_settings())
-        alt_doc = _angles_doc(alt)
-        alt_doc["bell_value"] = alt_value
-        alternatives.append((alt, alt_value))
-        doc["tied_alternative"] = alt_doc
-    else:
-        doc["tied_alternative"] = None
-    if args.format == "json":
-        _emit_json(doc, args.output)
-        return EXIT_OK
-    unit = "deg" if args.degrees else "rad"
-    lines = [
-        f"active set: {int(settings.set_id)}   tie: {'yes' if u.tie else 'no'}",
-        "theta ({}) = ({})".format(
-            unit, ", ".join(_angle_display(v, args.degrees) for v in settings.thetas)
-        ),
-        "phi   ({}) = ({})".format(
-            unit, ", ".join(_angle_display(v, args.degrees) for v in settings.phis)
-        ),
-        f"B at settings = {fmt9(certified)}",
-    ]
-    for alt, alt_value in alternatives:
-        lines.append(f"tied set {int(alt.set_id)}:")
-        lines.append("theta ({}) = ({})".format(
-            unit, ", ".join(_angle_display(v, args.degrees) for v in alt.thetas)
-        ))
-        lines.append("phi   ({}) = ({})".format(
-            unit, ", ".join(_angle_display(v, args.degrees) for v in alt.phis)
-        ))
-        lines.append(f"B at settings = {fmt9(alt_value)}")
-    _emit("\n".join(lines) + "\n", args.output)
+        doc["tied_alternative"] = _angles_doc(alt)
+        doc["tied_alternative"]["bell_value"] = bell_function(rho, alt.bell_settings())
+    _emit(args, doc, lambda d: _angles_text(d, args.degrees))
     return EXIT_OK
 
 
@@ -256,12 +220,21 @@ _SCAN_COLUMNS = (
     "t,q2,u1,u2,u3,B1,B2,bmax,active_set,"
     "theta1,theta1p,theta2,theta2p,phi1,phi1p,phi2,phi2p"
 )
+# Row keys of the numeric columns, in CSV order.
+_SCAN_KEYS = _SCAN_COLUMNS.split(",")[:8]
 
 
-def _branch_values(u) -> tuple[float, float]:
-    b1 = 2.0 * math.sqrt(max(0.0, u.u1 + u.u2))
-    b2 = 2.0 * math.sqrt(max(0.0, u.u1 + u.u3))
-    return b1, b2
+def _scan_csv(doc: dict) -> str:
+    lines = [f"# bellopt scan {doc['version']}", _SCAN_COLUMNS]
+    for row in doc["rows"]:
+        cells = [fmt9(row[k]) for k in _SCAN_KEYS] + [str(row["active_set"])]
+        cells += [fmt9(v) for v in (*row["theta"], *row["phi"])]
+        lines.append(",".join(cells))
+    for e in doc["events"]:
+        lines.append(f"# event,{e['kind']},{fmt9(e['t'])},{fmt9(e['q2'])}")
+    for msg in doc["warnings"]:
+        lines.append(f"# warning,GridTooCoarse,{msg.replace(',', ';')}")
+    return "\n".join(lines) + "\n"
 
 
 def cmd_scan(args) -> int:
@@ -274,59 +247,39 @@ def cmd_scan(args) -> int:
     if args.ewl is not None:
         x0 = ewl_state(_parse_ewl(args.ewl))
     else:
-        rho, off_x_tol = _load_density(args.input, args.off_x_tol)
-        try:
-            x0 = as_x_state(rho, off_x_tol)
-        except NotXStructured as exc:
-            print(f"error: state is not X-structured ({exc})", file=sys.stderr)
-            return EXIT_NOT_X
+        x0 = as_x_state(*_load_density(args.input, args.off_x_tol))
     model = _parse_qmodel(args.qmodel)
     t_grid = np.linspace(0.0, args.tmax, args.samples)
-    caught: list[str] = []
     with warnings.catch_warnings(record=True) as wlist:
         warnings.simplefilter("always", GridTooCoarse)
         records = time_scan(x0, model, t_grid)
-    for w in wlist:
-        if issubclass(w.category, GridTooCoarse):
-            caught.append(str(w.message))
-    events = scan_events(records)
-
-    if args.format == "json":
-        rows = []
-        for rec in records:
-            b1, b2 = _branch_values(rec.u)
-            rows.append({
-                "t": rec.t, "q2": rec.q2,
-                "u1": rec.u.u1, "u2": rec.u.u2, "u3": rec.u.u3,
-                "B1": b1, "B2": b2,
-                "bmax": rec.bmax,
-                "active_set": int(rec.active_set),
-                "theta": list(rec.settings.thetas),
-                "phi": list(rec.settings.phis),
-            })
-        doc = {
-            "version": __version__,
-            "rows": rows,
-            "events": [
-                {"kind": e.kind.value, "t": e.t, "q2": e.q2} for e in events
-            ],
-            "warnings": caught,
-        }
-        _emit_json(doc, args.output)
-        return EXIT_OK
-    lines = [f"# bellopt scan {__version__}", _SCAN_COLUMNS]
-    for rec in records:
-        b1, b2 = _branch_values(rec.u)
-        numeric = [rec.t, rec.q2, rec.u.u1, rec.u.u2, rec.u.u3, b1, b2, rec.bmax]
-        cells = [fmt9(v) for v in numeric] + [str(int(rec.active_set))]
-        cells += [fmt9(v) for v in (*rec.settings.thetas, *rec.settings.phis)]
-        lines.append(",".join(cells))
-    for e in events:
-        lines.append(f"# event,{e.kind.value},{fmt9(e.t)},{fmt9(e.q2)}")
-    for msg in caught:
-        lines.append(f"# warning,GridTooCoarse,{msg.replace(',', ';')}")
-    _emit("\n".join(lines) + "\n", args.output)
+    rows = [{
+        "t": rec.t, "q2": rec.q2,
+        "u1": rec.u.u1, "u2": rec.u.u2, "u3": rec.u.u3,
+        "B1": rec.u.b1, "B2": rec.u.b2,
+        "bmax": rec.bmax,
+        "active_set": int(rec.active_set),
+        "theta": list(rec.settings.thetas),
+        "phi": list(rec.settings.phis),
+    } for rec in records]
+    doc = {
+        "version": __version__,
+        "rows": rows,
+        "events": [{"kind": e.kind.value, "t": e.t, "q2": e.q2}
+                   for e in scan_events(records)],
+        "warnings": [str(w.message) for w in wlist
+                     if issubclass(w.category, GridTooCoarse)],
+    }
+    _emit(args, doc, _scan_csv)
     return EXIT_OK
+
+
+def _surface_csv(doc: dict) -> str:
+    lines = [f"# bellopt surface {doc['version']}", "alpha2,r,x_root1,x_root2"]
+    for row in doc["rows"]:
+        roots = [fmt9(v) for v in row["roots"]] + ["", ""]
+        lines.append(",".join([fmt9(row["alpha2"]), fmt9(row["r"]), *roots[:2]]))
+    return "\n".join(lines) + "\n"
 
 
 def cmd_surface(args) -> int:
@@ -336,18 +289,26 @@ def cmd_surface(args) -> int:
         raise InputError(f"bad --grid {args.grid!r}: {exc}") from exc
     if n_alpha < 2 or n_r < 2:
         raise InputError("--grid dimensions must be >= 2")
-    lines = [f"# bellopt surface {__version__}", "alpha2,r,x_root1,x_root2"]
+    rows = []
     for i in range(n_alpha):
         alpha2 = i / n_alpha
         for j in range(n_r):
             r = (j + 1) / n_r
             roots = crossing_roots(EWLParams(alpha2=alpha2, r=r))
-            cells = [fmt9(alpha2), fmt9(r)]
-            cells.append(fmt9(roots[0]) if len(roots) > 0 else "")
-            cells.append(fmt9(roots[1]) if len(roots) > 1 else "")
-            lines.append(",".join(cells))
-    _emit("\n".join(lines) + "\n", args.output)
+            rows.append({"alpha2": alpha2, "r": r, "roots": roots})
+    _emit(args, {"version": __version__, "rows": rows}, _surface_csv)
     return EXIT_OK
+
+
+def _oracle_text(doc: dict) -> str:
+    route = " (closed form)" if doc["is_x"] else " (Horodecki, not X-structured)"
+    return (
+        f"analytic B_max = {fmt9(doc['analytic_bmax'])}{route}\n"
+        f"oracle  B_max = {fmt9(doc['oracle_bmax'])}\n"
+        f"difference    = {fmt9(doc['difference'])}\n"
+        f"certificate margin = {fmt9(doc['certificate_margin'])}\n"
+        f"evaluations = {doc['evaluations']}\n"
+    )
 
 
 def cmd_oracle_check(args) -> int:
@@ -358,24 +319,16 @@ def cmd_oracle_check(args) -> int:
     )
     is_x = True
     try:
-        x = as_x_state(rho, off_x_tol)
-        analytic = bmax_x(x)
-        settings, _ = optimal_settings(x)
+        settings, u = optimal_settings(as_x_state(rho, off_x_tol))
+        analytic = u.bmax
     except NotXStructured:
         is_x = False
         analytic = horodecki_bmax(rho)
-        settings = None
     result = brute_force_bmax(rho, cfg)
     difference = result.bmax_est - analytic
-    if settings is None:
+    if not is_x:
         # certify the oracle's own settings when no closed form applies
-        normalized = [normalize_direction(t, p)
-                      for t, p in zip(result.thetas, result.phis)]
-        settings = AngleSettings(
-            *(pair[0] for pair in normalized),
-            *(pair[1] for pair in normalized),
-            set_id=Region.SET1,
-        )
+        settings = AngleSettings.from_angles(Region.SET1, result.thetas, result.phis)
     margin = certify_settings(rho, settings, cfg)
     doc = {
         "version": __version__,
@@ -386,18 +339,7 @@ def cmd_oracle_check(args) -> int:
         "certificate_margin": margin,
         "evaluations": result.evaluations,
     }
-    if args.format == "json":
-        _emit_json(doc, args.output)
-    else:
-        _emit(
-            f"analytic B_max = {fmt9(analytic)}"
-            f"{' (closed form)' if is_x else ' (Horodecki, not X-structured)'}\n"
-            f"oracle  B_max = {fmt9(result.bmax_est)}\n"
-            f"difference    = {fmt9(difference)}\n"
-            f"certificate margin = {fmt9(margin)}\n"
-            f"evaluations = {result.evaluations}\n",
-            args.output,
-        )
+    _emit(args, doc, _oracle_text)
     if abs(difference) > 1e-3:
         return EXIT_ORACLE_MISMATCH
     return EXIT_OK
@@ -418,11 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", metavar="PATH", help="write here instead of stdout")
         p.add_argument("--format", choices=formats, default=default,
                        help="machine output format (default: human-readable text)")
-        p.add_argument("--degrees", action="store_true",
-                       help="display angles in degrees (file formats stay in radians)")
 
-    def add_state(p):
-        p.add_argument("--input", metavar="PATH", required=True,
+    def add_state(p, required=True):
+        p.add_argument("--input", metavar="PATH", required=required,
                        help="density-matrix JSON: {\"rho\": 4x4 of [re, im]}")
         p.add_argument("--off-x-tol", type=float, default=None, metavar="FLOAT",
                        help="tolerance for entries outside the X pattern (default 1e-9)")
@@ -435,12 +375,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("angles", help="optimal measurement settings for an X state")
     add_state(p)
     add_io(p, formats=("json",))
+    p.add_argument("--degrees", action="store_true",
+                   help="display angles in degrees (JSON stays in radians)")
     p.set_defaults(func=cmd_angles)
 
     p = sub.add_parser("scan", help="trajectory scan with jump/violation events")
-    p.add_argument("--input", metavar="PATH",
-                   help="density-matrix JSON for the initial state")
-    p.add_argument("--off-x-tol", type=float, default=None, metavar="FLOAT")
+    add_state(p, required=False)
     p.add_argument("--ewl", metavar="ALPHA2,R,DELTA",
                    help="inline initial state: purity-r mixture of a Bell-like state")
     p.add_argument("--qmodel", required=True,
@@ -475,6 +415,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except NotXStructured as exc:
+        print(f"error: state is not X-structured ({exc})", file=sys.stderr)
+        return EXIT_NOT_X
     except (InputError, StateValidationError, BudgetExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -16,6 +16,7 @@ with linear interpolation for anything else.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import csv
 import math
@@ -26,7 +27,7 @@ from typing import Union
 
 import numpy as np
 
-from .angles import AngleSettings, optimal_settings
+from .angles import AngleSettings, _sign, optimal_settings
 from .chsh import BellEigenvalues, Region, x_state_eigenvalues
 from .states import DensityMatrix4, XState
 
@@ -149,7 +150,7 @@ class TabulatedModel:
             raise ValueError(
                 f"t = {t!r} beyond the last tabulated sample {self.times[-1]!r}"
             )
-        i = np.searchsorted(self.times, t, side="right") - 1
+        i = bisect.bisect_right(self.times, t) - 1
         if i >= len(self.times) - 1:
             return self.values[-1]
         t0, t1 = self.times[i], self.times[i + 1]
@@ -321,10 +322,6 @@ class TimeScanRecord:
     active_set: Region
     settings: AngleSettings
     events: tuple[ScanEvent, ...] = ()
-
-
-def _sign(v: float) -> int:
-    return 1 if v >= 0.0 else -1
 
 
 def _bisect_event(f, lo: float, hi: float) -> float:

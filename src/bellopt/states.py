@@ -151,8 +151,8 @@ class XState:
 
 def as_x_state(rho: DensityMatrix4, off_x_tol: float = DEFAULT_OFF_X_TOL) -> XState:
     """Extract the 7 X parameters, requiring off-pattern entries <= off_x_tol."""
-    if off_x_tol < 0:
-        raise ValueError("off_x_tol must be >= 0")
+    if not off_x_tol >= 0:  # also rejects NaN, for which every comparison is False
+        raise ValueError(f"off_x_tol must be >= 0, got {off_x_tol!r}")
     m = rho.entries
     worst, worst_idx = 0.0, (0, 0)
     for i, j in _OFF_X_INDICES:

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 
 from bellopt import (
     BellSettings,
-    NotSymmetric,
     ObservableDirection,
     Region,
     TSIRELSON,
@@ -14,12 +13,13 @@ from bellopt import (
     bmax_x,
     correlation,
     horodecki_bmax,
+    horodecki_eigenvalues,
     settings_set2,
-    sym3_eigenvalues,
     validate_density_matrix,
     x_state_eigenvalues,
     x_to_dense,
 )
+from bellopt.states import PAULIS
 from conftest import random_density, random_x_state, werner, x_states
 
 Z_UP = ObservableDirection(0.0, 0.0)
@@ -129,36 +129,54 @@ class TestBmaxX:
         assert bmax_x(rotated) == pytest.approx(bmax_x(x), abs=1e-12)
 
 
-class TestSym3Eigenvalues:
+def bell_diagonal(c, rng=None):
+    """(I + sum_i c_i sigma_i (x) sigma_i)/4, optionally rotated by random
+    local unitaries, which leave the singular values of T unchanged."""
+    m = np.eye(4, dtype=complex)
+    for ci, s in zip(c, PAULIS):
+        m = m + ci * np.kron(s, s)
+    m = m / 4.0
+    if rng is not None:
+        def haar2():
+            q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            return q * (np.diag(r) / np.abs(np.diag(r)))
+        w = np.kron(haar2(), haar2())
+        m = w @ m @ w.conj().T
+    return validate_density_matrix(m)
+
+
+def expected_u(c):
+    return sorted((ci * ci for ci in c), reverse=True)
+
+
+# Vertices of the tetrahedron of valid Bell-diagonal correlation vectors c.
+TETRAHEDRON = np.array([[-1, -1, -1], [-1, 1, 1], [1, -1, 1], [1, 1, -1]], float)
+
+
+class TestHorodeckiEigenvalues:
     def test_identity(self):
-        assert sym3_eigenvalues(np.eye(3)) == (1.0, 1.0, 1.0)
+        # the singlet has T = -I, so U = T^T T = I
+        got = horodecki_eigenvalues(bell_diagonal([-1.0, -1.0, -1.0]))
+        assert np.allclose(got, [1.0, 1.0, 1.0], rtol=0, atol=1e-12)
 
     def test_diagonal(self):
-        assert sym3_eigenvalues(np.diag([4.0, 1.0, 0.0])) == (4.0, 1.0, 0.0)
+        c = [0.5, -0.25, 0.0]
+        got = horodecki_eigenvalues(bell_diagonal(c))
+        assert np.allclose(got, [0.25, 0.0625, 0.0], rtol=0, atol=1e-12)
 
     def test_construct_then_recover(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
-            lam = np.sort(rng.uniform(-2, 2, 3))[::-1]
-            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-            u = q @ np.diag(lam) @ q.T
-            got = sym3_eigenvalues(0.5 * (u + u.T))
-            assert np.allclose(got, lam, atol=1e-9)
+            c = rng.dirichlet(np.ones(4)) @ TETRAHEDRON
+            got = horodecki_eigenvalues(bell_diagonal(c, rng))
+            assert np.allclose(got, expected_u(c), rtol=0, atol=1e-12)
 
     def test_near_degenerate_spectra(self):
         rng = np.random.default_rng(4)
         for gap in (1e-5, 1e-8, 1e-12, 0.0):
-            lam = np.array([1.0, 1.0 - gap, 0.3])
-            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-            u = q @ np.diag(lam) @ q.T
-            got = sym3_eigenvalues(0.5 * (u + u.T))
-            assert np.allclose(got, lam, atol=1e-10)
-
-    def test_rejects_asymmetric(self):
-        m = np.eye(3)
-        m[0, 1] = 1e-3
-        with pytest.raises(NotSymmetric):
-            sym3_eigenvalues(m)
+            c = [0.4, -math.sqrt(0.16 - gap), 0.1]
+            got = horodecki_eigenvalues(bell_diagonal(c, rng))
+            assert np.allclose(got, [0.16, 0.16 - gap, 0.01], rtol=0, atol=1e-12)
 
 
 class TestHorodecki:

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,9 @@ import pytest
 from bellopt import EWLParams, crossing_roots, ewl_state, x_to_dense
 from bellopt.cli import fmt9, main
 from conftest import werner
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text())
 
 
 def write_state(tmp_path, entries, name="state.json", off_x_tol=None):
@@ -29,6 +36,20 @@ def bell_file(tmp_path):
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "bellopt", *args],
                           capture_output=True, text=True)
+
+
+def run_golden(argv):
+    """Run one golden case in-process from the golden directory (its argv
+    holds paths relative to it); returns (exit code, stdout)."""
+    out = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(GOLDEN)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    return code, out.getvalue()
 
 
 class TestFmt9:
@@ -78,6 +99,34 @@ class TestBmax:
         out = capsys.readouterr().out
         assert "B_max = 2.82842712" in out
         assert "violates CHSH (B_max > 2): yes" in out
+
+
+class TestOffXTolInput:
+    """A NaN or non-numeric tolerance is an input error, never an X verdict."""
+
+    def non_x_file(self, tmp_path, raw_tol=None):
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 1] = m[1, 0] = 0.01
+        path = write_state(tmp_path, m)
+        if raw_tol is not None:
+            text = (tmp_path / "state.json").read_text()
+            (tmp_path / "state.json").write_text(
+                text[:-1] + f', "off_x_tol": {raw_tol}}}')
+        return path
+
+    def test_nan_flag_exits_2(self, tmp_path, capsys):
+        path = self.non_x_file(tmp_path)
+        assert main(["bmax", "--input", path, "--off-x-tol", "nan",
+                     "--format", "json"]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("raw_tol", ["NaN", "null", "[1]", '"abc"'])
+    def test_bad_json_tolerance_exits_2(self, tmp_path, capsys, raw_tol):
+        path = self.non_x_file(tmp_path, raw_tol)
+        assert main(["bmax", "--input", path, "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "off_x_tol" in captured.err
 
 
 class TestAngles:
@@ -311,8 +360,23 @@ class TestDeterminism:
             assert first.stdout == second.stdout
             assert first.stdout  # non-empty
 
+    @pytest.mark.parametrize("case", GOLDEN_CASES, ids=lambda c: c["name"])
+    def test_golden_output(self, case):
+        code, out = run_golden(case["argv"])
+        assert code == case["exit"]
+        assert out == (GOLDEN / f"{case['name']}.out").read_bytes().decode()
+
     def test_console_entry_point_help(self):
         result = run_cli("--help")
         assert result.returncode == 0
         for sub in ("bmax", "angles", "scan", "surface", "oracle-check"):
             assert sub in result.stdout
+
+
+if __name__ == "__main__":
+    # Re-capture the golden outputs from the current code:
+    #   PYTHONPATH=src python tests/test_cli.py
+    for case in GOLDEN_CASES:
+        case["exit"], text = run_golden(case["argv"])
+        (GOLDEN / f"{case['name']}.out").write_bytes(text.encode())
+    (GOLDEN / "cases.json").write_text(json.dumps(GOLDEN_CASES, indent=1) + "\n")

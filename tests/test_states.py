@@ -87,6 +87,15 @@ class TestXStateExtraction:
         m[0, 1] = m[1, 0] = 0.01
         as_x_state(validate_density_matrix(m), off_x_tol=0.02)
 
+    @pytest.mark.parametrize("tol", [-1e-9, math.nan])
+    def test_negative_or_nan_tol_rejected(self, tol):
+        # NaN must not pass: every comparison with it is False, which would
+        # accept any off-pattern entry as X-structured
+        m = np.eye(4, dtype=complex) / 4.0
+        m[0, 1] = m[1, 0] = 0.01
+        with pytest.raises(ValueError, match="off_x_tol must be >= 0"):
+            as_x_state(validate_density_matrix(m), off_x_tol=tol)
+
     def test_invalid_block_rejected(self):
         with pytest.raises(NotPositive):
             XState(0.25, 0.25, 0.25, 0.25, 0.3, 0.0)
