@@ -82,7 +82,10 @@ def settings_set1(x: XState) -> AngleSettings:
     gap.  Degenerate cases follow the limit values: arctan(sqrt(u2/0)) = pi/2
     for u2 > 0 and 0 when u1 = u2 = 0.
     """
-    u = x_state_eigenvalues(x)
+    return _set1(x, x_state_eigenvalues(x))
+
+
+def _set1(x: XState, u: BellEigenvalues) -> AngleSettings:
     arg14, arg23 = _coherence_phases(x)
     tilt = math.atan2(math.sqrt(u.u2), math.sqrt(u.u1))
     theta2 = _HALF_PI - _sign(x.diagonal_gap) * tilt
@@ -102,7 +105,10 @@ def settings_set2(x: XState) -> AngleSettings:
     relative coherence phase; qubit 1's primed azimuth steps by pi/2 with the
     sign of |rho23| - |rho14|.
     """
-    u = x_state_eigenvalues(x)
+    return _set2(x, x_state_eigenvalues(x))
+
+
+def _set2(x: XState, u: BellEigenvalues) -> AngleSettings:
     arg14, arg23 = _coherence_phases(x)
     spread = math.atan2(math.sqrt(u.u3), math.sqrt(u.u1))
     phi1 = -0.5 * (arg14 + arg23)
@@ -123,8 +129,8 @@ def optimal_settings(x: XState) -> tuple[AngleSettings, BellEigenvalues]:
     """
     u = x_state_eigenvalues(x)
     if u.region is Region.SET1:
-        return settings_set1(x), u
-    return settings_set2(x), u
+        return _set1(x, u), u
+    return _set2(x, u), u
 
 
 def settings_distance(a: AngleSettings, b: AngleSettings) -> float:

@@ -242,8 +242,8 @@ def cmd_scan(args) -> int:
         raise InputError("provide exactly one of --ewl or --input")
     if args.samples < 2:
         raise InputError("--samples must be >= 2")
-    if args.tmax <= 0:
-        raise InputError("--tmax must be > 0")
+    if not (math.isfinite(args.tmax) and args.tmax > 0):
+        raise InputError("--tmax must be finite and > 0")
     if args.ewl is not None:
         x0 = ewl_state(_parse_ewl(args.ewl))
     else:
@@ -418,7 +418,8 @@ def main(argv=None) -> int:
     except NotXStructured as exc:
         print(f"error: state is not X-structured ({exc})", file=sys.stderr)
         return EXIT_NOT_X
-    except (InputError, StateValidationError, BudgetExceeded, ValueError) as exc:
+    except (InputError, StateValidationError, BudgetExceeded, ValueError,
+            ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -63,11 +63,20 @@ def q_lorentzian(t: float, lam: float, gamma0: float) -> complex:
         raise ValueError("lam and gamma0 must be > 0")
     d = cmath.sqrt(complex(lam * lam - 2.0 * gamma0 * lam))
     z = 0.5 * d * t
-    if abs(z) < 1e-6:
-        sinhc = 1.0 + z * z / 6.0
+    if z.real > 1.0 and lam * t > 1400.0:
+        # Weak coupling at large t: cosh/sinh overflow near z = 710, and
+        # exp(-lam t / 2) loses precision below e^-708, although q only
+        # decays.  The same q with the exponents combined: both are <= 0 and
+        # the second term is e^(-2z) times smaller, so nothing cancels.
+        r = lam / d
+        val = (0.5 * (1.0 + r) * cmath.exp(0.5 * (d - lam) * t)
+               + 0.5 * (1.0 - r) * cmath.exp(-0.5 * (d + lam) * t))
     else:
-        sinhc = cmath.sinh(z) / z
-    val = cmath.exp(-0.5 * lam * t) * (cmath.cosh(z) + 0.5 * lam * t * sinhc)
+        if abs(z) < 1e-6:
+            sinhc = 1.0 + z * z / 6.0
+        else:
+            sinhc = cmath.sinh(z) / z
+        val = cmath.exp(-0.5 * lam * t) * (cmath.cosh(z) + 0.5 * lam * t * sinhc)
     # q is real for this model; the imaginary residue is pure roundoff.
     return complex(val.real, 0.0)
 

@@ -279,6 +279,20 @@ class TestScan:
         assert main(["scan", "--ewl", "2.0,1,0", "--qmodel", "exp:1.0",
                      "--tmax", "5", "--samples", "10"]) == 2
 
+    def test_weak_coupling_long_horizon(self, capsys):
+        # cosh/sinh of the Lorentzian amplitude overflow at t ~ 145 here
+        assert main(["scan", "--ewl", "0.3,1,0", "--qmodel", "lorentz:10,0.1",
+                     "--tmax", "400", "--samples", "5"]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("tmax", ["inf", "-inf", "nan"])
+    def test_non_finite_tmax_exits_2(self, capsys, tmax):
+        assert main(["scan", "--ewl", "0.3,1,0", "--qmodel", "exp:1",
+                     f"--tmax={tmax}", "--samples", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --tmax must be finite and > 0\n"
+
     def test_table_shorter_than_tmax_exits_2(self, tmp_path):
         table = tmp_path / "q.csv"
         table.write_text("t,q_re,q_im\n0,1,0\n2,0.5,0\n")
@@ -374,9 +388,13 @@ class TestDeterminism:
 
 
 if __name__ == "__main__":
-    # Re-capture the golden outputs from the current code:
-    #   PYTHONPATH=src python tests/test_cli.py
+    # Re-capture the golden outputs from the current code, optionally only the
+    # cases whose name starts with a prefix:
+    #   PYTHONPATH=src python tests/test_cli.py [NAME_PREFIX]
+    prefix = sys.argv[1] if len(sys.argv) > 1 else ""
     for case in GOLDEN_CASES:
+        if not case["name"].startswith(prefix):
+            continue
         case["exit"], text = run_golden(case["argv"])
         (GOLDEN / f"{case['name']}.out").write_bytes(text.encode())
     (GOLDEN / "cases.json").write_text(json.dumps(GOLDEN_CASES, indent=1) + "\n")

@@ -92,6 +92,21 @@ class TestQLorentzian:
             for t in np.linspace(0.0, 30.0, 500):
                 assert abs(q_lorentzian(t, lam, gamma0)) <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("lam,gamma0", [(10.0, 0.1), (10.0, 0.5), (50.0, 12.0)])
+    def test_weak_coupling_large_t_finite_and_accurate(self, lam, gamma0):
+        # Across lam*t = 1200..1600 cosh/sinh overflow and exp(-lam t/2)
+        # underflows; q must follow its leading term, the slow exponential
+        # (the other term is below 1e-300 of it here), and keep decreasing.
+        d = math.sqrt(lam * lam - 2.0 * gamma0 * lam)
+        prev = 1.0
+        for t in np.linspace(1200.0 / lam, 1600.0 / lam, 2001):
+            q = q_lorentzian(t, lam, gamma0)
+            lead = 0.5 * (1.0 + lam / d) * math.exp(0.5 * (d - lam) * t)
+            assert q.imag == 0.0 and 0.0 < q.real < prev
+            assert q.real == pytest.approx(lead, rel=1e-12)
+            prev = q.real
+        assert q_lorentzian(1e6, lam, gamma0) == 0.0
+
     def test_critical_coupling_continuous(self):
         # d = 0 exactly at gamma0 = lam/2; series evaluation must match limits
         q_crit = q_lorentzian(2.0, 1.0, 0.5)

@@ -5,20 +5,26 @@ import pytest
 
 from bellopt import (
     AngleSettings,
+    BellSettings,
     BudgetExceeded,
+    ObservableDirection,
     OracleConfig,
     Region,
     Splitmix64,
     TSIRELSON,
+    bell_function,
     bmax_x,
     brute_force_bmax,
     certify_settings,
     horodecki_bmax,
     optimal_settings,
+    pauli_correlation_matrix,
     settings_set2,
     x_to_dense,
 )
-from conftest import random_density, random_x_state
+from bellopt import oracle
+from bellopt.oracle import _bell_values, _compass_search
+from conftest import random_density, random_x_state, werner
 
 FAST_CFG = OracleConfig(grid_n=8, refine_iters=200, restarts=4, seed=2)
 
@@ -41,6 +47,20 @@ class TestSplitmix64:
         assert va == vb
         assert all(-1.0 <= v < 1.0 for v in va)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 64 - 1])
+    def test_bulk_draws_match_one_at_a_time(self, seed):
+        lo = np.tile(np.repeat([0.0, -math.pi], 4), 5)
+        hi = np.tile([math.pi, math.pi, 1.0, 2.5, 0.0, 1e-3, math.pi, 7.0], 5)
+        bulk, single = Splitmix64(seed), Splitmix64(seed)
+        for args, n in [((), 3), ((-0.3, 0.3), 17), ((lo, math.pi), 40),
+                        ((lo, hi), 40), ((), 1), ((-1.0, 1.0), 0)]:
+            got = bulk.uniforms(n, *args)
+            lo_i = np.broadcast_to(args[0] if args else 0.0, n)
+            hi_i = np.broadcast_to(args[1] if args else 1.0, n)
+            want = [single.uniform(float(a), float(b)) for a, b in zip(lo_i, hi_i)]
+            assert got.dtype == np.float64 and got.tolist() == want
+        assert bulk.next_u64() == single.next_u64()
+
 
 class TestConfig:
     def test_validation(self):
@@ -54,6 +74,69 @@ class TestConfig:
     def test_budget_guard(self, bell_rho):
         with pytest.raises(BudgetExceeded):
             brute_force_bmax(bell_rho, OracleConfig(grid_n=14))
+
+
+def _direct_bell(rho, row):
+    thetas, phis = row[:4], row[4:]
+    d = [ObservableDirection(th, ph) for th, ph in zip(thetas, phis)]
+    return bell_function(rho, BellSettings(*d))
+
+
+class TestBellValues:
+    def test_rows_do_not_depend_on_batch(self):
+        rng = np.random.default_rng(31)
+        rho = random_density(rng)
+        t = pauli_correlation_matrix(rho).t
+        rows = np.hstack([rng.uniform(0.0, math.pi, (1000, 4)),
+                          rng.uniform(-math.pi, math.pi, (1000, 4))])
+        single = np.array([_bell_values(t, row) for row in rows])
+        for n in (1, 16, 272, 1000):
+            assert np.array_equal(_bell_values(t, rows[:n]), single[:n])
+        assert np.array_equal(_bell_values(t, rows[:272].reshape(17, 16, 8)),
+                              single[:272].reshape(17, 16))
+        for row, value in zip(rows[:200], single):
+            assert abs(value - _direct_bell(rho, row)) <= 1e-12
+
+
+def _reference_compass(t, start, step, max_iters):
+    """One compass search evaluating every move's angles directly."""
+    current, value, evals = start.copy(), float(_bell_values(t, start)), 1
+    moves = np.vstack([np.eye(8), -np.eye(8)])
+    for _ in range(max_iters):
+        if step < 1e-8:
+            break
+        batch = current + step * moves
+        vals = _bell_values(t, batch)
+        evals += len(vals)
+        k = int(vals.argmax())
+        if vals[k] > value:
+            value, current = float(vals[k]), batch[k]
+        else:
+            step *= 0.5
+    return value, current, evals
+
+
+class TestCompassBatch:
+    @pytest.mark.parametrize("kind", ["werner", "ginibre", "x"])
+    def test_batch_equals_one_start_calls(self, kind):
+        rng = np.random.default_rng(32)
+        rho = {"werner": lambda: x_to_dense(werner(0.9)),
+               "ginibre": lambda: random_density(rng),
+               "x": lambda: x_to_dense(random_x_state(rng))}[kind]()
+        t = pauli_correlation_matrix(rho).t
+        starts = np.hstack([rng.uniform(0.0, math.pi, (6, 4)),
+                            rng.uniform(-math.pi, math.pi, (6, 4))])
+        starts[0, :4] = [0.0, -0.0, math.pi, 0.0]  # zero angles, as on the grid
+        values, angles, evals = _compass_search(t, starts, math.pi / 8, 120)
+        if kind != "x":  # the restarts leave the batch at different polls
+            assert len(set(evals.tolist())) > 1
+        for i, start in enumerate(starts):
+            v1, a1, e1 = _compass_search(t, start[None, :], math.pi / 8, 120)
+            ref = _reference_compass(t, start, math.pi / 8, 120)
+            assert v1[0] == values[i] == ref[0]
+            assert np.array_equal(a1[0], angles[i])
+            assert np.array_equal(ref[1], angles[i])
+            assert e1[0] == evals[i] == ref[2]
 
 
 class TestBruteForce:
@@ -87,12 +170,45 @@ class TestBruteForce:
         r2 = brute_force_bmax(bell_rho, FAST_CFG)
         assert r1 == r2
 
+    def test_restart_batches_do_not_change_the_result(self, monkeypatch):
+        rho = random_density(np.random.default_rng(24))
+        cfg = OracleConfig(grid_n=4, refine_iters=60, restarts=7, seed=3)
+        whole = brute_force_bmax(rho, cfg)
+        monkeypatch.setattr(oracle, "_COMPASS_BATCH", 3)
+        assert brute_force_bmax(rho, cfg) == whole
+
     def test_counts_evaluations(self, bell_rho):
         res = brute_force_bmax(bell_rho, FAST_CFG)
         assert res.evaluations >= 8 ** 8
 
 
+def _sequential_certify(rho, s, cfg):
+    """The certify walk proposing one move at a time."""
+    t = pauli_correlation_matrix(rho).t
+    current = np.array(s.thetas + s.phis)
+    base = best = float(_bell_values(t, current))
+    rng = Splitmix64(cfg.seed)
+    for radius in (math.pi / 8.0, math.pi / 64.0):
+        for _ in range(max(cfg.refine_iters, 64)):
+            move = [rng.uniform(-radius, radius) for _ in range(8)]
+            proposal = current + np.array(move)
+            value = float(_bell_values(t, proposal))
+            if value > best:
+                best, current = value, proposal
+    return best - base
+
+
 class TestCertify:
+    @pytest.mark.parametrize("refine", [0, 64, 130, 500])
+    def test_block_walk_equals_sequential_walk(self, refine):
+        rng = np.random.default_rng(33)
+        x = random_x_state(rng)
+        rho = x_to_dense(x)
+        zeros = AngleSettings(0, 0, 0, 0, 0, 0, 0, 0, set_id=Region.SET1)
+        for s in (optimal_settings(x)[0], zeros):
+            cfg = OracleConfig(refine_iters=refine, seed=11)
+            assert certify_settings(rho, s, cfg) == _sequential_certify(rho, s, cfg)
+
     def test_optimal_settings_certify(self, bell_rho, bell_x):
         s = settings_set2(bell_x)
         assert certify_settings(bell_rho, s, OracleConfig(seed=5)) <= 1e-6
