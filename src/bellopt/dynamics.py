@@ -12,11 +12,20 @@ Three environment models are shipped: exponential (memoryless decay),
 a damped-oscillator form for a single Lorentzian resonance (decay for weak
 coupling, collapses and revivals for strong coupling), and tabulated samples
 with linear interpolation for anything else.
+
+Every model's q(t) takes a float, giving a Python complex, or an array of
+times, giving a complex array of its shape, from one implementation whose
+array values equal the scalar ones bit for bit; time_scan relies on that to
+evaluate all its probes in one pass.  Hence: exp goes through complex
+arrays (np.exp of a real array differs from math.exp in ~5% of last bits),
+abs is np.hypot (np.abs of complex differs from Python's abs in ~35%),
+complex products and quotients with two complex factors are written out in
+real arithmetic, and squares use np.float_power, libm's pow as in Python's
+`v ** 2` (v * v differs in ~0.1%).
 """
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import csv
 import math
@@ -29,7 +38,7 @@ import numpy as np
 
 from .angles import AngleSettings, _sign, optimal_settings
 from .chsh import BellEigenvalues, Region, x_state_eigenvalues
-from .states import DensityMatrix4, XState
+from .states import POSITIVITY_TOL, TRACE_TOL, DensityMatrix4, XState
 
 EVENT_REL_TOL = 1e-9
 _MAX_BISECT_ITERS = 80
@@ -40,16 +49,37 @@ class GridTooCoarse(UserWarning):
     """More than one event of the same kind fell inside one grid interval."""
 
 
-def q_exponential(t: float, gamma: float) -> complex:
-    """Markovian amplitude: |q(t)|^2 = exp(-gamma t), phase zero."""
-    if t < 0:
+def _times(t) -> np.ndarray:
+    """t as a float array (0-d for a float), validated."""
+    t = np.asarray(t, dtype=float)
+    if not (t >= 0.0).all():  # also rejects NaN
         raise ValueError("t must be >= 0")
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
-    return complex(math.exp(-0.5 * gamma * t), 0.0)
+    return t
 
 
-def q_lorentzian(t: float, lam: float, gamma0: float) -> complex:
+def _finite_positive(**params: float) -> None:
+    for name, v in params.items():
+        if not (math.isfinite(v) and v > 0.0):
+            raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+
+
+def _like_t(q: np.ndarray, t: np.ndarray):
+    # a float t gives a Python complex, an array t an array of t's shape
+    return complex(q) if t.ndim == 0 else q
+
+
+def q_exponential(t, gamma: float):
+    """Markovian amplitude: |q(t)|^2 = exp(-gamma t), phase zero."""
+    t = _times(t)
+    _finite_positive(gamma=gamma)
+    # exp of a complex array is libm's exp, as math.exp; np.exp of a real
+    # array is not, in the last bit
+    q = np.exp(-0.5 * gamma * t + 0j).real + 0j
+    return _like_t(q, t)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # checked below
+def q_lorentzian(t, lam: float, gamma0: float):
     """Damped-oscillator amplitude for a Lorentzian environment.
 
     q(t) = exp(-lam t / 2) [cosh(d t / 2) + (lam / d) sinh(d t / 2)] with
@@ -57,28 +87,42 @@ def q_lorentzian(t: float, lam: float, gamma0: float) -> complex:
     2 gamma0 > lam.  Weak coupling reduces to near-exponential decay of
     |q|^2 at rate gamma0; strong coupling yields collapses and revivals.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if lam <= 0 or gamma0 <= 0:
-        raise ValueError("lam and gamma0 must be > 0")
+    t = _times(t)
+    _finite_positive(lam=lam, gamma0=gamma0)
     d = cmath.sqrt(complex(lam * lam - 2.0 * gamma0 * lam))
+    # d is real (2 gamma0 <= lam) or imaginary, so z is too, and every
+    # complex product below has a zero term: it rounds as Python's does.
     z = 0.5 * d * t
-    if z.real > 1.0 and lam * t > 1400.0:
+    val = np.empty(t.shape)
+    far = (z.real > 1.0) & (lam * t > 1400.0)
+    if far.any():
         # Weak coupling at large t: cosh/sinh overflow near z = 710, and
         # exp(-lam t / 2) loses precision below e^-708, although q only
         # decays.  The same q with the exponents combined: both are <= 0 and
         # the second term is e^(-2z) times smaller, so nothing cancels.
         r = lam / d
-        val = (0.5 * (1.0 + r) * cmath.exp(0.5 * (d - lam) * t)
-               + 0.5 * (1.0 - r) * cmath.exp(-0.5 * (d + lam) * t))
-    else:
-        if abs(z) < 1e-6:
-            sinhc = 1.0 + z * z / 6.0
-        else:
-            sinhc = cmath.sinh(z) / z
-        val = cmath.exp(-0.5 * lam * t) * (cmath.cosh(z) + 0.5 * lam * t * sinhc)
-    # q is real for this model; the imaginary residue is pure roundoff.
-    return complex(val.real, 0.0)
+        tf = t[far]
+        val[far] = (0.5 * (1.0 + r) * np.exp(0.5 * (d - lam) * tf)
+                    + 0.5 * (1.0 - r) * np.exp(-0.5 * (d + lam) * tf)).real
+    near = ~far
+    zn, tn = z[near], t[near]
+    small = np.hypot(zn.real, zn.imag) < 1e-6
+    sinhc = np.empty(zn.shape)
+    zs = zn[small]
+    sinhc[small] = 1.0 + (zs.real * zs.real - zs.imag * zs.imag) / 6.0  # 1 + z^2/6
+    zl = zn[~small]
+    # sinh(z) / z with z real or imaginary is a quotient of real numbers;
+    # numpy's complex division rounds differently from Python's
+    s = np.sinh(zl)
+    sinhc[~small] = s.real / zl.real if d.imag == 0.0 else s.imag / zl.imag
+    val[near] = np.exp(-0.5 * lam * tn + 0j).real * (
+        np.cosh(zn).real + 0.5 * lam * tn * sinhc)
+    if not np.isfinite(val).all():
+        # reached only when d t overflows, for absurd lam, gamma0 or t
+        bad = float(t[~np.isfinite(val)].flat[0])
+        raise ValueError(f"q(t) is not finite at t = {bad!r}")
+    # q is real for this model
+    return _like_t(val + 0j, t)
 
 
 @dataclass(frozen=True)
@@ -88,10 +132,9 @@ class ExponentialModel:
     gamma: float
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be > 0")
+        _finite_positive(gamma=self.gamma)
 
-    def q(self, t: float) -> complex:
+    def q(self, t):
         return q_exponential(t, self.gamma)
 
 
@@ -103,18 +146,17 @@ class LorentzianModel:
     gamma0: float
 
     def __post_init__(self):
-        if self.lam <= 0 or self.gamma0 <= 0:
-            raise ValueError("lam and gamma0 must be > 0")
+        _finite_positive(lam=self.lam, gamma0=self.gamma0)
 
-    def q(self, t: float) -> complex:
+    def q(self, t):
         return q_lorentzian(t, self.lam, self.gamma0)
 
 
 @dataclass(frozen=True)
 class TabulatedModel:
     """User-supplied q(t) samples, linearly interpolated (real and imaginary
-    parts separately).  Requires strictly increasing times starting at 0 with
-    q(0) = 1 and |q| <= 1 at every sample."""
+    parts separately).  Requires at least two finite samples, strictly
+    increasing times starting at 0, q(0) = 1 and |q| <= 1 at every sample."""
 
     times: tuple[float, ...]
     values: tuple[complex, ...]
@@ -122,8 +164,12 @@ class TabulatedModel:
     def __post_init__(self):
         times = tuple(float(t) for t in self.times)
         values = tuple(complex(v) for v in self.values)
-        if len(times) != len(values) or len(times) < 1:
-            raise ValueError("times and values must be equally long and non-empty")
+        if len(times) != len(values) or len(times) < 2:
+            raise ValueError("times and values must be equally long, with "
+                             "at least two samples")
+        for i, (t, v) in enumerate(zip(times, values)):
+            if not (math.isfinite(t) and cmath.isfinite(v)):
+                raise ValueError(f"sample {i} is not finite: t = {t!r}, q = {v!r}")
         if times[0] != 0.0:
             raise ValueError("samples must start at t = 0")
         if any(b <= a for a, b in zip(times, times[1:])):
@@ -135,6 +181,8 @@ class TabulatedModel:
             raise ValueError(f"|q| exceeds 1 at a sample: {worst!r}")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_t", np.array(times))
+        object.__setattr__(self, "_v", np.array(values))
 
     @classmethod
     def from_csv(cls, path) -> "TabulatedModel":
@@ -152,19 +200,22 @@ class TabulatedModel:
                 values.append(complex(float(row[1]), float(row[2])))
         return cls(tuple(times), tuple(values))
 
-    def q(self, t: float) -> complex:
-        if t < 0:
-            raise ValueError("t must be >= 0")
-        if t > self.times[-1]:
+    def q(self, t):
+        t = _times(t)
+        beyond = t > self.times[-1]
+        if beyond.any():
             raise ValueError(
-                f"t = {t!r} beyond the last tabulated sample {self.times[-1]!r}"
+                f"t = {float(t[beyond].flat[0])!r} beyond the last tabulated "
+                f"sample {self.times[-1]!r}"
             )
-        i = bisect.bisect_right(self.times, t) - 1
-        if i >= len(self.times) - 1:
-            return self.values[-1]
-        t0, t1 = self.times[i], self.times[i + 1]
+        # The last sample is the right end of the last interval, where
+        # w = 1 exactly and the blend is exactly that sample.
+        i = np.minimum(np.searchsorted(self._t, t, side="right") - 1,
+                       len(self.times) - 2)
+        t0, t1 = self._t[i], self._t[i + 1]
         w = (t - t0) / (t1 - t0)
-        return self.values[i] * (1.0 - w) + self.values[i + 1] * w
+        # each product has a real factor, so it rounds as Python's does
+        return _like_t(self._v[i] * (1.0 - w) + self._v[i + 1] * w, t)
 
 
 QModel = Union[ExponentialModel, LorentzianModel, TabulatedModel]
@@ -224,6 +275,8 @@ class EWLParams:
             raise ValueError("alpha2 must lie in [0, 1]")
         if not (0.0 <= self.r <= 1.0):
             raise ValueError("r must lie in [0, 1]")
+        if not math.isfinite(self.delta):
+            raise ValueError(f"delta must be finite, got {self.delta!r}")
 
 
 def ewl_state(p: EWLParams) -> XState:
@@ -346,6 +399,62 @@ def _bisect_event(f, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _pow2(v):
+    # Python's `v ** 2`: libm's pow, not v * v
+    return np.float_power(v, 2.0)
+
+
+@np.errstate(all="ignore")  # every non-finite value fails a check below
+def _eigenvalues_along(x0: XState, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u1, u2, u3) of x0 evolved to each amplitude of the array q.
+
+    The evolve_x element map and the x_state_eigenvalues formulas in array
+    form, bit for bit the scalar values.  An amplitude that fails any check
+    of the scalar path is re-run through it, which raises that check's
+    exception; the earliest such amplitude in q's order is the one reported.
+    """
+    q = np.asarray(q, dtype=complex)
+    qr, qi = q.real, q.imag
+    abs_q = np.hypot(qr, qi)
+    x = np.minimum(1.0, _pow2(abs_q))
+    fed = x0.rho11 * (1.0 - x)
+    r11 = x0.rho11 * x * x
+    r22 = x * (x0.rho22 + fed)
+    r33 = x * (x0.rho33 + fed)
+    r44 = 1.0 - (r11 + r22 + r33)
+    # rho14 -> q q rho14, rho23 -> x rho23
+    qq_re, qq_im = qr * qr - qi * qi, qr * qi + qi * qr
+    a, b = x0.rho14.real, x0.rho14.imag
+    mod14 = np.hypot(qq_re * a - qq_im * b, qq_re * b + qq_im * a)
+    mod23 = np.hypot(x * x0.rho23.real, x * x0.rho23.imag)
+    u1 = 4.0 * _pow2(mod14 + mod23)
+    u2 = _pow2(r11 + r44 - r22 - r33)
+    u3 = 4.0 * _pow2(mod14 - mod23)
+
+    bad = (abs_q > 1.0 + 1e-12) | (np.abs(r11 + r22 + r33 + r44 - 1.0) > TRACE_TOL)
+    for p in (r11, r22, r33, r44):
+        bad |= ~((-POSITIVITY_TOL <= p) & (p <= 1.0 + POSITIVITY_TOL))
+    bad |= ~(_pow2(mod14) - POSITIVITY_TOL <= r11 * r44)
+    bad |= ~(_pow2(mod23) - POSITIVITY_TOL <= r22 * r33)
+    for u in (u1, u2, u3):
+        bad |= ~((-1e-12 <= u) & (u <= 1.0 + 1e-10))  # NaN is bad too
+    bad |= u1 < u3 - 1e-12
+    bad |= u1 + np.maximum(u2, u3) > 2.0 + 1e-10
+    if bad.any():
+        x_state_eigenvalues(evolve_x(x0, complex(q.flat[np.argmax(bad)])))
+    return u1, u2, u3
+
+
+def _probe_signs(x0: XState, q) -> tuple[np.ndarray, np.ndarray]:
+    """Signs of u2 - u3 and of bmax - 2 (+1 for >= 0, else -1, as _sign)
+    of x0 evolved to each amplitude of the array q."""
+    u1, u2, u3 = _eigenvalues_along(x0, q)
+    b1 = 2.0 * np.sqrt(np.maximum(0.0, u1 + u2))
+    b2 = 2.0 * np.sqrt(np.maximum(0.0, u1 + u3))
+    return (np.where(u2 - u3 >= 0.0, 1.0, -1.0),
+            np.where(np.maximum(b1, b2) - 2.0 >= 0.0, 1.0, -1.0))
+
+
 def time_scan(x0: XState, model: QModel, t_grid) -> list[TimeScanRecord]:
     """Evolve x0 along t_grid, tracking eigenvalues, Bell maximum, active
     settings, and refined SetJump / ViolationOn / ViolationOff events.
@@ -355,57 +464,55 @@ def time_scan(x0: XState, model: QModel, t_grid) -> list[TimeScanRecord]:
     crossing of the same quantity falls inside a single interval a
     GridTooCoarse warning is emitted, since endpoint signs alone would have
     missed them.
+
+    All probes of all intervals are evaluated as one array: q(t) of every
+    model takes an array of times, and _probe_signs gives the signs of
+    u2 - u3 and bmax - 2 at each.  Only intervals where a sign changes are
+    bisected.  Grid rows go through evolve_x and optimal_settings.
     """
-    t_grid = [float(t) for t in t_grid]
-    if not t_grid:
+    t_list = [float(t) for t in t_grid]
+    if not t_list:
         raise ValueError("t_grid must not be empty")
-    if t_grid[0] != 0.0:
+    if t_list[0] != 0.0:
         raise ValueError("t_grid must start at 0")
-    if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
+    if any(b <= a for a, b in zip(t_list, t_list[1:])):
         raise ValueError("t_grid must be strictly increasing")
-
-    def eigs_at(t: float) -> BellEigenvalues:
-        return x_state_eigenvalues(evolve_x(x0, model.q(t)))
-
-    def jump_fn(t: float) -> float:
-        u = eigs_at(t)
-        return u.u2 - u.u3
-
-    def violation_fn(t: float) -> float:
-        return eigs_at(t).bmax - 2.0
+    if not all(map(math.isfinite, t_list)):
+        raise ValueError("t_grid must be finite")
+    t_grid = np.array(t_list)
+    q_grid = model.q(t_grid).tolist()
+    # row i: np.linspace(t_i, t_i+1, 11), the same values as a per-interval
+    # call unless some interval is so narrow (< 1e-322) that its step is 0
+    probes = np.linspace(t_grid[:-1], t_grid[1:], _PROBES_PER_INTERVAL + 2,
+                         axis=1)
+    signs = _probe_signs(x0, model.q(probes))
+    flips = [s[:, 1:] != s[:, :-1] for s in signs]
+    eventful = [False] + (flips[0].any(axis=1) | flips[1].any(axis=1)).tolist()
 
     records: list[TimeScanRecord] = []
-    for i, t in enumerate(t_grid):
-        q = model.q(t)
-        xt = evolve_x(x0, q)
-        settings, u = optimal_settings(xt)
+    for i, (t, q) in enumerate(zip(t_list, q_grid)):
+        settings, u = optimal_settings(evolve_x(x0, q))
         events: list[ScanEvent] = []
-        if i > 0:
-            lo, hi = t_grid[i - 1], t
-            probes = np.linspace(lo, hi, _PROBES_PER_INTERVAL + 2)
-            for fn, kinds in (
-                (jump_fn, None),
-                (violation_fn, (EventKind.VIOLATION_ON, EventKind.VIOLATION_OFF)),
-            ):
-                signs = [_sign(fn(p)) for p in probes]
-                crossings = [
-                    (probes[j], probes[j + 1], signs[j])
-                    for j in range(len(probes) - 1)
-                    if signs[j] != signs[j + 1]
-                ]
-                if len(crossings) >= 2:
-                    label = "u2-u3" if kinds is None else "bmax-2"
+        if eventful[i]:
+            p = probes[i - 1]
+            for k, label in enumerate(("u2-u3", "bmax-2")):
+                js = np.flatnonzero(flips[k][i - 1])
+                if len(js) >= 2:
                     warnings.warn(GridTooCoarse(
-                        f"{len(crossings)} sign changes of {label} inside grid "
-                        f"interval [{lo!r}, {hi!r}]; endpoint signs alone would "
-                        f"miss some of them"
+                        f"{len(js)} sign changes of {label} inside grid "
+                        f"interval [{t_list[i - 1]!r}, {t!r}]; endpoint signs "
+                        f"alone would miss some of them"
                     ))
-                for c_lo, c_hi, s_lo in crossings:
-                    t_star = _bisect_event(fn, float(c_lo), float(c_hi))
-                    if kinds is None:
+                for j in js:
+                    t_star = _bisect_event(
+                        lambda s, k=k: _probe_signs(x0, model.q(s))[k],
+                        float(p[j]), float(p[j + 1]))
+                    if k == 0:
                         kind = EventKind.SET_JUMP
+                    elif signs[1][i - 1, j] < 0:
+                        kind = EventKind.VIOLATION_ON
                     else:
-                        kind = kinds[0] if s_lo < 0 else kinds[1]
+                        kind = EventKind.VIOLATION_OFF
                     events.append(ScanEvent(kind, t_star,
                                             abs(model.q(t_star)) ** 2))
         events.sort(key=lambda e: e.t)

@@ -82,6 +82,8 @@ class DensityMatrix4:
         if m.shape != (4, 4):
             raise StateValidationError(f"expected a 4x4 matrix, got {m.shape}")
         herm = np.abs(m - m.conj().T).max()
+        if not math.isfinite(herm):  # a NaN or infinite entry
+            raise StateValidationError("matrix has a non-finite entry")
         if herm > HERMITICITY_TOL:
             raise NotHermitian(f"worst Hermiticity defect {herm:.3e}")
         tr = m.trace()
@@ -129,15 +131,16 @@ class XState:
         total = sum(pops)
         if abs(total - 1.0) > TRACE_TOL:
             raise TraceNotOne(f"populations sum deviates from 1 by {abs(total - 1.0):.3e}")
+        # each check is written to fail on NaN and infinite elements too
         for i, p in enumerate(pops):
-            if p < -POSITIVITY_TOL or p > 1.0 + POSITIVITY_TOL:
+            if not -POSITIVITY_TOL <= p <= 1.0 + POSITIVITY_TOL:
                 raise NotPositive(f"population {i + 1} out of [0, 1]: {p!r}")
-        if self.rho11 * self.rho44 < abs(self.rho14) ** 2 - POSITIVITY_TOL:
+        if not abs(self.rho14) ** 2 - POSITIVITY_TOL <= self.rho11 * self.rho44:
             raise NotPositive(
                 f"outer 2x2 block not PSD: rho11*rho44={self.rho11 * self.rho44:.3e} "
                 f"< |rho14|^2={abs(self.rho14) ** 2:.3e}"
             )
-        if self.rho22 * self.rho33 < abs(self.rho23) ** 2 - POSITIVITY_TOL:
+        if not abs(self.rho23) ** 2 - POSITIVITY_TOL <= self.rho22 * self.rho33:
             raise NotPositive(
                 f"inner 2x2 block not PSD: rho22*rho33={self.rho22 * self.rho33:.3e} "
                 f"< |rho23|^2={abs(self.rho23) ** 2:.3e}"

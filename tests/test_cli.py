@@ -293,6 +293,38 @@ class TestScan:
         assert captured.out == ""
         assert captured.err == "error: --tmax must be finite and > 0\n"
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--qmodel", "exp:nan", "gamma must be finite and > 0, got nan"),
+        ("--qmodel", "exp:inf", "gamma must be finite and > 0, got inf"),
+        ("--qmodel", "lorentz:nan,1", "lam must be finite and > 0, got nan"),
+        ("--qmodel", "lorentz:1,inf", "gamma0 must be finite and > 0, got inf"),
+        ("--ewl", "0.3,1,nan", "delta must be finite, got nan"),
+    ])
+    def test_non_finite_model_and_state_flags_exit_2(self, capsys, flag, value,
+                                                     message):
+        argv = ["scan", "--ewl", "0.3,1,0", "--qmodel", "exp:1",
+                "--tmax", "5", "--samples", "3"]
+        argv[argv.index(flag) + 1] = value
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad {flag} {value!r}: {message}\n"
+
+    def test_non_finite_table_and_density_exit_2(self, tmp_path, capsys):
+        table = tmp_path / "q.csv"
+        table.write_text("t,q_re,q_im\n0,1,0\n1,nan,0\n2,0.5,0\n")
+        assert main(["scan", "--ewl", "0.5,1,0", "--qmodel", f"table:{table}",
+                     "--tmax", "2", "--samples", "3"]) == 2
+        assert "sample 1 is not finite" in capsys.readouterr().err
+        state = tmp_path / "nan.json"
+        rho = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+        state.write_text(json.dumps({"rho": rho}).replace("0.25", "NaN", 1))
+        assert main(["scan", "--input", str(state), "--qmodel", "exp:1",
+                     "--tmax", "2", "--samples", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: matrix has a non-finite entry\n"
+
     def test_table_shorter_than_tmax_exits_2(self, tmp_path):
         table = tmp_path / "q.csv"
         table.write_text("t,q_re,q_im\n0,1,0\n2,0.5,0\n")

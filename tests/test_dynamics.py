@@ -1,4 +1,8 @@
+import bisect
+import cmath
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from bellopt import (
     GridTooCoarse,
     LorentzianModel,
     Region,
+    ScanEvent,
     TabulatedModel,
     XState,
     apply_amplitude_damping,
@@ -33,6 +38,14 @@ from bellopt import (
     x_state_eigenvalues,
     x_to_dense,
 )
+from bellopt.angles import _sign
+from bellopt.dynamics import (
+    _PROBES_PER_INTERVAL,
+    _bisect_event,
+    _eigenvalues_along,
+    _probe_signs,
+)
+from bellopt.states import StateValidationError
 from conftest import damping_amplitudes, random_density, random_x_state, x_states
 
 
@@ -397,3 +410,332 @@ class TestTimeScan:
                             np.linspace(0.0, 6.0, 600))
         jumps = [e for e in scan_events(records) if e.kind is EventKind.SET_JUMP]
         assert len(jumps) > 2
+
+
+# ---------------------------------------------------------------- references
+# Scalar, probe-by-probe evaluations: the references for the array-valued
+# q(t) and the one-pass time_scan.
+
+
+def ref_q_exponential(t: float, gamma: float) -> complex:
+    return complex(math.exp(-0.5 * gamma * t), 0.0)
+
+
+def ref_q_lorentzian(t: float, lam: float, gamma0: float) -> complex:
+    d = cmath.sqrt(complex(lam * lam - 2.0 * gamma0 * lam))
+    z = 0.5 * d * t
+    if z.real > 1.0 and lam * t > 1400.0:
+        r = lam / d
+        val = (0.5 * (1.0 + r) * cmath.exp(0.5 * (d - lam) * t)
+               + 0.5 * (1.0 - r) * cmath.exp(-0.5 * (d + lam) * t))
+    else:
+        if abs(z) < 1e-6:
+            sinhc = 1.0 + z * z / 6.0
+        else:
+            sinhc = cmath.sinh(z) / z
+        val = cmath.exp(-0.5 * lam * t) * (cmath.cosh(z) + 0.5 * lam * t * sinhc)
+    return complex(val.real, 0.0)
+
+
+def ref_q_table(model: TabulatedModel, t: float) -> complex:
+    i = bisect.bisect_right(model.times, t) - 1
+    if i >= len(model.times) - 1:
+        return model.values[-1]
+    t0, t1 = model.times[i], model.times[i + 1]
+    w = (t - t0) / (t1 - t0)
+    return model.values[i] * (1.0 - w) + model.values[i + 1] * w
+
+
+def reference_time_scan(x0: XState, model, t_grid):
+    """time_scan as a per-probe scalar loop: every probe goes through
+    model.q, evolve_x and x_state_eigenvalues on its own."""
+    t_grid = [float(t) for t in t_grid]
+
+    def eigs_at(t):
+        return x_state_eigenvalues(evolve_x(x0, model.q(t)))
+
+    def jump_fn(t):
+        u = eigs_at(t)
+        return u.u2 - u.u3
+
+    def violation_fn(t):
+        return eigs_at(t).bmax - 2.0
+
+    records = []
+    for i, t in enumerate(t_grid):
+        q = model.q(t)
+        settings_, u = optimal_settings(evolve_x(x0, q))
+        events = []
+        if i > 0:
+            lo, hi = t_grid[i - 1], t
+            probes = np.linspace(lo, hi, _PROBES_PER_INTERVAL + 2)
+            for fn, kinds in (
+                (jump_fn, None),
+                (violation_fn, (EventKind.VIOLATION_ON, EventKind.VIOLATION_OFF)),
+            ):
+                signs = [_sign(fn(p)) for p in probes]
+                crossings = [
+                    (probes[j], probes[j + 1], signs[j])
+                    for j in range(len(probes) - 1)
+                    if signs[j] != signs[j + 1]
+                ]
+                if len(crossings) >= 2:
+                    label = "u2-u3" if kinds is None else "bmax-2"
+                    warnings.warn(GridTooCoarse(
+                        f"{len(crossings)} sign changes of {label} inside grid "
+                        f"interval [{lo!r}, {hi!r}]; endpoint signs alone would "
+                        f"miss some of them"
+                    ))
+                for c_lo, c_hi, s_lo in crossings:
+                    t_star = _bisect_event(fn, float(c_lo), float(c_hi))
+                    if kinds is None:
+                        kind = EventKind.SET_JUMP
+                    else:
+                        kind = kinds[0] if s_lo < 0 else kinds[1]
+                    events.append(ScanEvent(kind, t_star,
+                                            abs(model.q(t_star)) ** 2))
+        events.sort(key=lambda e: e.t)
+        records.append((t, abs(q) ** 2, u, u.bmax, u.region, settings_,
+                        tuple(events)))
+    return records
+
+
+def _complex_table() -> TabulatedModel:
+    # strong-coupling revivals with a rotating phase, so both parts vary
+    times = np.linspace(0.0, 6.0, 121)
+    values = [q_lorentzian(t, 1.0, 5.0) * cmath.exp(0.7j * t) for t in times]
+    values[0] = 1.0
+    return TabulatedModel(tuple(times.tolist()), tuple(values))
+
+
+# ------------------------------------------------------------ array-valued q
+
+
+def _q_cases():
+    rng = np.random.default_rng(2024)
+
+    def spread(hi, n=6000):
+        # uniform times, tiny times (the small-z series) and t = 0
+        return np.concatenate([rng.uniform(0.0, hi, n),
+                               10.0 ** rng.uniform(-12.0, 0.0, 4000), [0.0]])
+
+    table = _complex_table()
+    table_times = np.concatenate([rng.uniform(0.0, 6.0, 10000), table.times])
+    return [
+        ("exp", ExponentialModel(0.8), spread(60.0),
+         lambda t: ref_q_exponential(t, 0.8)),
+        ("weak", LorentzianModel(1.0, 0.01), spread(400.0),
+         lambda t: ref_q_lorentzian(t, 1.0, 0.01)),
+        # lam t > 1400: the combined-exponent form, and the other side of it
+        ("far", LorentzianModel(10.0, 0.1),
+         np.concatenate([rng.uniform(100.0, 200.0, 10000), [140.0]]),
+         lambda t: ref_q_lorentzian(t, 10.0, 0.1)),
+        ("critical", LorentzianModel(1.0, 0.5), spread(30.0),
+         lambda t: ref_q_lorentzian(t, 1.0, 0.5)),
+        ("strong", LorentzianModel(1.0, 5.0), spread(30.0),
+         lambda t: ref_q_lorentzian(t, 1.0, 5.0)),
+        ("table", table, table_times, lambda t: ref_q_table(table, t)),
+    ]
+
+
+Q_CASES = _q_cases()
+
+
+class TestArrayQ:
+    @pytest.mark.parametrize("name,model,times,ref", Q_CASES,
+                             ids=[c[0] for c in Q_CASES])
+    def test_array_equals_scalar_bit_for_bit(self, name, model, times, ref):
+        values = model.q(times)
+        assert values.shape == times.shape and values.dtype == complex
+        scalar = [model.q(t) for t in times.tolist()]
+        assert all(type(v) is complex for v in scalar)
+        assert values.tolist() == scalar
+        # and both equal the scalar math/cmath evaluation they replaced
+        assert scalar == [ref(t) for t in times.tolist()]
+
+    def test_two_dimensional_times(self):
+        model = LorentzianModel(1.0, 5.0)
+        times = np.linspace(0.0, 3.0, 12).reshape(3, 4)
+        assert model.q(times).tolist() == [[model.q(t) for t in row]
+                                           for row in times.tolist()]
+
+    @pytest.mark.parametrize("name,model,times,ref", Q_CASES,
+                             ids=[c[0] for c in Q_CASES])
+    def test_negative_time_raises_as_scalar(self, name, model, times, ref):
+        with pytest.raises(ValueError) as scalar:
+            model.q(-0.5)
+        with pytest.raises(ValueError) as array:
+            model.q(np.array([0.0, 1.0, -0.5]))
+        assert str(array.value) == str(scalar.value) == "t must be >= 0"
+
+    def test_beyond_table_raises_as_scalar(self):
+        table = _complex_table()
+        with pytest.raises(ValueError) as scalar:
+            table.q(6.5)
+        with pytest.raises(ValueError) as array:
+            table.q(np.array([1.0, 6.5, 7.0]))
+        assert str(array.value) == str(scalar.value)
+        assert "t = 6.5 beyond the last tabulated sample 6.0" in str(scalar.value)
+
+
+# ----------------------------------------------------- one-pass scan vs loop
+
+
+def _scan_states():
+    rng = np.random.default_rng(77)
+    states = [ewl_state(EWLParams(float(rng.uniform()), float(rng.uniform()),
+                                  float(rng.uniform(-math.pi, math.pi))))
+              for _ in range(10)]
+    states += [random_x_state(rng) for _ in range(10)]
+    return states
+
+
+SCAN_STATES = _scan_states()
+SCAN_MODELS = [
+    ("exp", ExponentialModel(1.3), 4.0),
+    ("weak", LorentzianModel(5.0, 0.5), 8.0),
+    ("strong", LorentzianModel(1.0, 5.0), 6.0),
+    ("table", _complex_table(), 6.0),
+]
+
+
+def _both_scans(x0, model, grid):
+    out = []
+    for scan in (time_scan, reference_time_scan):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            records = scan(x0, model, grid)
+        out.append((records, [(w.category, str(w.message)) for w in caught]))
+    (new, new_warn), (ref, ref_warn) = out
+    new = [(r.t, r.q2, r.u, r.bmax, r.active_set, r.settings, r.events)
+           for r in new]
+    return new, ref, new_warn, ref_warn
+
+
+class TestScanMatchesScalarLoop:
+    @pytest.mark.parametrize("name,model,tmax", SCAN_MODELS,
+                             ids=[m[0] for m in SCAN_MODELS])
+    def test_identical_records_events_and_warnings(self, name, model, tmax):
+        grid = np.linspace(0.0, tmax, 45)
+        n_events = 0
+        for x0 in SCAN_STATES:
+            new, ref, new_warn, ref_warn = _both_scans(x0, model, grid)
+            assert new == ref
+            assert new_warn == ref_warn
+            n_events += sum(len(r[6]) for r in ref)
+        assert n_events > 0
+
+    def test_many_revivals_warn_identically(self):
+        model = LorentzianModel(1.0, 20.0)
+        grid = np.linspace(0.0, 6.0, 13)
+        for x0 in SCAN_STATES[:4]:
+            new, ref, new_warn, ref_warn = _both_scans(x0, model, grid)
+            assert new == ref
+            assert new_warn == ref_warn
+            assert new_warn and all(c is GridTooCoarse for c, _ in new_warn)
+
+    def test_array_eigenvalues_equal_scalar_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        n = 2000
+        q = np.sqrt(rng.uniform(0.0, 1.0, n)) * np.exp(1j * rng.uniform(-4, 4, n))
+        q[:3] = (1.0, 0.0, -1.0)
+        for x0 in SCAN_STATES:
+            arrays = _eigenvalues_along(x0, q)
+            scalar = [x_state_eigenvalues(evolve_x(x0, v)) for v in q.tolist()]
+            for k, name in enumerate(("u1", "u2", "u3")):
+                assert arrays[k].tolist() == [getattr(u, name) for u in scalar]
+
+    def test_uneven_grid(self):
+        x0 = SCAN_STATES[1]
+        grid = [0.0, 1e-3, 0.7, 2.0, 2.0 + 1e-12, 2.5, 3.9, 6.0]
+        for _, model, _ in SCAN_MODELS:
+            new, ref, new_warn, ref_warn = _both_scans(x0, model, grid)
+            assert new == ref and new_warn == ref_warn
+
+    def test_failing_probe_raises_the_scalar_error(self):
+        # a table sample slightly above |q| = 1 + 1e-12 cannot be built, so
+        # feed the evaluator directly: the scalar path names the first probe
+        x0 = ewl_state(EWLParams(0.3, 1.0, 0.0))
+        q = np.array([1.0, 0.5, 1.0 + 1e-9, 1.0 + 1e-6])
+        with pytest.raises(ValueError, match=r"\|q\| must be <= 1, got 1.000000001"):
+            _probe_signs(x0, q)
+        with pytest.raises(StateValidationError, match="outer 2x2 block not PSD"):
+            _probe_signs(x0, np.array([0.5, complex(math.nan, 0.0)]))
+
+
+class TestExactTieStart:
+    """The `scan-strong` golden case starts on an exact tie: at t = 0
+    u2 - u3 = -1.1e-16, inside TIE_TOL, so Region reports SET1 while the
+    event sign, taken from the raw u2 - u3, is already -1."""
+
+    X0 = ewl_state(EWLParams(0.5, 0.8, 0.4))
+    MODEL = LorentzianModel(1.0, 5.0)
+    GRID = np.linspace(0.0, 6.0, 40)
+
+    def test_array_signs_equal_scalar_signs_at_every_probe(self):
+        probes = np.linspace(self.GRID[:-1], self.GRID[1:],
+                             _PROBES_PER_INTERVAL + 2, axis=1)
+        jump, violation = _probe_signs(self.X0, self.MODEL.q(probes))
+        for (i, j), t in np.ndenumerate(probes):
+            u = x_state_eigenvalues(evolve_x(self.X0, self.MODEL.q(float(t))))
+            assert jump[i, j] == _sign(u.u2 - u.u3)
+            assert violation[i, j] == _sign(u.bmax - 2.0)
+        assert jump[0, 0] == -1.0
+
+    def test_active_set_changes_without_a_set_jump(self):
+        # Current semantics: the tie at t = 0 counts as SET1 for the active
+        # set but as "u3 ahead" for events, so leaving it reports no SetJump.
+        records = time_scan(self.X0, self.MODEL, self.GRID)
+        u0 = records[0].u
+        assert -1e-15 < u0.u2 - u0.u3 < 0.0 and u0.tie
+        assert records[0].active_set is Region.SET1
+        assert records[1].active_set is Region.SET2
+        assert records[1].events == ()
+
+
+# ------------------------------------------------------- non-finite inputs
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("build,message", [
+        (lambda: ExponentialModel(math.nan), "gamma must be finite and > 0, got nan"),
+        (lambda: ExponentialModel(math.inf), "gamma must be finite and > 0, got inf"),
+        (lambda: LorentzianModel(math.nan, 1.0), "lam must be finite and > 0, got nan"),
+        (lambda: LorentzianModel(1.0, math.inf), "gamma0 must be finite and > 0, got inf"),
+        (lambda: q_exponential(1.0, math.nan), "gamma must be finite and > 0, got nan"),
+        (lambda: q_lorentzian(1.0, 1.0, -math.inf), "gamma0 must be finite and > 0, got -inf"),
+        (lambda: EWLParams(0.3, 1.0, math.nan), "delta must be finite, got nan"),
+        (lambda: EWLParams(0.3, 1.0, -math.inf), "delta must be finite, got -inf"),
+        (lambda: TabulatedModel((0.0, math.nan), (1.0, 0.5)), "sample 1 is not finite"),
+        (lambda: TabulatedModel((0.0, 1.0), (1.0, complex(0.5, math.inf))),
+         "sample 1 is not finite"),
+        (lambda: TabulatedModel((0.0,), (1.0,)), "at least two samples"),
+        (lambda: XState(math.nan, 0.5, 0.5, 0.0, 0.0, 0.0),
+         "population 1 out of [0, 1]: nan"),
+        (lambda: XState(0.0, 0.5, 0.5, 0.0, 0.0, complex(math.inf, 0.0)),
+         "inner 2x2 block not PSD: rho22*rho33=2.500e-01 < |rho23|^2=inf"),
+        (lambda: XState(0.5, 0.0, 0.0, 0.5, complex(0.0, math.nan), 0.0),
+         "outer 2x2 block not PSD: rho11*rho44=2.500e-01 < |rho14|^2=nan"),
+    ])
+    def test_rejected_with_the_value(self, build, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
+
+    @pytest.mark.parametrize("row", ["nan,0.5,0", "1,nan,0", "1,0.5,inf"])
+    def test_csv_table(self, tmp_path, row):
+        path = tmp_path / "q.csv"
+        path.write_text(f"t,q_re,q_im\n0,1,0\n{row}\n2,0.3,0\n")
+        with pytest.raises(ValueError, match="sample 1 is not finite"):
+            TabulatedModel.from_csv(path)
+
+    def test_nan_time_rejected(self):
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            ExponentialModel(1.0).q(math.nan)
+        with pytest.raises(ValueError, match="t_grid must be finite"):
+            time_scan(ewl_state(EWLParams(0.3, 1.0, 0.0)), ExponentialModel(1.0),
+                      [0.0, 1.0, math.inf])
+
+    def test_overflowing_lorentzian_raises(self):
+        # d t / 2 overflows: cmath raised a domain error here, numpy gives NaN
+        with pytest.raises(ValueError, match="q\\(t\\) is not finite at t = 1e\\+308"):
+            LorentzianModel(1.0, 20.0).q(np.array([0.0, 1e308]))

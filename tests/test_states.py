@@ -11,6 +11,7 @@ from bellopt import (
     NotPositive,
     NotXStructured,
     ObservableDirection,
+    StateValidationError,
     TraceNotOne,
     XState,
     as_x_state,
@@ -54,6 +55,13 @@ class TestValidateDensityMatrix:
     def test_wrong_trace_rejected(self):
         with pytest.raises(TraceNotOne):
             validate_density_matrix(np.eye(4) / 2.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_non_finite_entry_rejected(self, bad):
+        m = np.eye(4, dtype=complex) / 4.0
+        m[1, 2] = bad
+        with pytest.raises(StateValidationError, match="non-finite entry"):
+            validate_density_matrix(m)
 
     def test_entries_are_immutable(self):
         rho = validate_density_matrix(np.eye(4) / 4.0)
