@@ -73,7 +73,7 @@ def _load_density(path: str, off_x_tol_flag):
             doc = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "rho" not in doc:
         raise InputError(f"{path} must be an object with a 'rho' key")
@@ -83,7 +83,7 @@ def _load_density(path: str, off_x_tol_flag):
             [[complex(cell[0], cell[1]) for cell in row] for row in raw],
             dtype=complex,
         )
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, LookupError) as exc:
         raise InputError(
             f"'rho' must be a 4x4 array of [re, im] pairs: {exc}"
         ) from exc

@@ -78,6 +78,15 @@ def q_exponential(t, gamma: float):
     return _like_t(q, t)
 
 
+def _lorentz_d(lam: float, gamma0: float) -> complex:
+    """sqrt(lam^2 - 2 gamma0 lam), for lam and gamma0 where it is finite."""
+    _finite_positive(lam=lam, gamma0=gamma0)
+    if math.isinf(lam * lam) or math.isinf(2.0 * gamma0 * lam):
+        raise ValueError(f"lam^2 - 2*gamma0*lam overflows for lam = {lam!r}, "
+                         f"gamma0 = {gamma0!r}")
+    return cmath.sqrt(complex(lam * lam - 2.0 * gamma0 * lam))
+
+
 @np.errstate(over="ignore", invalid="ignore")  # checked below
 def q_lorentzian(t, lam: float, gamma0: float):
     """Damped-oscillator amplitude for a Lorentzian environment.
@@ -88,8 +97,7 @@ def q_lorentzian(t, lam: float, gamma0: float):
     |q|^2 at rate gamma0; strong coupling yields collapses and revivals.
     """
     t = _times(t)
-    _finite_positive(lam=lam, gamma0=gamma0)
-    d = cmath.sqrt(complex(lam * lam - 2.0 * gamma0 * lam))
+    d = _lorentz_d(lam, gamma0)
     # d is real (2 gamma0 <= lam) or imaginary, so z is too, and every
     # complex product below has a zero term: it rounds as Python's does.
     z = 0.5 * d * t
@@ -146,7 +154,7 @@ class LorentzianModel:
     gamma0: float
 
     def __post_init__(self):
-        _finite_positive(lam=self.lam, gamma0=self.gamma0)
+        _lorentz_d(self.lam, self.gamma0)
 
     def q(self, t):
         return q_lorentzian(t, self.lam, self.gamma0)

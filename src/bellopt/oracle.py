@@ -1,17 +1,14 @@
-"""Brute-force maximization of the Bell function over all 8 angles.
+"""Brute-force maximization of the Bell function over all measurement settings.
 
-This is the independent certification route: it never touches the closed-form
-eigenvalues or angle formulas.  A coarse grid over every measurement direction
-is followed by derivative-free compass refinement from the best grid point and
-from seeded random restarts.  The restarts run as one batch (up to 1024 at a
-time): each compass poll evaluates the 16 moves of every live restart in a
-single call, while each restart keeps its own step and stop rule.  The
-certification walk evaluates its proposals in blocks and takes the same steps
-as proposing one move at a time.  The Bell evaluator is elementwise,
-so a row's value does not depend on the batch it sits in, and results are
-reproducible bit for bit whatever the batch composition.  Randomness comes
-from a self-contained splitmix64 generator (drawn in bulk, bit-identical to
-one draw at a time) so results are reproducible across platforms.
+The independent certification route: it never touches the closed-form
+eigenvalues or angle formulas.  The Bell function is bilinear, so for fixed
+Alice directions a, a' the best Bob directions are those of T(a + a') and
+T(a - a'), worth f(a, a') = |T(a + a')| + |T(a - a')| by Cauchy-Schwarz
+(Horodecki, Horodecki & Horodecki, Phys. Lett. A 200, 340 (1995)).  f is
+maximized over Alice's 4 angles on a grid of direction pairs, then by compass
+search from the best pair and from seeded splitmix64 restarts.  The reported
+value is the Bell function at the 8 angles found.  All evaluators are
+elementwise, so results are reproducible bit for bit whatever the batching.
 """
 
 from __future__ import annotations
@@ -21,23 +18,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import AngleSettings
 from .states import DensityMatrix4, pauli_correlation_matrix
 
-MAX_COARSE_EVALS = 1_000_000_000
+# Largest coarse grid accepted, in bytes of the arrays it evaluates at once.
+MAX_GRID_BYTES = 256 * 2 ** 20
 
 _MASK64 = (1 << 64) - 1
 _GAMMA64 = 0x9E3779B97F4A7C15
 # Proposals certify_settings evaluates per call.
 _CERTIFY_BLOCK = 64
-# Most restarts refined in one batch: a poll's working set is ~7.5 kB per
-# restart, so a batch stays under ~8 MB however many restarts are asked for.
+# Most restarts refined in one batch: a poll's working set is ~2 kB per
+# restart, so a batch stays under ~2 MB however many restarts are asked for.
 _COMPASS_BATCH = 1024
-# The 16 compass moves: +/- one unit along each of the 8 angles; move m
-# changes angle _MOVE_AXIS[m].
-_COMPASS_MOVES = np.vstack([np.eye(8), -np.eye(8)])
-_MOVE_INDEX = np.arange(16)
-_MOVE_AXIS = _MOVE_INDEX % 8
+# The 8 compass moves: move m steps Alice's angle _MOVE_AXIS[m] (of theta1,
+# theta1', phi1, phi1') by _MOVE_SIGN[m] times the step.
+_MOVE_INDEX = np.arange(8)
+_MOVE_AXIS = _MOVE_INDEX % 4
+_MOVE_SIGN = np.repeat([1.0, -1.0], 4)
 
 
 class BudgetExceeded(ValueError):
@@ -108,9 +105,14 @@ class OracleResult:
 
 
 def _trig(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sines and cosines of a (..., 8) angle array, angle axis first."""
+    """Sines and cosines of a (..., n) angle array, angle axis first."""
     a = np.moveaxis(angles, -1, 0)
     return np.sin(a, order="C"), np.cos(a, order="C")
+
+
+def _images(t: np.ndarray, x, y, z) -> list:
+    """Components of T v for the direction components x, y, z."""
+    return [ti[0] * x + ti[1] * y + ti[2] * z for ti in t.tolist()]
 
 
 def _bell_from_trig(t: np.ndarray, s: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -118,14 +120,12 @@ def _bell_from_trig(t: np.ndarray, s: np.ndarray, c: np.ndarray) -> np.ndarray:
     E(a,b) = b.(T a).
 
     Angle order along the first axis: (theta1, theta1', theta2, theta2',
-    phi1, phi1', phi2, phi2').  Mathematically identical to the direct-trace
-    evaluator.  Only elementwise arithmetic with a fixed summation order is
-    used (no matrix products), so each value is the same bit for bit
-    whatever batch it is evaluated in.
+    phi1, phi1', phi2, phi2').  Only elementwise arithmetic with a fixed
+    summation order is used, so each value is the same bit for bit whatever
+    batch it is evaluated in.
     """
     x, y, z = s[:4] * c[4:], s[:4] * s[4:], c[:4]
-    xa, ya, za = x[:2], y[:2], z[:2]
-    ta = [ti[0] * xa + ti[1] * ya + ti[2] * za for ti in t.tolist()]  # (T a)_i
+    ta = _images(t, x[:2], y[:2], z[:2])  # (T a)_i
     e = x[2:, None] * ta[0] + y[2:, None] * ta[1] + z[2:, None] * ta[2]
     # e[j, k] = E(a_k, b_j): E(a,b) + E(a,b') + E(a',b) - E(a',b')
     return np.abs(e[0, 0] + e[1, 0] + e[0, 1] - e[1, 1])
@@ -136,90 +136,72 @@ def _bell_values(t: np.ndarray, angles: np.ndarray) -> np.ndarray:
     return _bell_from_trig(t, *_trig(angles))
 
 
-def _grid_angles(grid_n: int) -> tuple[np.ndarray, np.ndarray]:
-    thetas = np.linspace(0.0, math.pi, grid_n)
+def _sum_diff(t: np.ndarray, s, c):
+    """Yields T(a + a') then T(a - a') (component lists) from the sines s and
+    cosines c of Alice's 4 angles, indexed first; their arrays broadcast."""
+    u = _images(t, s[0] * c[2], s[0] * s[2], c[0])
+    v = _images(t, s[1] * c[3], s[1] * s[3], c[1])
+    yield [a + b for a, b in zip(u, v)]
+    yield [a - b for a, b in zip(u, v)]
+
+
+def _alice_values(t: np.ndarray, s, c) -> np.ndarray:
+    """f(a, a') = |T(a + a')| + |T(a - a')| (see _sum_diff)."""
+    return sum(np.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])
+               for w in _sum_diff(t, s, c))
+
+
+def _grid_bytes(grid_n: int) -> int:
+    # _coarse_grid_best holds at most 7 float64 arrays over the pairs at once
+    return 7 * 8 * grid_n ** 4
+
+
+def _coarse_grid_best(t: np.ndarray, grid_n: int) -> np.ndarray:
+    """Alice's angles (theta1, theta1', phi1, phi1') of the best ordered pair
+    of grid directions, with f evaluated on all grid_n^2 x grid_n^2 pairs."""
     phis = -math.pi + 2.0 * math.pi * np.arange(1, grid_n + 1) / grid_n
-    return thetas, phis
-
-
-def _coarse_grid_best(t: np.ndarray, grid_n: int) -> tuple[float, np.ndarray]:
-    """Exhaustive max over the grid_n^8 angle grid.
-
-    E(a, b) is bilinear in the direction vectors, so the 8-dimensional sweep
-    reduces to per-(a, a') extrema over b and b' of E[b,a] +/- E[b,a'] while
-    still covering every grid combination exactly.
-    """
-    thetas, phis = _grid_angles(grid_n)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    tt, pp = tt.ravel(), pp.ravel()
-    st = np.sin(tt)
-    dirs = np.stack([st * np.cos(pp), st * np.sin(pp), np.cos(tt)], axis=-1)
-    e = dirs @ t @ dirs.T  # e[b, a] = b . (T a)
-
-    plus = e[:, :, None] + e[:, None, :]   # (b, a, a')
-    minus = e[:, :, None] - e[:, None, :]
-    max_p, min_p = plus.max(axis=0), plus.min(axis=0)
-    max_m, min_m = minus.max(axis=0), minus.min(axis=0)
-    pos = max_p + max_m
-    neg = -(min_p + min_m)
-
-    best_pos = np.unravel_index(np.argmax(pos), pos.shape)
-    best_neg = np.unravel_index(np.argmax(neg), neg.shape)
-    if pos[best_pos] >= neg[best_neg]:
-        a_i, ap_i = best_pos
-        b_i = int(plus[:, a_i, ap_i].argmax())
-        bp_i = int(minus[:, a_i, ap_i].argmax())
-        value = float(pos[best_pos])
-    else:
-        a_i, ap_i = best_neg
-        b_i = int(plus[:, a_i, ap_i].argmin())
-        bp_i = int(minus[:, a_i, ap_i].argmin())
-        value = float(neg[best_neg])
-    idx = (a_i, ap_i, b_i, bp_i)
-    start = np.array([tt[idx[0]], tt[idx[1]], tt[idx[2]], tt[idx[3]],
-                      pp[idx[0]], pp[idx[1]], pp[idx[2]], pp[idx[3]]])
-    return value, start
+    tt, pp = (g.ravel() for g in np.meshgrid(np.linspace(0.0, math.pi, grid_n),
+                                             phis, indexing="ij"))
+    pairs = (tt[:, None], tt[None, :], pp[:, None], pp[None, :])
+    f = _alice_values(t, [np.sin(g) for g in pairs], [np.cos(g) for g in pairs])
+    i, j = np.unravel_index(np.argmax(f), f.shape)
+    return np.array([tt[i], tt[j], pp[i], pp[j]])
 
 
 def _compass_search(t: np.ndarray, starts: np.ndarray, initial_step: float,
                     max_iters: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coordinate-wise compass search from each row of the (R, 8) `starts`.
+    """Coordinate-wise compass search of f from each row of the (R, 4)
+    `starts` (Alice's angles).
 
     Every restart keeps its own step (halved when no move improves), value
     and evaluation count, and stops at step < 1e-8 or after max_iters polls.
-    Each poll evaluates the 16 moves of all live restarts as one batch, and
-    finished restarts drop out of it.  Restarts never interact, so each row's
-    result equals a one-start search.  Returns the values (R,), angles (R, 8)
-    and evaluation counts (R,).
+    Each poll evaluates the 8 moves of all live restarts as one batch; each
+    row's result equals a one-start search.  Returns values, angles, counts.
     """
     current = np.array(starts, dtype=float)
     sin, cos = _trig(current)
-    value = _bell_from_trig(t, sin, cos)
+    value = _alice_values(t, sin, cos)
     step = np.full(len(current), float(initial_step))
     evals = np.ones(len(current), dtype=np.int64)
-    n_moves = len(_COMPASS_MOVES)
+    n_moves = len(_MOVE_INDEX)
     for _ in range(max_iters):
         live = np.flatnonzero(step >= 1e-8)
         if live.size == 0:
             break
-        batch = current[live, None, :] + step[live, None, None] * _COMPASS_MOVES
-        # A move changes one angle, so only its sine and cosine are new; the
-        # others are the current point's.  Evaluating `batch` directly gives
-        # the same values: current + 0.0 differs from current only in the
-        # sign of a zero angle, which changes no magnitude and |B| drops.
-        moved = batch[:, _MOVE_INDEX, _MOVE_AXIS].T
+        # a move changes one angle, so only its sine and cosine are new
+        moved = current[live][:, _MOVE_AXIS] + step[live, None] * _MOVE_SIGN
         s = np.repeat(sin[:, live, None], n_moves, axis=2)
         c = np.repeat(cos[:, live, None], n_moves, axis=2)
-        s[_MOVE_AXIS, :, _MOVE_INDEX] = np.sin(moved)
-        c[_MOVE_AXIS, :, _MOVE_INDEX] = np.cos(moved)
-        vals = _bell_from_trig(t, s, c)  # (live, 16)
+        s[_MOVE_AXIS, :, _MOVE_INDEX] = np.sin(moved.T)
+        c[_MOVE_AXIS, :, _MOVE_INDEX] = np.cos(moved.T)
+        vals = _alice_values(t, s, c)  # (live, 8)
         rows = np.arange(live.size)
         k = vals.argmax(axis=1)
         top = vals[rows, k]
         up = top > value[live]
         won, rows, k = live[up], rows[up], k[up]
         value[won] = top[up]
-        current[won] = batch[rows, k]
+        current[won, _MOVE_AXIS[k]] = moved[rows, k]
         sin[:, won] = s[:, rows, k]
         cos[:, won] = c[:, rows, k]
         step[live[~up]] *= 0.5
@@ -227,42 +209,52 @@ def _compass_search(t: np.ndarray, starts: np.ndarray, initial_step: float,
     return value, current, evals
 
 
+def _settings(t: np.ndarray, alice: np.ndarray) -> np.ndarray:
+    """All 8 angles: Alice's, and Bob's along T(a + a') and T(a - a')."""
+    th, th2, ph, ph2 = alice.tolist()
+    angles = [th, th2, 0.0, 0.0, ph, ph2, 0.0, 0.0]
+    for k, w in enumerate(_sum_diff(t, *_trig(alice))):
+        x, y, z = (float(v) for v in w)
+        if x or y or z:  # a zero vector keeps +z: every direction is as good
+            angles[2 + k] = math.atan2(math.hypot(x, y), z)
+            angles[6 + k] = math.atan2(y, x)
+    return np.array(angles)
+
+
 def brute_force_bmax(rho: DensityMatrix4, cfg: OracleConfig) -> OracleResult:
     """Grid-then-refine maximization of the Bell function over all settings.
 
-    Deterministic for a fixed cfg (including the seed); restarts are
-    independent and merged by max, the earliest start winning ties.
+    Deterministic for a fixed cfg (including the seed); restarts are merged
+    by max, the earliest start winning ties.  `evaluations` counts the
+    grid_n^4 grid pairs, 1 per start and 8 per poll of each live restart.
     """
-    if cfg.grid_n ** 8 > MAX_COARSE_EVALS:
-        raise BudgetExceeded(
-            f"coarse grid needs {cfg.grid_n ** 8} evaluations (limit {MAX_COARSE_EVALS})"
-        )
+    if _grid_bytes(cfg.grid_n) > MAX_GRID_BYTES:
+        raise BudgetExceeded(f"coarse grid needs {_grid_bytes(cfg.grid_n)} bytes "
+                             f"(limit {MAX_GRID_BYTES} bytes)")
     t = pauli_correlation_matrix(rho).t
-    best_value, grid_start = _coarse_grid_best(t, cfg.grid_n)
-    best_angles = grid_start
-
-    # per restart: 4 thetas in [0, pi), then 4 phis in [-pi, pi)
-    lo = np.tile(np.repeat([0.0, -math.pi], 4), cfg.restarts)
-    restarts = Splitmix64(cfg.seed).uniforms(8 * cfg.restarts, lo, math.pi)
-    starts = np.vstack([grid_start, restarts.reshape(cfg.restarts, 8)])
+    # per restart: 2 thetas in [0, pi), then 2 phis in [-pi, pi)
+    lo = np.tile(np.repeat([0.0, -math.pi], 2), cfg.restarts)
+    restarts = Splitmix64(cfg.seed).uniforms(4 * cfg.restarts, lo, math.pi)
+    starts = np.vstack([_coarse_grid_best(t, cfg.grid_n),
+                        restarts.reshape(cfg.restarts, 4)])
     batches = [_compass_search(t, starts[i:i + _COMPASS_BATCH],
                                math.pi / cfg.grid_n, cfg.refine_iters)
                for i in range(0, len(starts), _COMPASS_BATCH)]
-    values, angles, evals = (np.concatenate(parts) for parts in zip(*batches))
-    k = int(values.argmax())  # the first of equal maxima, as in start order
-    if values[k] > best_value:
-        best_value, best_angles = float(values[k]), angles[k]
+    values, alice, evals = (np.concatenate(parts) for parts in zip(*batches))
+    # the first of equal maxima, as in start order
+    angles = _settings(t, alice[int(values.argmax())])
     return OracleResult(
-        bmax_est=best_value,
-        thetas=tuple(float(v) for v in best_angles[:4]),
-        phis=tuple(float(v) for v in best_angles[4:]),
-        evaluations=cfg.grid_n ** 8 + int(evals.sum()),
+        bmax_est=float(_bell_values(t, angles)),
+        thetas=tuple(angles[:4].tolist()),
+        phis=tuple(angles[4:].tolist()),
+        evaluations=cfg.grid_n ** 4 + int(evals.sum()),
     )
 
 
-def certify_settings(rho: DensityMatrix4, s: AngleSettings,
-                     cfg: OracleConfig) -> float:
-    """Best Bell improvement found by a seeded random walk around `s`.
+def certify_settings(rho: DensityMatrix4, s, cfg: OracleConfig) -> float:
+    """Best Bell improvement found by a seeded random walk around the
+    settings `s` (anything with 4 `thetas` and 4 `phis`, such as an
+    `AngleSettings`).
 
     Two stages of hill climbing (perturbation radius pi/8, then pi/64, each
     for max(refine_iters, 64) steps).  A return value <= 1e-6 certifies that

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bellopt import EWLParams, crossing_roots, ewl_state, x_to_dense
 from bellopt.cli import fmt9, main
@@ -299,6 +301,10 @@ class TestScan:
         ("--qmodel", "lorentz:nan,1", "lam must be finite and > 0, got nan"),
         ("--qmodel", "lorentz:1,inf", "gamma0 must be finite and > 0, got inf"),
         ("--ewl", "0.3,1,nan", "delta must be finite, got nan"),
+        ("--qmodel", "lorentz:1e200,1",
+         "lam^2 - 2*gamma0*lam overflows for lam = 1e+200, gamma0 = 1.0"),
+        ("--qmodel", "lorentz:1e300,1e-12",
+         "lam^2 - 2*gamma0*lam overflows for lam = 1e+300, gamma0 = 1e-12"),
     ])
     def test_non_finite_model_and_state_flags_exit_2(self, capsys, flag, value,
                                                      message):
@@ -378,6 +384,91 @@ class TestOracleCheck:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["oracle-check", "--input", str(bad)]) == 2
+
+    def test_grid_over_the_memory_budget_exits_2(self, tmp_path, capsys):
+        assert main(["oracle-check", "--input", bell_file(tmp_path),
+                     "--grid-n", "100"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: coarse grid needs 5600000000 bytes "
+                                "(limit 268435456 bytes)\n")
+
+
+_NUMBER = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1e308, -1e308, 5e-324, 10 ** 400, 0, 1]),
+)
+_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3), _NUMBER,
+                  st.dictionaries(st.sampled_from(["0", "1", "rho"]), _NUMBER,
+                                  max_size=2))
+_CELL = st.one_of(st.lists(_NUMBER, min_size=2, max_size=2),
+                  st.lists(_JUNK, max_size=3), _JUNK)
+_ROW = st.one_of(st.lists(_CELL, min_size=4, max_size=4), st.lists(_CELL, max_size=5),
+                 _JUNK)
+_RHO = st.one_of(st.lists(_ROW, min_size=4, max_size=4), st.lists(_ROW, max_size=5),
+                 _JUNK)
+_VALID = (
+    np.diag([0.0, 0.5, 0.5, 0.0]) + np.fliplr(np.diag([0.0, 0.5, 0.5, 0.0])),
+    np.eye(4) / 4.0,
+    x_to_dense(werner(0.9)).entries,
+    np.outer([0.6, 0.0, 0.48, 0.64], [0.6, 0.0, 0.48, 0.64]),  # pure, not X
+)
+
+
+@st.composite
+def _valid_or_spoilt_rho(draw):
+    """A valid density matrix, possibly with one component replaced or the
+    whole matrix scaled."""
+    m = np.array(draw(st.sampled_from(_VALID)), dtype=complex)
+    rho = [[[z.real, z.imag] for z in row] for row in m]
+    if draw(st.booleans()):
+        i, j, k = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 1))
+        rho[i][j][k] = draw(_NUMBER)
+    elif draw(st.booleans()):
+        scale = draw(st.sampled_from([1e300, -1.0, 1e-300, 2.0]))
+        rho = [[[scale * v for v in cell] for cell in row] for row in rho]
+    return rho
+
+
+@st.composite
+def _oracle_input(draw):
+    """The text of an --input file: JSON of any shape, NaN/Infinity literals,
+    huge magnitudes, optionally cut short."""
+    rho = draw(st.one_of(_valid_or_spoilt_rho(), _RHO))
+    doc = draw(st.one_of(
+        st.fixed_dictionaries({"rho": st.just(rho)}),
+        st.fixed_dictionaries({"rho": st.just(rho), "off_x_tol": _JUNK}),
+        st.just(rho), _JUNK))
+    text = json.dumps(doc)
+    cut = draw(st.one_of(st.none(), st.integers(0, len(text))))
+    return text if cut is None else text[:cut]
+
+
+class TestOracleCheckFuzz:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(text=_oracle_input(), grid_n=st.integers(4, 5),
+           refine=st.integers(0, 50), restarts=st.integers(1, 3))
+    @example(text='{"rho": [[{"0": 1, "1": 0}]]}', grid_n=4, refine=0, restarts=1)
+    @example(text='{"rho": ' + "[" * 10 ** 5 + "]" * 10 ** 5 + "}", grid_n=4, refine=0,
+             restarts=1)
+    def test_documented_exit_and_clean_error(self, tmp_path_factory, text, grid_n,
+                                             refine, restarts):
+        path = tmp_path_factory.getbasetemp() / "fuzz-state.json"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["oracle-check", "--input", str(path), "--grid-n", str(grid_n),
+                         "--refine", str(refine), "--restarts", str(restarts),
+                         "--format", "json"])
+        assert code in (0, 2, 3, 4)
+        if code in (2, 3):
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1
+        else:
+            assert err.getvalue() == ""
+            assert json.loads(out.getvalue())["certificate_margin"] >= 0.0
+        assert "Traceback" not in err.getvalue()
 
 
 class TestDeterminism:

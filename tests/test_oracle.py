@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +25,15 @@ from bellopt import (
     x_to_dense,
 )
 from bellopt import oracle
-from bellopt.oracle import _bell_values, _compass_search
+from bellopt.oracle import (
+    MAX_GRID_BYTES,
+    _alice_values,
+    _bell_values,
+    _compass_search,
+    _grid_bytes,
+    _settings,
+    _trig,
+)
 from conftest import random_density, random_x_state, werner
 
 FAST_CFG = OracleConfig(grid_n=8, refine_iters=200, restarts=4, seed=2)
@@ -71,9 +81,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             OracleConfig(refine_iters=-1)
 
-    def test_budget_guard(self, bell_rho):
-        with pytest.raises(BudgetExceeded):
-            brute_force_bmax(bell_rho, OracleConfig(grid_n=14))
+    def test_budget_guard(self, bell_rho, monkeypatch):
+        n = 4
+        while _grid_bytes(n) <= MAX_GRID_BYTES:
+            n += 1
+        assert _grid_bytes(n - 1) <= MAX_GRID_BYTES < _grid_bytes(n)
+
+        def no_grid(t, grid_n):
+            raise AssertionError("the rejected grid was evaluated")
+
+        monkeypatch.setattr(oracle, "_coarse_grid_best", no_grid)
+        with pytest.raises(BudgetExceeded) as info:
+            brute_force_bmax(bell_rho, OracleConfig(grid_n=n))
+        assert str(info.value) == (f"coarse grid needs {_grid_bytes(n)} bytes "
+                                   f"(limit {MAX_GRID_BYTES} bytes)")
 
 
 def _direct_bell(rho, row):
@@ -98,19 +119,57 @@ class TestBellValues:
             assert abs(value - _direct_bell(rho, row)) <= 1e-12
 
 
+def _alice_value(t, row):
+    """f(a, a') = |T(a + a')| + |T(a - a')| at Alice's 4 angles."""
+    return float(_alice_values(t, *_trig(row)))
+
+
+def _random_alice(rng, n):
+    return np.hstack([rng.uniform(0.0, math.pi, (n, 2)),
+                      rng.uniform(-math.pi, math.pi, (n, 2))])
+
+
+class TestAliceValues:
+    def test_bob_directions_attain_the_bound(self):
+        rng = np.random.default_rng(34)
+        for rho in (random_density(rng), x_to_dense(random_x_state(rng)),
+                    x_to_dense(werner(0.9))):
+            t = pauli_correlation_matrix(rho).t
+            for alice in _random_alice(rng, 50):
+                f = _alice_value(t, alice)
+                angles = _settings(t, alice)
+                assert np.array_equal(angles[[0, 1, 4, 5]], alice)
+                assert abs(_direct_bell(rho, angles) - f) <= 1e-12
+                # no Bob directions do better (Cauchy-Schwarz)
+                bob = _random_alice(rng, 200)
+                others = np.repeat(angles[None, :], 200, axis=0)
+                others[:, [2, 3, 6, 7]] = bob
+                assert _bell_values(t, others).max() <= f + 1e-12
+
+    def test_zero_vectors_get_a_fixed_direction(self, mixed_rho):
+        t = pauli_correlation_matrix(mixed_rho).t
+        angles = _settings(t, np.array([1.0, 2.0, -0.5, 0.5]))
+        assert angles.tolist() == [1.0, 2.0, 0.0, 0.0, -0.5, 0.5, 0.0, 0.0]
+
+
 def _reference_compass(t, start, step, max_iters):
-    """One compass search evaluating every move's angles directly."""
-    current, value, evals = start.copy(), float(_bell_values(t, start)), 1
-    moves = np.vstack([np.eye(8), -np.eye(8)])
+    """One compass search on Alice's 4 angles, evaluating one move at a time
+    from its raw angles; the first of equal best moves wins."""
+    current, value, evals = start.copy(), _alice_value(t, start), 1
     for _ in range(max_iters):
         if step < 1e-8:
             break
-        batch = current + step * moves
-        vals = _bell_values(t, batch)
-        evals += len(vals)
-        k = int(vals.argmax())
-        if vals[k] > value:
-            value, current = float(vals[k]), batch[k]
+        best, best_move = -1.0, None
+        for sign in (1.0, -1.0):
+            for axis in range(4):
+                move = current.copy()
+                move[axis] += sign * step
+                v = _alice_value(t, move)
+                evals += 1
+                if v > best:
+                    best, best_move = v, move
+        if best > value:
+            value, current = best, best_move
         else:
             step *= 0.5
     return value, current, evals
@@ -124,12 +183,11 @@ class TestCompassBatch:
                "ginibre": lambda: random_density(rng),
                "x": lambda: x_to_dense(random_x_state(rng))}[kind]()
         t = pauli_correlation_matrix(rho).t
-        starts = np.hstack([rng.uniform(0.0, math.pi, (6, 4)),
-                            rng.uniform(-math.pi, math.pi, (6, 4))])
-        starts[0, :4] = [0.0, -0.0, math.pi, 0.0]  # zero angles, as on the grid
+        starts = _random_alice(rng, 6)
+        starts[0] = [0.0, -0.0, math.pi, 0.0]  # zero angles, as on the grid
         values, angles, evals = _compass_search(t, starts, math.pi / 8, 120)
-        if kind != "x":  # the restarts leave the batch at different polls
-            assert len(set(evals.tolist())) > 1
+        # the restarts leave the batch at different polls
+        assert len(set(evals.tolist())) > 1
         for i, start in enumerate(starts):
             v1, a1, e1 = _compass_search(t, start[None, :], math.pi / 8, 120)
             ref = _reference_compass(t, start, math.pi / 8, 120)
@@ -178,8 +236,28 @@ class TestBruteForce:
         assert brute_force_bmax(rho, cfg) == whole
 
     def test_counts_evaluations(self, bell_rho):
-        res = brute_force_bmax(bell_rho, FAST_CFG)
-        assert res.evaluations >= 8 ** 8
+        # 4^4 grid pairs, 1 per start, 8 per poll of each of the 3 starts
+        # (no step falls from pi/4 below 1e-8 in 3 polls)
+        for refine in (0, 3):
+            cfg = OracleConfig(grid_n=4, refine_iters=refine, restarts=2, seed=1)
+            res = brute_force_bmax(bell_rho, cfg)
+            assert res.evaluations == 4 ** 4 + 3 + 3 * 8 * refine
+
+    def test_value_is_the_bell_function_at_the_returned_angles(self, bell_rho,
+                                                                mixed_rho):
+        rng = np.random.default_rng(25)
+        for rho in (bell_rho, mixed_rho, x_to_dense(werner(0.3)),
+                    x_to_dense(random_x_state(rng)), random_density(rng)):
+            res = brute_force_bmax(rho, FAST_CFG)
+            t = pauli_correlation_matrix(rho).t
+            angles = np.array(res.thetas + res.phis)
+            assert res.bmax_est == float(_bell_values(t, angles))
+
+    def test_independent_of_the_closed_forms(self):
+        tree = ast.parse(Path(oracle.__file__).read_text())
+        imported = {node.module for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)}
+        assert imported == {"__future__", "dataclasses", "states"}
 
 
 def _sequential_certify(rho, s, cfg):
