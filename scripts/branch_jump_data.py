@@ -18,11 +18,11 @@ from bellopt import (
     EWLParams,
     crossing_roots,
     evolve_x,
-    ewl_eigenvalues,
     ewl_state,
     settings_distance,
     settings_set1,
     settings_set2,
+    x_state_eigenvalues,
 )
 
 
@@ -41,7 +41,7 @@ def main() -> int:
 
     out.write("q2,u1,u2,u3,B1,B2,bmax,active_set\n")
     for q2 in np.linspace(0.0, 1.0, args.points):
-        u = ewl_eigenvalues(p, q2)
+        u = x_state_eigenvalues(evolve_x(x0, math.sqrt(q2)))
         out.write(f"{q2:.9g},{u.u1:.9g},{u.u2:.9g},{u.u3:.9g},"
                   f"{u.b1:.9g},{u.b2:.9g},{u.bmax:.9g},{int(u.region)}\n")
 

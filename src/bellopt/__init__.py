@@ -55,13 +55,13 @@ from .dynamics import (
     EventKind,
     ScanEvent,
     TimeScanRecord,
-    GridTooCoarse,
     q_exponential,
     q_lorentzian,
     apply_amplitude_damping,
     evolve_x,
     ewl_state,
-    ewl_eigenvalues,
+    trajectory_coefficients,
+    crossing_levels,
     crossing_roots,
     time_scan,
     scan_events,
@@ -81,8 +81,8 @@ __all__ = [
     "OracleConfig", "OracleResult", "BudgetExceeded", "Splitmix64",
     "brute_force_bmax", "certify_settings",
     "ExponentialModel", "LorentzianModel", "TabulatedModel", "QModel",
-    "EWLParams", "EventKind", "ScanEvent", "TimeScanRecord", "GridTooCoarse",
+    "EWLParams", "EventKind", "ScanEvent", "TimeScanRecord",
     "q_exponential", "q_lorentzian", "apply_amplitude_damping", "evolve_x",
-    "ewl_state", "ewl_eigenvalues", "crossing_roots", "time_scan",
-    "scan_events",
+    "ewl_state", "trajectory_coefficients", "crossing_levels", "crossing_roots",
+    "time_scan", "scan_events",
 ]

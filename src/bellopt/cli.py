@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-import warnings
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from .chsh import (
 from .dynamics import (
     EWLParams,
     ExponentialModel,
-    GridTooCoarse,
     LorentzianModel,
     TabulatedModel,
     crossing_roots,
@@ -232,8 +230,6 @@ def _scan_csv(doc: dict) -> str:
         lines.append(",".join(cells))
     for e in doc["events"]:
         lines.append(f"# event,{e['kind']},{fmt9(e['t'])},{fmt9(e['q2'])}")
-    for msg in doc["warnings"]:
-        lines.append(f"# warning,GridTooCoarse,{msg.replace(',', ';')}")
     return "\n".join(lines) + "\n"
 
 
@@ -250,9 +246,7 @@ def cmd_scan(args) -> int:
         x0 = as_x_state(*_load_density(args.input, args.off_x_tol))
     model = _parse_qmodel(args.qmodel)
     t_grid = np.linspace(0.0, args.tmax, args.samples)
-    with warnings.catch_warnings(record=True) as wlist:
-        warnings.simplefilter("always", GridTooCoarse)
-        records = time_scan(x0, model, t_grid)
+    records = time_scan(x0, model, t_grid)
     rows = [{
         "t": rec.t, "q2": rec.q2,
         "u1": rec.u.u1, "u2": rec.u.u2, "u3": rec.u.u3,
@@ -267,8 +261,6 @@ def cmd_scan(args) -> int:
         "rows": rows,
         "events": [{"kind": e.kind.value, "t": e.t, "q2": e.q2}
                    for e in scan_events(records)],
-        "warnings": [str(w.message) for w in wlist
-                     if issubclass(w.category, GridTooCoarse)],
     }
     _emit(args, doc, _scan_csv)
     return EXIT_OK

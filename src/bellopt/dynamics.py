@@ -15,13 +15,14 @@ with linear interpolation for anything else.
 
 Every model's q(t) takes a float, giving a Python complex, or an array of
 times, giving a complex array of its shape, from one implementation whose
-array values equal the scalar ones bit for bit; time_scan relies on that to
-evaluate all its probes in one pass.  Hence: exp goes through complex
-arrays (np.exp of a real array differs from math.exp in ~5% of last bits),
-abs is np.hypot (np.abs of complex differs from Python's abs in ~35%),
-complex products and quotients with two complex factors are written out in
-real arithmetic, and squares use np.float_power, libm's pow as in Python's
-`v ** 2` (v * v differs in ~0.1%).
+array values equal the scalar ones bit for bit, so a scan's rows are those
+of per-time evaluation.  Hence exp goes through complex arrays (np.exp of a
+real array differs from math.exp in ~5% of last bits) and complex products
+keep a zero term.
+
+Along a trajectory (u1, u2, u3) depend on t only through x = |q(t)|^2, so
+a scan's events are crossings of levels of x set by the initial state, found
+between the model's turning_times, where |q|^2 is monotone.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 import cmath
 import csv
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -37,16 +37,12 @@ from typing import Union
 import numpy as np
 
 from .angles import AngleSettings, _sign, optimal_settings
-from .chsh import BellEigenvalues, Region, x_state_eigenvalues
-from .states import POSITIVITY_TOL, TRACE_TOL, DensityMatrix4, XState
+from .chsh import BellEigenvalues, Region
+from .states import DensityMatrix4, XState
 
 EVENT_REL_TOL = 1e-9
 _MAX_BISECT_ITERS = 80
-_PROBES_PER_INTERVAL = 9
-
-
-class GridTooCoarse(UserWarning):
-    """More than one event of the same kind fell inside one grid interval."""
+MAX_PIECES = 10 ** 6
 
 
 def _times(t) -> np.ndarray:
@@ -63,11 +59,18 @@ def _finite_positive(**params: float) -> None:
             raise ValueError(f"{name} must be finite and > 0, got {v!r}")
 
 
+def _check_pieces(count: float, tmax: float) -> None:
+    if count > MAX_PIECES:
+        raise ValueError(f"|q(t)|^2 has {count:.0f} monotone pieces up to "
+                         f"t = {tmax!r}, more than {MAX_PIECES}")
+
+
 def _like_t(q: np.ndarray, t: np.ndarray):
     # a float t gives a Python complex, an array t an array of t's shape
     return complex(q) if t.ndim == 0 else q
 
 
+@np.errstate(over="ignore")  # gamma t overflows to inf only where q = 0
 def q_exponential(t, gamma: float):
     """Markovian amplitude: |q(t)|^2 = exp(-gamma t), phase zero."""
     t = _times(t)
@@ -108,9 +111,11 @@ def q_lorentzian(t, lam: float, gamma0: float):
         # exp(-lam t / 2) loses precision below e^-708, although q only
         # decays.  The same q with the exponents combined: both are <= 0 and
         # the second term is e^(-2z) times smaller, so nothing cancels.
+        # (d - lam) / 2 is written -gamma0 lam / (d + lam), which keeps its
+        # digits when lam >> gamma0 and d rounds to lam.
         r = lam / d
         tf = t[far]
-        val[far] = (0.5 * (1.0 + r) * np.exp(0.5 * (d - lam) * tf)
+        val[far] = (0.5 * (1.0 + r) * np.exp(-gamma0 * lam / (d + lam) * tf)
                     + 0.5 * (1.0 - r) * np.exp(-0.5 * (d + lam) * tf)).real
     near = ~far
     zn, tn = z[near], t[near]
@@ -145,6 +150,10 @@ class ExponentialModel:
     def q(self, t):
         return q_exponential(t, self.gamma)
 
+    def turning_times(self, tmax: float) -> np.ndarray:
+        """Times in (0, tmax) between which |q|^2 is monotone: none."""
+        return np.empty(0)
+
 
 @dataclass(frozen=True)
 class LorentzianModel:
@@ -158,6 +167,19 @@ class LorentzianModel:
 
     def q(self, t):
         return q_lorentzian(t, self.lam, self.gamma0)
+
+    def turning_times(self, tmax: float) -> np.ndarray:
+        """Times in (0, tmax) between which |q|^2 is monotone.  With d = i Omega,
+        q' = -exp(-lam t/2) sin(Omega t/2) (lam^2 + Omega^2)/(2 Omega): none if
+        Omega = 0 (weak or critical coupling); else the extrema Omega t/2 = k pi
+        and zeros tan(Omega t/2) = -Omega/lam: Omega t/2 = k pi - atan(Omega/lam)."""
+        omega = _lorentz_d(self.lam, self.gamma0).imag
+        phi = math.atan(omega / self.lam)
+        k_max = (0.5 * omega * tmax + phi) / math.pi
+        _check_pieces(2.0 * k_max, tmax)  # about one zero and one extremum per k
+        k_pi = np.arange(1.0, math.ceil(k_max) + 1.0) * math.pi
+        t = np.column_stack((k_pi - phi, k_pi)).ravel() * 2.0 / omega
+        return t[t < tmax]
 
 
 @dataclass(frozen=True)
@@ -224,6 +246,20 @@ class TabulatedModel:
         w = (t - t0) / (t1 - t0)
         # each product has a real factor, so it rounds as Python's does
         return _like_t(self._v[i] * (1.0 - w) + self._v[i + 1] * w, t)
+
+    @np.errstate(divide="ignore", invalid="ignore")  # constant segments
+    def turning_times(self, tmax: float) -> np.ndarray:
+        """Times in (0, tmax) between which |q|^2 is monotone: the sample
+        times, and on each segment, where q is linear and |q|^2 a quadratic
+        in t, its interior extremum."""
+        v, dv = self._v[:-1], np.diff(self._v)
+        w = -(v.real * dv.real + v.imag * dv.imag) / (dv.real ** 2 + dv.imag ** 2)
+        inside = (w > 0.0) & (w < 1.0)
+        turns = self._t[:-1][inside] + w[inside] * np.diff(self._t)[inside]
+        t = np.sort(np.concatenate((self._t[1:], turns)))
+        t = t[t < tmax]
+        _check_pieces(len(t) + 1, tmax)
+        return t
 
 
 QModel = Union[ExponentialModel, LorentzianModel, TabulatedModel]
@@ -301,70 +337,68 @@ def ewl_state(p: EWLParams) -> XState:
     )
 
 
-def ewl_eigenvalues(p: EWLParams, x: float) -> BellEigenvalues:
-    """Closed-form eigenvalues along the damped trajectory, x = |q(t)|^2:
-    u1 = u3 = 4 alpha^2 beta^2 r^2 x^2 and u2 = (1 - 2x + (1 - r) x^2)^2."""
-    if not (0.0 <= x <= 1.0):
-        raise ValueError("x must lie in [0, 1]")
-    u13 = 4.0 * p.alpha2 * (1.0 - p.alpha2) * p.r * p.r * x * x
-    u2 = (1.0 - 2.0 * x + (1.0 - p.r) * x * x) ** 2
-    tie = abs(u2 - u13) <= 1e-12
-    region = Region.SET1 if (tie or u2 >= u13) else Region.SET2
-    return BellEigenvalues(u13, u2, u13, region, tie)
+def trajectory_coefficients(x0: XState) -> tuple[float, float, float, float]:
+    """(k1, k3, b, a) such that along evolve_x(x0, q), with x = |q|^2,
+    u1 = (k1 x)^2, u3 = (k3 x)^2 and u2 = gap(x)^2, where the diagonal gap is
+    1 - 2 x (rho22 + rho33 + 2 rho11 (1 - x)) = 1 + b x + a x^2."""
+    m14, m23 = abs(x0.rho14), abs(x0.rho23)
+    return (2.0 * (m14 + m23), 2.0 * abs(m14 - m23),
+            -2.0 * (x0.rho22 + x0.rho33 + 2.0 * x0.rho11), 4.0 * x0.rho11)
 
 
-def _ewl_balance(p: EWLParams, x: float) -> float:
-    # u2 - u3 as a polynomial, evaluable outside [0, 1] for root bracketing.
-    coh = 2.0 * math.sqrt(p.alpha2 * (1.0 - p.alpha2)) * p.r
-    gap = 1.0 - 2.0 * x + (1.0 - p.r) * x * x
-    return gap * gap - (coh * x) ** 2
+def _quadratic_roots(a: float, b: float) -> list[float]:
+    # real roots of a x^2 + b x + 1, but no double root: it only touches 0
+    if a == 0.0:
+        return [-1.0 / b] if b else []
+    disc = b * b - 4.0 * a
+    if disc <= 1e-14 * max(b * b, abs(4.0 * a)):
+        return []
+    r1 = (-b + math.copysign(math.sqrt(disc), -b)) / (2.0 * a)
+    return [r1, 1.0 / (a * r1)]
+
+
+def _sign_changes(f, candidates) -> list[tuple[float, float]]:
+    """(x, sign of f just above x) for each distinct candidate x in (0, 1]
+    across which f changes sign, judged 1e-7 away or halfway to a nearer
+    neighbouring candidate; f must be defined a little beyond [0, 1]."""
+    xs = sorted(min(x, 1.0) for x in candidates if 0.0 < x <= 1.0 + 1e-12)
+    xs = [x for i, x in enumerate(xs) if i == 0 or x - xs[i - 1] > 1e-12]
+    levels: list[tuple[float, float]] = []
+    for prev, x, nxt in zip([-1.0] + xs, xs, xs[1:] + [3.0]):  # -1, 3: no neighbour
+        below = _sign(f(max(x - 1e-7, 0.5 * (prev + x))))
+        above = _sign(f(min(x + 1e-7, 0.5 * (x + nxt))))
+        if below != above:
+            levels.append((x, above))
+    return levels
+
+
+def crossing_levels(x0: XState) -> list[float]:
+    """All x = |q|^2 in (0, 1] where u2 - u3 changes sign along evolve_x(x0, q):
+    the simple roots of gap(x) = +-k3 x, two quadratics (a tangency is
+    dropped).  Empty when k3 = 0, as u3 is then zero and never exceeds u2."""
+    _, k3, b, a = trajectory_coefficients(x0)
+    candidates = _quadratic_roots(a, b - k3) + _quadratic_roots(a, b + k3)
+    return [x for x, _ in _sign_changes(
+        lambda x: (1.0 + b * x + a * x * x) ** 2 - (k3 * x) ** 2, candidates)]
 
 
 def crossing_roots(p: EWLParams) -> list[float]:
-    """All x = |q|^2 in (0, 1] where u2 = u3 with a sign change.
+    """crossing_levels of the extended Werner-like state p."""
+    return crossing_levels(ewl_state(p))
 
-    u2 = u3 reads |1 - 2x + (1 - r) x^2| = 2 alpha beta r x, i.e. two
-    quadratics; only simple roots (where u2 - u3 actually flips sign) are
-    kept, so tangencies are dropped.  Empty when alpha beta r = 0 (u3 is then
-    identically zero and never exceeds u2).
-    """
-    coh = 2.0 * math.sqrt(p.alpha2 * (1.0 - p.alpha2)) * p.r
-    if coh == 0.0:
-        return []
-    candidates: list[float] = []
-    for branch in (1.0, -1.0):
-        # (1 - r) x^2 - (2 + branch*coh) x + 1 = 0
-        a = 1.0 - p.r
-        b = -(2.0 + branch * coh)
-        c = 1.0
-        if a == 0.0:
-            candidates.append(-c / b)
-            continue
-        disc = b * b - 4.0 * a * c
-        scale = max(b * b, abs(4.0 * a * c))
-        if disc <= 1e-14 * scale:
-            # no real roots, or a double root where u2 - u3 only touches zero
-            continue
-        sq = math.sqrt(disc)
-        r1 = (-b + sq) / (2.0 * a)
-        r2 = c / (a * r1)
-        candidates.extend((r1, r2))
 
-    roots = []
-    for x in sorted(candidates):
-        if not (0.0 < x <= 1.0 + 1e-12):
-            continue
-        x = min(x, 1.0)
-        if roots and abs(x - roots[-1]) <= 1e-12:
-            continue
-        u = ewl_eigenvalues(p, x)
-        if abs(u.u2 - u.u3) > 1e-10:
-            continue
-        h = 1e-7
-        if _ewl_balance(p, x - h) * _ewl_balance(p, x + h) >= 0.0:
-            continue
-        roots.append(x)
-    return roots
+def _violation_levels(x0: XState) -> list[tuple[float, float]]:
+    """(x, sign of bmax - 2 just above x) for each x = |q|^2 in (0, 1] where
+    bmax - 2, like max(u1 + u2, u1 + u3) - 1, changes sign: u1 + u3 = 1 at
+    x = 1 / sqrt(k1^2 + k3^2), and (u1 + u2 - 1) / x is a cubic."""
+    k1, k3, b, a = trajectory_coefficients(x0)
+    candidates = [1.0 / math.hypot(k1, k3)] if k1 else []
+    cubic = np.roots([a * a, 2.0 * a * b, b * b + 2.0 * a + k1 * k1, 2.0 * b])
+    candidates += cubic.real[np.abs(cubic.imag) <= 1e-9].tolist()
+
+    def excess(x):  # max(u1 + u2, u1 + u3) - 1
+        return (k1 * x) ** 2 + max((1.0 + b * x + a * x * x) ** 2, (k3 * x) ** 2) - 1.0
+    return _sign_changes(excess, candidates)
 
 
 class EventKind(str, Enum):
@@ -394,89 +428,53 @@ class TimeScanRecord:
     events: tuple[ScanEvent, ...] = ()
 
 
-def _bisect_event(f, lo: float, hi: float) -> float:
-    s_lo = _sign(f(lo))
+def _events(x0: XState, model: QModel, tmax: float) -> list[ScanEvent]:
+    """Every crossing of an event level by x = |q(t)|^2 for t in (0, tmax),
+    in time order.  A level within 1e-12 of x = 1 is left out: x <= 1 can
+    only touch it."""
+    jump, on, off = EventKind.SET_JUMP, EventKind.VIOLATION_ON, EventKind.VIOLATION_OFF
+    # (x*, kind when x falls through x*, kind when it rises)
+    levels = [(x, jump, jump) for x in crossing_levels(x0)]
+    levels += [(x, off, on) if above > 0 else (x, on, off)
+               for x, above in _violation_levels(x0)]
+    levels = [lv for lv in levels if lv[0] < 1.0 - 1e-12]
+    edges = np.concatenate(([0.0], model.turning_times(tmax), [tmax]))
+    level_x = np.array([lv[0] for lv in levels])
+    q = model.q(edges)
+    side = (q.real ** 2 + q.imag ** 2)[:, None] >= level_x
+    piece, k = np.nonzero(side[1:] != side[:-1])
+    lo, hi, target, falling = edges[piece], edges[piece + 1], level_x[k], side[piece, k]
     for _ in range(_MAX_BISECT_ITERS):
-        if hi - lo <= EVENT_REL_TOL * max(abs(lo), abs(hi)):
+        open_ = hi - lo > EVENT_REL_TOL * hi
+        if not open_.any():
             break
-        mid = 0.5 * (lo + hi)
-        if _sign(f(mid)) == s_lo:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _pow2(v):
-    # Python's `v ** 2`: libm's pow, not v * v
-    return np.float_power(v, 2.0)
-
-
-@np.errstate(all="ignore")  # every non-finite value fails a check below
-def _eigenvalues_along(x0: XState, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(u1, u2, u3) of x0 evolved to each amplitude of the array q.
-
-    The evolve_x element map and the x_state_eigenvalues formulas in array
-    form, bit for bit the scalar values.  An amplitude that fails any check
-    of the scalar path is re-run through it, which raises that check's
-    exception; the earliest such amplitude in q's order is the one reported.
-    """
-    q = np.asarray(q, dtype=complex)
-    qr, qi = q.real, q.imag
-    abs_q = np.hypot(qr, qi)
-    x = np.minimum(1.0, _pow2(abs_q))
-    fed = x0.rho11 * (1.0 - x)
-    r11 = x0.rho11 * x * x
-    r22 = x * (x0.rho22 + fed)
-    r33 = x * (x0.rho33 + fed)
-    r44 = 1.0 - (r11 + r22 + r33)
-    # rho14 -> q q rho14, rho23 -> x rho23
-    qq_re, qq_im = qr * qr - qi * qi, qr * qi + qi * qr
-    a, b = x0.rho14.real, x0.rho14.imag
-    mod14 = np.hypot(qq_re * a - qq_im * b, qq_re * b + qq_im * a)
-    mod23 = np.hypot(x * x0.rho23.real, x * x0.rho23.imag)
-    u1 = 4.0 * _pow2(mod14 + mod23)
-    u2 = _pow2(r11 + r44 - r22 - r33)
-    u3 = 4.0 * _pow2(mod14 - mod23)
-
-    bad = (abs_q > 1.0 + 1e-12) | (np.abs(r11 + r22 + r33 + r44 - 1.0) > TRACE_TOL)
-    for p in (r11, r22, r33, r44):
-        bad |= ~((-POSITIVITY_TOL <= p) & (p <= 1.0 + POSITIVITY_TOL))
-    bad |= ~(_pow2(mod14) - POSITIVITY_TOL <= r11 * r44)
-    bad |= ~(_pow2(mod23) - POSITIVITY_TOL <= r22 * r33)
-    for u in (u1, u2, u3):
-        bad |= ~((-1e-12 <= u) & (u <= 1.0 + 1e-10))  # NaN is bad too
-    bad |= u1 < u3 - 1e-12
-    bad |= u1 + np.maximum(u2, u3) > 2.0 + 1e-10
-    if bad.any():
-        x_state_eigenvalues(evolve_x(x0, complex(q.flat[np.argmax(bad)])))
-    return u1, u2, u3
-
-
-def _probe_signs(x0: XState, q) -> tuple[np.ndarray, np.ndarray]:
-    """Signs of u2 - u3 and of bmax - 2 (+1 for >= 0, else -1, as _sign)
-    of x0 evolved to each amplitude of the array q."""
-    u1, u2, u3 = _eigenvalues_along(x0, q)
-    b1 = 2.0 * np.sqrt(np.maximum(0.0, u1 + u2))
-    b2 = 2.0 * np.sqrt(np.maximum(0.0, u1 + u3))
-    return (np.where(u2 - u3 >= 0.0, 1.0, -1.0),
-            np.where(np.maximum(b1, b2) - 2.0 >= 0.0, 1.0, -1.0))
+        # halfway between the bit patterns of floats >= 0: the arithmetic
+        # midpoint within a binade, and across binades it halves the exponent
+        # range, so a bracket up to [0, 1e308] converges in < 80 steps
+        bits = lo.view(np.int64)
+        mid = (bits + (hi.view(np.int64) - bits) // 2).view(np.float64)
+        q = model.q(mid)
+        to_lo = open_ & ((q.real ** 2 + q.imag ** 2 >= target) == falling)
+        lo = np.where(to_lo, mid, lo)
+        hi = np.where(open_ & ~to_lo, mid, hi)
+    t_star = 0.5 * (lo + hi)
+    kinds = [levels[i][1 if f else 2] for i, f in zip(k.tolist(), falling.tolist())]
+    return sorted((ScanEvent(kind, t, abs(q) ** 2) for kind, t, q in
+                   zip(kinds, t_star.tolist(), model.q(t_star).tolist())),
+                  key=lambda e: e.t)
 
 
 def time_scan(x0: XState, model: QModel, t_grid) -> list[TimeScanRecord]:
     """Evolve x0 along t_grid, tracking eigenvalues, Bell maximum, active
     settings, and refined SetJump / ViolationOn / ViolationOff events.
 
-    Each grid interval is probed at 9 interior points, so several crossings
-    per interval (non-monotonic |q(t)|^2) are found; when more than one
-    crossing of the same quantity falls inside a single interval a
-    GridTooCoarse warning is emitted, since endpoint signs alone would have
-    missed them.
-
-    All probes of all intervals are evaluated as one array: q(t) of every
-    model takes an array of times, and _probe_signs gives the signs of
-    u2 - u3 and bmax - 2 at each.  Only intervals where a sign changes are
-    bisected.  Grid rows go through evolve_x and optimal_settings.
+    Every event is the crossing of a level of x = |q(t)|^2 computed once from
+    x0 (crossing_levels for SetJump, the sign changes of bmax - 2 for
+    ViolationOn/Off).  The model's turning_times cut (0, t_grid[-1]) into
+    pieces where x is monotone, and all crossings on all pieces are bisected
+    together, one array q(t) call per step, to EVENT_REL_TOL of t.  Events
+    depend on the model and t_grid[-1] only; record i lists those in
+    (t_grid[i - 1], t_grid[i]].  Rows use evolve_x and optimal_settings.
     """
     t_list = [float(t) for t in t_grid]
     if not t_list:
@@ -489,44 +487,14 @@ def time_scan(x0: XState, model: QModel, t_grid) -> list[TimeScanRecord]:
         raise ValueError("t_grid must be finite")
     t_grid = np.array(t_list)
     q_grid = model.q(t_grid).tolist()
-    # row i: np.linspace(t_i, t_i+1, 11), the same values as a per-interval
-    # call unless some interval is so narrow (< 1e-322) that its step is 0
-    probes = np.linspace(t_grid[:-1], t_grid[1:], _PROBES_PER_INTERVAL + 2,
-                         axis=1)
-    signs = _probe_signs(x0, model.q(probes))
-    flips = [s[:, 1:] != s[:, :-1] for s in signs]
-    eventful = [False] + (flips[0].any(axis=1) | flips[1].any(axis=1)).tolist()
-
+    events = _events(x0, model, t_list[-1])
+    ends = np.searchsorted([e.t for e in events], t_grid, side="right").tolist()
     records: list[TimeScanRecord] = []
-    for i, (t, q) in enumerate(zip(t_list, q_grid)):
+    for t, q, start, end in zip(t_list, q_grid, [0] + ends, ends):
         settings, u = optimal_settings(evolve_x(x0, q))
-        events: list[ScanEvent] = []
-        if eventful[i]:
-            p = probes[i - 1]
-            for k, label in enumerate(("u2-u3", "bmax-2")):
-                js = np.flatnonzero(flips[k][i - 1])
-                if len(js) >= 2:
-                    warnings.warn(GridTooCoarse(
-                        f"{len(js)} sign changes of {label} inside grid "
-                        f"interval [{t_list[i - 1]!r}, {t!r}]; endpoint signs "
-                        f"alone would miss some of them"
-                    ))
-                for j in js:
-                    t_star = _bisect_event(
-                        lambda s, k=k: _probe_signs(x0, model.q(s))[k],
-                        float(p[j]), float(p[j + 1]))
-                    if k == 0:
-                        kind = EventKind.SET_JUMP
-                    elif signs[1][i - 1, j] < 0:
-                        kind = EventKind.VIOLATION_ON
-                    else:
-                        kind = EventKind.VIOLATION_OFF
-                    events.append(ScanEvent(kind, t_star,
-                                            abs(model.q(t_star)) ** 2))
-        events.sort(key=lambda e: e.t)
         records.append(TimeScanRecord(
-            t=t, q2=abs(q) ** 2, u=u, bmax=u.bmax,
-            active_set=u.region, settings=settings, events=tuple(events),
+            t=t, q2=abs(q) ** 2, u=u, bmax=u.bmax, active_set=u.region,
+            settings=settings, events=tuple(events[start:end]),
         ))
     return records
 

@@ -28,15 +28,16 @@ from bellopt import (
     brute_force_bmax,
     crossing_roots,
     evolve_x,
-    ewl_eigenvalues,
     ewl_state,
     horodecki_bmax,
+    horodecki_eigenvalues,
     optimal_settings,
     scan_events,
     settings_distance,
     settings_set1,
     settings_set2,
     time_scan,
+    trajectory_coefficients,
     x_state_eigenvalues,
     x_to_dense,
 )
@@ -148,14 +149,19 @@ def test_criterion_6_trajectory_eigenvalue_identity():
                       "channel on a 20^3 grid to 1e-12", 10.0):
         for alpha2 in np.linspace(0.0, 1.0, 20):
             for r in np.linspace(0.0, 1.0, 20):
-                p = EWLParams(alpha2, r, 0.7)
-                x0 = ewl_state(p)
+                x0 = ewl_state(EWLParams(alpha2, r, 0.7))
+                k1, k3, b, a = trajectory_coefficients(x0)
                 for x in np.linspace(0.0, 1.0, 20):
-                    closed = ewl_eigenvalues(p, x)
+                    closed = ((k1 * x) ** 2, (1.0 + b * x + a * x * x) ** 2,
+                              (k3 * x) ** 2)
                     chained = x_state_eigenvalues(evolve_x(x0, math.sqrt(x)))
-                    assert abs(closed.u1 - chained.u1) <= 1e-12
-                    assert abs(closed.u2 - chained.u2) <= 1e-12
-                    assert abs(closed.u3 - chained.u3) <= 1e-12
+                    assert abs(closed[0] - chained.u1) <= 1e-12
+                    assert abs(closed[1] - chained.u2) <= 1e-12
+                    assert abs(closed[2] - chained.u3) <= 1e-12
+                    # the dense Kraus channel, with the eigenvalues of T^T T
+                    dense = horodecki_eigenvalues(
+                        apply_amplitude_damping(x_to_dense(x0), math.sqrt(x)))
+                    assert np.abs(np.sort(closed)[::-1] - dense).max() <= 1e-12
 
 
 def test_criterion_7_jump_phenomenon():
@@ -251,9 +257,15 @@ def test_criterion_8_surface_reproduction(tmp_path):
             roots = crossing_roots(p)
             printed = [s for s in (root1_s, root2_s) if s]
             assert len(printed) == len(roots)
+            x0 = ewl_state(p)
             for root, cell in zip(roots, printed):
-                u = ewl_eigenvalues(p, root)
+                u = x_state_eigenvalues(evolve_x(x0, math.sqrt(root)))
                 assert abs(u.u2 - u.u3) <= 1e-10
+                # the dense Kraus channel: u2 = u3 is a double eigenvalue
+                # of T^T T, next to u1 >= u3
+                dense = horodecki_eigenvalues(
+                    apply_amplitude_damping(x_to_dense(x0), math.sqrt(root)))
+                assert abs(dense[1] - dense[2]) <= 1e-10
                 assert float(cell) == pytest.approx(root, rel=5e-9)
                 reported += 1
         assert reported > 4000  # nearly every interior grid point has 2 roots

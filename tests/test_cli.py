@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +222,7 @@ class TestScan:
         assert row["t"] == 0.0 and row["q2"] == 1.0
         assert row["bmax"] == pytest.approx(0.9 * 2 * math.sqrt(2), abs=1e-12)
         assert [e["kind"] for e in doc["events"]].count("ViolationOff") == 1
+        assert sorted(doc) == ["events", "rows", "version"]  # no "warnings"
 
     def test_werner_violation_off_matches_root_finding(self, tmp_path, capsys):
         # independent oracle: bisection on horodecki(evolved dense) - 2
@@ -249,10 +251,58 @@ class TestScan:
         assert offs[0]["t"] == pytest.approx(t_oracle, abs=1e-7)
 
     def test_coarse_grid_warning_annotation(self, tmp_path, capsys):
+        # a 2-row grid holds both jumps in its one interval; no annotation
         assert main(["scan", "--ewl", "0.3,1,0", "--qmodel", "exp:1.0",
                      "--tmax", "5", "--samples", "2"]) == 0
         out = capsys.readouterr().out
-        assert "# warning,GridTooCoarse" in out
+        assert [l.split(",")[1] for l in out.splitlines() if l.startswith("# event")
+                ].count("SetJump") == 2
+        assert "# warning" not in out
+        assert out.splitlines()[-1].startswith("# event,")
+
+    def test_pair_between_probes_is_found(self, capsys):
+        # strong coupling: |q|^2 barely rises through the set-2 level at
+        # t ~ 1.12, a 5 ms window that 100 samples of a probe grid missed
+        assert main(["scan", "--ewl", "0.446,0.814,0", "--qmodel", "lorentz:0.9,17.92",
+                     "--tmax", "8", "--samples", "100", "--format", "json"]) == 0
+        events = json.loads(capsys.readouterr().out)["events"]
+        assert [e["kind"] for e in events] == ["SetJump", "ViolationOff", "SetJump",
+                                               "SetJump", "SetJump"]
+        assert 1.11 < events[3]["t"] < events[4]["t"] < 1.13
+
+    @pytest.mark.parametrize("config", [
+        ("--ewl", "0.3,1,0", "--qmodel", "exp:1.0", "--tmax", "5"),
+        ("--ewl", "0.6,0.95,0.7", "--qmodel", "lorentz:5.0,0.5", "--tmax", "8"),
+        ("--ewl", "0.5,0.8,0.4", "--qmodel", "lorentz:1.0,5.0", "--tmax", "6"),
+        ("--ewl", "0.3,1,0", "--qmodel", f"table:{GOLDEN / 'q_table.csv'}",
+         "--tmax", "6"),
+    ], ids=["exp", "weak", "strong", "table"])
+    def test_events_independent_of_samples(self, capsys, config):
+        runs = []
+        for samples in ("2", "3", "60", "500"):
+            assert main(["scan", *config, "--samples", samples,
+                         "--format", "json"]) == 0
+            runs.append(json.loads(capsys.readouterr().out)["events"])
+        assert runs[0] and all(run == runs[0] for run in runs)
+
+    def test_too_many_monotone_pieces_exit_2(self, capsys):
+        t0 = time.perf_counter()
+        assert main(["scan", "--ewl", "0.3,1,0", "--qmodel", "lorentz:1e-9,1e9",
+                     "--tmax", "1e9", "--samples", "5"]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: |q(t)|^2 has 450158159 monotone pieces up to "
+                                "t = 1000000000.0, more than 1000000\n")
+
+    def test_markov_limit_of_a_broad_lorentzian(self, capsys):
+        assert main(["scan", "--ewl", "0.3,1,0", "--qmodel", "lorentz:1e17,1",
+                     "--tmax", "5", "--samples", "3", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [row["q2"] for row in doc["rows"]] == pytest.approx(
+            [1.0, math.exp(-2.5), math.exp(-5.0)], rel=1e-12)
+        assert [e["kind"] for e in doc["events"]] == ["SetJump", "ViolationOff",
+                                                      "SetJump"]
 
     def test_table_model(self, tmp_path, capsys):
         table = tmp_path / "q.csv"
@@ -442,6 +492,77 @@ def _oracle_input(draw):
     text = json.dumps(doc)
     cut = draw(st.one_of(st.none(), st.integers(0, len(text))))
     return text if cut is None else text[:cut]
+
+
+def _run_fuzzed(argv):
+    """Run main in-process: a documented exit code, no traceback, a single
+    `error:` line and no output on an error exit, within 10 s."""
+    out, err = io.StringIO(), io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert time.perf_counter() - t0 < 10.0
+    assert "Traceback" not in err.getvalue()
+    if err.getvalue():
+        assert code in (2, 3)
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+    return code, out.getvalue()
+
+
+_SCAN_PARAM = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -1.0, math.nan, math.inf, 1e300, 1e-300, 1e308]),
+)
+
+
+@st.composite
+def _scan_argv(draw):
+    """scan flags: valid alpha2, r, delta, model parameters and tmax, with up
+    to two of them replaced by any float (0, negative, NaN, inf, 1e+-300)."""
+    values = [draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0)),
+              draw(st.floats(-10.0, 10.0)), draw(st.floats(1e-3, 1e3)),
+              draw(st.floats(1e-3, 1e3)),
+              draw(st.one_of(st.floats(1e-3, 50.0), st.floats(0.0, 1e308)))]
+    for _ in range(draw(st.integers(0, 2))):
+        values[draw(st.integers(0, 5))] = draw(_SCAN_PARAM)
+    alpha2, r, delta, p1, p2, tmax = values
+    qmodel = draw(st.sampled_from([f"exp:{p1!r}", f"lorentz:{p1!r},{p2!r}"]))
+    return ["scan", f"--ewl={alpha2!r},{r!r},{delta!r}", f"--qmodel={qmodel}",
+            f"--tmax={tmax!r}", "--samples", str(draw(st.integers(2, 50))),
+            "--format", "json"]
+
+
+class TestFuzz:
+    """Fuzzed `scan`, `bmax` and `angles` runs (`oracle-check` below)."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(argv=_scan_argv())
+    @example(argv=["scan", "--ewl=0.3,1,0", "--qmodel=lorentz:1e-300,1e300",
+                   "--tmax=1e308", "--samples", "50", "--format", "json"])
+    @example(argv=["scan", "--ewl=0.5,1,0", "--qmodel=lorentz:1e150,1e-300",
+                   "--tmax=1e308", "--samples", "2", "--format", "json"])
+    @example(argv=["scan", "--ewl=0.3,1,0", "--qmodel=exp:1e-300",
+                   "--tmax=1e308", "--samples", "50", "--format", "json"])
+    @example(argv=["scan", "--ewl=0.3,1,0", "--qmodel=exp:1e300",
+                   "--tmax=1e-300", "--samples", "3", "--format", "json"])
+    def test_scan(self, argv):
+        code, out = _run_fuzzed(argv)
+        assert code in (0, 2)
+        if code == 0:
+            assert len(json.loads(out)["rows"]) == int(argv[5])
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(text=_oracle_input(), command=st.sampled_from(["bmax", "angles"]))
+    def test_bmax_and_angles(self, tmp_path_factory, text, command):
+        path = tmp_path_factory.getbasetemp() / "fuzz-state.json"
+        path.write_text(text)
+        code, out = _run_fuzzed([command, "--input", str(path), "--format", "json"])
+        assert code in (0, 2, 3)
+        if out:  # bmax reports a non-X state's Horodecki value with exit 3
+            assert code == 0 or (code == 3 and command == "bmax")
+            assert json.loads(out)["version"]
 
 
 class TestOracleCheckFuzz:

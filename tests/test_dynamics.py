@@ -2,6 +2,7 @@ import bisect
 import cmath
 import math
 import re
+import time
 import warnings
 
 import numpy as np
@@ -13,7 +14,6 @@ from bellopt import (
     EWLParams,
     EventKind,
     ExponentialModel,
-    GridTooCoarse,
     LorentzianModel,
     Region,
     ScanEvent,
@@ -23,9 +23,9 @@ from bellopt import (
     as_x_state,
     bell_function,
     bmax_x,
+    crossing_levels,
     crossing_roots,
     evolve_x,
-    ewl_eigenvalues,
     ewl_state,
     optimal_settings,
     q_exponential,
@@ -34,18 +34,13 @@ from bellopt import (
     settings_set1,
     settings_set2,
     time_scan,
+    trajectory_coefficients,
     validate_density_matrix,
     x_state_eigenvalues,
     x_to_dense,
 )
 from bellopt.angles import _sign
-from bellopt.dynamics import (
-    _PROBES_PER_INTERVAL,
-    _bisect_event,
-    _eigenvalues_along,
-    _probe_signs,
-)
-from bellopt.states import StateValidationError
+from bellopt.dynamics import EVENT_REL_TOL, MAX_PIECES
 from conftest import damping_amplitudes, random_density, random_x_state, x_states
 
 
@@ -119,6 +114,15 @@ class TestQLorentzian:
             assert q.real == pytest.approx(lead, rel=1e-12)
             prev = q.real
         assert q_lorentzian(1e6, lam, gamma0) == 0.0
+
+    @pytest.mark.parametrize("ratio", [1e12, 1e17, 1e20, 1e150])
+    def test_markov_limit_keeps_its_digits(self, ratio):
+        # lam >> gamma0: d rounds to lam, and (d - lam) / 2 once lost every
+        # digit, leaving q = 1; |q|^2 must follow exp(-gamma0 t)
+        gamma0 = 0.8
+        for t in (2.5, 5.0):
+            q2 = abs(q_lorentzian(t, ratio * gamma0, gamma0)) ** 2
+            assert q2 == pytest.approx(math.exp(-gamma0 * t), rel=1e-9)
 
     def test_critical_coupling_continuous(self):
         # d = 0 exactly at gamma0 = lam/2; series evaluation must match limits
@@ -246,36 +250,50 @@ class TestEWL:
             assert np.abs(got - expected).max() <= 1e-15
 
 
+def trajectory_eigenvalues(x0: XState, x: float) -> tuple[float, float, float]:
+    """(u1, u2, u3) of x0 evolved to |q|^2 = x, from its trajectory
+    coefficients."""
+    k1, k3, b, a = trajectory_coefficients(x0)
+    return (k1 * x) ** 2, (1.0 + b * x + a * x * x) ** 2, (k3 * x) ** 2
+
+
+def chained_eigenvalues(x0: XState, x: float):
+    return x_state_eigenvalues(evolve_x(x0, math.sqrt(x)))
+
+
 class TestEWLEigenvalues:
     def test_pure_limits(self):
-        u = ewl_eigenvalues(EWLParams(0.3, 1.0), 1.0)
-        assert (u.u1, u.u2, u.u3) == pytest.approx((0.84, 1.0, 0.84), abs=1e-15)
-        u0 = ewl_eigenvalues(EWLParams(0.3, 1.0), 0.0)
-        assert (u0.u1, u0.u2, u0.u3) == (0.0, 1.0, 0.0)
+        x0 = ewl_state(EWLParams(0.3, 1.0))
+        assert trajectory_eigenvalues(x0, 1.0) == pytest.approx((0.84, 1.0, 0.84),
+                                                                abs=1e-15)
+        assert trajectory_eigenvalues(x0, 0.0) == (0.0, 1.0, 0.0)
 
     def test_half_decay_point(self):
-        u = ewl_eigenvalues(EWLParams(0.3, 1.0), 0.5)
-        assert u.u2 == pytest.approx(0.0, abs=1e-15)
-        assert u.u1 == pytest.approx(0.21, abs=1e-15)
-        assert u.region is Region.SET2
+        u1, u2, u3 = trajectory_eigenvalues(ewl_state(EWLParams(0.3, 1.0)), 0.5)
+        assert u2 == pytest.approx(0.0, abs=1e-15)
+        assert u1 == pytest.approx(0.21, abs=1e-15)
+        assert u3 > u2  # set 2 is active
 
     def test_matches_channel_chain(self):
-        for alpha2 in np.linspace(0.0, 1.0, 8):
-            for r in np.linspace(0.0, 1.0, 8):
-                for x in np.linspace(0.0, 1.0, 8):
-                    closed = ewl_eigenvalues(EWLParams(alpha2, r, 0.4), x)
-                    chained = x_state_eigenvalues(
-                        evolve_x(ewl_state(EWLParams(alpha2, r, 0.4)), math.sqrt(x)))
-                    assert closed.u1 == pytest.approx(chained.u1, abs=1e-12)
-                    assert closed.u2 == pytest.approx(chained.u2, abs=1e-12)
-                    assert closed.u3 == pytest.approx(chained.u3, abs=1e-12)
+        rng = np.random.default_rng(38)
+        states = [ewl_state(EWLParams(alpha2, r, 0.4))
+                  for alpha2 in np.linspace(0.0, 1.0, 8)
+                  for r in np.linspace(0.0, 1.0, 8)]
+        states += [random_x_state(rng) for _ in range(64)]
+        for x0 in states:
+            for x in np.linspace(0.0, 1.0, 8):
+                chained = chained_eigenvalues(x0, x)
+                assert trajectory_eigenvalues(x0, x) == pytest.approx(
+                    (chained.u1, chained.u2, chained.u3), abs=1e-12)
 
 
-def bisect_crossings(p: EWLParams, n: int = 4001) -> list[float]:
+def bisect_crossings(p, n: int = 4001) -> list[float]:
     """Independent root oracle: sign scan + bisection on u2 - u3 of the
-    channel-evolved state."""
+    channel-evolved state (p an EWLParams or an XState)."""
+    x0 = ewl_state(p) if isinstance(p, EWLParams) else p
+
     def f(x):
-        u = x_state_eigenvalues(evolve_x(ewl_state(p), math.sqrt(x)))
+        u = x_state_eigenvalues(evolve_x(x0, math.sqrt(x)))
         return u.u2 - u.u3
 
     xs = np.linspace(1e-9, 1.0, n)
@@ -323,15 +341,25 @@ class TestCrossingRoots:
             assert len(roots) == len(oracle)
             assert roots == pytest.approx(oracle, abs=1e-9)
             for x in roots:
-                u = ewl_eigenvalues(p, x)
+                u = chained_eigenvalues(ewl_state(p), x)
                 assert abs(u.u2 - u.u3) <= 1e-10
 
     def test_sign_flips_across_each_root(self):
-        p = EWLParams(alpha2=0.42, r=0.77)
-        for x in crossing_roots(p):
-            lo = ewl_eigenvalues(p, max(0.0, x - 1e-6))
-            hi = ewl_eigenvalues(p, min(1.0, x + 1e-6))
+        x0 = ewl_state(EWLParams(alpha2=0.42, r=0.77))
+        for x in crossing_levels(x0):
+            lo = chained_eigenvalues(x0, max(0.0, x - 1e-6))
+            hi = chained_eigenvalues(x0, min(1.0, x + 1e-6))
             assert (lo.u2 - lo.u3) * (hi.u2 - hi.u3) < 0
+
+    def test_general_x_states_match_oracle(self):
+        # rho14 != 0 and rho11 > 0: the general coefficients, not the EWL ones
+        rng = np.random.default_rng(39)
+        for _ in range(25):
+            x0 = random_x_state(rng)
+            levels = crossing_levels(x0)
+            oracle = bisect_crossings(x0)
+            assert len(levels) == len(oracle)
+            assert levels == pytest.approx(oracle, abs=1e-9)
 
 
 class TestTimeScan:
@@ -366,13 +394,13 @@ class TestTimeScan:
         assert not [e for e in scan_events(records)
                     if e.kind in (EventKind.VIOLATION_ON, EventKind.VIOLATION_OFF)]
 
-    def test_coarse_grid_warns_but_finds_events(self):
+    def test_two_point_grid_finds_both_jumps(self):
         p = EWLParams(alpha2=0.3, r=1.0, delta=0.0)
-        with pytest.warns(GridTooCoarse):
-            records = time_scan(ewl_state(p), ExponentialModel(gamma=1.0),
-                                [0.0, 5.0])
+        records = time_scan(ewl_state(p), ExponentialModel(gamma=1.0), [0.0, 5.0])
         jumps = [e for e in scan_events(records) if e.kind is EventKind.SET_JUMP]
         assert len(jumps) == 2
+        assert records[0].events == () and len(records[1].events) == 3
+        assert sorted(j.q2 for j in jumps) == pytest.approx(crossing_roots(p), abs=1e-8)
 
     def test_bmax_consistency_invariant(self):
         p = EWLParams(alpha2=0.25, r=0.9, delta=0.3)
@@ -426,7 +454,7 @@ def ref_q_lorentzian(t: float, lam: float, gamma0: float) -> complex:
     z = 0.5 * d * t
     if z.real > 1.0 and lam * t > 1400.0:
         r = lam / d
-        val = (0.5 * (1.0 + r) * cmath.exp(0.5 * (d - lam) * t)
+        val = (0.5 * (1.0 + r) * cmath.exp(-gamma0 * lam / (d + lam) * t)
                + 0.5 * (1.0 - r) * cmath.exp(-0.5 * (d + lam) * t))
     else:
         if abs(z) < 1e-6:
@@ -446,9 +474,28 @@ def ref_q_table(model: TabulatedModel, t: float) -> complex:
     return model.values[i] * (1.0 - w) + model.values[i + 1] * w
 
 
+PROBES_PER_INTERVAL = 9
+
+
+def _bisect_sign_change(f, lo: float, hi: float) -> float:
+    s_lo = _sign(f(lo))
+    for _ in range(80):
+        if hi - lo <= EVENT_REL_TOL * max(abs(lo), abs(hi)):
+            break
+        mid = 0.5 * (lo + hi)
+        if _sign(f(mid)) == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def reference_time_scan(x0: XState, model, t_grid):
-    """time_scan as a per-probe scalar loop: every probe goes through
-    model.q, evolve_x and x_state_eigenvalues on its own."""
+    """A probe-grid scan as a scalar loop: each grid interval is probed at 9
+    interior points for sign changes of u2 - u3 and bmax - 2 of the evolved
+    state, and each change is bisected in t.  Returns the records and
+    whether some interval held two or more changes of one quantity, where
+    the probes may miss a pair of crossings."""
     t_grid = [float(t) for t in t_grid]
 
     def eigs_at(t):
@@ -462,13 +509,14 @@ def reference_time_scan(x0: XState, model, t_grid):
         return eigs_at(t).bmax - 2.0
 
     records = []
+    coarse = False
     for i, t in enumerate(t_grid):
         q = model.q(t)
         settings_, u = optimal_settings(evolve_x(x0, q))
         events = []
         if i > 0:
             lo, hi = t_grid[i - 1], t
-            probes = np.linspace(lo, hi, _PROBES_PER_INTERVAL + 2)
+            probes = np.linspace(lo, hi, PROBES_PER_INTERVAL + 2)
             for fn, kinds in (
                 (jump_fn, None),
                 (violation_fn, (EventKind.VIOLATION_ON, EventKind.VIOLATION_OFF)),
@@ -479,15 +527,9 @@ def reference_time_scan(x0: XState, model, t_grid):
                     for j in range(len(probes) - 1)
                     if signs[j] != signs[j + 1]
                 ]
-                if len(crossings) >= 2:
-                    label = "u2-u3" if kinds is None else "bmax-2"
-                    warnings.warn(GridTooCoarse(
-                        f"{len(crossings)} sign changes of {label} inside grid "
-                        f"interval [{lo!r}, {hi!r}]; endpoint signs alone would "
-                        f"miss some of them"
-                    ))
+                coarse |= len(crossings) >= 2
                 for c_lo, c_hi, s_lo in crossings:
-                    t_star = _bisect_event(fn, float(c_lo), float(c_hi))
+                    t_star = _bisect_sign_change(fn, float(c_lo), float(c_hi))
                     if kinds is None:
                         kind = EventKind.SET_JUMP
                     else:
@@ -497,7 +539,7 @@ def reference_time_scan(x0: XState, model, t_grid):
         events.sort(key=lambda e: e.t)
         records.append((t, abs(q) ** 2, u, u.bmax, u.region, settings_,
                         tuple(events)))
-    return records
+    return records, coarse
 
 
 def _complex_table() -> TabulatedModel:
@@ -600,91 +642,224 @@ SCAN_MODELS = [
 
 
 def _both_scans(x0, model, grid):
-    out = []
-    for scan in (time_scan, reference_time_scan):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            records = scan(x0, model, grid)
-        out.append((records, [(w.category, str(w.message)) for w in caught]))
-    (new, new_warn), (ref, ref_warn) = out
-    new = [(r.t, r.q2, r.u, r.bmax, r.active_set, r.settings, r.events)
-           for r in new]
-    return new, ref, new_warn, ref_warn
+    """(rows, events) of time_scan and of the probe reference, and whether
+    the reference grid was too coarse for its probes; time_scan must not
+    warn."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        new = time_scan(x0, model, grid)
+    ref, coarse = reference_time_scan(x0, model, grid)
+    new_rows = [(r.t, r.q2, r.u, r.bmax, r.active_set, r.settings) for r in new]
+    new_events = [(i, e) for i, r in enumerate(new) for e in r.events]
+    ref_events = [(i, e) for i, r in enumerate(ref) for e in r[6]]
+    return new_rows, new_events, [r[:6] for r in ref], ref_events, coarse
+
+
+def _matches(ref_event, events) -> bool:
+    """ref_event (row, event) is among events: same row and kind, t within
+    EVENT_REL_TOL."""
+    i, e = ref_event
+    return any(j == i and f.kind is e.kind
+               and abs(f.t - e.t) <= EVENT_REL_TOL * e.t for j, f in events)
+
+
+def _unseen_pairs(new_events, ref_events, probe_step: float) -> bool:
+    """The events the probe reference lacks come in pairs of one kind
+    closer than a probe step: two crossings no probe sign could see."""
+    extra = [e for _, e in new_events if not any(
+        f.kind is e.kind and abs(f.t - e.t) <= EVENT_REL_TOL * e.t
+        for _, f in ref_events)]
+    return len(extra) % 2 == 0 and all(
+        a.kind is b.kind and b.t - a.t < probe_step
+        for a, b in zip(extra[::2], extra[1::2]))
 
 
 class TestScanMatchesScalarLoop:
     @pytest.mark.parametrize("name,model,tmax", SCAN_MODELS,
                              ids=[m[0] for m in SCAN_MODELS])
     def test_identical_records_events_and_warnings(self, name, model, tmax):
+        # rows bit for bit; every event of the probe reference, and beyond
+        # them only pairs its probes could not see, wherever its grid is
+        # fine enough; no warnings
         grid = np.linspace(0.0, tmax, 45)
         n_events = 0
         for x0 in SCAN_STATES:
-            new, ref, new_warn, ref_warn = _both_scans(x0, model, grid)
-            assert new == ref
-            assert new_warn == ref_warn
-            n_events += sum(len(r[6]) for r in ref)
+            new_rows, new_events, ref_rows, ref_events, coarse = _both_scans(
+                x0, model, grid)
+            assert new_rows == ref_rows
+            if not coarse:
+                assert all(_matches(e, new_events) for e in ref_events)
+                assert _unseen_pairs(new_events, ref_events, grid[1] / 10)
+            n_events += len(ref_events)
         assert n_events > 0
 
-    def test_many_revivals_warn_identically(self):
+    def test_many_revivals_find_every_reference_event(self):
+        # 12 intervals over ~13 revivals: several crossings per interval
         model = LorentzianModel(1.0, 20.0)
         grid = np.linspace(0.0, 6.0, 13)
         for x0 in SCAN_STATES[:4]:
-            new, ref, new_warn, ref_warn = _both_scans(x0, model, grid)
-            assert new == ref
-            assert new_warn == ref_warn
-            assert new_warn and all(c is GridTooCoarse for c, _ in new_warn)
-
-    def test_array_eigenvalues_equal_scalar_bit_for_bit(self):
-        rng = np.random.default_rng(5)
-        n = 2000
-        q = np.sqrt(rng.uniform(0.0, 1.0, n)) * np.exp(1j * rng.uniform(-4, 4, n))
-        q[:3] = (1.0, 0.0, -1.0)
-        for x0 in SCAN_STATES:
-            arrays = _eigenvalues_along(x0, q)
-            scalar = [x_state_eigenvalues(evolve_x(x0, v)) for v in q.tolist()]
-            for k, name in enumerate(("u1", "u2", "u3")):
-                assert arrays[k].tolist() == [getattr(u, name) for u in scalar]
+            new_rows, new_events, ref_rows, ref_events, coarse = _both_scans(
+                x0, model, grid)
+            assert new_rows == ref_rows and coarse
+            assert all(_matches(e, new_events) for e in ref_events)
+            assert _unseen_pairs(new_events, ref_events, grid[1] / 10)
 
     def test_uneven_grid(self):
         x0 = SCAN_STATES[1]
         grid = [0.0, 1e-3, 0.7, 2.0, 2.0 + 1e-12, 2.5, 3.9, 6.0]
         for _, model, _ in SCAN_MODELS:
-            new, ref, new_warn, ref_warn = _both_scans(x0, model, grid)
-            assert new == ref and new_warn == ref_warn
+            new_rows, new_events, ref_rows, ref_events, coarse = _both_scans(
+                x0, model, grid)
+            assert new_rows == ref_rows
+            assert all(_matches(e, new_events) for e in ref_events)
 
-    def test_failing_probe_raises_the_scalar_error(self):
-        # a table sample slightly above |q| = 1 + 1e-12 cannot be built, so
-        # feed the evaluator directly: the scalar path names the first probe
+
+# ------------------------------------------------------------- exact events
+
+
+GOLDEN_SCANS = [  # the scan-* golden configurations
+    (EWLParams(0.3, 1.0, 0.0), ExponentialModel(1.0), 5.0),
+    (EWLParams(0.6, 0.95, 0.7), LorentzianModel(5.0, 0.5), 8.0),
+    (EWLParams(0.5, 0.8, 0.4), LorentzianModel(1.0, 5.0), 6.0),
+    (EWLParams(0.3, 1.0, 0.0), _complex_table(), 6.0),
+]
+
+
+def _event_scans():
+    """(x0, model, events) over the scan test states and models."""
+    for x0 in SCAN_STATES:
+        for _, model, tmax in SCAN_MODELS:
+            yield x0, model, scan_events(time_scan(x0, model, [0.0, tmax]))
+    for p, model, tmax in GOLDEN_SCANS:
+        x0 = ewl_state(p)
+        yield x0, model, scan_events(time_scan(x0, model, [0.0, tmax]))
+
+
+class TestExactEvents:
+    def test_events_independent_of_the_grid(self):
+        for p, model, tmax in GOLDEN_SCANS:
+            x0 = ewl_state(p)
+            runs = [scan_events(time_scan(x0, model, np.linspace(0.0, tmax, n)))
+                    for n in (2, 3, 60, 500)]
+            assert runs[0] and all(run == runs[0] for run in runs)
+
+    def test_scalar_sign_flips_across_every_event(self):
+        n_events = 0
+        for x0, model, events in _event_scans():
+            for e in events:
+                lo, hi = (chained_eigenvalues(x0, abs(model.q(e.t * f)) ** 2)
+                          for f in (1.0 - 1e-7, 1.0 + 1e-7))
+                if e.kind is EventKind.SET_JUMP:
+                    assert _sign(lo.u2 - lo.u3) != _sign(hi.u2 - hi.u3)
+                else:
+                    assert _sign(lo.bmax - 2.0) != _sign(hi.bmax - 2.0)
+                    violating_before = lo.bmax >= 2.0
+                    assert e.kind is (EventKind.VIOLATION_OFF if violating_before
+                                      else EventKind.VIOLATION_ON)
+                n_events += 1
+        assert n_events > 100
+
+    def test_dense_channel_matches_at_every_event(self):
+        for x0, model, events in _event_scans():
+            for e in events:
+                q = model.q(e.t)
+                dense = apply_amplitude_damping(x_to_dense(x0), q).entries
+                assert np.abs(x_to_dense(evolve_x(x0, q)).entries - dense).max() <= 1e-12
+
+    def test_events_lie_on_their_levels(self):
+        for x0, model, events in _event_scans():
+            for e in events:
+                u = chained_eigenvalues(x0, e.q2)
+                if e.kind is EventKind.SET_JUMP:
+                    assert abs(u.u2 - u.u3) <= 1e-7
+                else:
+                    assert abs(u.bmax - 2.0) <= 1e-7
+
+    def test_candidates_closer_than_the_sign_probe_give_one_event(self):
+        # u1 + u2 = 1 and u1 + u3 = 1 at x 3e-8 apart, just below the jump
+        # level: bmax - 2 changes sign at the first only, and a sign taken
+        # 1e-7 from each would count both
+        x0 = ewl_state(EWLParams(0.5735675891832447, 0.7226360608908614,
+                                 3.0106551908639796))
+        records = time_scan(x0, ExponentialModel(0.19211756200399988), [0.0, 20.0])
+        assert [e.kind for e in scan_events(records)] == [
+            EventKind.SET_JUMP, EventKind.VIOLATION_OFF, EventKind.SET_JUMP]
+
+    @pytest.mark.parametrize("r", [0.5, 0.8, 1.0])
+    @pytest.mark.parametrize("model", [ExponentialModel(1.0),
+                                       LorentzianModel(0.7, 6.8)])
+    def test_balanced_start_on_a_tie_is_not_an_event(self, r, model):
+        # alpha2 = 1/2 starts with u2 = u3: x = 1 is a root of u2 - u3
+        x0 = ewl_state(EWLParams(0.5, r, 0.0))
+        assert crossing_levels(x0)[-1] == pytest.approx(1.0, abs=1e-12)
+        events = scan_events(time_scan(x0, model, np.linspace(0.0, 6.0, 60)))
+        assert events and all(e.q2 < 1.0 - 1e-6 for e in events)
+        first_level = max(x for x in crossing_levels(x0) if x < 1.0 - 1e-12)
+        jumps = [e for e in events if e.kind is EventKind.SET_JUMP]
+        assert jumps[0].q2 == pytest.approx(first_level, abs=1e-8)
+
+    def test_table_turning_points_inside_segments(self):
+        # q goes from 0.6 to -0.6 + 0.1i on [1, 2]: |q|^2 falls to its minimum
+        # at w = 0.72 / 1.45 inside the segment, then rises again
+        model = TabulatedModel((0.0, 1.0, 2.0), (1.0, 0.6, -0.6 + 0.1j))
+        t_min = 1.0 + 0.72 / 1.45
+        assert model.turning_times(2.0).tolist() == pytest.approx([1.0, t_min],
+                                                                  abs=1e-12)
         x0 = ewl_state(EWLParams(0.3, 1.0, 0.0))
-        q = np.array([1.0, 0.5, 1.0 + 1e-9, 1.0 + 1e-6])
-        with pytest.raises(ValueError, match=r"\|q\| must be <= 1, got 1.000000001"):
-            _probe_signs(x0, q)
-        with pytest.raises(StateValidationError, match="outer 2x2 block not PSD"):
-            _probe_signs(x0, np.array([0.5, complex(math.nan, 0.0)]))
+        events = scan_events(time_scan(x0, model, [0.0, 2.0]))
+        low_levels = [x for x in crossing_levels(x0) if x < abs(model.q(2.0)) ** 2]
+        assert low_levels
+        for level in low_levels:  # crossed falling, then rising
+            hits = [e.t for e in events if e.q2 == pytest.approx(level, abs=1e-8)]
+            assert len(hits) == 2 and hits[0] < t_min < hits[1]
+
+    def test_piece_limit_checked_before_allocating(self):
+        model = LorentzianModel(1e-9, 1e9)
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=r"\|q\(t\)\|\^2 has \d+ monotone pieces "
+                                             r"up to t = 1000000000.0, more than 1000000"):
+            time_scan(ewl_state(EWLParams(0.3, 1.0)), model, [0.0, 1e9])
+        assert time.perf_counter() - t0 < 1.0
+        strong = LorentzianModel(1.0, 5.0)
+        omega = math.sqrt(2.0 * 5.0 - 1.0)
+        t_max = 0.99 * MAX_PIECES * math.pi / omega  # just under the limit
+        assert len(strong.turning_times(t_max)) == pytest.approx(0.99 * MAX_PIECES,
+                                                                 rel=1e-5)
+
+    def test_strong_coupling_turning_times(self):
+        # extrema of q at Omega t/2 = k pi, zeros where q changes sign
+        model = LorentzianModel(1.0, 5.0)
+        turns = model.turning_times(10.0)
+        ts = np.linspace(0.0, 10.0, 200001)
+        q = model.q(ts).real
+        zeros = ts[1:][np.sign(q[1:]) != np.sign(q[:-1])]
+        dq = np.diff(q)
+        extrema = ts[1:-1][np.sign(dq[1:]) != np.sign(dq[:-1])]
+        expected = np.sort(np.concatenate([zeros, extrema]))
+        assert len(turns) == len(expected) == 9
+        assert turns == pytest.approx(expected, abs=1e-4)
 
 
 class TestExactTieStart:
     """The `scan-strong` golden case starts on an exact tie: at t = 0
-    u2 - u3 = -1.1e-16, inside TIE_TOL, so Region reports SET1 while the
-    event sign, taken from the raw u2 - u3, is already -1."""
+    u2 - u3 = -1.1e-16, inside TIE_TOL, so Region reports SET1, and x = 1 is
+    a root of u2 - u3.  x <= 1 can only touch that level, so it is never a
+    SetJump, whatever the rounding of u2 - u3 at t = 0."""
 
     X0 = ewl_state(EWLParams(0.5, 0.8, 0.4))
     MODEL = LorentzianModel(1.0, 5.0)
     GRID = np.linspace(0.0, 6.0, 40)
 
-    def test_array_signs_equal_scalar_signs_at_every_probe(self):
-        probes = np.linspace(self.GRID[:-1], self.GRID[1:],
-                             _PROBES_PER_INTERVAL + 2, axis=1)
-        jump, violation = _probe_signs(self.X0, self.MODEL.q(probes))
-        for (i, j), t in np.ndenumerate(probes):
-            u = x_state_eigenvalues(evolve_x(self.X0, self.MODEL.q(float(t))))
-            assert jump[i, j] == _sign(u.u2 - u.u3)
-            assert violation[i, j] == _sign(u.bmax - 2.0)
-        assert jump[0, 0] == -1.0
+    def test_tie_level_at_x_one_is_not_an_event(self):
+        assert crossing_levels(self.X0)[-1] == 1.0
+        events = scan_events(time_scan(self.X0, self.MODEL, self.GRID))
+        assert [e.kind for e in events] == [EventKind.VIOLATION_OFF,
+                                            EventKind.SET_JUMP]
+        assert all(e.q2 < 0.9 for e in events)
 
     def test_active_set_changes_without_a_set_jump(self):
-        # Current semantics: the tie at t = 0 counts as SET1 for the active
-        # set but as "u3 ahead" for events, so leaving it reports no SetJump.
+        # The tie at t = 0 counts as SET1 for the active set; leaving it is
+        # not a crossing, so it reports no SetJump.
         records = time_scan(self.X0, self.MODEL, self.GRID)
         u0 = records[0].u
         assert -1e-15 < u0.u2 - u0.u3 < 0.0 and u0.tie
