@@ -9,6 +9,7 @@ byte-identical files.  Exit codes: 0 success, 2 input/validation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -337,6 +338,7 @@ def cmd_oracle_check(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once, on first use: it costs more than a small command
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bellopt",
@@ -403,8 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except NotXStructured as exc:

@@ -437,10 +437,20 @@ class TestOracleCheck:
 
     def test_grid_over_the_memory_budget_exits_2(self, tmp_path, capsys):
         assert main(["oracle-check", "--input", bell_file(tmp_path),
-                     "--grid-n", "100"]) == 2
+                     "--grid-n", "3000"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("error: coarse grid needs 5600000000 bytes "
+        assert captured.err == ("error: oracle search needs 576134368 bytes "
+                                "(limit 268435456 bytes)\n")
+
+    def test_restarts_over_the_memory_budget_exit_2_at_once(self, tmp_path, capsys):
+        start = time.perf_counter()
+        assert main(["oracle-check", "--input", bell_file(tmp_path),
+                     "--restarts", str(10 ** 12)]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: oracle search needs 128000001994880 bytes "
                                 "(limit 268435456 bytes)\n")
 
 

@@ -1,4 +1,5 @@
 import ast
+import json
 import math
 from pathlib import Path
 
@@ -9,11 +10,13 @@ from bellopt import (
     AngleSettings,
     BellSettings,
     BudgetExceeded,
+    DensityMatrix4,
     ObservableDirection,
     OracleConfig,
     Region,
     Splitmix64,
     TSIRELSON,
+    XState,
     bell_function,
     bmax_x,
     brute_force_bmax,
@@ -27,12 +30,14 @@ from bellopt import (
 from bellopt import oracle
 from bellopt.oracle import (
     MAX_GRID_BYTES,
-    _alice_values,
+    _alice,
     _bell_values,
     _compass_search,
+    _frame,
     _grid_bytes,
+    _images,
+    _norm2,
     _settings,
-    _trig,
 )
 from conftest import random_density, random_x_state, werner
 
@@ -82,19 +87,31 @@ class TestConfig:
             OracleConfig(refine_iters=-1)
 
     def test_budget_guard(self, bell_rho, monkeypatch):
+        restarts = OracleConfig().restarts
         n = 4
-        while _grid_bytes(n) <= MAX_GRID_BYTES:
+        while _grid_bytes(n, restarts) <= MAX_GRID_BYTES:
             n += 1
-        assert _grid_bytes(n - 1) <= MAX_GRID_BYTES < _grid_bytes(n)
+        assert _grid_bytes(n - 1, restarts) <= MAX_GRID_BYTES < _grid_bytes(n, restarts)
 
         def no_grid(t, grid_n):
             raise AssertionError("the rejected grid was evaluated")
 
+        def no_draws(self, n, lo=0.0, hi=1.0):
+            raise AssertionError("the rejected restarts were drawn")
+
         monkeypatch.setattr(oracle, "_coarse_grid_best", no_grid)
-        with pytest.raises(BudgetExceeded) as info:
-            brute_force_bmax(bell_rho, OracleConfig(grid_n=n))
-        assert str(info.value) == (f"coarse grid needs {_grid_bytes(n)} bytes "
-                                   f"(limit {MAX_GRID_BYTES} bytes)")
+        monkeypatch.setattr(Splitmix64, "uniforms", no_draws)
+        for cfg in (OracleConfig(grid_n=n), OracleConfig(restarts=10 ** 12)):
+            need = _grid_bytes(cfg.grid_n, cfg.restarts)
+            with pytest.raises(BudgetExceeded) as info:
+                brute_force_bmax(bell_rho, cfg)
+            assert str(info.value) == (f"oracle search needs {need} bytes "
+                                       f"(limit {MAX_GRID_BYTES} bytes)")
+
+    def test_budget_counts_what_the_search_holds(self):
+        # a restart costs 2 draws and a place in a batch; grid points add up
+        assert _grid_bytes(8, 2 * 10 ** 6) > _grid_bytes(8, 10 ** 6) > _grid_bytes(8, 16)
+        assert _grid_bytes(100, 16) <= MAX_GRID_BYTES < _grid_bytes(3000, 16)
 
 
 def _direct_bell(rho, row):
@@ -121,7 +138,11 @@ class TestBellValues:
 
 def _alice_value(t, row):
     """f(a, a') = |T(a + a')| + |T(a - a')| at Alice's 4 angles."""
-    return float(_alice_values(t, *_trig(row)))
+    th, th2, ph, ph2 = row
+    a = np.array([math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)])
+    b = np.array([math.sin(th2) * math.cos(ph2), math.sin(th2) * math.sin(ph2),
+                  math.cos(th2)])
+    return float(np.linalg.norm(t @ (a + b)) + np.linalg.norm(t @ (a - b)))
 
 
 def _random_alice(rng, n):
@@ -151,28 +172,61 @@ class TestAliceValues:
         angles = _settings(t, np.array([1.0, 2.0, -0.5, 0.5]))
         assert angles.tolist() == [1.0, 2.0, 0.0, 0.0, -0.5, 0.5, 0.0, 0.0]
 
+    def test_alice_pair_attains_the_plane_bound(self, mixed_rho):
+        # a, a' normal to n with f(a, a') = 2 sqrt(||T||_F^2 - |T n|^2),
+        # the best any pair normal to n can do
+        rng = np.random.default_rng(35)
+        for rho in (random_density(rng), x_to_dense(random_x_state(rng)),
+                    x_to_dense(werner(0.9))):
+            t = pauli_correlation_matrix(rho).t
+            for theta, phi in zip(rng.uniform(-1.0, 4.0, 50).tolist() + [0.0, math.pi],
+                                  rng.uniform(-4.0, 4.0, 52).tolist()):
+                n = np.array(_frame(theta, phi)[0])
+                alice = _alice(t, theta, phi)
+                bound = 2.0 * math.sqrt(np.sum(t * t) - np.sum((t @ n) ** 2))
+                assert abs(_alice_value(t, alice) - bound) <= 1e-12
+                for th, ph in alice.reshape(2, 2).T:
+                    assert abs(np.dot(_frame(th, ph)[0], n)) <= 1e-12
+                assert abs(_direct_bell(rho, _settings(t, alice)) - bound) <= 1e-12
+        # T = 0: every pair is as good, and a = a' = e1 = n(theta + pi/2, phi)
+        t = pauli_correlation_matrix(mixed_rho).t
+        assert np.allclose(_alice(t, 1.0, 2.0), [1.0 + math.pi / 2] * 2 + [2.0] * 2,
+                           rtol=0.0, atol=1e-15)
 
-def _reference_compass(t, start, step, max_iters):
-    """One compass search on Alice's 4 angles, evaluating one move at a time
-    from its raw angles; the first of equal best moves wins."""
-    current, value, evals = start.copy(), _alice_value(t, start), 1
+
+def _g(t, theta, phi, ui, uj):
+    """g at the pattern point n + ui e1 + uj e2 around n(theta, phi), from
+    one-element arrays."""
+    frame = _frame(np.array([theta]), np.array([phi]))
+    m = [a + ui * b + uj * c for a, b, c in zip(*frame)]
+    return float(_norm2(_images(t, *m))[0] / (1.0 + ui * ui + uj * uj)), m
+
+
+def _reference_search(t, start, step, max_iters):
+    """One pattern search of |T n|^2, evaluating one pattern point at a
+    time; the first of equal best points (theta offset outer) wins."""
+    theta, phi = start.tolist()
+    value, evals = _g(t, theta, phi, 0.0, 0.0)[0], 1
+    rounding = 4.0 * np.finfo(float).eps * sum(v * v for v in t.ravel().tolist())
     for _ in range(max_iters):
         if step < 1e-8:
             break
-        best, best_move = -1.0, None
-        for sign in (1.0, -1.0):
-            for axis in range(4):
-                move = current.copy()
-                move[axis] += sign * step
-                v = _alice_value(t, move)
+        best = None
+        for i in range(-4, 5):
+            for j in range(-4, 5):
+                v, m = _g(t, theta, phi, step * i, step * j)
                 evals += 1
-                if v > best:
-                    best, best_move = v, move
-        if best > value:
-            value, current = best, best_move
-        else:
-            step *= 0.5
-    return value, current, evals
+                if best is None or v < best[0]:
+                    best = (v, i, j, m)
+        top, i, j, m = best
+        if (i, j) != (0, 0):
+            x, y, z = (float(w[0]) for w in m)
+            theta = float(np.arctan2(np.hypot([x], [y]), [z])[0])
+            phi = float(np.arctan2([y], [x])[0])
+        edge = abs(i) == 4 or abs(j) == 4
+        step *= 0.25 if not edge or value - top <= rounding else 1.5
+        value = top
+    return value, np.array([theta, phi]), evals
 
 
 class TestCompassBatch:
@@ -183,18 +237,30 @@ class TestCompassBatch:
                "ginibre": lambda: random_density(rng),
                "x": lambda: x_to_dense(random_x_state(rng))}[kind]()
         t = pauli_correlation_matrix(rho).t
-        starts = _random_alice(rng, 6)
-        starts[0] = [0.0, -0.0, math.pi, 0.0]  # zero angles, as on the grid
-        values, angles, evals = _compass_search(t, starts, math.pi / 8, 120)
-        # the restarts leave the batch at different polls
-        assert len(set(evals.tolist())) > 1
+        starts = np.column_stack([rng.uniform(0.0, math.pi, 6),
+                                  rng.uniform(-math.pi, math.pi, 6)])
+        starts[0] = [0.0, -0.0]  # the pole, as on the grid
+        values, points, evals = _compass_search(t, starts, math.pi / 8, 120)
+        if kind == "werner":
+            # |T n|^2 is the same for every n: each poll gains only rounding
+            # and zooms, so every start stops after 13 polls
+            assert set(evals.tolist()) == {1 + 81 * 13}
+        else:  # the starts leave the batch at different polls
+            assert len(set(evals.tolist())) > 1
         for i, start in enumerate(starts):
-            v1, a1, e1 = _compass_search(t, start[None, :], math.pi / 8, 120)
-            ref = _reference_compass(t, start, math.pi / 8, 120)
+            v1, p1, e1 = _compass_search(t, start[None, :], math.pi / 8, 120)
+            ref = _reference_search(t, start, math.pi / 8, 120)
             assert v1[0] == values[i] == ref[0]
-            assert np.array_equal(a1[0], angles[i])
-            assert np.array_equal(ref[1], angles[i])
+            assert np.array_equal(p1[0], points[i])
+            assert np.array_equal(ref[1], points[i])
             assert e1[0] == evals[i] == ref[2]
+
+
+def _golden_state(name):
+    doc = json.loads((Path(__file__).parent / "golden" / "states" / f"{name}.json")
+                     .read_text())
+    return DensityMatrix4(np.array([[complex(*cell) for cell in row]
+                                    for row in doc["rho"]]))
 
 
 class TestBruteForce:
@@ -236,12 +302,36 @@ class TestBruteForce:
         assert brute_force_bmax(rho, cfg) == whole
 
     def test_counts_evaluations(self, bell_rho):
-        # 4^4 grid pairs, 1 per start, 8 per poll of each of the 3 starts
-        # (no step falls from pi/4 below 1e-8 in 3 polls)
+        # 4^2 grid directions, 1 per start, 81 per poll of each of the 3
+        # starts (no step falls from pi/4 below 1e-8 in 3 polls)
         for refine in (0, 3):
             cfg = OracleConfig(grid_n=4, refine_iters=refine, restarts=2, seed=1)
             res = brute_force_bmax(bell_rho, cfg)
-            assert res.evaluations == 4 ** 4 + 3 + 3 * 8 * refine
+            assert res.evaluations == 4 ** 2 + 3 + 3 * 81 * refine
+
+    def test_default_search_reaches_the_horodecki_value(self, monkeypatch):
+        # every start stops on its step (not the poll cap) within 100 polls,
+        # which a search stalled by rounding or crawling a valley would not
+        polls = []
+
+        def counted(*args):
+            result = _compass_search(*args)
+            polls.extend(((result[2] - 1) // 81).tolist())
+            return result
+
+        monkeypatch.setattr(oracle, "_compass_search", counted)
+        rng = np.random.default_rng(36)
+        states = [x_to_dense(random_x_state(rng)) for _ in range(300)]
+        states += [random_density(rng) for _ in range(300)]
+        states += [_golden_state(name) for name in ("tie", "u1zero", "purenonx", "mixed")]
+        states += [x_to_dense(XState(0.36, 0.0, 0.0, 0.64, 0.48, 0.0)),  # pure X
+                   x_to_dense(werner(0.5))]
+        cfg = OracleConfig()
+        for rho in states:
+            res = brute_force_bmax(rho, cfg)
+            assert abs(res.bmax_est - horodecki_bmax(rho)) <= 1e-12
+        assert len(polls) == len(states) * (cfg.restarts + 1)
+        assert max(polls) <= 100
 
     def test_value_is_the_bell_function_at_the_returned_angles(self, bell_rho,
                                                                 mixed_rho):
