@@ -55,8 +55,6 @@ from .dynamics import (
     EventKind,
     ScanEvent,
     TimeScanRecord,
-    q_exponential,
-    q_lorentzian,
     apply_amplitude_damping,
     evolve_x,
     ewl_state,
@@ -82,7 +80,6 @@ __all__ = [
     "brute_force_bmax", "certify_settings",
     "ExponentialModel", "LorentzianModel", "TabulatedModel", "QModel",
     "EWLParams", "EventKind", "ScanEvent", "TimeScanRecord",
-    "q_exponential", "q_lorentzian", "apply_amplitude_damping", "evolve_x",
-    "ewl_state", "trajectory_coefficients", "crossing_levels", "crossing_roots",
-    "time_scan", "scan_events",
+    "apply_amplitude_damping", "evolve_x", "ewl_state", "trajectory_coefficients",
+    "crossing_levels", "crossing_roots", "time_scan", "scan_events",
 ]

@@ -252,8 +252,8 @@ def cmd_scan(args) -> int:
         "t": rec.t, "q2": rec.q2,
         "u1": rec.u.u1, "u2": rec.u.u2, "u3": rec.u.u3,
         "B1": rec.u.b1, "B2": rec.u.b2,
-        "bmax": rec.bmax,
-        "active_set": int(rec.active_set),
+        "bmax": rec.u.bmax,
+        "active_set": int(rec.u.region),
         "theta": list(rec.settings.thetas),
         "phi": list(rec.settings.phis),
     } for rec in records]
@@ -261,7 +261,7 @@ def cmd_scan(args) -> int:
         "version": __version__,
         "rows": rows,
         "events": [{"kind": e.kind.value, "t": e.t, "q2": e.q2}
-                   for e in scan_events(records)],
+                   for e in scan_events(x0, model, args.tmax)],
     }
     _emit(args, doc, _scan_csv)
     return EXIT_OK

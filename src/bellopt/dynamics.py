@@ -21,8 +21,10 @@ real array differs from math.exp in ~5% of last bits) and complex products
 keep a zero term.
 
 Along a trajectory (u1, u2, u3) depend on t only through x = |q(t)|^2, so
-a scan's events are crossings of levels of x set by the initial state, found
-between the model's turning_times, where |q|^2 is monotone.
+its events are crossings of levels of x set by the initial state, found
+between the model's turning_times, where |q|^2 is monotone.  time_scan gives
+one record per sample time; scan_events(x0, model, tmax) gives the events up
+to tmax, which depend on no sampling.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Union
 import numpy as np
 
 from .angles import AngleSettings, _sign, optimal_settings
-from .chsh import BellEigenvalues, Region
+from .chsh import BellEigenvalues
 from .states import DensityMatrix4, XState
 
 EVENT_REL_TOL = 1e-9
@@ -70,85 +72,22 @@ def _like_t(q: np.ndarray, t: np.ndarray):
     return complex(q) if t.ndim == 0 else q
 
 
-@np.errstate(over="ignore")  # gamma t overflows to inf only where q = 0
-def q_exponential(t, gamma: float):
-    """Markovian amplitude: |q(t)|^2 = exp(-gamma t), phase zero."""
-    t = _times(t)
-    _finite_positive(gamma=gamma)
-    # exp of a complex array is libm's exp, as math.exp; np.exp of a real
-    # array is not, in the last bit
-    q = np.exp(-0.5 * gamma * t + 0j).real + 0j
-    return _like_t(q, t)
-
-
-def _lorentz_d(lam: float, gamma0: float) -> complex:
-    """sqrt(lam^2 - 2 gamma0 lam), for lam and gamma0 where it is finite."""
-    _finite_positive(lam=lam, gamma0=gamma0)
-    if math.isinf(lam * lam) or math.isinf(2.0 * gamma0 * lam):
-        raise ValueError(f"lam^2 - 2*gamma0*lam overflows for lam = {lam!r}, "
-                         f"gamma0 = {gamma0!r}")
-    return cmath.sqrt(complex(lam * lam - 2.0 * gamma0 * lam))
-
-
-@np.errstate(over="ignore", invalid="ignore")  # checked below
-def q_lorentzian(t, lam: float, gamma0: float):
-    """Damped-oscillator amplitude for a Lorentzian environment.
-
-    q(t) = exp(-lam t / 2) [cosh(d t / 2) + (lam / d) sinh(d t / 2)] with
-    d = sqrt(lam^2 - 2 gamma0 lam), continued to the trigonometric form when
-    2 gamma0 > lam.  Weak coupling reduces to near-exponential decay of
-    |q|^2 at rate gamma0; strong coupling yields collapses and revivals.
-    """
-    t = _times(t)
-    d = _lorentz_d(lam, gamma0)
-    # d is real (2 gamma0 <= lam) or imaginary, so z is too, and every
-    # complex product below has a zero term: it rounds as Python's does.
-    z = 0.5 * d * t
-    val = np.empty(t.shape)
-    far = (z.real > 1.0) & (lam * t > 1400.0)
-    if far.any():
-        # Weak coupling at large t: cosh/sinh overflow near z = 710, and
-        # exp(-lam t / 2) loses precision below e^-708, although q only
-        # decays.  The same q with the exponents combined: both are <= 0 and
-        # the second term is e^(-2z) times smaller, so nothing cancels.
-        # (d - lam) / 2 is written -gamma0 lam / (d + lam), which keeps its
-        # digits when lam >> gamma0 and d rounds to lam.
-        r = lam / d
-        tf = t[far]
-        val[far] = (0.5 * (1.0 + r) * np.exp(-gamma0 * lam / (d + lam) * tf)
-                    + 0.5 * (1.0 - r) * np.exp(-0.5 * (d + lam) * tf)).real
-    near = ~far
-    zn, tn = z[near], t[near]
-    small = np.hypot(zn.real, zn.imag) < 1e-6
-    sinhc = np.empty(zn.shape)
-    zs = zn[small]
-    sinhc[small] = 1.0 + (zs.real * zs.real - zs.imag * zs.imag) / 6.0  # 1 + z^2/6
-    zl = zn[~small]
-    # sinh(z) / z with z real or imaginary is a quotient of real numbers;
-    # numpy's complex division rounds differently from Python's
-    s = np.sinh(zl)
-    sinhc[~small] = s.real / zl.real if d.imag == 0.0 else s.imag / zl.imag
-    val[near] = np.exp(-0.5 * lam * tn + 0j).real * (
-        np.cosh(zn).real + 0.5 * lam * tn * sinhc)
-    if not np.isfinite(val).all():
-        # reached only when d t overflows, for absurd lam, gamma0 or t
-        bad = float(t[~np.isfinite(val)].flat[0])
-        raise ValueError(f"q(t) is not finite at t = {bad!r}")
-    # q is real for this model
-    return _like_t(val + 0j, t)
-
-
 @dataclass(frozen=True)
 class ExponentialModel:
-    """Memoryless environment with decay rate gamma."""
+    """Memoryless environment with decay rate gamma: |q(t)|^2 = exp(-gamma t),
+    phase zero."""
 
     gamma: float
 
     def __post_init__(self):
         _finite_positive(gamma=self.gamma)
 
+    @np.errstate(over="ignore")  # gamma t overflows to inf only where q = 0
     def q(self, t):
-        return q_exponential(t, self.gamma)
+        t = _times(t)
+        # exp of a complex array is libm's exp, as math.exp; np.exp of a real
+        # array is not, in the last bit
+        return _like_t(np.exp(-0.5 * self.gamma * t + 0j).real + 0j, t)
 
     def turning_times(self, tmax: float) -> np.ndarray:
         """Times in (0, tmax) between which |q|^2 is monotone: none."""
@@ -157,23 +96,71 @@ class ExponentialModel:
 
 @dataclass(frozen=True)
 class LorentzianModel:
-    """Single-resonance environment with width lam and coupling gamma0."""
+    """Single-resonance environment with width lam and coupling gamma0.
+
+    q(t) = exp(-lam t / 2) [cosh(d t / 2) + (lam / d) sinh(d t / 2)] with
+    d = sqrt(lam^2 - 2 gamma0 lam), continued to the trigonometric form when
+    2 gamma0 > lam.  Weak coupling reduces to near-exponential decay of
+    |q|^2 at rate gamma0; strong coupling yields collapses and revivals.
+    """
 
     lam: float
     gamma0: float
 
     def __post_init__(self):
-        _lorentz_d(self.lam, self.gamma0)
+        lam, gamma0 = self.lam, self.gamma0
+        _finite_positive(lam=lam, gamma0=gamma0)
+        if math.isinf(lam * lam) or math.isinf(2.0 * gamma0 * lam):
+            raise ValueError(f"lam^2 - 2*gamma0*lam overflows for lam = {lam!r}, "
+                             f"gamma0 = {gamma0!r}")
+        object.__setattr__(self, "_d", cmath.sqrt(complex(lam * lam - 2.0 * gamma0 * lam)))
 
+    @np.errstate(over="ignore", invalid="ignore")  # checked below
     def q(self, t):
-        return q_lorentzian(t, self.lam, self.gamma0)
+        t = _times(t)
+        lam, gamma0, d = self.lam, self.gamma0, self._d
+        # d is real (2 gamma0 <= lam) or imaginary, so z is too, and every
+        # complex product below has a zero term: it rounds as Python's does.
+        z = 0.5 * d * t
+        val = np.empty(t.shape)
+        far = (z.real > 1.0) & (lam * t > 1400.0)
+        if far.any():
+            # Weak coupling at large t: cosh/sinh overflow near z = 710, and
+            # exp(-lam t / 2) loses precision below e^-708, although q only
+            # decays.  The same q with the exponents combined: both are <= 0
+            # and the second term is e^(-2z) times smaller, so nothing
+            # cancels.  (d - lam) / 2 is written -gamma0 lam / (d + lam),
+            # which keeps its digits when lam >> gamma0 and d rounds to lam.
+            r = lam / d
+            tf = t[far]
+            val[far] = (0.5 * (1.0 + r) * np.exp(-gamma0 * lam / (d + lam) * tf)
+                        + 0.5 * (1.0 - r) * np.exp(-0.5 * (d + lam) * tf)).real
+        near = ~far
+        zn, tn = z[near], t[near]
+        small = np.hypot(zn.real, zn.imag) < 1e-6
+        sinhc = np.empty(zn.shape)
+        zs = zn[small]
+        sinhc[small] = 1.0 + (zs.real * zs.real - zs.imag * zs.imag) / 6.0  # 1 + z^2/6
+        zl = zn[~small]
+        # sinh(z) / z with z real or imaginary is a quotient of real numbers;
+        # numpy's complex division rounds differently from Python's
+        s = np.sinh(zl)
+        sinhc[~small] = s.real / zl.real if d.imag == 0.0 else s.imag / zl.imag
+        val[near] = np.exp(-0.5 * lam * tn + 0j).real * (
+            np.cosh(zn).real + 0.5 * lam * tn * sinhc)
+        if not np.isfinite(val).all():
+            # reached only when d t overflows, for absurd lam, gamma0 or t
+            bad = float(t[~np.isfinite(val)].flat[0])
+            raise ValueError(f"q(t) is not finite at t = {bad!r}")
+        # q is real for this model
+        return _like_t(val + 0j, t)
 
     def turning_times(self, tmax: float) -> np.ndarray:
         """Times in (0, tmax) between which |q|^2 is monotone.  With d = i Omega,
         q' = -exp(-lam t/2) sin(Omega t/2) (lam^2 + Omega^2)/(2 Omega): none if
         Omega = 0 (weak or critical coupling); else the extrema Omega t/2 = k pi
         and zeros tan(Omega t/2) = -Omega/lam: Omega t/2 = k pi - atan(Omega/lam)."""
-        omega = _lorentz_d(self.lam, self.gamma0).imag
+        omega = self._d.imag
         phi = math.atan(omega / self.lam)
         k_max = (0.5 * omega * tmax + phi) / math.pi
         _check_pieces(2.0 * k_max, tmax)  # about one zero and one extremum per k
@@ -216,18 +203,25 @@ class TabulatedModel:
 
     @classmethod
     def from_csv(cls, path) -> "TabulatedModel":
-        """Load samples from a CSV file with header `t,q_re,q_im`."""
+        """Load samples from a CSV file with header `t,q_re,q_im` and three
+        fields in every other non-empty row."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ["t", "q_re", "q_im"]:
-                raise ValueError("expected CSV header 't,q_re,q_im'")
-            times, values = [], []
-            for row in reader:
-                if not row:
-                    continue
-                times.append(float(row[0]))
-                values.append(complex(float(row[1]), float(row[2])))
+            try:
+                header = next(reader, None)
+                if header is None or [h.strip() for h in header] != ["t", "q_re", "q_im"]:
+                    raise ValueError("expected CSV header 't,q_re,q_im'")
+                times, values = [], []
+                for row in reader:
+                    if not row:
+                        continue
+                    if len(row) != 3:
+                        raise ValueError(f"line {reader.line_num}: expected 3 "
+                                         f"fields, got {len(row)}")
+                    times.append(float(row[0]))
+                    values.append(complex(float(row[1]), float(row[2])))
+            except csv.Error as exc:  # a malformed or oversized field
+                raise ValueError(f"line {reader.line_num}: {exc}") from exc
         return cls(tuple(times), tuple(values))
 
     def q(self, t):
@@ -416,22 +410,28 @@ class ScanEvent:
 
 @dataclass(frozen=True)
 class TimeScanRecord:
-    """One sample of a trajectory scan; `events` lists the refined events that
-    occurred since the previous sample."""
+    """One sample of a trajectory scan."""
 
     t: float
     q2: float
     u: BellEigenvalues
-    bmax: float
-    active_set: Region
     settings: AngleSettings
-    events: tuple[ScanEvent, ...] = ()
 
 
-def _events(x0: XState, model: QModel, tmax: float) -> list[ScanEvent]:
-    """Every crossing of an event level by x = |q(t)|^2 for t in (0, tmax),
-    in time order.  A level within 1e-12 of x = 1 is left out: x <= 1 can
-    only touch it."""
+def scan_events(x0: XState, model: QModel, tmax: float) -> list[ScanEvent]:
+    """The SetJump / ViolationOn / ViolationOff events of evolve_x(x0, q(t))
+    for t in (0, tmax), in time order.
+
+    Every event is the crossing of a level of x = |q(t)|^2 computed once from
+    x0 (crossing_levels for SetJump, the sign changes of bmax - 2 for
+    ViolationOn/Off).  The model's turning_times cut (0, tmax) into pieces
+    where x is monotone, and all crossings on all pieces are bisected
+    together, one array q(t) call per step, to EVENT_REL_TOL of t.  A level
+    within 1e-12 of x = 1 is left out: x <= 1 can only touch it.
+    """
+    tmax = float(tmax)
+    if not (math.isfinite(tmax) and tmax >= 0.0):
+        raise ValueError(f"tmax must be finite and >= 0, got {tmax!r}")
     jump, on, off = EventKind.SET_JUMP, EventKind.VIOLATION_ON, EventKind.VIOLATION_OFF
     # (x*, kind when x falls through x*, kind when it rises)
     levels = [(x, jump, jump) for x in crossing_levels(x0)]
@@ -465,16 +465,9 @@ def _events(x0: XState, model: QModel, tmax: float) -> list[ScanEvent]:
 
 
 def time_scan(x0: XState, model: QModel, t_grid) -> list[TimeScanRecord]:
-    """Evolve x0 along t_grid, tracking eigenvalues, Bell maximum, active
-    settings, and refined SetJump / ViolationOn / ViolationOff events.
-
-    Every event is the crossing of a level of x = |q(t)|^2 computed once from
-    x0 (crossing_levels for SetJump, the sign changes of bmax - 2 for
-    ViolationOn/Off).  The model's turning_times cut (0, t_grid[-1]) into
-    pieces where x is monotone, and all crossings on all pieces are bisected
-    together, one array q(t) call per step, to EVENT_REL_TOL of t.  Events
-    depend on the model and t_grid[-1] only; record i lists those in
-    (t_grid[i - 1], t_grid[i]].  Rows use evolve_x and optimal_settings.
+    """Evolve x0 along t_grid: one record per sample, with the eigenvalues
+    and active settings of evolve_x and optimal_settings.  The events of the
+    trajectory come from scan_events(x0, model, t_grid[-1]).
     """
     t_list = [float(t) for t in t_grid]
     if not t_list:
@@ -485,20 +478,8 @@ def time_scan(x0: XState, model: QModel, t_grid) -> list[TimeScanRecord]:
         raise ValueError("t_grid must be strictly increasing")
     if not all(map(math.isfinite, t_list)):
         raise ValueError("t_grid must be finite")
-    t_grid = np.array(t_list)
-    q_grid = model.q(t_grid).tolist()
-    events = _events(x0, model, t_list[-1])
-    ends = np.searchsorted([e.t for e in events], t_grid, side="right").tolist()
     records: list[TimeScanRecord] = []
-    for t, q, start, end in zip(t_list, q_grid, [0] + ends, ends):
+    for t, q in zip(t_list, model.q(np.array(t_list)).tolist()):
         settings, u = optimal_settings(evolve_x(x0, q))
-        records.append(TimeScanRecord(
-            t=t, q2=abs(q) ** 2, u=u, bmax=u.bmax, active_set=u.region,
-            settings=settings, events=tuple(events[start:end]),
-        ))
+        records.append(TimeScanRecord(t=t, q2=abs(q) ** 2, u=u, settings=settings))
     return records
-
-
-def scan_events(records: list[TimeScanRecord]) -> list[ScanEvent]:
-    """All events of a scan in time order."""
-    return [e for r in records for e in r.events]

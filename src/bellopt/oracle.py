@@ -28,8 +28,10 @@ MAX_GRID_BYTES = 256 * 2 ** 20
 
 _MASK64 = (1 << 64) - 1
 _GAMMA64 = 0x9E3779B97F4A7C15
-# Proposals certify_settings evaluates per call.
+# Proposals certify_settings evaluates per call, and moves it draws at once
+# (one draw per stage at the default refine_iters of 500).
 _CERTIFY_BLOCK = 256
+_CERTIFY_DRAW = 1024
 # Most starts refined in one batch: a poll's working set is ~7 kB per start,
 # so a batch stays under ~2 MB however many restarts are asked for.
 _COMPASS_BATCH = 256
@@ -281,19 +283,22 @@ def certify_settings(rho: DensityMatrix4, s, cfg: OracleConfig) -> float:
     steps = max(cfg.refine_iters, 64)
     best = base
     for radius in (math.pi / 8.0, math.pi / 64.0):
-        moves = rng.uniforms(8 * steps, -radius, radius).reshape(steps, 8)
-        # Proposals are evaluated a block at a time; the walk accepts the
-        # first one that beats `best` and resumes right after it, which is
-        # the same walk as proposing one move at a time.
-        i = 0
-        while i < steps:
-            proposals = current + moves[i:i + _CERTIFY_BLOCK]
-            values = _bell_values(t, proposals)
-            better = np.flatnonzero(values > best)
-            if better.size == 0:
-                i += _CERTIFY_BLOCK
-                continue
-            k = int(better[0])
-            best, current = float(values[k]), proposals[k]
-            i += k + 1
+        # Moves are drawn _CERTIFY_DRAW at a time, so memory does not grow
+        # with refine_iters, and evaluated a block at a time; the walk
+        # accepts the first proposal that beats `best` and resumes right
+        # after it, which is the same walk as proposing one move at a time.
+        for start in range(0, steps, _CERTIFY_DRAW):
+            rows = min(_CERTIFY_DRAW, steps - start)
+            moves = rng.uniforms(8 * rows, -radius, radius).reshape(rows, 8)
+            i = 0
+            while i < rows:
+                proposals = current + moves[i:i + _CERTIFY_BLOCK]
+                values = _bell_values(t, proposals)
+                better = np.flatnonzero(values > best)
+                if better.size == 0:
+                    i += _CERTIFY_BLOCK
+                    continue
+                k = int(better[0])
+                best, current = float(values[k]), proposals[k]
+                i += k + 1
     return best - base

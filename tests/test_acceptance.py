@@ -195,7 +195,7 @@ def test_criterion_7_jump_phenomenon():
 
         records = time_scan(x0, ExponentialModel(gamma),
                             np.linspace(0.0, 5.0, 500))
-        events = scan_events(records)
+        events = scan_events(x0, ExponentialModel(gamma), 5.0)
         jumps = sorted((e for e in events if e.kind is EventKind.SET_JUMP),
                        key=lambda e: e.q2)
         assert len(jumps) == 2
@@ -212,7 +212,7 @@ def test_criterion_7_jump_phenomenon():
         violations = [e for e in events
                       if e.kind in (EventKind.VIOLATION_ON, EventKind.VIOLATION_OFF)]
         assert [e.kind for e in violations] == [EventKind.VIOLATION_OFF]
-        assert records[0].bmax > 2.0
+        assert records[0].u.bmax > 2.0
         for e in violations:
             u_evt = x_state_eigenvalues(evolve_x(x0, math.sqrt(e.q2)))
             assert abs(u_evt.bmax - 2.0) <= 1e-8

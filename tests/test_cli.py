@@ -226,12 +226,13 @@ class TestScan:
 
     def test_werner_violation_off_matches_root_finding(self, tmp_path, capsys):
         # independent oracle: bisection on horodecki(evolved dense) - 2
-        from bellopt import apply_amplitude_damping, horodecki_bmax, q_exponential
+        from bellopt import ExponentialModel, apply_amplitude_damping, horodecki_bmax
 
         rho0 = x_to_dense(werner(0.9))
+        model = ExponentialModel(1.0)
 
         def g(t):
-            return horodecki_bmax(apply_amplitude_damping(rho0, q_exponential(t, 1.0))) - 2.0
+            return horodecki_bmax(apply_amplitude_damping(rho0, model.q(t))) - 2.0
 
         lo, hi = 0.0, 2.0
         assert g(lo) > 0 > g(hi)
@@ -380,6 +381,21 @@ class TestScan:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: matrix has a non-finite entry\n"
+
+    @pytest.mark.parametrize("row,message", [
+        ("1,0.5", "line 3: expected 3 fields, got 2"),
+        ("1,0.5,0,7", "line 3: expected 3 fields, got 4"),
+        ("1," + "0" * 131073 + ",0", "line 3: field larger than field limit (131072)"),
+    ], ids=["short", "long", "huge-field"])
+    def test_malformed_table_row_exits_2(self, tmp_path, capsys, row, message):
+        table = tmp_path / "q.csv"
+        table.write_text(f"t,q_re,q_im\n0,1,0\n{row}\n2,0.5,0\n")
+        spec = f"table:{table}"
+        assert main(["scan", "--ewl", "0.5,1,0", "--qmodel", spec,
+                     "--tmax", "2", "--samples", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad --qmodel {spec!r}: {message}\n"
 
     def test_table_shorter_than_tmax_exits_2(self, tmp_path):
         table = tmp_path / "q.csv"

@@ -28,8 +28,6 @@ from bellopt import (
     evolve_x,
     ewl_state,
     optimal_settings,
-    q_exponential,
-    q_lorentzian,
     scan_events,
     settings_set1,
     settings_set2,
@@ -59,46 +57,48 @@ def kraus_oracle(rho: np.ndarray, q: complex) -> np.ndarray:
 
 class TestQExponential:
     def test_starts_at_one(self):
-        assert q_exponential(0.0, 1.7) == 1.0
+        assert ExponentialModel(1.7).q(0.0) == 1.0
 
     def test_half_life(self):
-        q = q_exponential(math.log(2.0), 1.0)
+        q = ExponentialModel(1.0).q(math.log(2.0))
         assert abs(q) ** 2 == pytest.approx(0.5, abs=1e-15)
 
     def test_monotone_decay(self):
         ts = np.linspace(0, 20, 200)
-        qs = [abs(q_exponential(t, 0.8)) ** 2 for t in ts]
+        qs = [abs(q) ** 2 for q in ExponentialModel(0.8).q(ts).tolist()]
         assert all(b < a for a, b in zip(qs, qs[1:]))
         assert qs[-1] < 1e-6
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            q_exponential(-1.0, 1.0)
+            ExponentialModel(1.0).q(-1.0)
         with pytest.raises(ValueError):
-            q_exponential(1.0, 0.0)
+            ExponentialModel(0.0).q(1.0)
 
 
 class TestQLorentzian:
     def test_starts_at_one(self):
-        assert q_lorentzian(0.0, 1.0, 5.0) == 1.0
+        assert LorentzianModel(1.0, 5.0).q(0.0) == 1.0
 
     def test_weak_coupling_is_nearly_markovian(self):
         lam, gamma0 = 1.0, 0.01
+        model = LorentzianModel(lam, gamma0)
         for t in np.linspace(5.0, 50.0, 60):
-            q2 = abs(q_lorentzian(t, lam, gamma0)) ** 2
+            q2 = abs(model.q(t)) ** 2
             assert q2 == pytest.approx(math.exp(-gamma0 * t), rel=0.05)
 
     def test_strong_coupling_collapses(self):
         # zeros of q on [0, 10] for lam=1, gamma0=5, counted by sign changes
         ts = np.linspace(0.0, 10.0, 20001)
-        qs = [q_lorentzian(t, 1.0, 5.0).real for t in ts]
+        qs = LorentzianModel(1.0, 5.0).q(ts).real.tolist()
         flips = sum(1 for a, b in zip(qs, qs[1:]) if (a >= 0) != (b >= 0))
         assert flips == 5
 
     def test_amplitude_bounded(self):
         for lam, gamma0 in ((1.0, 5.0), (1.0, 0.51), (2.0, 1.0), (3.0, 0.1)):
+            model = LorentzianModel(lam, gamma0)
             for t in np.linspace(0.0, 30.0, 500):
-                assert abs(q_lorentzian(t, lam, gamma0)) <= 1.0 + 1e-12
+                assert abs(model.q(t)) <= 1.0 + 1e-12
 
     @pytest.mark.parametrize("lam,gamma0", [(10.0, 0.1), (10.0, 0.5), (50.0, 12.0)])
     def test_weak_coupling_large_t_finite_and_accurate(self, lam, gamma0):
@@ -106,14 +106,15 @@ class TestQLorentzian:
         # underflows; q must follow its leading term, the slow exponential
         # (the other term is below 1e-300 of it here), and keep decreasing.
         d = math.sqrt(lam * lam - 2.0 * gamma0 * lam)
+        model = LorentzianModel(lam, gamma0)
         prev = 1.0
         for t in np.linspace(1200.0 / lam, 1600.0 / lam, 2001):
-            q = q_lorentzian(t, lam, gamma0)
+            q = model.q(t)
             lead = 0.5 * (1.0 + lam / d) * math.exp(0.5 * (d - lam) * t)
             assert q.imag == 0.0 and 0.0 < q.real < prev
             assert q.real == pytest.approx(lead, rel=1e-12)
             prev = q.real
-        assert q_lorentzian(1e6, lam, gamma0) == 0.0
+        assert model.q(1e6) == 0.0
 
     @pytest.mark.parametrize("ratio", [1e12, 1e17, 1e20, 1e150])
     def test_markov_limit_keeps_its_digits(self, ratio):
@@ -121,13 +122,13 @@ class TestQLorentzian:
         # digit, leaving q = 1; |q|^2 must follow exp(-gamma0 t)
         gamma0 = 0.8
         for t in (2.5, 5.0):
-            q2 = abs(q_lorentzian(t, ratio * gamma0, gamma0)) ** 2
+            q2 = abs(LorentzianModel(ratio * gamma0, gamma0).q(t)) ** 2
             assert q2 == pytest.approx(math.exp(-gamma0 * t), rel=1e-9)
 
     def test_critical_coupling_continuous(self):
         # d = 0 exactly at gamma0 = lam/2; series evaluation must match limits
-        q_crit = q_lorentzian(2.0, 1.0, 0.5)
-        q_near = q_lorentzian(2.0, 1.0, 0.5 + 1e-9)
+        q_crit = LorentzianModel(1.0, 0.5).q(2.0)
+        q_near = LorentzianModel(1.0, 0.5 + 1e-9).q(2.0)
         assert q_crit.real == pytest.approx(q_near.real, abs=1e-7)
         assert q_crit.real == pytest.approx(math.exp(-1.0) * 2.0, abs=1e-12)
 
@@ -365,9 +366,7 @@ class TestCrossingRoots:
 class TestTimeScan:
     def test_reference_trajectory_events(self):
         p = EWLParams(alpha2=0.3, r=1.0, delta=0.0)
-        records = time_scan(ewl_state(p), ExponentialModel(gamma=1.0),
-                            np.linspace(0.0, 5.0, 400))
-        events = scan_events(records)
+        events = scan_events(ewl_state(p), ExponentialModel(gamma=1.0), 5.0)
         jumps = [e for e in events if e.kind is EventKind.SET_JUMP]
         offs = [e for e in events if e.kind is EventKind.VIOLATION_OFF]
         ons = [e for e in events if e.kind is EventKind.VIOLATION_ON]
@@ -383,23 +382,25 @@ class TestTimeScan:
     def test_static_state_has_no_events(self, bell_x):
         model = TabulatedModel((0.0, 10.0), (1.0, 1.0))
         records = time_scan(bell_x, model, np.linspace(0, 10, 50))
-        assert scan_events(records) == []
-        assert all(r.bmax == pytest.approx(2 * math.sqrt(2), abs=1e-12)
+        assert scan_events(bell_x, model, 10.0) == []
+        assert all(r.u.bmax == pytest.approx(2 * math.sqrt(2), abs=1e-12)
                    for r in records)
 
     def test_maximally_mixed_never_violates(self):
         x0 = XState(0.25, 0.25, 0.25, 0.25, 0.0, 0.0)
         records = time_scan(x0, ExponentialModel(1.0), np.linspace(0, 5, 200))
-        assert all(r.bmax < 2.0 for r in records)
-        assert not [e for e in scan_events(records)
+        assert all(r.u.bmax < 2.0 for r in records)
+        assert not [e for e in scan_events(x0, ExponentialModel(1.0), 5.0)
                     if e.kind in (EventKind.VIOLATION_ON, EventKind.VIOLATION_OFF)]
 
     def test_two_point_grid_finds_both_jumps(self):
         p = EWLParams(alpha2=0.3, r=1.0, delta=0.0)
-        records = time_scan(ewl_state(p), ExponentialModel(gamma=1.0), [0.0, 5.0])
-        jumps = [e for e in scan_events(records) if e.kind is EventKind.SET_JUMP]
-        assert len(jumps) == 2
-        assert records[0].events == () and len(records[1].events) == 3
+        x0, model = ewl_state(p), ExponentialModel(gamma=1.0)
+        records = time_scan(x0, model, [0.0, 5.0])
+        events = scan_events(x0, model, 5.0)
+        jumps = [e for e in events if e.kind is EventKind.SET_JUMP]
+        assert len(jumps) == 2 and len(events) == 3 and len(records) == 2
+        assert all(0.0 < e.t <= 5.0 for e in events)
         assert sorted(j.q2 for j in jumps) == pytest.approx(crossing_roots(p), abs=1e-8)
 
     def test_bmax_consistency_invariant(self):
@@ -408,7 +409,7 @@ class TestTimeScan:
                             np.linspace(0, 4, 50))
         for r in records:
             expected = 2.0 * math.sqrt(r.u.u1 + max(r.u.u2, r.u.u3))
-            assert r.bmax == pytest.approx(expected, abs=1e-12)
+            assert r.u.bmax == pytest.approx(expected, abs=1e-12)
 
     def test_delta_independence_of_bmax_not_of_phis(self):
         grid = np.linspace(0, 3, 40)
@@ -418,7 +419,7 @@ class TestTimeScan:
                          ExponentialModel(1.0), grid)
         phi_differs = False
         for a, b in zip(rec0, rec1):
-            assert a.bmax == pytest.approx(b.bmax, abs=1e-12)
+            assert a.u.bmax == pytest.approx(b.u.bmax, abs=1e-12)
             if any(abs(x - y) > 1e-6 for x, y in zip(a.settings.phis,
                                                      b.settings.phis)):
                 phi_differs = True
@@ -434,9 +435,8 @@ class TestTimeScan:
     def test_lorentzian_revivals_cross_repeatedly(self):
         # strong coupling: |q|^2 revives, so the boundary is crossed > 2 times
         p = EWLParams(alpha2=0.3, r=1.0, delta=0.0)
-        records = time_scan(ewl_state(p), LorentzianModel(lam=1.0, gamma0=20.0),
-                            np.linspace(0.0, 6.0, 600))
-        jumps = [e for e in scan_events(records) if e.kind is EventKind.SET_JUMP]
+        events = scan_events(ewl_state(p), LorentzianModel(lam=1.0, gamma0=20.0), 6.0)
+        jumps = [e for e in events if e.kind is EventKind.SET_JUMP]
         assert len(jumps) > 2
 
 
@@ -537,15 +537,14 @@ def reference_time_scan(x0: XState, model, t_grid):
                     events.append(ScanEvent(kind, t_star,
                                             abs(model.q(t_star)) ** 2))
         events.sort(key=lambda e: e.t)
-        records.append((t, abs(q) ** 2, u, u.bmax, u.region, settings_,
-                        tuple(events)))
+        records.append((t, abs(q) ** 2, u, settings_, tuple(events)))
     return records, coarse
 
 
 def _complex_table() -> TabulatedModel:
     # strong-coupling revivals with a rotating phase, so both parts vary
     times = np.linspace(0.0, 6.0, 121)
-    values = [q_lorentzian(t, 1.0, 5.0) * cmath.exp(0.7j * t) for t in times]
+    values = [LorentzianModel(1.0, 5.0).q(t) * cmath.exp(0.7j * t) for t in times]
     values[0] = 1.0
     return TabulatedModel(tuple(times.tolist()), tuple(values))
 
@@ -642,17 +641,19 @@ SCAN_MODELS = [
 
 
 def _both_scans(x0, model, grid):
-    """(rows, events) of time_scan and of the probe reference, and whether
-    the reference grid was too coarse for its probes; time_scan must not
-    warn."""
+    """(rows, events) of time_scan and scan_events and of the probe
+    reference, and whether the reference grid was too coarse for its probes;
+    neither scan may warn.  Each event is paired with the row i whose
+    interval (t[i - 1], t[i]] holds it."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         new = time_scan(x0, model, grid)
+        events = scan_events(x0, model, grid[-1])
     ref, coarse = reference_time_scan(x0, model, grid)
-    new_rows = [(r.t, r.q2, r.u, r.bmax, r.active_set, r.settings) for r in new]
-    new_events = [(i, e) for i, r in enumerate(new) for e in r.events]
-    ref_events = [(i, e) for i, r in enumerate(ref) for e in r[6]]
-    return new_rows, new_events, [r[:6] for r in ref], ref_events, coarse
+    new_rows = [(r.t, r.q2, r.u, r.settings) for r in new]
+    new_events = [(int(np.searchsorted(grid, e.t, side="left")), e) for e in events]
+    ref_events = [(i, e) for i, r in enumerate(ref) for e in r[4]]
+    return new_rows, new_events, [r[:4] for r in ref], ref_events, coarse
 
 
 def _matches(ref_event, events) -> bool:
@@ -729,19 +730,26 @@ def _event_scans():
     """(x0, model, events) over the scan test states and models."""
     for x0 in SCAN_STATES:
         for _, model, tmax in SCAN_MODELS:
-            yield x0, model, scan_events(time_scan(x0, model, [0.0, tmax]))
+            yield x0, model, scan_events(x0, model, tmax)
     for p, model, tmax in GOLDEN_SCANS:
         x0 = ewl_state(p)
-        yield x0, model, scan_events(time_scan(x0, model, [0.0, tmax]))
+        yield x0, model, scan_events(x0, model, tmax)
 
 
 class TestExactEvents:
     def test_events_independent_of_the_grid(self):
+        # a scan cut at any grid time finds the events of the whole scan up
+        # to that time, of the same kinds, within the bisection tolerance
         for p, model, tmax in GOLDEN_SCANS:
             x0 = ewl_state(p)
-            runs = [scan_events(time_scan(x0, model, np.linspace(0.0, tmax, n)))
-                    for n in (2, 3, 60, 500)]
-            assert runs[0] and all(run == runs[0] for run in runs)
+            whole = scan_events(x0, model, tmax)
+            assert whole
+            for cut in np.linspace(0.0, tmax, 7).tolist():
+                part = scan_events(x0, model, cut)
+                before = [e for e in whole if e.t <= cut]
+                assert [e.kind for e in part] == [e.kind for e in before]
+                assert all(abs(a.t - b.t) <= 2 * EVENT_REL_TOL * b.t
+                           for a, b in zip(part, before))
 
     def test_scalar_sign_flips_across_every_event(self):
         n_events = 0
@@ -781,8 +789,8 @@ class TestExactEvents:
         # 1e-7 from each would count both
         x0 = ewl_state(EWLParams(0.5735675891832447, 0.7226360608908614,
                                  3.0106551908639796))
-        records = time_scan(x0, ExponentialModel(0.19211756200399988), [0.0, 20.0])
-        assert [e.kind for e in scan_events(records)] == [
+        events = scan_events(x0, ExponentialModel(0.19211756200399988), 20.0)
+        assert [e.kind for e in events] == [
             EventKind.SET_JUMP, EventKind.VIOLATION_OFF, EventKind.SET_JUMP]
 
     @pytest.mark.parametrize("r", [0.5, 0.8, 1.0])
@@ -792,7 +800,7 @@ class TestExactEvents:
         # alpha2 = 1/2 starts with u2 = u3: x = 1 is a root of u2 - u3
         x0 = ewl_state(EWLParams(0.5, r, 0.0))
         assert crossing_levels(x0)[-1] == pytest.approx(1.0, abs=1e-12)
-        events = scan_events(time_scan(x0, model, np.linspace(0.0, 6.0, 60)))
+        events = scan_events(x0, model, 6.0)
         assert events and all(e.q2 < 1.0 - 1e-6 for e in events)
         first_level = max(x for x in crossing_levels(x0) if x < 1.0 - 1e-12)
         jumps = [e for e in events if e.kind is EventKind.SET_JUMP]
@@ -806,7 +814,7 @@ class TestExactEvents:
         assert model.turning_times(2.0).tolist() == pytest.approx([1.0, t_min],
                                                                   abs=1e-12)
         x0 = ewl_state(EWLParams(0.3, 1.0, 0.0))
-        events = scan_events(time_scan(x0, model, [0.0, 2.0]))
+        events = scan_events(x0, model, 2.0)
         low_levels = [x for x in crossing_levels(x0) if x < abs(model.q(2.0)) ** 2]
         assert low_levels
         for level in low_levels:  # crossed falling, then rising
@@ -818,7 +826,7 @@ class TestExactEvents:
         t0 = time.perf_counter()
         with pytest.raises(ValueError, match=r"\|q\(t\)\|\^2 has \d+ monotone pieces "
                                              r"up to t = 1000000000.0, more than 1000000"):
-            time_scan(ewl_state(EWLParams(0.3, 1.0)), model, [0.0, 1e9])
+            scan_events(ewl_state(EWLParams(0.3, 1.0)), model, 1e9)
         assert time.perf_counter() - t0 < 1.0
         strong = LorentzianModel(1.0, 5.0)
         omega = math.sqrt(2.0 * 5.0 - 1.0)
@@ -852,7 +860,7 @@ class TestExactTieStart:
 
     def test_tie_level_at_x_one_is_not_an_event(self):
         assert crossing_levels(self.X0)[-1] == 1.0
-        events = scan_events(time_scan(self.X0, self.MODEL, self.GRID))
+        events = scan_events(self.X0, self.MODEL, self.GRID[-1])
         assert [e.kind for e in events] == [EventKind.VIOLATION_OFF,
                                             EventKind.SET_JUMP]
         assert all(e.q2 < 0.9 for e in events)
@@ -863,9 +871,10 @@ class TestExactTieStart:
         records = time_scan(self.X0, self.MODEL, self.GRID)
         u0 = records[0].u
         assert -1e-15 < u0.u2 - u0.u3 < 0.0 and u0.tie
-        assert records[0].active_set is Region.SET1
-        assert records[1].active_set is Region.SET2
-        assert records[1].events == ()
+        assert records[0].u.region is Region.SET1
+        assert records[1].u.region is Region.SET2
+        events = scan_events(self.X0, self.MODEL, self.GRID[-1])
+        assert events[0].t > self.GRID[1]
 
 
 # ------------------------------------------------------- non-finite inputs
@@ -877,8 +886,6 @@ class TestNonFiniteInputs:
         (lambda: ExponentialModel(math.inf), "gamma must be finite and > 0, got inf"),
         (lambda: LorentzianModel(math.nan, 1.0), "lam must be finite and > 0, got nan"),
         (lambda: LorentzianModel(1.0, math.inf), "gamma0 must be finite and > 0, got inf"),
-        (lambda: q_exponential(1.0, math.nan), "gamma must be finite and > 0, got nan"),
-        (lambda: q_lorentzian(1.0, 1.0, -math.inf), "gamma0 must be finite and > 0, got -inf"),
         (lambda: EWLParams(0.3, 1.0, math.nan), "delta must be finite, got nan"),
         (lambda: EWLParams(0.3, 1.0, -math.inf), "delta must be finite, got -inf"),
         (lambda: TabulatedModel((0.0, math.nan), (1.0, 0.5)), "sample 1 is not finite"),
@@ -891,16 +898,28 @@ class TestNonFiniteInputs:
          "inner 2x2 block not PSD: rho22*rho33=2.500e-01 < |rho23|^2=inf"),
         (lambda: XState(0.5, 0.0, 0.0, 0.5, complex(0.0, math.nan), 0.0),
          "outer 2x2 block not PSD: rho11*rho44=2.500e-01 < |rho14|^2=nan"),
+        *[(lambda tmax=tmax: scan_events(ewl_state(EWLParams(0.3, 1.0)),
+                                         ExponentialModel(1.0), tmax),
+           f"tmax must be finite and >= 0, got {tmax!r}")
+          for tmax in (math.nan, math.inf, -1.0)],
     ])
     def test_rejected_with_the_value(self, build, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             build()
 
-    @pytest.mark.parametrize("row", ["nan,0.5,0", "1,nan,0", "1,0.5,inf"])
-    def test_csv_table(self, tmp_path, row):
+    @pytest.mark.parametrize("row,message", [
+        pytest.param(row, "sample 1 is not finite", id=row)
+        for row in ("nan,0.5,0", "1,nan,0", "1,0.5,inf")
+    ] + [
+        pytest.param("1,0.5", "line 3: expected 3 fields, got 2", id="1,0.5"),
+        pytest.param("1,0.5,0,7", "line 3: expected 3 fields, got 4", id="1,0.5,0,7"),
+        pytest.param("1," + "0" * 131073 + ",0",
+                     "line 3: field larger than field limit (131072)", id="huge-field"),
+    ])
+    def test_csv_table(self, tmp_path, row, message):
         path = tmp_path / "q.csv"
         path.write_text(f"t,q_re,q_im\n0,1,0\n{row}\n2,0.3,0\n")
-        with pytest.raises(ValueError, match="sample 1 is not finite"):
+        with pytest.raises(ValueError, match=re.escape(message)):
             TabulatedModel.from_csv(path)
 
     def test_nan_time_rejected(self):

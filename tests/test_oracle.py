@@ -1,6 +1,7 @@
 import ast
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -367,7 +368,8 @@ def _sequential_certify(rho, s, cfg):
 
 
 class TestCertify:
-    @pytest.mark.parametrize("refine", [0, 64, 130, 500])
+    # 2500 spans three draws of _CERTIFY_DRAW moves, the last one partial
+    @pytest.mark.parametrize("refine", [0, 64, 130, 500, 2500])
     def test_block_walk_equals_sequential_walk(self, refine):
         rng = np.random.default_rng(33)
         x = random_x_state(rng)
@@ -376,6 +378,18 @@ class TestCertify:
         for s in (optimal_settings(x)[0], zeros):
             cfg = OracleConfig(refine_iters=refine, seed=11)
             assert certify_settings(rho, s, cfg) == _sequential_certify(rho, s, cfg)
+
+    def test_memory_does_not_grow_with_refine(self):
+        x = random_x_state(np.random.default_rng(33))
+        s, _ = optimal_settings(x)
+        rho = x_to_dense(x)
+        tracemalloc.start()
+        try:
+            certify_settings(rho, s, OracleConfig(refine_iters=2 * 10 ** 5, seed=11))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
     def test_optimal_settings_certify(self, bell_rho, bell_x):
         s = settings_set2(bell_x)
