@@ -54,7 +54,7 @@ from .dynamics import (
     EWLParams,
     EventKind,
     ScanEvent,
-    TimeScanRecord,
+    TimeScan,
     apply_amplitude_damping,
     evolve_x,
     ewl_state,
@@ -79,7 +79,7 @@ __all__ = [
     "OracleConfig", "OracleResult", "BudgetExceeded", "Splitmix64",
     "brute_force_bmax", "certify_settings",
     "ExponentialModel", "LorentzianModel", "TabulatedModel", "QModel",
-    "EWLParams", "EventKind", "ScanEvent", "TimeScanRecord",
+    "EWLParams", "EventKind", "ScanEvent", "TimeScan",
     "apply_amplitude_damping", "evolve_x", "ewl_state", "trajectory_coefficients",
     "crossing_levels", "crossing_roots", "time_scan", "scan_events",
 ]

@@ -26,6 +26,7 @@ from .chsh import (
     x_state_eigenvalues,
 )
 from .dynamics import (
+    MAX_SAMPLES,
     EWLParams,
     ExponentialModel,
     LorentzianModel,
@@ -219,16 +220,37 @@ _SCAN_COLUMNS = (
     "t,q2,u1,u2,u3,B1,B2,bmax,active_set,"
     "theta1,theta1p,theta2,theta2p,phi1,phi1p,phi2,phi2p"
 )
-# Row keys of the numeric columns, in CSV order.
-_SCAN_KEYS = _SCAN_COLUMNS.split(",")[:8]
+# JSON row keys of the columns before the angles, in CSV order.
+_SCAN_KEYS = _SCAN_COLUMNS.split(",")[:9]
 
 
-def _scan_csv(doc: dict) -> str:
-    lines = [f"# bellopt scan {doc['version']}", _SCAN_COLUMNS]
-    for row in doc["rows"]:
-        cells = [fmt9(row[k]) for k in _SCAN_KEYS] + [str(row["active_set"])]
-        cells += [fmt9(v) for v in (*row["theta"], *row["phi"])]
-        lines.append(",".join(cells))
+def _key_columns(scan) -> tuple:
+    """The TimeScan columns of _SCAN_KEYS."""
+    return (scan.t, scan.q2, scan.u1, scan.u2, scan.u3, scan.b1, scan.b2,
+            scan.bmax, scan.region)
+
+
+def _scan_rows(scan) -> list[dict]:
+    columns = zip(*(c.tolist() for c in _key_columns(scan)))
+    return [{**dict(zip(_SCAN_KEYS, row)), "theta": theta, "phi": phi}
+            for row, theta, phi in zip(columns, scan.thetas.tolist(), scan.phis.tolist())]
+
+
+def _scan_csv(scan, doc: dict) -> str:
+    """The rows of `scan`, each cell as fmt9 formats it, and the events of
+    doc.  The whole table is one % operation: a row's format has %.8e in the
+    cells fmt9 writes in scientific notation, and there are few such
+    patterns."""
+    # + 0.0 turns -0.0 into 0.0
+    values = np.column_stack((*_key_columns(scan), scan.thetas, scan.phis)) + 0.0
+    magnitude = np.abs(values)
+    scientific = (values != 0.0) & ((magnitude < 1e-4) | (magnitude >= 1e6))
+    # bit j of a row's pattern: column j is scientific (column 8 is active_set)
+    patterns = (scientific @ (1 << np.arange(values.shape[1]))).tolist()
+    formats = {p: ",".join("%d" if j == 8 else "%.8e" if p >> j & 1 else "%.9g"
+                           for j in range(values.shape[1])) for p in set(patterns)}
+    body = "\n".join([formats[p] for p in patterns]) % tuple(values.ravel().tolist())
+    lines = [f"# bellopt scan {doc['version']}", _SCAN_COLUMNS, body]
     for e in doc["events"]:
         lines.append(f"# event,{e['kind']},{fmt9(e['t'])},{fmt9(e['q2'])}")
     return "\n".join(lines) + "\n"
@@ -239,6 +261,8 @@ def cmd_scan(args) -> int:
         raise InputError("provide exactly one of --ewl or --input")
     if args.samples < 2:
         raise InputError("--samples must be >= 2")
+    if args.samples > MAX_SAMPLES:
+        raise InputError(f"--samples must be <= {MAX_SAMPLES}")
     if not (math.isfinite(args.tmax) and args.tmax > 0):
         raise InputError("--tmax must be finite and > 0")
     if args.ewl is not None:
@@ -247,23 +271,15 @@ def cmd_scan(args) -> int:
         x0 = as_x_state(*_load_density(args.input, args.off_x_tol))
     model = _parse_qmodel(args.qmodel)
     t_grid = np.linspace(0.0, args.tmax, args.samples)
-    records = time_scan(x0, model, t_grid)
-    rows = [{
-        "t": rec.t, "q2": rec.q2,
-        "u1": rec.u.u1, "u2": rec.u.u2, "u3": rec.u.u3,
-        "B1": rec.u.b1, "B2": rec.u.b2,
-        "bmax": rec.u.bmax,
-        "active_set": int(rec.u.region),
-        "theta": list(rec.settings.thetas),
-        "phi": list(rec.settings.phis),
-    } for rec in records]
+    scan = time_scan(x0, model, t_grid)
     doc = {
         "version": __version__,
-        "rows": rows,
+        # row dicts for JSON only: the CSV is formatted from the columns
+        "rows": _scan_rows(scan) if args.format == "json" else None,
         "events": [{"kind": e.kind.value, "t": e.t, "q2": e.q2}
                    for e in scan_events(x0, model, args.tmax)],
     }
-    _emit(args, doc, _scan_csv)
+    _emit(args, doc, functools.partial(_scan_csv, scan))
     return EXIT_OK
 
 

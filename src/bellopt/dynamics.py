@@ -23,8 +23,9 @@ keep a zero term.
 Along a trajectory (u1, u2, u3) depend on t only through x = |q(t)|^2, so
 its events are crossings of levels of x set by the initial state, found
 between the model's turning_times, where |q|^2 is monotone.  time_scan gives
-one record per sample time; scan_events(x0, model, tmax) gives the events up
-to tmax, which depend on no sampling.
+a TimeScan of columns, one entry per sample time, from one array pass that
+equals evolve_x and optimal_settings bit for bit; scan_events(x0, model,
+tmax) gives the events up to tmax, which depend on no sampling.
 """
 
 from __future__ import annotations
@@ -38,13 +39,14 @@ from typing import Union
 
 import numpy as np
 
-from .angles import AngleSettings, _sign, optimal_settings
-from .chsh import BellEigenvalues
-from .states import DensityMatrix4, XState
+from .angles import _HALF_PI, _sign, optimal_settings
+from .chsh import TIE_TOL, Region
+from .states import POSITIVITY_TOL, TRACE_TOL, DensityMatrix4, XState
 
 EVENT_REL_TOL = 1e-9
 _MAX_BISECT_ITERS = 80
 MAX_PIECES = 10 ** 6
+MAX_SAMPLES = 10 ** 6
 
 
 def _times(t) -> np.ndarray:
@@ -408,16 +410,6 @@ class ScanEvent:
     q2: float
 
 
-@dataclass(frozen=True)
-class TimeScanRecord:
-    """One sample of a trajectory scan."""
-
-    t: float
-    q2: float
-    u: BellEigenvalues
-    settings: AngleSettings
-
-
 def scan_events(x0: XState, model: QModel, tmax: float) -> list[ScanEvent]:
     """The SetJump / ViolationOn / ViolationOff events of evolve_x(x0, q(t))
     for t in (0, tmax), in time order.
@@ -464,22 +456,153 @@ def scan_events(x0: XState, model: QModel, tmax: float) -> list[ScanEvent]:
                   key=lambda e: e.t)
 
 
-def time_scan(x0: XState, model: QModel, t_grid) -> list[TimeScanRecord]:
-    """Evolve x0 along t_grid: one record per sample, with the eigenvalues
-    and active settings of evolve_x and optimal_settings.  The events of the
-    trajectory come from scan_events(x0, model, t_grid[-1]).
+
+
+@dataclass(frozen=True)
+class TimeScan:
+    """A trajectory scan as columns, entry i for sample time t[i]: q2 =
+    |q(t)|^2, the eigenvalues u1, u2, u3 of the evolved state, the Bell values
+    b1, b2 and bmax, the active region (1 or 2) with its tie flag, and the
+    eight angles of the active set as thetas and phis of shape (n, 4), in
+    AngleSettings.thetas / .phis order.  Entry i equals what evolve_x,
+    x_state_eigenvalues and optimal_settings give at t[i], bit for bit."""
+
+    t: np.ndarray
+    q2: np.ndarray
+    u1: np.ndarray
+    u2: np.ndarray
+    u3: np.ndarray
+    b1: np.ndarray
+    b2: np.ndarray
+    bmax: np.ndarray
+    region: np.ndarray
+    tie: np.ndarray
+    thetas: np.ndarray
+    phis: np.ndarray
+
+
+# Array forms of the scalar row path evolve_x -> x_state_eigenvalues ->
+# optimal_settings, equal to it bit for bit, the sign of zero included.
+# That rules out the obvious numpy calls: v ** 2 is libm's pow, which
+# differs from v * v in the last bit for some v; numpy's arctan2 differs
+# from libm's atan2 for ~7% of arguments on AVX-512 hosts; and a complex
+# product rounds as Python's only when written out in its order.  abs of a
+# complex is hypot, and np.sqrt and np.fmod are exact.
+
+def _sq(v: np.ndarray) -> np.ndarray:
+    # float ** 2
+    return np.float_power(v, 2.0)
+
+
+def _atan2(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # math.atan2, and cmath.phase(complex(x, y))
+    return np.fromiter(map(math.atan2, y.tolist(), x.tolist()), float, len(y))
+
+
+def _evolve_rows(x0: XState, q: np.ndarray, q2: np.ndarray):
+    # evolve_x(x0, q) for each q, with q2 = abs(q) ** 2: the populations and
+    # the coherences rho14, rho23 as (real, imaginary) pairs
+    x = np.where(q2 < 1.0, q2, 1.0)  # min(1.0, q2)
+    fed = x0.rho11 * (1.0 - x)
+    r11 = x0.rho11 * x * x
+    r22 = x * (x0.rho22 + fed)
+    r33 = x * (x0.rho33 + fed)
+    r44 = 1.0 - (r11 + r22 + r33)
+    # q * q * rho14, and x * rho23 as Python multiplies: complex(x, 0.0) * rho23
+    c14, c23 = complex(x0.rho14), complex(x0.rho23)
+    sr, si = q.real * q.real - q.imag * q.imag, q.real * q.imag + q.imag * q.real
+    rho14 = (sr * c14.real - si * c14.imag, sr * c14.imag + si * c14.real)
+    rho23 = (x * c23.real - 0.0 * c23.imag, x * c23.imag + 0.0 * c23.real)
+    return r11, r22, r33, r44, rho14, rho23
+
+
+def _normalize_rows(theta: np.ndarray, phi: np.ndarray):
+    # normalize_direction(theta, phi) elementwise
+    theta = np.fmod(theta, 2.0 * math.pi)
+    theta = np.where(theta < 0.0, theta + 2.0 * math.pi, theta)
+    flip = theta > math.pi
+    theta = np.where(flip, 2.0 * math.pi - theta, theta)
+    phi = np.fmod(np.where(flip, phi + math.pi, phi), 2.0 * math.pi)
+    phi = np.where(phi > math.pi, phi - 2.0 * math.pi,
+                   np.where(phi <= -math.pi, phi + 2.0 * math.pi, phi))
+    return theta + 0.0, phi + 0.0
+
+
+def _settings_rows(set1, gap, u1, u2, u3, m14, m23, rho14, rho23):
+    # the raw angles of _set1 where set1, else of _set2, normalized as
+    # AngleSettings.from_angles does
+    arg14, arg23 = _atan2(rho14[1], rho14[0]), _atan2(rho23[1], rho23[0])
+    spread = _atan2(np.sqrt(np.where(set1, u2, u3)), np.sqrt(u1))  # set 1: tilt
+    phi1 = -0.5 * (arg14 + arg23)
+    half_rel = 0.5 * (arg23 - arg14)  # phi2 of set 1
+    theta2 = _HALF_PI - np.where(gap >= 0.0, 1.0, -1.0) * spread
+    phi1p = phi1 + np.where(m23 - m14 >= 0.0, 1.0, -1.0) * _HALF_PI
+    zero = np.zeros_like(phi1)
+    thetas = np.where(set1[:, None],
+                      np.column_stack((zero + _HALF_PI, zero, theta2, math.pi - theta2)),
+                      _HALF_PI)
+    phis = np.where(set1[:, None],
+                    np.column_stack((phi1, zero, half_rel, half_rel)),
+                    np.column_stack((phi1, phi1p, half_rel + spread, half_rel - spread)))
+    return _normalize_rows(thetas, phis)
+
+
+def time_scan(x0: XState, model: QModel, t_grid) -> TimeScan:
+    """Evolve x0 along t_grid (at most MAX_SAMPLES times) in one array pass,
+    from one model.q call.  Each check of the scalar path is one mask, and
+    the first row that fails one raises what the scalar path raises there.
+    The events of the trajectory come from scan_events(x0, model,
+    t_grid[-1]).
     """
-    t_list = [float(t) for t in t_grid]
-    if not t_list:
+    t = np.array(t_grid, dtype=float)
+    if t.ndim != 1:
+        raise ValueError("t_grid must be one-dimensional")
+    if len(t) > MAX_SAMPLES:
+        raise ValueError(f"t_grid has {len(t)} samples, more than {MAX_SAMPLES}")
+    if not len(t):
         raise ValueError("t_grid must not be empty")
-    if t_list[0] != 0.0:
+    if t[0] != 0.0:
         raise ValueError("t_grid must start at 0")
-    if any(b <= a for a, b in zip(t_list, t_list[1:])):
+    if (t[1:] <= t[:-1]).any():
         raise ValueError("t_grid must be strictly increasing")
-    if not all(map(math.isfinite, t_list)):
+    if not np.isfinite(t).all():
         raise ValueError("t_grid must be finite")
-    records: list[TimeScanRecord] = []
-    for t, q in zip(t_list, model.q(np.array(t_list)).tolist()):
-        settings, u = optimal_settings(evolve_x(x0, q))
-        records.append(TimeScanRecord(t=t, q2=abs(q) ** 2, u=u, settings=settings))
-    return records
+    return _scan_columns(x0, t, model.q(t))
+
+
+@np.errstate(all="ignore")  # a row that is not finite fails its check
+def _scan_columns(x0: XState, t: np.ndarray, q: np.ndarray) -> TimeScan:
+    mod_q = np.hypot(q.real, q.imag)
+    q2 = _sq(mod_q)
+    r11, r22, r33, r44, rho14, rho23 = _evolve_rows(x0, q, q2)
+    pops = np.stack((r11, r22, r33, r44))
+    # x_state_eigenvalues
+    m14, m23 = np.hypot(*rho14), np.hypot(*rho23)
+    gap = r11 + r44 - r22 - r33
+    u1, u2, u3 = 4.0 * _sq(m14 + m23), _sq(gap), 4.0 * _sq(m14 - m23)
+    u = np.stack((u1, u2, u3))
+    failed = (
+        (mod_q > 1.0 + 1e-12)  # evolve_x
+        # XState: trace, populations, outer and inner 2x2 blocks PSD
+        | (abs(r11 + r22 + r33 + r44 - 1.0) > TRACE_TOL)
+        | ~((-POSITIVITY_TOL <= pops) & (pops <= 1.0 + POSITIVITY_TOL)).all(axis=0)
+        | ~(_sq(m14) - POSITIVITY_TOL <= r11 * r44)
+        | ~(_sq(m23) - POSITIVITY_TOL <= r22 * r33)
+        # BellEigenvalues: range, u1 >= u3, Tsirelson
+        | ~((-1e-12 <= u) & (u <= 1.0 + 1e-10)).all(axis=0)
+        | (u1 < u3 - 1e-12)
+        | (u1 + np.where(u3 > u2, u3, u2) > 2.0 + 1e-10)
+    )
+    if failed.any():  # the scalar path raises the first failing row's error
+        optimal_settings(evolve_x(x0, complex(q[failed.argmax()])))
+    tie = abs(u2 - u3) <= TIE_TOL
+    set1 = tie | (u2 >= u3)
+    # BellEigenvalues.b1, .b2 and .bmax, with max(0.0, s) and max(b1, b2)
+    s1, s2 = u1 + u2, u1 + u3
+    b1 = 2.0 * np.sqrt(np.where(s1 > 0.0, s1, 0.0))
+    b2 = 2.0 * np.sqrt(np.where(s2 > 0.0, s2, 0.0))
+    thetas, phis = _settings_rows(set1, gap, u1, u2, u3, m14, m23, rho14, rho23)
+    return TimeScan(t=t, q2=q2, u1=u1, u2=u2, u3=u3, b1=b1, b2=b2,
+                    bmax=np.where(b2 > b1, b2, b1),
+                    region=np.where(set1, int(Region.SET1), int(Region.SET2)),
+                    tie=tie, thetas=thetas, phis=phis)

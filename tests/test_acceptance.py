@@ -193,8 +193,8 @@ def test_criterion_7_jump_phenomenon():
         assert len(oracle_roots) == len(roots) == 2
         assert roots == pytest.approx(oracle_roots, abs=1e-10)
 
-        records = time_scan(x0, ExponentialModel(gamma),
-                            np.linspace(0.0, 5.0, 500))
+        scan = time_scan(x0, ExponentialModel(gamma),
+                         np.linspace(0.0, 5.0, 500))
         events = scan_events(x0, ExponentialModel(gamma), 5.0)
         jumps = sorted((e for e in events if e.kind is EventKind.SET_JUMP),
                        key=lambda e: e.q2)
@@ -212,7 +212,7 @@ def test_criterion_7_jump_phenomenon():
         violations = [e for e in events
                       if e.kind in (EventKind.VIOLATION_ON, EventKind.VIOLATION_OFF)]
         assert [e.kind for e in violations] == [EventKind.VIOLATION_OFF]
-        assert records[0].u.bmax > 2.0
+        assert scan.bmax[0] > 2.0
         for e in violations:
             u_evt = x_state_eigenvalues(evolve_x(x0, math.sqrt(e.q2)))
             assert abs(u_evt.bmax - 2.0) <= 1e-8

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellopt import EWLParams, crossing_roots, ewl_state, x_to_dense
-from bellopt.cli import fmt9, main
+from bellopt import EWLParams, TimeScan, crossing_roots, ewl_state, x_to_dense
+from bellopt.cli import _scan_csv, fmt9, main
 from conftest import werner
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -66,6 +66,26 @@ class TestFmt9:
         assert fmt9(1.23e-5) == "1.23000000e-05"
         assert fmt9(1.5e7) == "1.50000000e+07"
         assert "e" in fmt9(9.999e-5)
+
+
+class TestScanCsv:
+    # edge values of fmt9's two formats, its -0.0, and negative scientific
+    EDGES = [1e-4, math.nextafter(1e-4, 0.0), 1e6, math.nextafter(1e6, 0.0),
+             -0.0, 0.0, 5e-324, -5e-324, -3.25e-7, -math.nextafter(1e-4, 0.0),
+             -1e-4, -2.5e8, -1e6, 0.1 + 0.2, math.pi, -1e300, 123456.789]
+
+    def test_cells_equal_fmt9(self):
+        # every edge value lands in every numeric column
+        n = len(self.EDGES)
+        columns = [np.roll(self.EDGES, j) for j in range(16)]
+        scan = TimeScan(*columns[:8], region=np.array([1, 2] * n)[:n],
+                        tie=np.zeros(n, dtype=bool),
+                        thetas=np.column_stack(columns[8:12]),
+                        phis=np.column_stack(columns[12:]))
+        lines = _scan_csv(scan, {"version": "v", "events": []}).splitlines()
+        expected = [",".join([fmt9(c[i]) for c in columns[:8]] + [str(scan.region[i])]
+                             + [fmt9(c[i]) for c in columns[8:]]) for i in range(n)]
+        assert lines[2:] == expected
 
 
 class TestBmax:
@@ -331,6 +351,15 @@ class TestScan:
                      "--tmax", "5", "--samples", "10"]) == 2
         assert main(["scan", "--ewl", "2.0,1,0", "--qmodel", "exp:1.0",
                      "--tmax", "5", "--samples", "10"]) == 2
+
+    def test_too_many_samples_exit_2_before_allocating(self, capsys):
+        t0 = time.perf_counter()
+        assert main(["scan", "--ewl", "0.3,0.9,0", "--qmodel", "exp:1", "--tmax", "5",
+                     "--samples", "1000000000000000"]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --samples must be <= 1000000\n"
 
     def test_weak_coupling_long_horizon(self, capsys):
         # cosh/sinh of the Lorentzian amplitude overflow at t ~ 145 here

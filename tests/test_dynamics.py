@@ -15,9 +15,11 @@ from bellopt import (
     EventKind,
     ExponentialModel,
     LorentzianModel,
+    NotPositive,
     Region,
     ScanEvent,
     TabulatedModel,
+    TraceNotOne,
     XState,
     apply_amplitude_damping,
     as_x_state,
@@ -38,7 +40,7 @@ from bellopt import (
     x_to_dense,
 )
 from bellopt.angles import _sign
-from bellopt.dynamics import EVENT_REL_TOL, MAX_PIECES
+from bellopt.dynamics import EVENT_REL_TOL, MAX_PIECES, MAX_SAMPLES
 from conftest import damping_amplitudes, random_density, random_x_state, x_states
 
 
@@ -381,49 +383,43 @@ class TestTimeScan:
 
     def test_static_state_has_no_events(self, bell_x):
         model = TabulatedModel((0.0, 10.0), (1.0, 1.0))
-        records = time_scan(bell_x, model, np.linspace(0, 10, 50))
+        scan = time_scan(bell_x, model, np.linspace(0, 10, 50))
         assert scan_events(bell_x, model, 10.0) == []
-        assert all(r.u.bmax == pytest.approx(2 * math.sqrt(2), abs=1e-12)
-                   for r in records)
+        assert scan.bmax.tolist() == pytest.approx([2 * math.sqrt(2)] * 50, abs=1e-12)
 
     def test_maximally_mixed_never_violates(self):
         x0 = XState(0.25, 0.25, 0.25, 0.25, 0.0, 0.0)
-        records = time_scan(x0, ExponentialModel(1.0), np.linspace(0, 5, 200))
-        assert all(r.u.bmax < 2.0 for r in records)
+        scan = time_scan(x0, ExponentialModel(1.0), np.linspace(0, 5, 200))
+        assert (scan.bmax < 2.0).all()
         assert not [e for e in scan_events(x0, ExponentialModel(1.0), 5.0)
                     if e.kind in (EventKind.VIOLATION_ON, EventKind.VIOLATION_OFF)]
 
     def test_two_point_grid_finds_both_jumps(self):
         p = EWLParams(alpha2=0.3, r=1.0, delta=0.0)
         x0, model = ewl_state(p), ExponentialModel(gamma=1.0)
-        records = time_scan(x0, model, [0.0, 5.0])
+        scan = time_scan(x0, model, [0.0, 5.0])
         events = scan_events(x0, model, 5.0)
         jumps = [e for e in events if e.kind is EventKind.SET_JUMP]
-        assert len(jumps) == 2 and len(events) == 3 and len(records) == 2
+        assert len(jumps) == 2 and len(events) == 3 and len(scan.t) == 2
         assert all(0.0 < e.t <= 5.0 for e in events)
         assert sorted(j.q2 for j in jumps) == pytest.approx(crossing_roots(p), abs=1e-8)
 
     def test_bmax_consistency_invariant(self):
         p = EWLParams(alpha2=0.25, r=0.9, delta=0.3)
-        records = time_scan(ewl_state(p), ExponentialModel(0.5),
-                            np.linspace(0, 4, 50))
-        for r in records:
-            expected = 2.0 * math.sqrt(r.u.u1 + max(r.u.u2, r.u.u3))
-            assert r.u.bmax == pytest.approx(expected, abs=1e-12)
+        scan = time_scan(ewl_state(p), ExponentialModel(0.5),
+                         np.linspace(0, 4, 50))
+        for u1, u2, u3, bmax in zip(scan.u1, scan.u2, scan.u3, scan.bmax):
+            expected = 2.0 * math.sqrt(u1 + max(u2, u3))
+            assert bmax == pytest.approx(expected, abs=1e-12)
 
     def test_delta_independence_of_bmax_not_of_phis(self):
         grid = np.linspace(0, 3, 40)
-        rec0 = time_scan(ewl_state(EWLParams(0.3, 1.0, 0.0)),
-                         ExponentialModel(1.0), grid)
-        rec1 = time_scan(ewl_state(EWLParams(0.3, 1.0, math.pi / 2)),
-                         ExponentialModel(1.0), grid)
-        phi_differs = False
-        for a, b in zip(rec0, rec1):
-            assert a.u.bmax == pytest.approx(b.u.bmax, abs=1e-12)
-            if any(abs(x - y) > 1e-6 for x, y in zip(a.settings.phis,
-                                                     b.settings.phis)):
-                phi_differs = True
-        assert phi_differs
+        scan0 = time_scan(ewl_state(EWLParams(0.3, 1.0, 0.0)),
+                          ExponentialModel(1.0), grid)
+        scan1 = time_scan(ewl_state(EWLParams(0.3, 1.0, math.pi / 2)),
+                          ExponentialModel(1.0), grid)
+        assert scan0.bmax.tolist() == pytest.approx(scan1.bmax.tolist(), abs=1e-12)
+        assert (np.abs(scan0.phis - scan1.phis) > 1e-6).any()
 
     def test_grid_validation(self, bell_x):
         model = ExponentialModel(1.0)
@@ -431,6 +427,8 @@ class TestTimeScan:
             time_scan(bell_x, model, [0.5, 1.0])
         with pytest.raises(ValueError):
             time_scan(bell_x, model, [0.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="t_grid must be one-dimensional"):
+            time_scan(bell_x, model, [[0.0, 1.0]])
 
     def test_lorentzian_revivals_cross_repeatedly(self):
         # strong coupling: |q|^2 revives, so the boundary is crossed > 2 times
@@ -539,6 +537,19 @@ def reference_time_scan(x0: XState, model, t_grid):
         events.sort(key=lambda e: e.t)
         records.append((t, abs(q) ** 2, u, settings_, tuple(events)))
     return records, coarse
+
+
+def scalar_row(t, q2, u, settings_) -> tuple:
+    """A row of the scalar path, with the fields of a TimeScan row."""
+    return (t, q2, u.u1, u.u2, u.u3, u.b1, u.b2, u.bmax, int(u.region), u.tie,
+            *settings_.thetas, *settings_.phis)
+
+
+def scan_rows(scan) -> list[tuple]:
+    """The rows of a TimeScan, as Python values in scalar_row order."""
+    columns = (scan.t, scan.q2, scan.u1, scan.u2, scan.u3, scan.b1, scan.b2,
+               scan.bmax, scan.region, scan.tie, *scan.thetas.T, *scan.phis.T)
+    return list(zip(*(c.tolist() for c in columns)))
 
 
 def _complex_table() -> TabulatedModel:
@@ -650,10 +661,10 @@ def _both_scans(x0, model, grid):
         new = time_scan(x0, model, grid)
         events = scan_events(x0, model, grid[-1])
     ref, coarse = reference_time_scan(x0, model, grid)
-    new_rows = [(r.t, r.q2, r.u, r.settings) for r in new]
     new_events = [(int(np.searchsorted(grid, e.t, side="left")), e) for e in events]
     ref_events = [(i, e) for i, r in enumerate(ref) for e in r[4]]
-    return new_rows, new_events, [r[:4] for r in ref], ref_events, coarse
+    return (scan_rows(new), new_events, [scalar_row(*r[:4]) for r in ref],
+            ref_events, coarse)
 
 
 def _matches(ref_event, events) -> bool:
@@ -713,6 +724,173 @@ class TestScanMatchesScalarLoop:
                 x0, model, grid)
             assert new_rows == ref_rows
             assert all(_matches(e, new_events) for e in ref_events)
+
+
+# ------------------------------------------------------ scan rows bit for bit
+
+
+def _same_bits(a, b) -> bool:
+    """Equal values of one type, with the same sign (of zero too)."""
+    return (type(a) is type(b) and a == b
+            and math.copysign(1.0, a) == math.copysign(1.0, b))
+
+
+def assert_rows_bit_for_bit(x0, model, grid):
+    """Every value of time_scan equals optimal_settings(evolve_x(x0, q(t)))
+    and its eigenvalues at each grid time, the sign of zero included."""
+    rows = scan_rows(time_scan(x0, model, grid))
+    assert len(rows) == len(grid)
+    for t, row in zip(np.asarray(grid, dtype=float).tolist(), rows):
+        q = model.q(t)
+        settings_, u = optimal_settings(evolve_x(x0, q))
+        expected = scalar_row(t, abs(q) ** 2, u, settings_)
+        assert all(map(_same_bits, row, expected)), (t, row, expected)
+
+
+def _phase_edge_states():
+    """X states with rho14 != 0 whose coherence phases lie on or next to
+    +-pi and 0, where a last-bit change of atan2 moves an angle by 2 pi."""
+    rng = np.random.default_rng(91)
+    edges = [math.pi, -math.pi, math.nextafter(math.pi, 0.0),
+             math.nextafter(-math.pi, 0.0), 0.0, -0.0, 1e-300, -1e-300]
+    states = []
+    for mu in edges:
+        for nu in edges[::3]:
+            p = rng.dirichlet(np.ones(4))
+            f14, f23 = rng.uniform(0.2, 1.0, 2)
+            states.append(XState(*p, f14 * math.sqrt(p[0] * p[3]) * cmath.rect(1.0, mu),
+                                 f23 * math.sqrt(p[1] * p[2]) * cmath.rect(1.0, nu)))
+    # phases of exactly +-pi with a signed zero imaginary part
+    states.append(XState(0.3, 0.2, 0.2, 0.3, complex(-0.2, -0.0), complex(-0.1, 0.0)))
+    return states
+
+
+class TestScanRowsBitForBit:
+    MODELS = [ExponentialModel(1.3), LorentzianModel(5.0, 0.5),
+              LorentzianModel(1.0, 5.0), _complex_table()]
+    GRID = np.linspace(0.0, 6.0, 61)
+
+    def test_random_ewl_states(self):
+        rng = np.random.default_rng(5)
+        for i in range(40):
+            p = EWLParams(float(rng.uniform()), float(rng.uniform()),
+                          float(rng.uniform(-4.0, 4.0)))
+            assert_rows_bit_for_bit(ewl_state(p), self.MODELS[i % 4], self.GRID)
+
+    def test_random_x_states(self):
+        rng = np.random.default_rng(6)
+        for i in range(40):
+            x0 = random_x_state(rng)
+            assert x0.rho14 != 0.0
+            assert_rows_bit_for_bit(x0, self.MODELS[i % 4], self.GRID)
+
+    def test_phases_near_pi(self):
+        for i, x0 in enumerate(_phase_edge_states()):
+            assert_rows_bit_for_bit(x0, self.MODELS[i % 4], self.GRID)
+
+    def test_q_exactly_zero(self):
+        # a table through q = 0 and negative q, and exp past its underflow
+        table = TabulatedModel((0.0, 1.0, 2.0, 3.0), (1.0, -0.5, 0.0, 0.3 - 0.2j))
+        exp = ExponentialModel(1.0)
+        assert table.q(2.0) == 0.0 and exp.q(1600.0) == 0.0
+        states = _phase_edge_states()[::4] + [ewl_state(EWLParams(0.3, 1.0, 2.0))]
+        for x0 in states:
+            assert_rows_bit_for_bit(x0, table, np.linspace(0.0, 3.0, 31))
+            assert_rows_bit_for_bit(x0, exp, [0.0, 1.0, 1490.0, 1600.0, 2000.0])
+
+    def test_q_above_one_within_tolerance(self):
+        # |q| up to 1 + 1e-12 is accepted; evolve_x takes x = min(1, |q|^2)
+        table = TabulatedModel((0.0, 1.0, 2.0), (1.0, 1.0 + 5e-13, 0.5j))
+        assert abs(table.q(1.0)) ** 2 > 1.0
+        for x0 in _phase_edge_states()[::4]:
+            assert_rows_bit_for_bit(x0, table, np.linspace(0.0, 2.0, 21))
+
+    def test_rows_on_the_tie(self):
+        # a constant q keeps the tie start u2 = u3 in every row
+        x0 = ewl_state(EWLParams(0.5, 0.8, 0.4))
+        static = TabulatedModel((0.0, 10.0), (1.0, 1.0))
+        assert time_scan(x0, static, self.GRID).tie.all()
+        assert_rows_bit_for_bit(x0, static, self.GRID)
+        for model in self.MODELS:
+            assert_rows_bit_for_bit(x0, model, self.GRID)
+
+    @pytest.mark.parametrize("x0", [
+        XState(0.1, 0.2, 0.3, 0.4, 0.0, 0.0),
+        XState(0.1, 0.2, 0.3, 0.4, complex(-0.0, -0.0), complex(0.0, -0.0)),
+        XState(0.25, 0.25, 0.25, 0.25, 0.0, 0.0),
+    ], ids=["u1-zero", "u1-zero-signed", "fully-mixed"])
+    def test_u1_zero_and_fully_mixed(self, x0):
+        assert (time_scan(x0, self.MODELS[0], self.GRID).u1 == 0.0).all()
+        for model in self.MODELS:
+            assert_rows_bit_for_bit(x0, model, self.GRID)
+
+
+def unchecked_x_state(*elements) -> XState:
+    """An XState built without its checks, to start a scan from a state they
+    reject."""
+    x = object.__new__(XState)
+    for name, v in zip(("rho11", "rho22", "rho33", "rho44", "rho14", "rho23"), elements):
+        object.__setattr__(x, name, v)
+    return x
+
+
+class _Overshoot:
+    """q(t) = 1 + 1e-9 t: |q| exceeds 1 + 1e-12 from t = 1e-3 on."""
+
+    def q(self, t):
+        return np.asarray(1.0 + 1e-9 * np.asarray(t, dtype=float) + 0j)
+
+
+class TestScanChecks:
+    """Each check of the scalar row path is one mask in time_scan, and its
+    first failing row raises the scalar path's exception.  The u1 >= u3
+    check has no case: u1 = 4 (m14 + m23)^2 and u3 = 4 (m14 - m23)^2 with
+    m14, m23 >= 0 cannot fail it, in floating point too.  A row fails the
+    trace check only with a population far out of range, as r44 is
+    1 - (r11 + r22 + r33), so that case also fails the population mask."""
+
+    TSIRELSON_E = 0.1125e-10  # u1 = u2 = 1 + 0.9e-10: each in range, sum > 2 + 1e-10
+
+    @pytest.mark.parametrize("x0,model,error,message", [
+        (ewl_state(EWLParams(0.3, 1.0)), _Overshoot(), ValueError,
+         "|q| must be <= 1, got 1.0000000005"),
+        (unchecked_x_state(1e20, 0.0, 0.0, 0.0, 0j, 0j), ExponentialModel(1.0),
+         TraceNotOne, "populations sum deviates from 1 by 1.000e+00"),
+        (unchecked_x_state(0.0, 1.5, -0.5, 0.0, 0j, 0j), ExponentialModel(1.0),
+         NotPositive, "population 2 out of [0, 1]: 1.5"),
+        (unchecked_x_state(0.5, 0.0, 0.0, 0.5, 0.6 + 0j, 0j), ExponentialModel(1.0),
+         NotPositive, "outer 2x2 block not PSD"),
+        (unchecked_x_state(0.0, 0.5, 0.5, 0.0, 0j, 0.6 + 0j), ExponentialModel(1.0),
+         NotPositive, "inner 2x2 block not PSD"),
+        (XState(1.0 + 0.9e-10, -0.9e-10, 0.0, 0.0, 0j, 0j), ExponentialModel(1.0),
+         ValueError, "u2 out of [0, 1]: 1.00000000036"),
+        (XState(0.5 + TSIRELSON_E, -TSIRELSON_E, -TSIRELSON_E, 0.5 + TSIRELSON_E,
+                math.sqrt(0.25 + 0.225e-10), 0j), ExponentialModel(1.0),
+         ValueError, "u1 + max(u2, u3) exceeds the Tsirelson bound"),
+    ], ids=["q", "trace", "population", "outer-block", "inner-block",
+            "eigenvalue-range", "tsirelson"])
+    def test_raises_as_the_scalar_path(self, x0, model, error, message):
+        grid = np.linspace(0.0, 2.0, 5)
+        with pytest.raises(error) as scalar:
+            for t in grid.tolist():
+                optimal_settings(evolve_x(x0, model.q(t)))
+        with pytest.raises(error) as array:
+            time_scan(x0, model, grid)
+        assert type(array.value) is type(scalar.value)
+        assert str(array.value) == str(scalar.value)
+        assert message in str(scalar.value)
+
+    def test_first_failing_row_raises(self):
+        # |q| grows with t: the scalar loop stops at the first row past the
+        # limit, whose value the message names
+        with pytest.raises(ValueError, match=re.escape("got 1.0000000005")):
+            time_scan(ewl_state(EWLParams(0.3, 1.0)), _Overshoot(), [0.0, 0.5, 1.0])
+
+    def test_sample_limit(self):
+        grid = np.arange(MAX_SAMPLES + 1.0)
+        with pytest.raises(ValueError, match=f"t_grid has {MAX_SAMPLES + 1} samples, "
+                                             f"more than {MAX_SAMPLES}"):
+            time_scan(ewl_state(EWLParams(0.3, 1.0)), ExponentialModel(1.0), grid)
 
 
 # ------------------------------------------------------------- exact events
@@ -868,11 +1046,10 @@ class TestExactTieStart:
     def test_active_set_changes_without_a_set_jump(self):
         # The tie at t = 0 counts as SET1 for the active set; leaving it is
         # not a crossing, so it reports no SetJump.
-        records = time_scan(self.X0, self.MODEL, self.GRID)
-        u0 = records[0].u
-        assert -1e-15 < u0.u2 - u0.u3 < 0.0 and u0.tie
-        assert records[0].u.region is Region.SET1
-        assert records[1].u.region is Region.SET2
+        scan = time_scan(self.X0, self.MODEL, self.GRID)
+        assert -1e-15 < scan.u2[0] - scan.u3[0] < 0.0 and scan.tie[0]
+        assert scan.region[0] == Region.SET1
+        assert scan.region[1] == Region.SET2
         events = scan_events(self.X0, self.MODEL, self.GRID[-1])
         assert events[0].t > self.GRID[1]
 
