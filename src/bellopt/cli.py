@@ -59,9 +59,7 @@ class InputError(ValueError):
 
 def fmt9(v: float) -> str:
     """9 significant digits; lowercase scientific when |v| < 1e-4 or >= 1e6."""
-    v = float(v)
-    if v == 0.0:
-        v = 0.0  # normalize -0.0
+    v = float(v) + 0.0  # + 0.0 turns -0.0 into 0.0
     if v != 0.0 and (abs(v) < 1e-4 or abs(v) >= 1e6):
         return f"{v:.8e}"
     return f"{v:.9g}"
@@ -79,14 +77,10 @@ def _load_density(path: str, off_x_tol_flag):
         raise InputError(f"{path} must be an object with a 'rho' key")
     raw = doc["rho"]
     try:
-        arr = np.array(
-            [[complex(cell[0], cell[1]) for cell in row] for row in raw],
-            dtype=complex,
-        )
+        arr = np.array([[complex(cell[0], cell[1]) for cell in row] for row in raw],
+                       dtype=complex)
     except (TypeError, ValueError, LookupError) as exc:
-        raise InputError(
-            f"'rho' must be a 4x4 array of [re, im] pairs: {exc}"
-        ) from exc
+        raise InputError(f"'rho' must be a 4x4 array of [re, im] pairs: {exc}") from exc
     if arr.shape != (4, 4):
         raise InputError(f"'rho' must be 4x4, got {arr.shape}")
     rho = validate_density_matrix(arr)
@@ -147,11 +141,8 @@ def cmd_bmax(args) -> int:
 
 
 def _angles_doc(settings) -> dict:
-    return {
-        "set": int(settings.set_id),
-        "theta": list(settings.thetas),
-        "phi": list(settings.phis),
-    }
+    return {"set": int(settings.set_id), "theta": list(settings.thetas),
+            "phi": list(settings.phis)}
 
 
 def _angles_text(doc: dict, degrees: bool) -> str:

@@ -73,7 +73,8 @@ class NotXStructured(StateValidationError):
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix4:
-    """Validated 4x4 two-qubit state: Hermitian, unit trace, PSD."""
+    """Validated 4x4 two-qubit state: Hermitian, unit trace, PSD.  `entries`
+    holds the input's Hermitian part, so defects below HERMITICITY_TOL vanish."""
 
     entries: np.ndarray
 
@@ -92,6 +93,7 @@ class DensityMatrix4:
         lam_min = float(np.linalg.eigvalsh(m).min())
         if lam_min < -POSITIVITY_TOL:
             raise NotPositive(f"smallest eigenvalue {lam_min:.3e}")
+        m = 0.5 * (m + m.conj().T)  # exact on Hermitian input
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 

@@ -14,6 +14,7 @@ from bellopt import (
     correlation,
     horodecki_bmax,
     horodecki_eigenvalues,
+    pauli_correlation_matrix,
     settings_set2,
     validate_density_matrix,
     x_state_eigenvalues,
@@ -65,6 +66,70 @@ class TestBellFunction:
     def test_classical_saturation_all_z(self):
         rho = validate_density_matrix(np.diag([1.0, 0.0, 0.0, 0.0]))
         assert bell_function(rho, all_z_settings()) == pytest.approx(2.0, abs=1e-14)
+
+
+def kron_correlation(rho, a, b):
+    """The np.kron + einsum trace that bell_function replaced, kept as a
+    reference: Tr(rho (a.sigma (x) b.sigma)) from dense 4x4 operators."""
+    def observable(d):
+        n = d.unit_vector
+        return n[0] * PAULIS[0] + n[1] * PAULIS[1] + n[2] * PAULIS[2]
+    return float(np.einsum("ij,ji->", rho.entries,
+                           np.kron(observable(a), observable(b))).real)
+
+
+def kron_bell_function(rho, s):
+    return abs(kron_correlation(rho, s.a, s.b) + kron_correlation(rho, s.a, s.b_prime)
+               + kron_correlation(rho, s.a_prime, s.b)
+               - kron_correlation(rho, s.a_prime, s.b_prime))
+
+
+def reference_cases():
+    """Seeded Ginibre and random X states, each with random settings whose
+    directions include the poles (theta = 0, pi) and phi = pi."""
+    rng = np.random.default_rng(2024)
+    special = [ObservableDirection(0.0, 0.0), ObservableDirection(math.pi, 0.0),
+               ObservableDirection(0.0, math.pi), ObservableDirection(math.pi, math.pi),
+               ObservableDirection(0.5 * math.pi, math.pi),
+               ObservableDirection(rng.uniform(0, math.pi), math.pi)]
+
+    def d():
+        if rng.uniform() < 0.3:
+            return special[rng.integers(len(special))]
+        return ObservableDirection(rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi))
+
+    for k in range(600):
+        rho = random_density(rng) if k % 2 else x_to_dense(random_x_state(rng))
+        yield rho, BellSettings(d(), d(), d(), d())
+
+
+class TestDirectTrace:
+    def test_bell_function_equals_kron_trace(self):
+        for rho, s in reference_cases():
+            assert abs(bell_function(rho, s) - kron_bell_function(rho, s)) <= 4e-15
+
+    def test_correlation_equals_kron_trace(self):
+        for rho, s in reference_cases():
+            for a, b in ((s.a, s.b), (s.a_prime, s.b_prime), (s.b, s.a_prime)):
+                assert abs(correlation(rho, a, b) - kron_correlation(rho, a, b)) <= 4e-15
+
+    def test_bell_function_equals_correlation_matrix_form(self):
+        # E(a, b) = b . T a, so a slip in the basis order or the Pauli layout of
+        # either the direct trace or T shows here.
+        for rho, s in reference_cases():
+            t = pauli_correlation_matrix(rho).t
+            a, ap, b, bp = (d.unit_vector for d in (s.a, s.a_prime, s.b, s.b_prime))
+            via_t = abs(b @ t @ a + bp @ t @ a + b @ t @ ap - bp @ t @ ap)
+            assert abs(bell_function(rho, s) - via_t) <= 1e-14
+
+    def test_imaginary_residue_raises(self):
+        # DensityMatrix4 stores a Hermitian matrix; bypass it to reach the check.
+        rho = validate_density_matrix(np.eye(4) / 4.0)
+        fake = type("Fake", (), {"entries": rho.entries + np.diag([1e-9j, 0, 0, 0])})()
+        with pytest.raises(ValueError, match="correlation has imaginary residue"):
+            correlation(fake, Z_UP, Z_UP)
+        with pytest.raises(ValueError, match="correlation has imaginary residue"):
+            bell_function(fake, all_z_settings())
 
 
 class TestXStateEigenvalues:

@@ -124,6 +124,27 @@ class TestBmax:
         assert "violates CHSH (B_max > 2): yes" in out
 
 
+class TestHermiticityDefectBelowTolerance:
+    """A defect below HERMITICITY_TOL passes validation, so every command
+    must accept the state and answer as for its Hermitian part."""
+
+    @pytest.mark.parametrize("cmd", [("bmax",), ("angles",),
+                                     ("oracle-check", "--seed", "5")])
+    def test_exit_0_and_same_output_as_hermitian_part(self, tmp_path, capsys, cmd):
+        m = np.zeros((4, 4), dtype=complex)
+        m[0, 0] = m[3, 3] = 0.5
+        m[0, 3], m[3, 0] = 0.5j, -0.5j
+        m[3, 0] += 4e-11
+        defect = write_state(tmp_path, m, "defect.json")
+        hermitian = write_state(tmp_path, 0.5 * (m + m.conj().T), "hermitian.json")
+        outputs = []
+        for path in (defect, hermitian):
+            assert main([*cmd, "--input", path]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0].err == outputs[1].err == ""
+        assert outputs[0].out == outputs[1].out
+
+
 class TestOffXTolInput:
     """A NaN or non-numeric tolerance is an input error, never an X verdict."""
 

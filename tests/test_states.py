@@ -52,6 +52,20 @@ class TestValidateDensityMatrix:
         with pytest.raises(NotHermitian, match="1.000e-02"):
             validate_density_matrix(m)
 
+    def test_entries_are_the_hermitian_part(self):
+        m = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
+        m[0, 3], m[3, 0] = 0.5j, -0.5j + 4e-11
+        entries = validate_density_matrix(m).entries
+        assert np.array_equal(entries, 0.5 * (m + m.conj().T))
+        assert np.array_equal(entries, entries.conj().T)
+
+    def test_hermitian_input_is_kept_exactly(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            rho = random_density(rng)
+            assert np.array_equal(validate_density_matrix(rho.entries).entries,
+                                  rho.entries)
+
     def test_wrong_trace_rejected(self):
         with pytest.raises(TraceNotOne):
             validate_density_matrix(np.eye(4) / 2.0)
