@@ -2,8 +2,14 @@
 
 Subcommands: `bmax`, `angles`, `scan`, `surface`, `oracle-check`.  Machine
 output (JSON or CSV) is deterministic: identical inputs and flags produce
-byte-identical files.  Exit codes: 0 success, 2 input/validation error,
-3 state valid but not X-structured, 4 oracle disagreement.
+byte-identical files.  Exit codes: 0 success, 2 input/validation error
+(an unwritable --output included), 3 state valid but not X-structured,
+4 oracle disagreement.
+
+Every number in text and CSV output follows one rule, written once in
+_csv_rows: 9 significant digits, in lowercase scientific notation with 8
+decimals when 0 < |v| < 10^-4 or |v| >= 10^6; -0 prints as 0; an absent
+value (a surface row's missing crossing root) is an empty cell.
 """
 
 from __future__ import annotations
@@ -57,12 +63,35 @@ class InputError(ValueError):
     pass
 
 
+def _csv_rows(columns) -> str:
+    """CSV lines of `columns` (1-D arrays and (n, k) blocks, side by side),
+    each cell by the number rule of the module docstring, in one % operation:
+    there are few distinct row patterns of plain, scientific and NaN cells."""
+    values = np.column_stack(columns) + 0.0  # + 0.0 turns -0.0 into 0.0
+    magnitude = np.abs(values)
+    absent = np.isnan(values)
+    # cell kind: 0 plain, 1 scientific, 2 absent; a row's pattern in base 3
+    kinds = np.where(absent, 2, (values != 0.0) & ((magnitude < 1e-4) | (magnitude >= 1e6)))
+    patterns = (kinds @ 3 ** np.arange(values.shape[1])).tolist()
+    formats = {p: ",".join(("%.9g", "%.8e", "")[p // 3 ** j % 3]
+                           for j in range(values.shape[1])) for p in set(patterns)}
+    return "\n".join([formats[p] for p in patterns]) % tuple(values[~absent].tolist())
+
+
 def fmt9(v: float) -> str:
-    """9 significant digits; lowercase scientific when |v| < 1e-4 or >= 1e6."""
-    v = float(v) + 0.0  # + 0.0 turns -0.0 into 0.0
-    if v != 0.0 and (abs(v) < 1e-4 or abs(v) >= 1e6):
-        return f"{v:.8e}"
-    return f"{v:.9g}"
+    """One number by the rule of _csv_rows."""
+    return _csv_rows(([v],))
+
+
+def _is_number(v) -> bool:
+    """A JSON number: an int or a float, never a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _entry(cell) -> complex:
+    if not (isinstance(cell, list) and len(cell) == 2 and all(map(_is_number, cell))):
+        raise ValueError("each cell must be a list of two numbers")
+    return complex(cell[0], cell[1])
 
 
 def _load_density(path: str, off_x_tol_flag):
@@ -75,9 +104,8 @@ def _load_density(path: str, off_x_tol_flag):
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "rho" not in doc:
         raise InputError(f"{path} must be an object with a 'rho' key")
-    raw = doc["rho"]
     try:
-        arr = np.array([[complex(cell[0], cell[1]) for cell in row] for row in raw],
+        arr = np.array([[_entry(cell) for cell in row] for row in doc["rho"]],
                        dtype=complex)
     except (TypeError, ValueError, LookupError) as exc:
         raise InputError(f"'rho' must be a 4x4 array of [re, im] pairs: {exc}") from exc
@@ -86,10 +114,10 @@ def _load_density(path: str, off_x_tol_flag):
     rho = validate_density_matrix(arr)
     off_x_tol = DEFAULT_OFF_X_TOL
     if "off_x_tol" in doc:
-        try:
-            off_x_tol = float(doc["off_x_tol"])
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"'off_x_tol' must be a number: {exc}") from exc
+        if not _is_number(doc["off_x_tol"]):
+            raise InputError("'off_x_tol' must be a number, got "
+                             + type(doc["off_x_tol"]).__name__)
+        off_x_tol = float(doc["off_x_tol"])
     if off_x_tol_flag is not None:
         off_x_tol = off_x_tol_flag
     return rho, off_x_tol
@@ -100,8 +128,11 @@ def _emit(args, doc: dict, text_fn) -> None:
     otherwise as text_fn(doc) (human-readable text or CSV)."""
     text = json.dumps(doc, indent=2) + "\n" if args.format == "json" else text_fn(doc)
     if args.output:
-        with open(args.output, "w", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -207,44 +238,21 @@ def _parse_ewl(spec: str) -> EWLParams:
         raise InputError(f"bad --ewl {spec!r}: {exc}") from exc
 
 
-_SCAN_COLUMNS = (
-    "t,q2,u1,u2,u3,B1,B2,bmax,active_set,"
-    "theta1,theta1p,theta2,theta2p,phi1,phi1p,phi2,phi2p"
-)
-# JSON row keys of the columns before the angles, in CSV order.
-_SCAN_KEYS = _SCAN_COLUMNS.split(",")[:9]
-
-
-def _key_columns(scan) -> tuple:
-    """The TimeScan columns of _SCAN_KEYS."""
-    return (scan.t, scan.q2, scan.u1, scan.u2, scan.u3, scan.b1, scan.b2,
-            scan.bmax, scan.region)
-
-
-def _scan_rows(scan) -> list[dict]:
-    columns = zip(*(c.tolist() for c in _key_columns(scan)))
-    return [{**dict(zip(_SCAN_KEYS, row)), "theta": theta, "phi": phi}
-            for row, theta, phi in zip(columns, scan.thetas.tolist(), scan.phis.tolist())]
+# CSV header and JSON row key: TimeScan field, of the columns before the angles
+_SCAN_FIELDS = {"t": "t", "q2": "q2", "u1": "u1", "u2": "u2", "u3": "u3", "B1": "b1",
+                "B2": "b2", "bmax": "bmax", "active_set": "region"}
 
 
 def _scan_csv(scan, doc: dict) -> str:
-    """The rows of `scan`, each cell as fmt9 formats it, and the events of
-    doc.  The whole table is one % operation: a row's format has %.8e in the
-    cells fmt9 writes in scientific notation, and there are few such
-    patterns."""
-    # + 0.0 turns -0.0 into 0.0
-    values = np.column_stack((*_key_columns(scan), scan.thetas, scan.phis)) + 0.0
-    magnitude = np.abs(values)
-    scientific = (values != 0.0) & ((magnitude < 1e-4) | (magnitude >= 1e6))
-    # bit j of a row's pattern: column j is scientific (column 8 is active_set)
-    patterns = (scientific @ (1 << np.arange(values.shape[1]))).tolist()
-    formats = {p: ",".join("%d" if j == 8 else "%.8e" if p >> j & 1 else "%.9g"
-                           for j in range(values.shape[1])) for p in set(patterns)}
-    body = "\n".join([formats[p] for p in patterns]) % tuple(values.ravel().tolist())
-    lines = [f"# bellopt scan {doc['version']}", _SCAN_COLUMNS, body]
-    for e in doc["events"]:
-        lines.append(f"# event,{e['kind']},{fmt9(e['t'])},{fmt9(e['q2'])}")
-    return "\n".join(lines) + "\n"
+    """The rows of `scan` and the events of doc."""
+    body = _csv_rows([getattr(scan, f) for f in _SCAN_FIELDS.values()]
+                     + [scan.thetas, scan.phis])
+    events = doc["events"]
+    cells = _csv_rows(([e["t"] for e in events], [e["q2"] for e in events])).split("\n")
+    return "\n".join([
+        f"# bellopt scan {doc['version']}",
+        ",".join(_SCAN_FIELDS) + ",theta1,theta1p,theta2,theta2p,phi1,phi1p,phi2,phi2p",
+        body, *(f"# event,{e['kind']},{c}" for e, c in zip(events, cells))]) + "\n"
 
 
 def cmd_scan(args) -> int:
@@ -265,21 +273,17 @@ def cmd_scan(args) -> int:
     scan = time_scan(x0, model, t_grid)
     doc = {
         "version": __version__,
-        # row dicts for JSON only: the CSV is formatted from the columns
-        "rows": _scan_rows(scan) if args.format == "json" else None,
+        "rows": None,
         "events": [{"kind": e.kind.value, "t": e.t, "q2": e.q2}
                    for e in scan_events(x0, model, args.tmax)],
     }
+    if args.format == "json":  # row dicts; the CSV is formatted from the columns
+        columns = zip(*(getattr(scan, f).tolist() for f in _SCAN_FIELDS.values()))
+        doc["rows"] = [{**dict(zip(_SCAN_FIELDS, row)), "theta": theta, "phi": phi}
+                       for row, theta, phi in zip(columns, scan.thetas.tolist(),
+                                                  scan.phis.tolist())]
     _emit(args, doc, functools.partial(_scan_csv, scan))
     return EXIT_OK
-
-
-def _surface_csv(doc: dict) -> str:
-    lines = [f"# bellopt surface {doc['version']}", "alpha2,r,x_root1,x_root2"]
-    for row in doc["rows"]:
-        roots = [fmt9(v) for v in row["roots"]] + ["", ""]
-        lines.append(",".join([fmt9(row["alpha2"]), fmt9(row["r"]), *roots[:2]]))
-    return "\n".join(lines) + "\n"
 
 
 def cmd_surface(args) -> int:
@@ -289,14 +293,18 @@ def cmd_surface(args) -> int:
         raise InputError(f"bad --grid {args.grid!r}: {exc}") from exc
     if n_alpha < 2 or n_r < 2:
         raise InputError("--grid dimensions must be >= 2")
-    rows = []
-    for i in range(n_alpha):
-        alpha2 = i / n_alpha
-        for j in range(n_r):
-            r = (j + 1) / n_r
-            roots = crossing_roots(EWLParams(alpha2=alpha2, r=r))
-            rows.append({"alpha2": alpha2, "r": r, "roots": roots})
-    _emit(args, {"version": __version__, "rows": rows}, _surface_csv)
+    if n_alpha * n_r > MAX_SAMPLES:
+        raise InputError(f"--grid must have at most {MAX_SAMPLES} cells, "
+                         f"got {n_alpha} x {n_r}")
+    alpha2 = np.repeat(np.arange(n_alpha) / n_alpha, n_r)
+    r = np.tile(np.arange(1, n_r + 1) / n_r, n_alpha)
+    roots = np.full((alpha2.size, 2), math.nan)  # NaN: no such root, an empty cell
+    for row, (a, b) in zip(roots, zip(alpha2.tolist(), r.tolist())):
+        found = crossing_roots(EWLParams(alpha2=a, r=b))[:2]
+        row[:len(found)] = found
+    _emit(args, {"version": __version__}, lambda d: (
+        f"# bellopt surface {d['version']}\nalpha2,r,x_root1,x_root2\n"
+        + _csv_rows((alpha2, r, roots)) + "\n"))
     return EXIT_OK
 
 
@@ -394,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("surface",
                        help="u2 = u3 crossing roots over an (alpha^2, r) grid")
     p.add_argument("--grid", default="50,50", metavar="NA,NR",
-                   help="alpha^2 = i/NA (i = 0..NA-1), r = (j+1)/NR (j = 0..NR-1)")
+                   help="alpha^2 = i/NA (i = 0..NA-1), r = (j+1)/NR (j = 0..NR-1), "
+                        f"at most {MAX_SAMPLES} cells")
     add_io(p, formats=("csv",), default="csv")
     p.set_defaults(func=cmd_surface)
 

@@ -456,8 +456,6 @@ def scan_events(x0: XState, model: QModel, tmax: float) -> list[ScanEvent]:
                   key=lambda e: e.t)
 
 
-
-
 @dataclass(frozen=True)
 class TimeScan:
     """A trajectory scan as columns, entry i for sample time t[i]: q2 =

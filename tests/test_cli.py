@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellopt import EWLParams, TimeScan, crossing_roots, ewl_state, x_to_dense
-from bellopt.cli import _scan_csv, fmt9, main
+from bellopt.cli import _csv_rows, _scan_csv, fmt9, main
 from conftest import werner
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -67,25 +67,67 @@ class TestFmt9:
         assert fmt9(1.5e7) == "1.50000000e+07"
         assert "e" in fmt9(9.999e-5)
 
+    @pytest.mark.parametrize("value,text", [
+        (math.nextafter(1e-4, 0.0), "1.00000000e-04"),
+        (1e-4, "0.0001"),
+        (math.nextafter(1e6, 0.0), "1000000"),
+        (1e6, "1.00000000e+06"),
+        (5e-324, "4.94065646e-324"),
+        (-5e-324, "-4.94065646e-324"),
+        (-0.0, "0"),
+        (math.inf, "inf"),
+    ])
+    def test_edges(self, value, text):
+        assert fmt9(value) == text
+
+    def test_table_rows_mix_formats_and_empty_cells(self):
+        columns = (np.array([0.5, -0.0, math.nan, 2.0]),
+                   np.array([[1e-5, math.nan], [-2.0, 1e6], [math.nan, math.nan],
+                             [1.0, 1.0]]))
+        assert _csv_rows(columns) == ("0.5,1.00000000e-05,\n0,-2,1.00000000e+06\n,,\n"
+                                      "2,1,1")
+
+
+def _scalar_rule(v: float) -> str:
+    """The number rule written out one cell at a time: a reference for the
+    column formatter."""
+    v = float(v) + 0.0
+    if v != 0.0 and (abs(v) < 1e-4 or abs(v) >= 1e6):
+        return f"{v:.8e}"
+    return f"{v:.9g}"
+
 
 class TestScanCsv:
-    # edge values of fmt9's two formats, its -0.0, and negative scientific
+    # edge values of the two formats, -0.0, and negative scientific
     EDGES = [1e-4, math.nextafter(1e-4, 0.0), 1e6, math.nextafter(1e6, 0.0),
              -0.0, 0.0, 5e-324, -5e-324, -3.25e-7, -math.nextafter(1e-4, 0.0),
              -1e-4, -2.5e8, -1e6, 0.1 + 0.2, math.pi, -1e300, 123456.789]
 
     def test_cells_equal_fmt9(self):
-        # every edge value lands in every numeric column
+        # every edge value lands in every numeric column and in both event cells
         n = len(self.EDGES)
         columns = [np.roll(self.EDGES, j) for j in range(16)]
         scan = TimeScan(*columns[:8], region=np.array([1, 2] * n)[:n],
                         tie=np.zeros(n, dtype=bool),
                         thetas=np.column_stack(columns[8:12]),
                         phis=np.column_stack(columns[12:]))
-        lines = _scan_csv(scan, {"version": "v", "events": []}).splitlines()
-        expected = [",".join([fmt9(c[i]) for c in columns[:8]] + [str(scan.region[i])]
-                             + [fmt9(c[i]) for c in columns[8:]]) for i in range(n)]
-        assert lines[2:] == expected
+        events = [{"kind": "SetJump", "t": t, "q2": q2}
+                  for t, q2 in zip(self.EDGES, self.EDGES[::-1])]
+        lines = _scan_csv(scan, {"version": "v", "events": events}).splitlines()
+        for cell in (fmt9, _scalar_rule):
+            expected = [",".join([cell(c[i]) for c in columns[:8]] + [str(scan.region[i])]
+                                 + [cell(c[i]) for c in columns[8:]]) for i in range(n)]
+            assert lines[2:2 + n] == expected
+            assert lines[2 + n:] == [f"# event,SetJump,{cell(e['t'])},{cell(e['q2'])}"
+                                     for e in events]
+
+    def test_no_events(self):
+        scan = TimeScan(*([np.array([0.5])] * 8), region=np.array([2]),
+                        tie=np.array([False]), thetas=np.full((1, 4), 0.25),
+                        phis=np.full((1, 4), -0.25))
+        assert _scan_csv(scan, {"version": "v", "events": []}).splitlines()[2:] == [
+            "0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,2,0.25,0.25,0.25,0.25,"
+            "-0.25,-0.25,-0.25,-0.25"]
 
 
 class TestBmax:
@@ -164,13 +206,57 @@ class TestOffXTolInput:
                      "--format", "json"]) == 2
         assert capsys.readouterr().out == ""
 
-    @pytest.mark.parametrize("raw_tol", ["NaN", "null", "[1]", '"abc"'])
+    @pytest.mark.parametrize("raw_tol", ["NaN", "null", "[1]", '"abc"', "true", '"0.5"'])
     def test_bad_json_tolerance_exits_2(self, tmp_path, capsys, raw_tol):
         path = self.non_x_file(tmp_path, raw_tol)
         assert main(["bmax", "--input", path, "--format", "json"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "off_x_tol" in captured.err
+
+
+class TestStateFile:
+    """A 'rho' cell is a list of exactly two JSON numbers."""
+
+    @pytest.mark.parametrize("cell", [[0.5, 0.0, 99.0], [0.5], [], [True, False],
+                                      [0.5, False], ["0.5", 0.0], {"0": 0.5, "1": 0.0}],
+                             ids=["three", "one", "empty", "bools", "bool-im", "string",
+                                  "object"])
+    @pytest.mark.parametrize("command", ["bmax", "angles"])
+    def test_malformed_cell_exits_2(self, tmp_path, capsys, command, cell):
+        doc = {"rho": [[[0.25 if i == j else 0.0, 0.0] for j in range(4)]
+                       for i in range(4)]}
+        doc["rho"][1][1] = cell
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, "--input", str(path), "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: 'rho' must be a 4x4 array of [re, im] pairs: "
+                                "each cell must be a list of two numbers\n")
+
+    def test_integer_cells_are_numbers(self, tmp_path, capsys):
+        doc = {"rho": [[[1 if i == j == 0 else 0, 0] for j in range(4)] for i in range(4)]}
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        assert main(["bmax", "--input", str(path), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["bmax"] == 2.0
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("argv", [
+        ["bmax", "--input", "STATE"],
+        ["surface", "--grid", "3,3"],
+    ], ids=["bmax", "surface"])
+    @pytest.mark.parametrize("target", ["missing-dir", "dir"])
+    def test_exits_2_with_one_error_line(self, tmp_path, capsys, argv, target):
+        argv = [bell_file(tmp_path) if a == "STATE" else a for a in argv]
+        output = tmp_path / "no" / "out.txt" if target == "missing-dir" else tmp_path
+        assert main([*argv, "--output", str(output)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {output}: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestAngles:
@@ -292,7 +378,7 @@ class TestScan:
         assert len(offs) == 1
         assert offs[0]["t"] == pytest.approx(t_oracle, abs=1e-7)
 
-    def test_coarse_grid_warning_annotation(self, tmp_path, capsys):
+    def test_two_row_grid_reports_both_set_jumps(self, tmp_path, capsys):
         # a 2-row grid holds both jumps in its one interval; no annotation
         assert main(["scan", "--ewl", "0.3,1,0", "--qmodel", "exp:1.0",
                      "--tmax", "5", "--samples", "2"]) == 0
@@ -476,6 +562,15 @@ class TestSurface:
         assert main(["surface", "--grid", "1,10"]) == 2
         assert main(["surface", "--grid", "abc"]) == 2
 
+    def test_grid_over_the_cell_cap_exits_2_at_once(self, capsys):
+        t0 = time.perf_counter()
+        assert main(["surface", "--grid", "1000000000,1000000000"]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --grid must have at most 1000000 cells, "
+                                "got 1000000000 x 1000000000\n")
+
 
 class TestOracleCheck:
     def test_bell_state(self, tmp_path, capsys):
@@ -610,8 +705,23 @@ def _scan_argv(draw):
             "--format", "json"]
 
 
+_GRID_DIM = st.one_of(st.integers(-3, 12), st.integers(10 ** 6, 10 ** 30)).map(str)
+
+
+@st.composite
+def _grid_spec(draw):
+    """--grid text: two or any number of small or huge integers (so that a
+    grid the cap lets through stays small), or junk without digits other
+    than 0."""
+    return draw(st.one_of(
+        st.builds(lambda a, b: f"{a},{b}", _GRID_DIM, _GRID_DIM),
+        st.lists(_GRID_DIM, max_size=3).map(",".join),
+        st.text(alphabet=" ,-+_.e0x\n", max_size=8)))
+
+
 class TestFuzz:
-    """Fuzzed `scan`, `bmax` and `angles` runs (`oracle-check` below)."""
+    """Fuzzed `scan`, `surface`, `bmax` and `angles` runs (`oracle-check`
+    below)."""
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(argv=_scan_argv())
@@ -628,6 +738,20 @@ class TestFuzz:
         assert code in (0, 2)
         if code == 0:
             assert len(json.loads(out)["rows"]) == int(argv[5])
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(grid=_grid_spec())
+    @example(grid="1000,1001")
+    @example(grid="2,500001")
+    @example(grid="9" * 5000 + ",2")
+    @example(grid="1e3,1e3")
+    @example(grid="3,3,3")
+    def test_surface_grid(self, grid):
+        code, out = _run_fuzzed(["surface", f"--grid={grid}"])
+        assert code in (0, 2)
+        if code == 0:
+            n_alpha, n_r = (int(v) for v in grid.split(","))
+            assert len(out.splitlines()) == 2 + n_alpha * n_r
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(text=_oracle_input(), command=st.sampled_from(["bmax", "angles"]))
