@@ -107,7 +107,7 @@ def _load_density(path: str, off_x_tol_flag):
     try:
         arr = np.array([[_entry(cell) for cell in row] for row in doc["rho"]],
                        dtype=complex)
-    except (TypeError, ValueError, LookupError) as exc:
+    except (TypeError, ValueError, LookupError, OverflowError) as exc:
         raise InputError(f"'rho' must be a 4x4 array of [re, im] pairs: {exc}") from exc
     if arr.shape != (4, 4):
         raise InputError(f"'rho' must be 4x4, got {arr.shape}")
@@ -117,7 +117,10 @@ def _load_density(path: str, off_x_tol_flag):
         if not _is_number(doc["off_x_tol"]):
             raise InputError("'off_x_tol' must be a number, got "
                              + type(doc["off_x_tol"]).__name__)
-        off_x_tol = float(doc["off_x_tol"])
+        try:
+            off_x_tol = float(doc["off_x_tol"])
+        except OverflowError as exc:  # an integer beyond float range
+            raise InputError(f"'off_x_tol' is out of range: {exc}") from exc
     if off_x_tol_flag is not None:
         off_x_tol = off_x_tol_flag
     return rho, off_x_tol

@@ -21,11 +21,12 @@ real array differs from math.exp in ~5% of last bits) and complex products
 keep a zero term.
 
 Along a trajectory (u1, u2, u3) depend on t only through x = |q(t)|^2, so
-its events are crossings of levels of x set by the initial state, found
-between the model's turning_times, where |q|^2 is monotone.  time_scan gives
-a TimeScan of columns, one entry per sample time, from one array pass that
-equals evolve_x and optimal_settings bit for bit; scan_events(x0, model,
-tmax) gives the events up to tmax, which depend on no sampling.
+its events are crossings of levels of x set by the initial state, found by
+a secant with bisection fallback between the model's turning_times, where
+|q|^2 is monotone.  time_scan gives a TimeScan of columns, one entry per
+sample time, from one array pass that equals evolve_x and optimal_settings
+bit for bit; scan_events(x0, model, tmax) gives the events up to tmax,
+which depend on no sampling.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .chsh import TIE_TOL, Region
 from .states import POSITIVITY_TOL, TRACE_TOL, DensityMatrix4, XState
 
 EVENT_REL_TOL = 1e-9
-_MAX_BISECT_ITERS = 80
+_MAX_ROOT_ITERS = 80
 MAX_PIECES = 10 ** 6
 MAX_SAMPLES = 10 ** 6
 
@@ -181,27 +182,33 @@ class TabulatedModel:
     values: tuple[complex, ...]
 
     def __post_init__(self):
-        times = tuple(float(t) for t in self.times)
-        values = tuple(complex(v) for v in self.values)
+        times = tuple(map(float, self.times))
+        values = tuple(map(complex, self.values))
         if len(times) != len(values) or len(times) < 2:
             raise ValueError("times and values must be equally long, with "
                              "at least two samples")
-        for i, (t, v) in enumerate(zip(times, values)):
-            if not (math.isfinite(t) and cmath.isfinite(v)):
-                raise ValueError(f"sample {i} is not finite: t = {t!r}, q = {v!r}")
+        t, v = np.array(times), np.array(values)
+        bad = ~(np.isfinite(t) & np.isfinite(v))  # complex: both parts finite
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(f"sample {i} is not finite: t = {times[i]!r}, "
+                             f"q = {values[i]!r}")
         if times[0] != 0.0:
             raise ValueError("samples must start at t = 0")
-        if any(b <= a for a, b in zip(times, times[1:])):
+        if (t[1:] <= t[:-1]).any():
             raise ValueError("times must be strictly increasing")
         if abs(values[0] - 1.0) > 1e-12:
             raise ValueError("q(0) must equal 1")
-        worst = max(abs(v) for v in values)
+        # np.abs of a complex may differ from abs() in the last bit, so it
+        # only picks the samples whose abs() is compared
+        near = np.flatnonzero(np.abs(v) > 1.0 + 0.5e-12).tolist()
+        worst = max((abs(values[i]) for i in near), default=0.0)
         if worst > 1.0 + 1e-12:
             raise ValueError(f"|q| exceeds 1 at a sample: {worst!r}")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_t", np.array(times))
-        object.__setattr__(self, "_v", np.array(values))
+        object.__setattr__(self, "_t", t)
+        object.__setattr__(self, "_v", v)
 
     @classmethod
     def from_csv(cls, path) -> "TabulatedModel":
@@ -410,6 +417,55 @@ class ScanEvent:
     q2: float
 
 
+def _crossing_times(model: QModel, lo: np.ndarray, hi: np.ndarray,
+                    x_lo: np.ndarray, x_hi: np.ndarray,
+                    target: np.ndarray) -> np.ndarray:
+    """For brackets [lo, hi] with x = |q|^2 >= target at exactly one end (x
+    at the ends: x_lo, x_hi), the midpoints of the brackets narrowed to
+    EVENT_REL_TOL of t around the crossing, all stepped together by one array
+    model.q call per step of the Illinois secant on g = x - target (Dowell
+    and Jarratt, BIT 11, 168 (1971)) with the scale factor of Anderson and
+    Bjorck (BIT 13, 253 (1973)).  The bit-pattern midpoint stands in for a
+    secant point not strictly inside (lo, hi) and after a step that left g
+    unchanged (x rounds to a constant there, as exp underflowing to 0)."""
+    falling = x_lo >= target
+    g_lo, g_hi = x_lo - target, x_hi - target
+    kept_hi = kept_lo = flat = np.zeros(len(lo), dtype=bool)
+    for _ in range(_MAX_ROOT_ITERS):
+        open_ = hi - lo > EVENT_REL_TOL * hi
+        if not open_.any():
+            break
+        # g_lo, g_hi have opposite signs, so the ratio is in [0, 1]; a point
+        # EVENT_REL_TOL / 2 or more from either end closes the bracket in one
+        # step once an end is that close to the root
+        s = np.clip(hi - (hi - lo) * (g_hi / (g_hi - g_lo)),
+                    lo + 0.5 * EVENT_REL_TOL * lo, hi - 0.5 * EVENT_REL_TOL * hi)
+        # halfway between the bit patterns of floats >= 0: the arithmetic
+        # midpoint within a binade, and across binades it halves the exponent
+        # range, so a bracket up to [0, 1e308] closes in < 80 steps
+        bits = lo.view(np.int64)
+        mid = (bits + (hi.view(np.int64) - bits) // 2).view(np.float64)
+        t = np.where((lo < s) & (s < hi) & ~flat, s, mid)
+        q = model.q(t)
+        x = q.real ** 2 + q.imag ** 2
+        g = x - target
+        to_lo = open_ & ((x >= target) == falling)
+        to_hi = open_ & ~to_lo
+        g_old = np.where(to_lo, g_lo, g_hi)  # at the end that t replaces
+        flat = g == g_old
+        # an end kept twice in a row has its g scaled down, so the next
+        # secant point lands past the root: by 1 - g / g_old, else by 1/2
+        with np.errstate(divide="ignore", invalid="ignore"):  # g_old = 0
+            m = 1.0 - g / g_old
+        m = np.where(m > 0.0, m, 0.5)
+        g_hi = np.where(to_lo & kept_hi, m * g_hi, g_hi)
+        g_lo = np.where(to_hi & kept_lo, m * g_lo, g_lo)
+        lo, g_lo = np.where(to_lo, t, lo), np.where(to_lo, g, g_lo)
+        hi, g_hi = np.where(to_hi, t, hi), np.where(to_hi, g, g_hi)
+        kept_hi, kept_lo = to_lo, to_hi
+    return 0.5 * (lo + hi)
+
+
 def scan_events(x0: XState, model: QModel, tmax: float) -> list[ScanEvent]:
     """The SetJump / ViolationOn / ViolationOff events of evolve_x(x0, q(t))
     for t in (0, tmax), in time order.
@@ -417,9 +473,10 @@ def scan_events(x0: XState, model: QModel, tmax: float) -> list[ScanEvent]:
     Every event is the crossing of a level of x = |q(t)|^2 computed once from
     x0 (crossing_levels for SetJump, the sign changes of bmax - 2 for
     ViolationOn/Off).  The model's turning_times cut (0, tmax) into pieces
-    where x is monotone, and all crossings on all pieces are bisected
-    together, one array q(t) call per step, to EVENT_REL_TOL of t.  A level
-    within 1e-12 of x = 1 is left out: x <= 1 can only touch it.
+    where x is monotone, and all crossings on all pieces are found together
+    by a secant with bisection fallback, one array q(t) call per step, to
+    EVENT_REL_TOL of t (_crossing_times).  A level within 1e-12 of x = 1 is
+    left out: x <= 1 can only touch it.
     """
     tmax = float(tmax)
     if not (math.isfinite(tmax) and tmax >= 0.0):
@@ -433,24 +490,13 @@ def scan_events(x0: XState, model: QModel, tmax: float) -> list[ScanEvent]:
     edges = np.concatenate(([0.0], model.turning_times(tmax), [tmax]))
     level_x = np.array([lv[0] for lv in levels])
     q = model.q(edges)
-    side = (q.real ** 2 + q.imag ** 2)[:, None] >= level_x
+    x = q.real ** 2 + q.imag ** 2
+    side = x[:, None] >= level_x
     piece, k = np.nonzero(side[1:] != side[:-1])
-    lo, hi, target, falling = edges[piece], edges[piece + 1], level_x[k], side[piece, k]
-    for _ in range(_MAX_BISECT_ITERS):
-        open_ = hi - lo > EVENT_REL_TOL * hi
-        if not open_.any():
-            break
-        # halfway between the bit patterns of floats >= 0: the arithmetic
-        # midpoint within a binade, and across binades it halves the exponent
-        # range, so a bracket up to [0, 1e308] converges in < 80 steps
-        bits = lo.view(np.int64)
-        mid = (bits + (hi.view(np.int64) - bits) // 2).view(np.float64)
-        q = model.q(mid)
-        to_lo = open_ & ((q.real ** 2 + q.imag ** 2 >= target) == falling)
-        lo = np.where(to_lo, mid, lo)
-        hi = np.where(open_ & ~to_lo, mid, hi)
-    t_star = 0.5 * (lo + hi)
-    kinds = [levels[i][1 if f else 2] for i, f in zip(k.tolist(), falling.tolist())]
+    t_star = _crossing_times(model, edges[piece], edges[piece + 1], x[piece],
+                             x[piece + 1], level_x[k])
+    kinds = [levels[i][1 if f else 2]
+             for i, f in zip(k.tolist(), side[piece, k].tolist())]
     return sorted((ScanEvent(kind, t, abs(q) ** 2) for kind, t, q in
                    zip(kinds, t_star.tolist(), model.q(t_star).tolist())),
                   key=lambda e: e.t)

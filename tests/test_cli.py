@@ -214,6 +214,14 @@ class TestOffXTolInput:
         assert captured.out == ""
         assert "off_x_tol" in captured.err
 
+    def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys):
+        path = self.non_x_file(tmp_path, "1" + "0" * 400)
+        assert main(["bmax", "--input", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: 'off_x_tol' is out of range: "
+                                "int too large to convert to float\n")
+
 
 class TestStateFile:
     """A 'rho' cell is a list of exactly two JSON numbers."""
@@ -234,6 +242,18 @@ class TestStateFile:
         assert captured.out == ""
         assert captured.err == ("error: 'rho' must be a 4x4 array of [re, im] pairs: "
                                 "each cell must be a list of two numbers\n")
+
+    @pytest.mark.parametrize("command", ["bmax", "angles"])
+    def test_integer_beyond_float_range_names_rho(self, tmp_path, capsys, command):
+        doc = {"rho": [[[0.25 if i == j else 0, 0] for j in range(4)] for i in range(4)]}
+        doc["rho"][0][1] = [10 ** 400, 0]
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: 'rho' must be a 4x4 array of [re, im] pairs: "
+                                "int too large to convert to float\n")
 
     def test_integer_cells_are_numbers(self, tmp_path, capsys):
         doc = {"rho": [[[1 if i == j == 0 else 0, 0] for j in range(4)] for i in range(4)]}

@@ -40,7 +40,14 @@ from bellopt import (
     x_to_dense,
 )
 from bellopt.angles import _sign
-from bellopt.dynamics import EVENT_REL_TOL, MAX_PIECES, MAX_SAMPLES
+from bellopt.dynamics import (
+    _MAX_ROOT_ITERS,
+    EVENT_REL_TOL,
+    MAX_PIECES,
+    MAX_SAMPLES,
+    _crossing_times,
+    _violation_levels,
+)
 from conftest import damping_amplitudes, random_density, random_x_state, x_states
 
 
@@ -143,6 +150,37 @@ class TestTabulated:
             TabulatedModel((0.5, 1.0), (1.0, 0.5))  # does not start at 0
         with pytest.raises(ValueError):
             TabulatedModel((0.0, 0.0), (1.0, 0.5))  # not increasing
+
+    @pytest.mark.parametrize("times,values,message", [
+        ((0.0, 1.0, math.nan, math.inf), (1.0, 0.5, 0.2, 0.1),
+         "sample 2 is not finite: t = nan, q = (0.2+0j)"),
+        ((0.0, 1.0, 2.0), (1.0, complex(0.5, math.nan), math.inf),
+         "sample 1 is not finite: t = 1.0, q = (0.5+nanj)"),
+        ((0.0, 1.0, 2.0, 2.0), (1.0, 0.5, 0.2, 0.1), "times must be strictly increasing"),
+        ((0.0, 1.0, 2.0), (1.0, 0.5, -1.5j), "|q| exceeds 1 at a sample: 1.5"),
+    ], ids=["nan-time", "nan-value", "repeated-time", "imaginary"])
+    def test_first_offending_sample_named(self, times, values, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TabulatedModel(times, values)
+
+    def test_modulus_limit_is_judged_by_abs(self):
+        # |q| within a few ulp of the limit 1 + 1e-12 at many phases, where
+        # numpy's complex modulus and abs() (hypot) can differ in the last
+        # bit: a table is rejected exactly when abs() exceeds the limit
+        rng = np.random.default_rng(5)
+        limit = 1.0 + 1e-12
+        n_rejected = 0
+        for phase in rng.uniform(-math.pi, math.pi, 400).tolist():
+            r = limit + math.ulp(limit) * int(rng.integers(-3, 4))
+            v = cmath.rect(r, phase)
+            if abs(v) > limit:
+                with pytest.raises(ValueError, match=re.escape(
+                        f"|q| exceeds 1 at a sample: {abs(v)!r}")):
+                    TabulatedModel((0.0, 1.0, 2.0), (1.0, v, 0.5))
+                n_rejected += 1
+            else:
+                TabulatedModel((0.0, 1.0, 2.0), (1.0, v, 0.5))
+        assert 0 < n_rejected < 400
 
     def test_interpolation(self):
         model = TabulatedModel((0.0, 2.0), (1.0, 0.0))
@@ -917,7 +955,7 @@ def _event_scans():
 class TestExactEvents:
     def test_events_independent_of_the_grid(self):
         # a scan cut at any grid time finds the events of the whole scan up
-        # to that time, of the same kinds, within the bisection tolerance
+        # to that time, of the same kinds, within the root-finding tolerance
         for p, model, tmax in GOLDEN_SCANS:
             x0 = ewl_state(p)
             whole = scan_events(x0, model, tmax)
@@ -1024,6 +1062,132 @@ class TestExactEvents:
         expected = np.sort(np.concatenate([zeros, extrema]))
         assert len(turns) == len(expected) == 9
         assert turns == pytest.approx(expected, abs=1e-4)
+
+
+class _CountingModel:
+    """A model whose q(t) calls are counted."""
+
+    def __init__(self, model):
+        self.model, self.calls = model, 0
+
+    def q(self, t):
+        self.calls += 1
+        return self.model.q(t)
+
+    def turning_times(self, tmax):
+        return self.model.turning_times(tmax)
+
+
+def _root_steps(model, lo, hi, target):
+    """(t*, q calls) of _crossing_times on the one bracket [lo, hi]."""
+    counting = _CountingModel(model)
+    x_lo, x_hi = (abs(q) ** 2 for q in model.q(np.array([lo, hi])).tolist())
+    t_star = _crossing_times(counting, np.array([lo]), np.array([hi]),
+                             np.array([x_lo]), np.array([x_hi]), np.array([target]))
+    return float(t_star[0]), counting.calls
+
+
+def _reference_root(model, lo, hi, target):
+    """_bisect_sign_change of |q|^2 - target on [lo, hi], after halving hi
+    while that keeps the sign at hi (a bracket spanning many binades)."""
+    def f(t):
+        return abs(model.q(t)) ** 2 - target
+    while 0.5 * hi > max(lo, 1.0) and _sign(f(0.5 * hi)) == _sign(f(hi)):
+        hi *= 0.5
+    return _bisect_sign_change(f, lo, hi)
+
+
+def _hard_brackets():
+    """(id, model, lo, hi, target): levels on, or a few ulp below, a bracket
+    end; just below a revival maximum; a root near t = 0; a bracket up to
+    t = 1e300."""
+    exp = ExponentialModel(1.0)
+    rising = TabulatedModel((0.0, 1.0, 2.0), (1.0, 0.3, 0.8))  # up on [1, 2]
+    strong = LorentzianModel(1.0, 5.0)
+    zero, peak = strong.turning_times(3.0)[:2]  # q = 0, then |q| at a maximum
+    x_lo, x_hi = abs(exp.q(0.5)) ** 2, abs(rising.q(2.0)) ** 2
+    cases = [("lo-edge", exp, 0.5, 3.0, x_lo),
+             ("hi-edge", rising, 1.0, 2.0, x_hi)]
+    for n in (1, 3):
+        cases += [(f"lo-edge-{n}ulp-below", exp, 0.5, 3.0, x_lo - n * math.ulp(x_lo)),
+                  (f"hi-edge-{n}ulp-below", rising, 1.0, 2.0, x_hi - n * math.ulp(x_hi))]
+    x_peak = abs(strong.q(peak)) ** 2
+    cases += [(f"below-peak-{rel}", strong, zero, peak, x_peak * (1.0 - rel))
+              for rel in (1e-12, 1e-9, 1e-6)]
+    # near t = 0 |q|^2 of a Lorentzian is 1 - O(t^2): its rounding noise
+    # puts sign changes 1e-5 apart there, so only the linear starts
+    cases += [("near-t0-exp", exp, 0.0, 5.0, 1.0 - 1e-11),
+              ("near-t0-table", rising, 0.0, 1.0, 1.0 - 1e-11),
+              ("exp-1e300", exp, 0.0, 1e300, 0.5),
+              ("exp-1e300-low", exp, 0.0, 1e300, 1e-3)]
+    return cases
+
+
+HARD_BRACKETS = _hard_brackets()
+
+
+def _constant_table():
+    # |q|^2 rests on 0.36 on [1, 2] and on 0.09 on [3, 4]
+    return TabulatedModel((0.0, 1.0, 2.0, 3.0, 4.0, 5.0),
+                          (1.0, 0.6, 0.6, 0.3, 0.3, 0.1j))
+
+
+class TestEventRoots:
+    """The secant with bisection fallback in scan_events: few q calls per
+    scan, and the root of an independent bisection on hard brackets."""
+
+    def test_few_q_calls_per_scan(self):
+        # one call at the piece edges, one at the event times, and the rest
+        # root steps
+        steps = []
+        scans = [(x0, model, tmax) for x0 in SCAN_STATES for _, model, tmax in SCAN_MODELS]
+        scans += [(ewl_state(p), model, tmax) for p, model, tmax in GOLDEN_SCANS]
+        for x0, model, tmax in scans:
+            counting = _CountingModel(model)
+            if scan_events(x0, counting, tmax):
+                steps.append(counting.calls - 2)
+        assert len(steps) > 50
+        assert max(steps) <= 16
+        assert sorted(steps)[len(steps) // 2] <= 8
+
+    @pytest.mark.parametrize("name,model,lo,hi,target", HARD_BRACKETS,
+                             ids=[c[0] for c in HARD_BRACKETS])
+    def test_hard_brackets_match_bisection(self, name, model, lo, hi, target):
+        t_star, calls = _root_steps(model, lo, hi, target)
+        reference = _reference_root(model, lo, hi, target)
+        assert abs(t_star - reference) <= EVENT_REL_TOL * reference
+        assert calls < _MAX_ROOT_ITERS
+
+    def test_constant_segments(self):
+        model = _constant_table()
+        n_events = 0
+        for x0 in SCAN_STATES:
+            levels = crossing_levels(x0) + [x for x, _ in _violation_levels(x0)]
+            counting = _CountingModel(model)
+            for e in scan_events(x0, counting, 5.0):
+                level = min(levels, key=lambda x: abs(x - e.q2))
+                i = bisect.bisect_right(model.times, e.t) - 1
+                reference = _reference_root(model, model.times[i],
+                                            model.times[i + 1], level)
+                assert abs(e.t - reference) <= EVENT_REL_TOL * reference
+                n_events += 1
+            assert counting.calls - 2 < _MAX_ROOT_ITERS
+        assert n_events > 20
+
+    def test_exp_events_at_exact_roots(self):
+        # x = exp(-gamma t) crosses x* at t = -ln(x*) / gamma
+        scans = [(ewl_state(p), model, tmax) for p, model, tmax in GOLDEN_SCANS
+                 if isinstance(model, ExponentialModel)]
+        scans += [(x0, ExponentialModel(1.3), 4.0) for x0 in SCAN_STATES]
+        n_events = 0
+        for x0, model, tmax in scans:
+            levels = crossing_levels(x0) + [x for x, _ in _violation_levels(x0)]
+            for e in scan_events(x0, model, tmax):
+                level = min(levels, key=lambda x: abs(x - e.q2))
+                exact = -math.log(level) / model.gamma
+                assert abs(e.t - exact) <= EVENT_REL_TOL * e.t
+                n_events += 1
+        assert n_events > 20
 
 
 class TestExactTieStart:
