@@ -23,14 +23,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .angles import AngleSettings, optimal_settings, settings_set2
-from .chsh import (
-    Region,
-    bell_function,
-    horodecki_bmax,
-    horodecki_eigenvalues,
-    x_state_eigenvalues,
-)
+from .angles import optimal_settings, settings_set2
+from .chsh import bell_function, horodecki_eigenvalues, x_state_eigenvalues
 from .dynamics import (
     MAX_SAMPLES,
     EWLParams,
@@ -42,14 +36,8 @@ from .dynamics import (
     scan_events,
     time_scan,
 )
-from .oracle import BudgetExceeded, OracleConfig, brute_force_bmax, certify_settings
-from .states import (
-    DEFAULT_OFF_X_TOL,
-    NotXStructured,
-    StateValidationError,
-    as_x_state,
-    validate_density_matrix,
-)
+from .oracle import OracleConfig, brute_force_bmax, certify_settings
+from .states import DEFAULT_OFF_X_TOL, NotXStructured, as_x_state, validate_density_matrix
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -94,16 +82,18 @@ def _entry(cell) -> complex:
     return complex(cell[0], cell[1])
 
 
-def _load_density(path: str, off_x_tol_flag):
+def _load_state(args):
+    """The --input state, and its X parameters under --off-x-tol (or the
+    file's off_x_tol) or the NotXStructured error that says why it has none."""
     try:
-        with open(path) as fh:
+        with open(args.input, encoding="utf-8") as fh:  # JSON is UTF-8 (RFC 8259)
             doc = json.load(fh)
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+        raise InputError(f"cannot read {args.input}: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise InputError(f"{args.input} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "rho" not in doc:
-        raise InputError(f"{path} must be an object with a 'rho' key")
+        raise InputError(f"{args.input} must be an object with a 'rho' key")
     try:
         arr = np.array([[_entry(cell) for cell in row] for row in doc["rho"]],
                        dtype=complex)
@@ -121,26 +111,23 @@ def _load_density(path: str, off_x_tol_flag):
             off_x_tol = float(doc["off_x_tol"])
         except OverflowError as exc:  # an integer beyond float range
             raise InputError(f"'off_x_tol' is out of range: {exc}") from exc
-    if off_x_tol_flag is not None:
-        off_x_tol = off_x_tol_flag
-    return rho, off_x_tol
+    if args.off_x_tol is not None:
+        off_x_tol = args.off_x_tol
+    try:
+        return rho, as_x_state(rho, off_x_tol)
+    except NotXStructured as exc:
+        return rho, exc
 
 
-def _emit(args, doc: dict, text_fn) -> None:
-    """Write the command's result document: as JSON under --format json,
-    otherwise as text_fn(doc) (human-readable text or CSV)."""
-    text = json.dumps(doc, indent=2) + "\n" if args.format == "json" else text_fn(doc)
-    if args.output:
-        try:
-            with open(args.output, "w", newline="\n") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise InputError(f"cannot write {args.output}: {exc}") from exc
+def _bmax_doc(rho, x) -> dict:
+    """B_max and the eigenvalues u: by the closed form for an X state, from
+    one SVD of T (Horodecki) when x is the NotXStructured error."""
+    if isinstance(x, NotXStructured):
+        u, region, tie = horodecki_eigenvalues(rho), None, False
+        bmax = 2.0 * math.sqrt(u[0] + u[1])
     else:
-        sys.stdout.write(text)
-
-
-def _bmax_doc(bmax: float, u, region, tie: bool) -> dict:
+        e = x_state_eigenvalues(x)
+        u, region, tie, bmax = (e.u1, e.u2, e.u3), int(e.region), e.tie, e.bmax
     return {"version": __version__, "bmax": bmax, "u": list(u),
             "region": region, "tie": tie, "violates": bmax > 2.0}
 
@@ -159,19 +146,12 @@ def _bmax_text(doc: dict) -> str:
     )
 
 
-def cmd_bmax(args) -> int:
-    rho, off_x_tol = _load_density(args.input, args.off_x_tol)
-    try:
-        u = x_state_eigenvalues(as_x_state(rho, off_x_tol))
-    except NotXStructured as exc:
-        # No closed form: one SVD of T gives both the eigenvalues and B_max.
-        u_desc = horodecki_eigenvalues(rho)
-        doc = _bmax_doc(2.0 * math.sqrt(u_desc[0] + u_desc[1]), u_desc, None, False)
-        note = f"state is not X-structured ({exc}); Horodecki value only\n"
-        _emit(args, doc, lambda d: note + _bmax_text(d))
-        return EXIT_NOT_X
-    _emit(args, _bmax_doc(u.bmax, (u.u1, u.u2, u.u3), int(u.region), u.tie), _bmax_text)
-    return EXIT_OK
+def cmd_bmax(args):
+    rho, x = _load_state(args)
+    if isinstance(x, NotXStructured):
+        note = f"state is not X-structured ({x}); Horodecki value only\n"
+        return EXIT_NOT_X, _bmax_doc(rho, x), lambda d: note + _bmax_text(d)
+    return EXIT_OK, _bmax_doc(rho, x), _bmax_text
 
 
 def _angles_doc(settings) -> dict:
@@ -200,9 +180,10 @@ def _angles_text(doc: dict, degrees: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_angles(args) -> int:
-    rho, off_x_tol = _load_density(args.input, args.off_x_tol)
-    x = as_x_state(rho, off_x_tol)
+def cmd_angles(args):
+    rho, x = _load_state(args)
+    if isinstance(x, NotXStructured):
+        raise x
     settings, u = optimal_settings(x)
     certified = bell_function(rho, settings.bell_settings())
     doc = {**_angles_doc(settings), "tie": u.tie, "bell_value": certified,
@@ -212,8 +193,7 @@ def cmd_angles(args) -> int:
         alt = settings_set2(x)
         doc["tied_alternative"] = _angles_doc(alt)
         doc["tied_alternative"]["bell_value"] = bell_function(rho, alt.bell_settings())
-    _emit(args, doc, lambda d: _angles_text(d, args.degrees))
-    return EXIT_OK
+    return EXIT_OK, doc, functools.partial(_angles_text, degrees=args.degrees)
 
 
 def _parse_qmodel(spec: str):
@@ -258,7 +238,7 @@ def _scan_csv(scan, doc: dict) -> str:
         body, *(f"# event,{e['kind']},{c}" for e, c in zip(events, cells))]) + "\n"
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args):
     if (args.ewl is None) == (args.input is None):
         raise InputError("provide exactly one of --ewl or --input")
     if args.samples < 2:
@@ -270,7 +250,9 @@ def cmd_scan(args) -> int:
     if args.ewl is not None:
         x0 = ewl_state(_parse_ewl(args.ewl))
     else:
-        x0 = as_x_state(*_load_density(args.input, args.off_x_tol))
+        x0 = _load_state(args)[1]
+        if isinstance(x0, NotXStructured):
+            raise x0
     model = _parse_qmodel(args.qmodel)
     t_grid = np.linspace(0.0, args.tmax, args.samples)
     scan = time_scan(x0, model, t_grid)
@@ -285,11 +267,10 @@ def cmd_scan(args) -> int:
         doc["rows"] = [{**dict(zip(_SCAN_FIELDS, row)), "theta": theta, "phi": phi}
                        for row, theta, phi in zip(columns, scan.thetas.tolist(),
                                                   scan.phis.tolist())]
-    _emit(args, doc, functools.partial(_scan_csv, scan))
-    return EXIT_OK
+    return EXIT_OK, doc, functools.partial(_scan_csv, scan)
 
 
-def cmd_surface(args) -> int:
+def cmd_surface(args):
     try:
         n_alpha, n_r = (int(v) for v in args.grid.split(","))
     except ValueError as exc:
@@ -305,10 +286,9 @@ def cmd_surface(args) -> int:
     for row, (a, b) in zip(roots, zip(alpha2.tolist(), r.tolist())):
         found = crossing_roots(EWLParams(alpha2=a, r=b))[:2]
         row[:len(found)] = found
-    _emit(args, {"version": __version__}, lambda d: (
+    return EXIT_OK, {"version": __version__}, lambda d: (
         f"# bellopt surface {d['version']}\nalpha2,r,x_root1,x_root2\n"
-        + _csv_rows((alpha2, r, roots)) + "\n"))
-    return EXIT_OK
+        + _csv_rows((alpha2, r, roots)) + "\n")
 
 
 def _oracle_text(doc: dict) -> str:
@@ -322,25 +302,16 @@ def _oracle_text(doc: dict) -> str:
     )
 
 
-def cmd_oracle_check(args) -> int:
-    rho, off_x_tol = _load_density(args.input, args.off_x_tol)
-    cfg = OracleConfig(
-        grid_n=args.grid_n, refine_iters=args.refine,
-        restarts=args.restarts, seed=args.seed,
-    )
-    is_x = True
-    try:
-        settings, u = optimal_settings(as_x_state(rho, off_x_tol))
-        analytic = u.bmax
-    except NotXStructured:
-        is_x = False
-        analytic = horodecki_bmax(rho)
+def cmd_oracle_check(args):
+    rho, x = _load_state(args)
+    cfg = OracleConfig(grid_n=args.grid_n, refine_iters=args.refine,
+                       restarts=args.restarts, seed=args.seed)
+    is_x = not isinstance(x, NotXStructured)
+    analytic = _bmax_doc(rho, x)["bmax"]
     result = brute_force_bmax(rho, cfg)
     difference = result.bmax_est - analytic
-    if not is_x:
-        # certify the oracle's own settings when no closed form applies
-        settings = AngleSettings.from_angles(Region.SET1, result.thetas, result.phis)
-    margin = certify_settings(rho, settings, cfg)
+    # certify the closed-form settings, or the oracle's own when there are none
+    margin = certify_settings(rho, optimal_settings(x)[0] if is_x else result, cfg)
     doc = {
         "version": __version__,
         "is_x": is_x,
@@ -350,10 +321,7 @@ def cmd_oracle_check(args) -> int:
         "certificate_margin": margin,
         "evaluations": result.evaluations,
     }
-    _emit(args, doc, _oracle_text)
-    if abs(difference) > 1e-3:
-        return EXIT_ORACLE_MISMATCH
-    return EXIT_OK
+    return (EXIT_ORACLE_MISMATCH if abs(difference) > 1e-3 else EXIT_OK), doc, _oracle_text
 
 
 @functools.cache  # built once, on first use: it costs more than a small command
@@ -371,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_io(p, formats=("json", "csv"), default=None):
         p.add_argument("--output", metavar="PATH", help="write here instead of stdout")
         p.add_argument("--format", choices=formats, default=default,
-                       help="machine output format (default: human-readable text)")
+                       help=f"output format (default: {default or 'human-readable text'})")
 
     def add_state(p, required=True):
         p.add_argument("--input", metavar="PATH", required=required,
@@ -424,14 +392,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command, which returns (exit code, document, text renderer), and
+    write its document once: JSON under --format json, else the renderer's text."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, doc, render = args.func(args)
+        text = json.dumps(doc, indent=2) + "\n" if args.format == "json" else render(doc)
+        if args.output:
+            try:
+                with open(args.output, "w", newline="\n") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise InputError(f"cannot write {args.output}: {exc}") from exc
+        else:
+            sys.stdout.write(text)
+        return code
     except NotXStructured as exc:
         print(f"error: state is not X-structured ({exc})", file=sys.stderr)
         return EXIT_NOT_X
-    except (InputError, StateValidationError, BudgetExceeded, ValueError,
-            ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:  # every input error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from bellopt import EWLParams, TimeScan, crossing_roots, ewl_state, x_to_dense
 from bellopt.cli import _csv_rows, _scan_csv, fmt9, main
-from conftest import werner
+from conftest import random_density, werner
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text())
@@ -261,6 +261,20 @@ class TestStateFile:
         path.write_text(json.dumps(doc))
         assert main(["bmax", "--input", str(path), "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["bmax"] == 2.0
+
+    @pytest.mark.parametrize("command", ["bmax", "angles", "oracle-check", "scan"])
+    def test_non_utf8_file_names_the_file(self, tmp_path, capsys, command):
+        path = tmp_path / "state.json"
+        path.write_bytes(b"\xff\xfe" + '{"rho": []}'.encode("utf-16-le"))
+        argv = [command, "--input", str(path)]
+        if command == "scan":
+            argv += ["--qmodel", "exp:1", "--tmax", "1", "--samples", "2"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path} is not valid JSON: 'utf-8' codec "
+                                       "can't decode byte 0xff")
+        assert captured.err.count("\n") == 1
 
 
 class TestUnwritableOutput:
@@ -611,6 +625,21 @@ class TestOracleCheck:
         assert doc["analytic_bmax"] == pytest.approx(0.3 * 2 * math.sqrt(2), abs=1e-12)
         assert doc["oracle_bmax"] == pytest.approx(doc["analytic_bmax"], abs=1e-4)
 
+    def test_disagreement_exits_4_and_still_writes_the_document(self, tmp_path, capsys):
+        # a coarse oracle (one start, no refinement) misses this Ginibre state's maximum
+        path = write_state(tmp_path, random_density(np.random.default_rng(11)).entries)
+        argv = ["oracle-check", "--input", path, "--grid-n", "4", "--restarts", "1",
+                "--refine", "0", "--format", "json"]
+        assert main(argv) == 4
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert doc["is_x"] is False
+        assert doc["difference"] == pytest.approx(-0.106, abs=1e-3)
+        output = tmp_path / "oracle.json"
+        assert main([*argv, "--output", str(output)]) == 4
+        assert capsys.readouterr().out == ""
+        assert output.read_text() == out
+
     def test_corrupted_json_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -844,11 +873,31 @@ class TestDeterminism:
         assert code == case["exit"]
         assert out == (GOLDEN / f"{case['name']}.out").read_bytes().decode()
 
+    @pytest.mark.parametrize("case", GOLDEN_CASES, ids=lambda c: c["name"])
+    def test_golden_output_through_output_flag(self, case, tmp_path):
+        output = tmp_path / "out"
+        code, out = run_golden([*case["argv"], "--output", str(output)])
+        assert code == case["exit"]
+        assert out == ""
+        golden = (GOLDEN / f"{case['name']}.out").read_bytes()
+        if golden:
+            assert output.read_bytes() == golden
+        else:  # angles on a non-X state exits 3 before any result exists
+            assert not output.exists()
+
     def test_console_entry_point_help(self):
         result = run_cli("--help")
         assert result.returncode == 0
         for sub in ("bmax", "angles", "scan", "surface", "oracle-check"):
             assert sub in result.stdout
+
+    @pytest.mark.parametrize("command,default", [
+        ("bmax", "human-readable text"), ("angles", "human-readable text"),
+        ("scan", "csv"), ("surface", "csv"), ("oracle-check", "human-readable text")])
+    def test_format_help_names_the_default(self, command, default):
+        result = run_cli(command, "--help")
+        assert result.returncode == 0
+        assert f"(default: {default})" in " ".join(result.stdout.split())
 
 
 if __name__ == "__main__":

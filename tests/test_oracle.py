@@ -12,12 +12,14 @@ from bellopt import (
     BellSettings,
     BudgetExceeded,
     DensityMatrix4,
+    NotXStructured,
     ObservableDirection,
     OracleConfig,
     Region,
     Splitmix64,
     TSIRELSON,
     XState,
+    as_x_state,
     bell_function,
     bmax_x,
     brute_force_bmax,
@@ -410,3 +412,28 @@ class TestCertify:
             s, _ = optimal_settings(x)
             margin = certify_settings(x_to_dense(x), s, OracleConfig(seed=7))
             assert margin <= 1e-6
+
+    def test_oracle_result_certifies_like_its_angle_settings(self):
+        # certify_settings takes the OracleResult itself: the same margin, bit
+        # for bit, as the AngleSettings built from its (canonical) angles
+        rng = np.random.default_rng(41)
+        cfg = OracleConfig(grid_n=4, refine_iters=0, restarts=1, seed=3)
+
+        def local_unitary():
+            q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            return q
+
+        for i in range(210):  # 210 non-X states, 70 of each kind
+            if i % 3 == 0:
+                rho = random_density(rng)
+            elif i % 3 == 1:  # rank 2
+                g = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+                rho = DensityMatrix4(g @ g.conj().T / np.trace(g @ g.conj().T))
+            else:  # diagonal in a random product basis
+                u = np.kron(local_unitary(), local_unitary())
+                rho = DensityMatrix4(u @ np.diag(rng.dirichlet(np.ones(4))) @ u.conj().T)
+            with pytest.raises(NotXStructured):
+                as_x_state(rho)
+            result = brute_force_bmax(rho, cfg)
+            settings = AngleSettings.from_angles(Region.SET1, result.thetas, result.phis)
+            assert certify_settings(rho, result, cfg) == certify_settings(rho, settings, cfg)
