@@ -25,53 +25,29 @@ def _sign(v: float) -> float:
     return 1.0 if v >= 0.0 else -1.0
 
 
-def _coherence_phases(x: XState) -> tuple[float, float]:
-    # cmath.phase(0) == 0.0, which is exactly the arg(0) := 0 convention.
-    return cmath.phase(x.rho14), cmath.phase(x.rho23)
-
-
 @dataclass(frozen=True)
 class AngleSettings:
-    """The eight optimized angles, theta in [0, pi] and phi in (-pi, pi]."""
+    """The optimized angles of A, A', B, B' in that order, theta in [0, pi]
+    and phi in (-pi, pi], with the region whose closed-form set they are."""
 
-    theta1: float
-    theta1p: float
-    theta2: float
-    theta2p: float
-    phi1: float
-    phi1p: float
-    phi2: float
-    phi2p: float
+    thetas: tuple[float, float, float, float]
+    phis: tuple[float, float, float, float]
     set_id: Region
 
+    def __post_init__(self):
+        if len(self.thetas) != 4 or len(self.phis) != 4:
+            raise ValueError(f"expected 4 thetas and 4 phis, got "
+                             f"{len(self.thetas)} and {len(self.phis)}")
+
     def bell_settings(self) -> BellSettings:
-        return BellSettings(
-            a=ObservableDirection(self.theta1, self.phi1),
-            a_prime=ObservableDirection(self.theta1p, self.phi1p),
-            b=ObservableDirection(self.theta2, self.phi2),
-            b_prime=ObservableDirection(self.theta2p, self.phi2p),
-        )
-
-    @property
-    def thetas(self) -> tuple[float, float, float, float]:
-        return (self.theta1, self.theta1p, self.theta2, self.theta2p)
-
-    @property
-    def phis(self) -> tuple[float, float, float, float]:
-        return (self.phi1, self.phi1p, self.phi2, self.phi2p)
+        return BellSettings(*map(ObservableDirection, self.thetas, self.phis))
 
     @classmethod
     def from_angles(cls, set_id: Region, thetas, phis) -> "AngleSettings":
         """Settings from four raw (theta, phi) pairs, each canonicalized by
         normalize_direction."""
-        pairs = [normalize_direction(t, p) for t, p in zip(thetas, phis)]
-        return cls(
-            theta1=pairs[0][0], theta1p=pairs[1][0],
-            theta2=pairs[2][0], theta2p=pairs[3][0],
-            phi1=pairs[0][1], phi1p=pairs[1][1],
-            phi2=pairs[2][1], phi2p=pairs[3][1],
-            set_id=set_id,
-        )
+        pairs = [normalize_direction(t, p) for t, p in zip(thetas, phis, strict=True)]
+        return cls(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs), set_id)
 
 
 def settings_set1(x: XState) -> AngleSettings:
@@ -82,20 +58,7 @@ def settings_set1(x: XState) -> AngleSettings:
     gap.  Degenerate cases follow the limit values: arctan(sqrt(u2/0)) = pi/2
     for u2 > 0 and 0 when u1 = u2 = 0.
     """
-    return _set1(x, x_state_eigenvalues(x))
-
-
-def _set1(x: XState, u: BellEigenvalues) -> AngleSettings:
-    arg14, arg23 = _coherence_phases(x)
-    tilt = math.atan2(math.sqrt(u.u2), math.sqrt(u.u1))
-    theta2 = _HALF_PI - _sign(x.diagonal_gap) * tilt
-    phi1 = -0.5 * (arg14 + arg23)
-    phi2 = 0.5 * (arg23 - arg14)
-    return AngleSettings.from_angles(
-        Region.SET1,
-        (_HALF_PI, 0.0, theta2, math.pi - theta2),
-        (phi1, 0.0, phi2, phi2),
-    )
+    return _settings(x, x_state_eigenvalues(x), Region.SET1)
 
 
 def settings_set2(x: XState) -> AngleSettings:
@@ -105,20 +68,23 @@ def settings_set2(x: XState) -> AngleSettings:
     relative coherence phase; qubit 1's primed azimuth steps by pi/2 with the
     sign of |rho23| - |rho14|.
     """
-    return _set2(x, x_state_eigenvalues(x))
+    return _settings(x, x_state_eigenvalues(x), Region.SET2)
 
 
-def _set2(x: XState, u: BellEigenvalues) -> AngleSettings:
-    arg14, arg23 = _coherence_phases(x)
-    spread = math.atan2(math.sqrt(u.u3), math.sqrt(u.u1))
+def _settings(x: XState, u: BellEigenvalues, region: Region) -> AngleSettings:
+    # cmath.phase(0) == 0.0, which is exactly the arg(0) := 0 convention.
+    arg14, arg23 = cmath.phase(x.rho14), cmath.phase(x.rho23)
+    set1 = region is Region.SET1
+    spread = math.atan2(math.sqrt(u.u2 if set1 else u.u3), math.sqrt(u.u1))  # set 1: tilt
     phi1 = -0.5 * (arg14 + arg23)
+    half_rel = 0.5 * (arg23 - arg14)  # phi2 of set 1
+    if set1:
+        theta2 = _HALF_PI - _sign(x.diagonal_gap) * spread
+        return AngleSettings.from_angles(region, (_HALF_PI, 0.0, theta2, math.pi - theta2),
+                                         (phi1, 0.0, half_rel, half_rel))
     phi1p = phi1 + _sign(abs(x.rho23) - abs(x.rho14)) * _HALF_PI
-    half_rel = 0.5 * (arg23 - arg14)
-    return AngleSettings.from_angles(
-        Region.SET2,
-        (_HALF_PI, _HALF_PI, _HALF_PI, _HALF_PI),
-        (phi1, phi1p, half_rel + spread, half_rel - spread),
-    )
+    return AngleSettings.from_angles(region, (_HALF_PI,) * 4,
+                                     (phi1, phi1p, half_rel + spread, half_rel - spread))
 
 
 def optimal_settings(x: XState) -> tuple[AngleSettings, BellEigenvalues]:
@@ -128,17 +94,15 @@ def optimal_settings(x: XState) -> tuple[AngleSettings, BellEigenvalues]:
     there and remain individually retrievable via settings_set1/settings_set2.
     """
     u = x_state_eigenvalues(x)
-    if u.region is Region.SET1:
-        return _set1(x, u), u
-    return _set2(x, u), u
+    return _settings(x, u, u.region), u
 
 
 def settings_distance(a: AngleSettings, b: AngleSettings) -> float:
     """Largest angle (radians) between corresponding measurement directions."""
-    sa, sb = a.bell_settings(), b.bell_settings()
     worst = 0.0
-    for da, db in ((sa.a, sb.a), (sa.a_prime, sb.a_prime),
-                   (sa.b, sb.b), (sa.b_prime, sb.b_prime)):
-        dot = float(da.unit_vector @ db.unit_vector)
+    for ta, pa, tb, pb in zip(a.thetas, a.phis, b.thetas, b.phis):
+        va = ObservableDirection(ta, pa).unit_vector
+        vb = ObservableDirection(tb, pb).unit_vector
+        dot = sum(p * q for p, q in zip(va, vb))
         worst = max(worst, math.acos(min(1.0, max(-1.0, dot))))
     return worst

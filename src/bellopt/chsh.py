@@ -40,15 +40,12 @@ class BellEigenvalues:
 
     u1 = 4(|rho14| + |rho23|)^2 and u3 = 4(|rho14| - |rho23|)^2 come from the
     coherences, u2 = (rho11 + rho44 - rho22 - rho33)^2 from the populations;
-    u1 >= u3 always.  `tie` is set when |u2 - u3| <= 1e-12, in which case the
-    region is reported as SET1.
+    u1 >= u3 always.
     """
 
     u1: float
     u2: float
     u3: float
-    region: Region
-    tie: bool = False
 
     def __post_init__(self):
         for name in ("u1", "u2", "u3"):
@@ -59,6 +56,16 @@ class BellEigenvalues:
             raise ValueError(f"u1 < u3: {self.u1!r} < {self.u3!r}")
         if self.u1 + max(self.u2, self.u3) > 2.0 + 1e-10:
             raise ValueError("u1 + max(u2, u3) exceeds the Tsirelson bound")
+
+    @property
+    def tie(self) -> bool:
+        """|u2 - u3| <= TIE_TOL: both sets give the Bell maximum."""
+        return abs(self.u2 - self.u3) <= TIE_TOL
+
+    @property
+    def region(self) -> Region:
+        """The active set: SET1 on a tie or when u2 >= u3, else SET2."""
+        return Region.SET1 if (self.tie or self.u2 >= self.u3) else Region.SET2
 
     @property
     def b1(self) -> float:
@@ -85,12 +92,6 @@ class BellSettings:
     b_prime: ObservableDirection
 
 
-def _vector(d: ObservableDirection) -> tuple[float, float, float]:
-    """d.unit_vector as Python floats, at half the cost of unit_vector.tolist()."""
-    st = math.sin(d.theta)
-    return st * math.cos(d.phi), st * math.sin(d.phi), math.cos(d.theta)
-
-
 def _trace(r: list, a: tuple, c: tuple) -> float:
     """Tr(rho (a.sigma (x) c.sigma)) for rho as rows r of Python complexes and
     real 3-vectors a, c; n.sigma = ((nz, nx - i ny), (nx + i ny, -nz))."""
@@ -109,7 +110,7 @@ def _trace(r: list, a: tuple, c: tuple) -> float:
 def correlation(rho: DensityMatrix4, a: ObservableDirection,
                 b: ObservableDirection) -> float:
     """Tr(rho (a.sigma (x) b.sigma)) by direct trace; a acts on qubit 1."""
-    return _trace(rho.entries.tolist(), _vector(a), _vector(b))
+    return _trace(rho.entries.tolist(), a.unit_vector, b.unit_vector)
 
 
 def bell_function(rho: DensityMatrix4, s: BellSettings) -> float:
@@ -117,20 +118,18 @@ def bell_function(rho: DensityMatrix4, s: BellSettings) -> float:
 
     This ground-truth evaluator never goes through the correlation matrix T,
     so it is immune to any index-convention slip there."""
-    r, b, bp = rho.entries.tolist(), _vector(s.b), _vector(s.b_prime)
-    return abs(_trace(r, _vector(s.a), [p + q for p, q in zip(b, bp)])
-               + _trace(r, _vector(s.a_prime), [p - q for p, q in zip(b, bp)]))
+    r, b, bp = rho.entries.tolist(), s.b.unit_vector, s.b_prime.unit_vector
+    return abs(_trace(r, s.a.unit_vector, [p + q for p, q in zip(b, bp)])
+               + _trace(r, s.a_prime.unit_vector, [p - q for p, q in zip(b, bp)]))
 
 
 def x_state_eigenvalues(x: XState) -> BellEigenvalues:
-    """Closed-form (u1, u2, u3) for an X state, with the active region tag."""
+    """Closed-form (u1, u2, u3) for an X state."""
     mod14, mod23 = abs(x.rho14), abs(x.rho23)
     u1 = 4.0 * (mod14 + mod23) ** 2
     u2 = x.diagonal_gap ** 2
     u3 = 4.0 * (mod14 - mod23) ** 2
-    tie = abs(u2 - u3) <= TIE_TOL
-    region = Region.SET1 if (tie or u2 >= u3) else Region.SET2
-    return BellEigenvalues(u1, u2, u3, region, tie)
+    return BellEigenvalues(u1, u2, u3)
 
 
 def bmax_x(x: XState) -> float:

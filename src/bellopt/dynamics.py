@@ -426,11 +426,13 @@ def _crossing_times(model: QModel, lo: np.ndarray, hi: np.ndarray,
     model.q call per step of the Illinois secant on g = x - target (Dowell
     and Jarratt, BIT 11, 168 (1971)) with the scale factor of Anderson and
     Bjorck (BIT 13, 253 (1973)).  The bit-pattern midpoint stands in for a
-    secant point not strictly inside (lo, hi) and after a step that left g
-    unchanged (x rounds to a constant there, as exp underflowing to 0)."""
+    secant point not strictly inside (lo, hi), after a step that left g
+    unchanged (x rounds to a constant there, as exp underflowing to 0), and
+    for good once a step lands on a plateau of g = 0 from g = 0, where each
+    secant point would be a minimum step from that end."""
     falling = x_lo >= target
     g_lo, g_hi = x_lo - target, x_hi - target
-    kept_hi = kept_lo = flat = np.zeros(len(lo), dtype=bool)
+    kept_hi = kept_lo = flat = plateau = np.zeros(len(lo), dtype=bool)
     for _ in range(_MAX_ROOT_ITERS):
         open_ = hi - lo > EVENT_REL_TOL * hi
         if not open_.any():
@@ -445,7 +447,7 @@ def _crossing_times(model: QModel, lo: np.ndarray, hi: np.ndarray,
         # range, so a bracket up to [0, 1e308] closes in < 80 steps
         bits = lo.view(np.int64)
         mid = (bits + (hi.view(np.int64) - bits) // 2).view(np.float64)
-        t = np.where((lo < s) & (s < hi) & ~flat, s, mid)
+        t = np.where((lo < s) & (s < hi) & ~(flat | plateau), s, mid)
         q = model.q(t)
         x = q.real ** 2 + q.imag ** 2
         g = x - target
@@ -453,6 +455,7 @@ def _crossing_times(model: QModel, lo: np.ndarray, hi: np.ndarray,
         to_hi = open_ & ~to_lo
         g_old = np.where(to_lo, g_lo, g_hi)  # at the end that t replaces
         flat = g == g_old
+        plateau = plateau | (flat & (g == 0.0))  # not |=: the zeros are shared
         # an end kept twice in a row has its g scaled down, so the next
         # secant point lands past the root: by 1 - g / g_old, else by 1/2
         with np.errstate(divide="ignore", invalid="ignore"):  # g_old = 0
@@ -573,8 +576,8 @@ def _normalize_rows(theta: np.ndarray, phi: np.ndarray):
 
 
 def _settings_rows(set1, gap, u1, u2, u3, m14, m23, rho14, rho23):
-    # the raw angles of _set1 where set1, else of _set2, normalized as
-    # AngleSettings.from_angles does
+    # the raw angles of angles._settings for region SET1 where set1, else
+    # for SET2, normalized as AngleSettings.from_angles does
     arg14, arg23 = _atan2(rho14[1], rho14[0]), _atan2(rho23[1], rho23[0])
     spread = _atan2(np.sqrt(np.where(set1, u2, u3)), np.sqrt(u1))  # set 1: tilt
     phi1 = -0.5 * (arg14 + arg23)

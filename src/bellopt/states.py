@@ -222,10 +222,9 @@ class ObservableDirection:
             raise ValueError(f"phi out of (-pi, pi]: {self.phi!r}")
 
     @property
-    def unit_vector(self) -> np.ndarray:
+    def unit_vector(self) -> tuple[float, float, float]:
         st = math.sin(self.theta)
-        return np.array([st * math.cos(self.phi), st * math.sin(self.phi),
-                         math.cos(self.theta)])
+        return st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)
 
 
 def normalize_direction(theta: float, phi: float) -> tuple[float, float]:

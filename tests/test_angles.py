@@ -33,9 +33,9 @@ def wrap_to_pi(v: float) -> float:
 class TestSet1:
     def test_bell_state(self, bell_x, bell_rho):
         s = settings_set1(bell_x)
-        assert s.theta1 == PI / 2 and s.theta1p == 0.0
-        assert s.theta2 == pytest.approx(3 * PI / 4, abs=1e-15)
-        assert s.theta2p == pytest.approx(PI / 4, abs=1e-15)
+        assert s.thetas[0] == PI / 2 and s.thetas[1] == 0.0
+        assert s.thetas[2] == pytest.approx(3 * PI / 4, abs=1e-15)
+        assert s.thetas[3] == pytest.approx(PI / 4, abs=1e-15)
         assert s.phis == (0.0, 0.0, 0.0, 0.0)
         assert bell_function(bell_rho, s.bell_settings()) \
             == pytest.approx(TSIRELSON, abs=1e-12)
@@ -51,10 +51,10 @@ class TestSet1:
     def test_complex_coherence_example(self):
         x = XState(0.3, 0.2, 0.2, 0.3, 0.25j, 0.1)
         s = settings_set1(x)
-        assert s.phi1 == pytest.approx(-PI / 4, abs=1e-15)
-        assert s.phi2 == pytest.approx(-PI / 4, abs=1e-15)
-        assert s.phi2p == pytest.approx(-PI / 4, abs=1e-15)
-        assert s.theta2 == pytest.approx(
+        assert s.phis[0] == pytest.approx(-PI / 4, abs=1e-15)
+        assert s.phis[2] == pytest.approx(-PI / 4, abs=1e-15)
+        assert s.phis[3] == pytest.approx(-PI / 4, abs=1e-15)
+        assert s.thetas[2] == pytest.approx(
             PI / 2 - math.atan(math.sqrt(0.04 / 0.49)), abs=1e-15)
         # u3 > u2 here, so set 1 is the suboptimal branch: value 2*sqrt(u1+u2)
         assert bell_function(x_to_dense(x), s.bell_settings()) \
@@ -64,7 +64,7 @@ class TestSet1:
         x = XState(0.7, 0.1, 0.1, 0.1, 0.0, 0.0)
         s = settings_set1(x)
         # arctan(sqrt(u2/0)) -> pi/2, positive gap: theta2 -> 0
-        assert s.theta2 == pytest.approx(0.0, abs=1e-15)
+        assert s.thetas[2] == pytest.approx(0.0, abs=1e-15)
         assert bell_function(x_to_dense(x), s.bell_settings()) \
             == pytest.approx(bmax_x(x), abs=1e-12)
 
@@ -73,25 +73,25 @@ class TestSet2:
     def test_bell_state(self, bell_x, bell_rho):
         s = settings_set2(bell_x)
         assert s.thetas == (PI / 2,) * 4
-        assert s.phi1 == 0.0
-        assert s.phi1p == pytest.approx(PI / 2, abs=1e-15)
-        assert s.phi2 == pytest.approx(PI / 4, abs=1e-15)
-        assert s.phi2p == pytest.approx(-PI / 4, abs=1e-15)
+        assert s.phis[0] == 0.0
+        assert s.phis[1] == pytest.approx(PI / 2, abs=1e-15)
+        assert s.phis[2] == pytest.approx(PI / 4, abs=1e-15)
+        assert s.phis[3] == pytest.approx(-PI / 4, abs=1e-15)
         assert bell_function(bell_rho, s.bell_settings()) \
             == pytest.approx(TSIRELSON, abs=1e-12)
 
     def test_worked_example(self):
         x = XState(0.3, 0.2, 0.2, 0.3, 0.25, 0.1)
         s = settings_set2(x)
-        assert s.phi2 == pytest.approx(math.atan(3.0 / 7.0), abs=1e-15)
-        assert s.phi2p == pytest.approx(-math.atan(3.0 / 7.0), abs=1e-15)
+        assert s.phis[2] == pytest.approx(math.atan(3.0 / 7.0), abs=1e-15)
+        assert s.phis[3] == pytest.approx(-math.atan(3.0 / 7.0), abs=1e-15)
         assert bell_function(x_to_dense(x), s.bell_settings()) \
             == pytest.approx(2 * math.sqrt(0.58), abs=1e-12)
 
     def test_sign_convention_when_rho23_vanishes(self):
         x = XState(0.4, 0.1, 0.1, 0.4, 0.2, 0.0)
         s = settings_set2(x)
-        assert wrap_to_pi(s.phi1p - (s.phi1 - PI / 2)) == pytest.approx(0.0, abs=1e-15)
+        assert wrap_to_pi(s.phis[1] - (s.phis[0] - PI / 2)) == pytest.approx(0.0, abs=1e-15)
 
 
 class TestOptimalSettings:
@@ -156,8 +156,8 @@ class TestValueFormulas:
     @given(x_states())
     def test_set1_pattern(self, x):
         s = settings_set1(x)
-        assert s.theta1 == PI / 2 and s.theta1p == 0.0
-        assert s.theta2 + s.theta2p == pytest.approx(PI, abs=0.0)
+        assert s.thetas[0] == PI / 2 and s.thetas[1] == 0.0
+        assert s.thetas[2] + s.thetas[3] == pytest.approx(PI, abs=0.0)
 
     @settings(max_examples=100)
     @given(x_states())
@@ -167,7 +167,7 @@ class TestValueFormulas:
         s = settings_set2(x)
         assert s.thetas == (PI / 2,) * 4
         rel = cmath.phase(x.rho23) - cmath.phase(x.rho14)
-        assert wrap_to_pi(s.phi2 + s.phi2p - rel) == pytest.approx(0.0, abs=1e-12)
+        assert wrap_to_pi(s.phis[2] + s.phis[3] - rel) == pytest.approx(0.0, abs=1e-12)
 
 
 def boundary_state(rng) -> XState:
@@ -204,6 +204,21 @@ class TestBoundary:
             assert settings_distance(s1, s2) > 1e-3
 
 
+class TestAngleSettings:
+    @pytest.mark.parametrize("thetas,phis", [
+        ((0.0,) * 3, (0.0,) * 4),
+        ((0.0,) * 4, (0.0,) * 5),
+        ((), ()),
+    ])
+    def test_rejects_other_than_four_angles(self, thetas, phis):
+        from bellopt import AngleSettings
+
+        with pytest.raises(ValueError, match="expected 4 thetas and 4 phis"):
+            AngleSettings(thetas, phis, Region.SET1)
+        with pytest.raises(ValueError):
+            AngleSettings.from_angles(Region.SET1, thetas, phis)
+
+
 class TestSettingsDistance:
     def test_zero_on_identical(self, bell_x):
         s = settings_set1(bell_x)
@@ -212,9 +227,9 @@ class TestSettingsDistance:
     def test_antipodal_theta1p(self):
         from bellopt import AngleSettings
 
-        base = AngleSettings(PI / 2, 0.0, PI / 2, PI / 2, 0, 0, 0, 0,
+        base = AngleSettings((PI / 2, 0.0, PI / 2, PI / 2), (0, 0, 0, 0),
                              set_id=Region.SET1)
-        flipped = AngleSettings(PI / 2, PI, PI / 2, PI / 2, 0, 0, 0, 0,
+        flipped = AngleSettings((PI / 2, PI, PI / 2, PI / 2), (0, 0, 0, 0),
                                 set_id=Region.SET1)
         assert settings_distance(base, flipped) == pytest.approx(PI, abs=1e-12)
 

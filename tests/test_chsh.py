@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from bellopt import (
+    BellEigenvalues,
     BellSettings,
     ObservableDirection,
     Region,
@@ -20,6 +21,7 @@ from bellopt import (
     x_state_eigenvalues,
     x_to_dense,
 )
+from bellopt.chsh import TIE_TOL
 from bellopt.states import PAULIS
 from conftest import random_density, random_x_state, werner, x_states
 
@@ -118,7 +120,7 @@ class TestDirectTrace:
         # either the direct trace or T shows here.
         for rho, s in reference_cases():
             t = pauli_correlation_matrix(rho).t
-            a, ap, b, bp = (d.unit_vector for d in (s.a, s.a_prime, s.b, s.b_prime))
+            a, ap, b, bp = (np.array(d.unit_vector) for d in (s.a, s.a_prime, s.b, s.b_prime))
             via_t = abs(b @ t @ a + bp @ t @ a + b @ t @ ap - bp @ t @ ap)
             assert abs(bell_function(rho, s) - via_t) <= 1e-14
 
@@ -159,6 +161,31 @@ class TestXStateEigenvalues:
     def test_u1_dominates_u3(self, x):
         u = x_state_eigenvalues(x)
         assert u.u1 >= u.u3
+
+
+class TestBellEigenvalues:
+    def test_region_and_tie_are_not_arguments(self):
+        # a caller cannot pass a region that contradicts the tie rule
+        with pytest.raises(TypeError):
+            BellEigenvalues(0.5, 0.3, 0.3, Region.SET2)
+        with pytest.raises(TypeError):
+            BellEigenvalues(0.5, 0.3, 0.3, Region.SET1, True)
+
+    @pytest.mark.parametrize("gap,tie", [
+        (TIE_TOL, True),
+        (math.nextafter(TIE_TOL, 0.0), True),
+        (math.nextafter(TIE_TOL, 1.0), False),
+        (2.0 * TIE_TOL, False),
+    ])
+    @pytest.mark.parametrize("side", ["u2-above", "u3-above"])
+    def test_tie_and_region_at_the_tolerance(self, gap, tie, side):
+        # u2 - u3 = +-gap exactly, since the other one is 0
+        u2, u3 = (gap, 0.0) if side == "u2-above" else (0.0, gap)
+        u = BellEigenvalues(0.5, u2, u3)
+        assert abs(u.u2 - u.u3) == gap
+        assert u.tie is tie
+        expected = Region.SET1 if (tie or side == "u2-above") else Region.SET2
+        assert u.region is expected
 
 
 class TestBmaxX:

@@ -349,7 +349,7 @@ class TestAngles:
         path = write_state(tmp_path, x_to_dense(x).entries)
         assert main(["angles", "--input", path, "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        settings = AngleSettings(*doc["theta"], *doc["phi"],
+        settings = AngleSettings(tuple(doc["theta"]), tuple(doc["phi"]),
                                  set_id=Region(doc["set"]))
         reevaluated = bell_function(x_to_dense(x), settings.bell_settings())
         assert reevaluated == pytest.approx(doc["bell_value"], abs=1e-9)

@@ -370,13 +370,13 @@ def _sequential_certify(rho, s, cfg):
 
 
 class TestCertify:
-    # 2500 spans three draws of _CERTIFY_DRAW moves, the last one partial
+    # 2500 spans ten blocks of _CERTIFY_BLOCK moves, the last one partial
     @pytest.mark.parametrize("refine", [0, 64, 130, 500, 2500])
     def test_block_walk_equals_sequential_walk(self, refine):
         rng = np.random.default_rng(33)
         x = random_x_state(rng)
         rho = x_to_dense(x)
-        zeros = AngleSettings(0, 0, 0, 0, 0, 0, 0, 0, set_id=Region.SET1)
+        zeros = AngleSettings((0, 0, 0, 0), (0, 0, 0, 0), set_id=Region.SET1)
         for s in (optimal_settings(x)[0], zeros):
             cfg = OracleConfig(refine_iters=refine, seed=11)
             assert certify_settings(rho, s, cfg) == _sequential_certify(rho, s, cfg)
@@ -398,11 +398,11 @@ class TestCertify:
         assert certify_settings(bell_rho, s, OracleConfig(seed=5)) <= 1e-6
 
     def test_zero_angles_are_far_from_optimal(self, bell_rho):
-        zeros = AngleSettings(0, 0, 0, 0, 0, 0, 0, 0, set_id=Region.SET1)
+        zeros = AngleSettings((0, 0, 0, 0), (0, 0, 0, 0), set_id=Region.SET1)
         assert certify_settings(bell_rho, zeros, OracleConfig(seed=5)) > 0.5
 
     def test_flat_landscape(self, mixed_rho):
-        zeros = AngleSettings(0, 0, 0, 0, 0, 0, 0, 0, set_id=Region.SET1)
+        zeros = AngleSettings((0, 0, 0, 0), (0, 0, 0, 0), set_id=Region.SET1)
         assert certify_settings(mixed_rho, zeros, OracleConfig(seed=5)) <= 1e-9
 
     def test_certifies_active_set_of_random_states(self):
