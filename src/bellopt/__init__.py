@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .states import (
     DensityMatrix4,
     XState,
-    CorrelationMatrix,
     ObservableDirection,
     StateValidationError,
     NotHermitian,
@@ -67,7 +66,7 @@ from .dynamics import (
 
 __all__ = [
     "__version__",
-    "DensityMatrix4", "XState", "CorrelationMatrix", "ObservableDirection",
+    "DensityMatrix4", "XState", "ObservableDirection",
     "StateValidationError", "NotHermitian", "TraceNotOne", "NotPositive",
     "NotXStructured", "validate_density_matrix", "as_x_state", "x_to_dense",
     "pauli_correlation_matrix", "normalize_direction",

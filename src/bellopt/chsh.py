@@ -1,6 +1,7 @@
 """CHSH-Bell function evaluation and its state-dependent maximum.
 
-The Bell function is one direct trace of rho in Python complex arithmetic.
+The Bell function is two direct traces of rho in Python complex arithmetic,
+through the Pauli kernel of `states` that also gives the correlation matrix T.
 Its maximum over all settings is 2*sqrt(s), s the sum of the two largest
 eigenvalues of U = T^T T (the squared singular values of the Pauli
 correlation matrix T).  For X states the three eigenvalues have closed forms
@@ -20,11 +21,18 @@ from .states import (
     DensityMatrix4,
     ObservableDirection,
     XState,
+    _pauli_vector,
     pauli_correlation_matrix,
 )
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 TIE_TOL = 1e-12
+# Bounds, with rounding room, that BellEigenvalues and dynamics._scan_columns
+# check: each u in [U_MIN, U_MAX], u1 >= u3 - U_ORDER_TOL, u1 + max(u2, u3) <= U_SUM_MAX.
+U_MIN = -1e-12
+U_MAX = 1.0 + 1e-10
+U_ORDER_TOL = 1e-12
+U_SUM_MAX = 2.0 + 1e-10
 
 
 class Region(IntEnum):
@@ -50,11 +58,11 @@ class BellEigenvalues:
     def __post_init__(self):
         for name in ("u1", "u2", "u3"):
             v = getattr(self, name)
-            if not (-1e-12 <= v <= 1.0 + 1e-10):
+            if not (U_MIN <= v <= U_MAX):
                 raise ValueError(f"{name} out of [0, 1]: {v!r}")
-        if self.u1 < self.u3 - 1e-12:
+        if self.u1 < self.u3 - U_ORDER_TOL:
             raise ValueError(f"u1 < u3: {self.u1!r} < {self.u3!r}")
-        if self.u1 + max(self.u2, self.u3) > 2.0 + 1e-10:
+        if self.u1 + max(self.u2, self.u3) > U_SUM_MAX:
             raise ValueError("u1 + max(u2, u3) exceeds the Tsirelson bound")
 
     @property
@@ -92,35 +100,25 @@ class BellSettings:
     b_prime: ObservableDirection
 
 
-def _trace(r: list, a: tuple, c: tuple) -> float:
-    """Tr(rho (a.sigma (x) c.sigma)) for rho as rows r of Python complexes and
-    real 3-vectors a, c; n.sigma = ((nz, nx - i ny), (nx + i ny, -nz))."""
-    cz, c01, c10 = c[2], complex(c[0], -c[1]), complex(c[0], c[1])
-    # m = Tr_2(rho (1 (x) c.sigma)), a 2x2 block on qubit 1
-    m00 = cz * (r[0][0] - r[1][1]) + c10 * r[0][1] + c01 * r[1][0]
-    m01 = cz * (r[0][2] - r[1][3]) + c10 * r[0][3] + c01 * r[1][2]
-    m10 = cz * (r[2][0] - r[3][1]) + c10 * r[2][1] + c01 * r[3][0]
-    m11 = cz * (r[2][2] - r[3][3]) + c10 * r[2][3] + c01 * r[3][2]
-    val = a[2] * (m00 - m11) + complex(a[0], a[1]) * m01 + complex(a[0], -a[1]) * m10
-    if abs(val.imag) > 1e-12:
-        raise ValueError(f"correlation has imaginary residue {val.imag:.3e}")
-    return val.real
+def _dot(a: tuple, v: tuple) -> float:
+    return a[0] * v[0] + a[1] * v[1] + a[2] * v[2]
 
 
 def correlation(rho: DensityMatrix4, a: ObservableDirection,
                 b: ObservableDirection) -> float:
     """Tr(rho (a.sigma (x) b.sigma)) by direct trace; a acts on qubit 1."""
-    return _trace(rho.entries.tolist(), a.unit_vector, b.unit_vector)
+    return _dot(a.unit_vector, _pauli_vector(rho.entries.tolist(), b.unit_vector))
 
 
 def bell_function(rho: DensityMatrix4, s: BellSettings) -> float:
-    """|Tr(rho [A (x) (B + B') + A' (x) (B - B')])|, one direct trace of rho.
+    """|Tr(rho [A (x) (B + B') + A' (x) (B - B')])|, two direct traces of rho.
 
-    This ground-truth evaluator never goes through the correlation matrix T,
-    so it is immune to any index-convention slip there."""
+    This ground-truth evaluator shares only the Pauli kernel _pauli_vector
+    with the correlation matrix T and never builds T itself."""
     r, b, bp = rho.entries.tolist(), s.b.unit_vector, s.b_prime.unit_vector
-    return abs(_trace(r, s.a.unit_vector, [p + q for p, q in zip(b, bp)])
-               + _trace(r, s.a_prime.unit_vector, [p - q for p, q in zip(b, bp)]))
+    plus = _pauli_vector(r, [p + q for p, q in zip(b, bp)])
+    minus = _pauli_vector(r, [p - q for p, q in zip(b, bp)])
+    return abs(_dot(s.a.unit_vector, plus) + _dot(s.a_prime.unit_vector, minus))
 
 
 def x_state_eigenvalues(x: XState) -> BellEigenvalues:
@@ -143,7 +141,7 @@ def horodecki_eigenvalues(rho: DensityMatrix4) -> tuple[float, float, float]:
     They are the squared singular values of the Pauli correlation matrix T;
     taking them from the SVD of T avoids squaring its condition number.
     """
-    s = np.linalg.svd(pauli_correlation_matrix(rho).t, compute_uv=False)
+    s = np.linalg.svd(pauli_correlation_matrix(rho), compute_uv=False)
     return tuple((s * s).tolist())
 
 

@@ -381,10 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-check",
                        help="compare closed forms against the brute-force oracle")
     add_state(p)
-    p.add_argument("--grid-n", type=int, default=8)
-    p.add_argument("--restarts", type=int, default=16)
-    p.add_argument("--refine", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0, metavar="UINT")
+    p.add_argument("--grid-n", type=int, default=OracleConfig.grid_n)
+    p.add_argument("--restarts", type=int, default=OracleConfig.restarts)
+    p.add_argument("--refine", type=int, default=OracleConfig.refine_iters)
+    p.add_argument("--seed", type=int, default=OracleConfig.seed, metavar="UINT")
     add_io(p, formats=("json",))
     p.set_defaults(func=cmd_oracle_check)
 

@@ -41,10 +41,11 @@ from typing import Union
 import numpy as np
 
 from .angles import _HALF_PI, _sign, optimal_settings
-from .chsh import TIE_TOL, Region
+from .chsh import TIE_TOL, U_MAX, U_MIN, U_ORDER_TOL, U_SUM_MAX, Region
 from .states import POSITIVITY_TOL, TRACE_TOL, DensityMatrix4, XState
 
 EVENT_REL_TOL = 1e-9
+Q_ABS_MAX = 1.0 + 1e-12  # largest damping amplitude |q| accepted
 _MAX_ROOT_ITERS = 80
 MAX_PIECES = 10 ** 6
 MAX_SAMPLES = 10 ** 6
@@ -203,7 +204,7 @@ class TabulatedModel:
         # only picks the samples whose abs() is compared
         near = np.flatnonzero(np.abs(v) > 1.0 + 0.5e-12).tolist()
         worst = max((abs(values[i]) for i in near), default=0.0)
-        if worst > 1.0 + 1e-12:
+        if worst > Q_ABS_MAX:
             raise ValueError(f"|q| exceeds 1 at a sample: {worst!r}")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
@@ -224,11 +225,13 @@ class TabulatedModel:
                 for row in reader:
                     if not row:
                         continue
-                    if len(row) != 3:
-                        raise ValueError(f"line {reader.line_num}: expected 3 "
-                                         f"fields, got {len(row)}")
-                    times.append(float(row[0]))
-                    values.append(complex(float(row[1]), float(row[2])))
+                    try:
+                        if len(row) != 3:
+                            raise ValueError(f"expected 3 fields, got {len(row)}")
+                        times.append(float(row[0]))
+                        values.append(complex(float(row[1]), float(row[2])))
+                    except ValueError as exc:  # a short or long row, or a non-number
+                        raise ValueError(f"line {reader.line_num}: {exc}") from exc
             except csv.Error as exc:  # a malformed or oversized field
                 raise ValueError(f"line {reader.line_num}: {exc}") from exc
         return cls(tuple(times), tuple(values))
@@ -276,7 +279,7 @@ def apply_amplitude_damping(rho0: DensityMatrix4, q: complex) -> DensityMatrix4:
     returns a validated state.
     """
     q = complex(q)
-    if abs(q) > 1.0 + 1e-12:
+    if abs(q) > Q_ABS_MAX:
         raise ValueError(f"|q| must be <= 1, got {abs(q)!r}")
     loss = math.sqrt(max(0.0, 1.0 - abs(q) ** 2))
     k0 = np.array([[q, 0.0], [0.0, 1.0]], dtype=complex)
@@ -297,7 +300,7 @@ def evolve_x(x0: XState, q: complex) -> XState:
     Identical to evolving the dense matrix through the product channel.
     """
     q = complex(q)
-    if abs(q) > 1.0 + 1e-12:
+    if abs(q) > Q_ABS_MAX:
         raise ValueError(f"|q| must be <= 1, got {abs(q)!r}")
     x = min(1.0, abs(q) ** 2)
     fed = x0.rho11 * (1.0 - x)
@@ -629,16 +632,16 @@ def _scan_columns(x0: XState, t: np.ndarray, q: np.ndarray) -> TimeScan:
     u1, u2, u3 = 4.0 * _sq(m14 + m23), _sq(gap), 4.0 * _sq(m14 - m23)
     u = np.stack((u1, u2, u3))
     failed = (
-        (mod_q > 1.0 + 1e-12)  # evolve_x
+        (mod_q > Q_ABS_MAX)  # evolve_x
         # XState: trace, populations, outer and inner 2x2 blocks PSD
         | (abs(r11 + r22 + r33 + r44 - 1.0) > TRACE_TOL)
         | ~((-POSITIVITY_TOL <= pops) & (pops <= 1.0 + POSITIVITY_TOL)).all(axis=0)
         | ~(_sq(m14) - POSITIVITY_TOL <= r11 * r44)
         | ~(_sq(m23) - POSITIVITY_TOL <= r22 * r33)
         # BellEigenvalues: range, u1 >= u3, Tsirelson
-        | ~((-1e-12 <= u) & (u <= 1.0 + 1e-10)).all(axis=0)
-        | (u1 < u3 - 1e-12)
-        | (u1 + np.where(u3 > u2, u3, u2) > 2.0 + 1e-10)
+        | ~((U_MIN <= u) & (u <= U_MAX)).all(axis=0)
+        | (u1 < u3 - U_ORDER_TOL)
+        | (u1 + np.where(u3 > u2, u3, u2) > U_SUM_MAX)
     )
     if failed.any():  # the scalar path raises the first failing row's error
         optimal_settings(evolve_x(x0, complex(q[failed.argmax()])))

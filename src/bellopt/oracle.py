@@ -245,7 +245,7 @@ def brute_force_bmax(rho: DensityMatrix4, cfg: OracleConfig) -> OracleResult:
     if need > MAX_GRID_BYTES:
         raise BudgetExceeded(f"oracle search needs {need} bytes "
                              f"(limit {MAX_GRID_BYTES} bytes)")
-    t = pauli_correlation_matrix(rho).t
+    t = pauli_correlation_matrix(rho)
     # per restart: theta in [0, pi), then phi in [-pi, pi)
     lo = np.tile([0.0, -math.pi], cfg.restarts)
     restarts = Splitmix64(cfg.seed).uniforms(2 * cfg.restarts, lo, math.pi)
@@ -274,7 +274,7 @@ def certify_settings(rho: DensityMatrix4, s, cfg: OracleConfig) -> float:
     `s` is a local maximum; a clearly positive value exhibits better settings
     nearby.
     """
-    t = pauli_correlation_matrix(rho).t
+    t = pauli_correlation_matrix(rho)
     current = np.array(s.thetas + s.phis)
     base = float(_bell_values(t, current))
     rng = Splitmix64(cfg.seed)

@@ -8,7 +8,8 @@ Conventions used throughout the package:
 * Pauli matrices are written in the single-qubit basis {|1>, |0>}, so
   sigma_z |1> = +|1>.
 * The spin correlation matrix is t[m][n] = Tr(rho (sigma_n (x) sigma_m)),
-  with the first Kronecker factor acting on qubit 1.
+  with the first Kronecker factor acting on qubit 1.  _pauli_vector gives its
+  rows and every Bell-function trace: it is the one Pauli kernel.
 
 All types are immutable values and all operations are pure functions, so the
 module is safe for unrestricted concurrent use.
@@ -25,17 +26,6 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-10
 DEFAULT_OFF_X_TOL = 1e-9
-
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-
-# Transposed Pauli products, laid out so that
-# t[m][n] = sum_ij rho_ij * _PAULI_PRODUCTS_T[m, n, i, j].
-_PAULI_PRODUCTS_T = np.array(
-    [[np.kron(PAULIS[n], PAULIS[m]).T for n in range(3)] for m in range(3)]
-)
 
 # Index pairs that must vanish for the X pattern (everything off the main
 # diagonal and the anti-diagonal).
@@ -181,29 +171,31 @@ def x_to_dense(x: XState) -> DensityMatrix4:
     return DensityMatrix4(m)
 
 
-@dataclass(frozen=True, eq=False)
-class CorrelationMatrix:
-    """3x3 real matrix of two-qubit Pauli correlations."""
+def _pauli_vector(r: list, c) -> tuple[float, float, float]:
+    """(Tr(m sigma_x), Tr(m sigma_y), Tr(m sigma_z)) of the qubit-1 block
+    m = Tr_2(rho (1 (x) c.sigma)), for rho as rows r of Python complexes and a
+    real 3-vector c, so that a . _pauli_vector(r, c) = Tr(rho (a.sigma (x)
+    c.sigma)); n.sigma = ((nz, nx - i ny), (nx + i ny, -nz))."""
+    cz, c01, c10 = c[2], complex(c[0], -c[1]), complex(c[0], c[1])
+    m00 = cz * (r[0][0] - r[1][1]) + c10 * r[0][1] + c01 * r[1][0]
+    m01 = cz * (r[0][2] - r[1][3]) + c10 * r[0][3] + c01 * r[1][2]
+    m10 = cz * (r[2][0] - r[3][1]) + c10 * r[2][1] + c01 * r[3][0]
+    m11 = cz * (r[2][2] - r[3][3]) + c10 * r[2][3] + c01 * r[3][2]
+    # Tr(m n.sigma) = nx (m01 + m10) + ny i (m01 - m10) + nz (m00 - m11)
+    x, y, z = m01 + m10, m01 - m10, m00 - m11
+    if abs(x.imag) > 1e-12 or abs(y.real) > 1e-12 or abs(z.imag) > 1e-12:
+        worst = max(abs(x.imag), abs(y.real), abs(z.imag))
+        raise ValueError(f"correlation has imaginary residue {worst:.3e}")
+    return x.real, -y.imag, z.real
 
-    t: np.ndarray
 
-    def __post_init__(self):
-        m = np.array(self.t, dtype=float)
-        if m.shape != (3, 3):
-            raise ValueError(f"expected a 3x3 matrix, got {m.shape}")
-        if np.abs(m).max() > 1.0 + 1e-9:
-            raise ValueError("correlation entries must lie in [-1, 1]")
-        m.setflags(write=False)
-        object.__setattr__(self, "t", m)
-
-
-def pauli_correlation_matrix(rho: DensityMatrix4) -> CorrelationMatrix:
-    """t[m][n] = Tr(rho (sigma_n (x) sigma_m)), first factor on qubit 1."""
-    t = np.einsum("ij,mnij->mn", rho.entries, _PAULI_PRODUCTS_T)
-    imag = np.abs(t.imag).max()
-    if imag > 1e-12:
-        raise StateValidationError(f"correlation has imaginary residue {imag:.3e}")
-    return CorrelationMatrix(t.real)
+def pauli_correlation_matrix(rho: DensityMatrix4) -> np.ndarray:
+    """t[m][n] = Tr(rho (sigma_n (x) sigma_m)), first factor on qubit 1, as a
+    read-only 3x3 float array."""
+    r, axes = rho.entries.tolist(), ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    t = np.array([_pauli_vector(r, e) for e in axes])
+    t.setflags(write=False)
+    return t
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,12 @@ from bellopt import DensityMatrix4, XState, x_to_dense
 
 BELL_X = XState(0.0, 0.5, 0.5, 0.0, 0.0, 0.5)
 
+# Literal sigma_x, sigma_y, sigma_z in the basis {|1>, |0>}, for kron/trace
+# references that share no code with the package.
+PAULIS = (np.array([[0, 1], [1, 0]], dtype=complex),
+          np.array([[0, -1j], [1j, 0]], dtype=complex),
+          np.array([[1, 0], [0, -1]], dtype=complex))
+
 
 @pytest.fixture
 def bell_x():

@@ -22,8 +22,7 @@ from bellopt import (
     x_to_dense,
 )
 from bellopt.chsh import TIE_TOL
-from bellopt.states import PAULIS
-from conftest import random_density, random_x_state, werner, x_states
+from conftest import PAULIS, random_density, random_x_state, werner, x_states
 
 Z_UP = ObservableDirection(0.0, 0.0)
 
@@ -116,10 +115,12 @@ class TestDirectTrace:
                 assert abs(correlation(rho, a, b) - kron_correlation(rho, a, b)) <= 4e-15
 
     def test_bell_function_equals_correlation_matrix_form(self):
-        # E(a, b) = b . T a, so a slip in the basis order or the Pauli layout of
-        # either the direct trace or T shows here.
+        # E(a, b) = b . T a.  Both sides use the Pauli kernel of `states`, so
+        # this checks how bell_function and T apply it; a slip in the kernel
+        # itself is caught by the literal-kron tests above and by
+        # test_states.py::TestPauliCorrelationMatrix::test_equals_literal_kron_trace.
         for rho, s in reference_cases():
-            t = pauli_correlation_matrix(rho).t
+            t = pauli_correlation_matrix(rho)
             a, ap, b, bp = (np.array(d.unit_vector) for d in (s.a, s.a_prime, s.b, s.b_prime))
             via_t = abs(b @ t @ a + bp @ t @ a + b @ t @ ap - bp @ t @ ap)
             assert abs(bell_function(rho, s) - via_t) <= 1e-14
@@ -132,6 +133,8 @@ class TestDirectTrace:
             correlation(fake, Z_UP, Z_UP)
         with pytest.raises(ValueError, match="correlation has imaginary residue"):
             bell_function(fake, all_z_settings())
+        with pytest.raises(ValueError, match="correlation has imaginary residue 1.000e-09"):
+            pauli_correlation_matrix(fake)
 
 
 class TestXStateEigenvalues:
@@ -164,6 +167,10 @@ class TestXStateEigenvalues:
 
 
 class TestBellEigenvalues:
+    def test_u1_below_u3_rejected(self):
+        with pytest.raises(ValueError, match="u1 < u3: 0.1 < 0.5"):
+            BellEigenvalues(0.1, 0.0, 0.5)
+
     def test_region_and_tie_are_not_arguments(self):
         # a caller cannot pass a region that contradicts the tie rule
         with pytest.raises(TypeError):

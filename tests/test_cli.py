@@ -13,7 +13,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellopt import EWLParams, TimeScan, crossing_roots, ewl_state, x_to_dense
+from bellopt import (
+    EWLParams,
+    OracleConfig,
+    TimeScan,
+    brute_force_bmax,
+    cli,
+    crossing_roots,
+    ewl_state,
+    x_to_dense,
+)
 from bellopt.cli import _csv_rows, _scan_csv, fmt9, main
 from conftest import random_density, werner
 
@@ -274,6 +283,18 @@ class TestStateFile:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {path} is not valid JSON: 'utf-8' codec "
                                        "can't decode byte 0xff")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["bmax", "angles", "oracle-check", "scan"])
+    def test_missing_file_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "absent.json"
+        argv = [command, "--input", str(path)]
+        if command == "scan":
+            argv += ["--qmodel", "exp:1", "--tmax", "1", "--samples", "2"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {path}: ")
         assert captured.err.count("\n") == 1
 
 
@@ -556,7 +577,8 @@ class TestScan:
         ("1,0.5", "line 3: expected 3 fields, got 2"),
         ("1,0.5,0,7", "line 3: expected 3 fields, got 4"),
         ("1," + "0" * 131073 + ",0", "line 3: field larger than field limit (131072)"),
-    ], ids=["short", "long", "huge-field"])
+        ("0.5,abc,0", "line 3: could not convert string to float: 'abc'"),
+    ], ids=["short", "long", "huge-field", "not-a-number"])
     def test_malformed_table_row_exits_2(self, tmp_path, capsys, row, message):
         table = tmp_path / "q.csv"
         table.write_text(f"t,q_re,q_im\n0,1,0\n{row}\n2,0.5,0\n")
@@ -566,6 +588,29 @@ class TestScan:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: bad --qmodel {spec!r}: {message}\n"
+
+    @pytest.mark.parametrize("text", ["", "time,q_re,q_im\n0,1,0\n1,0.5,0\n"],
+                             ids=["empty", "wrong-header"])
+    def test_table_without_the_header_exits_2(self, tmp_path, capsys, text):
+        table = tmp_path / "q.csv"
+        table.write_text(text)
+        spec = f"table:{table}"
+        assert main(["scan", "--ewl", "0.5,1,0", "--qmodel", spec,
+                     "--tmax", "1", "--samples", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: bad --qmodel {spec!r}: "
+                                "expected CSV header 't,q_re,q_im'\n")
+
+    def test_non_x_input_exits_3(self, tmp_path, capsys):
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 1] = m[1, 0] = 0.01
+        assert main(["scan", "--input", write_state(tmp_path, m), "--qmodel", "exp:1",
+                     "--tmax", "1", "--samples", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: state is not X-structured (off-pattern entry "
+                                "(0, 1) has magnitude 1.000e-02)\n")
 
     def test_table_shorter_than_tmax_exits_2(self, tmp_path):
         table = tmp_path / "q.csv"
@@ -639,6 +684,24 @@ class TestOracleCheck:
         assert main([*argv, "--output", str(output)]) == 4
         assert capsys.readouterr().out == ""
         assert output.read_text() == out
+
+    def test_defaults_are_the_oracle_config_defaults(self, tmp_path, monkeypatch):
+        configs = []
+
+        def recording(rho, cfg):
+            configs.append(cfg)
+            return brute_force_bmax(rho, cfg)
+
+        monkeypatch.setattr(cli, "brute_force_bmax", recording)
+        assert main(["oracle-check", "--input", bell_file(tmp_path)]) == 0
+        assert configs == [OracleConfig()]
+
+    @pytest.mark.parametrize("seed", [str(2 ** 64), "-1"])
+    def test_seed_outside_64_bits_exits_2(self, tmp_path, capsys, seed):
+        assert main(["oracle-check", "--input", bell_file(tmp_path), "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must fit in 64 bits\n"
 
     def test_corrupted_json_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"

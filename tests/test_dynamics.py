@@ -194,6 +194,13 @@ class TestTabulated:
         model = TabulatedModel.from_csv(path)
         assert model.q(0.5) == pytest.approx(0.8 + 0.05j)
 
+    def test_csv_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "q.csv"
+        path.write_text("t,q_re,q_im\n0,1,0\n\n1,0.6,0.1\n\n2,0.3,0.05\n")
+        model = TabulatedModel.from_csv(path)
+        assert model.times == (0.0, 1.0, 2.0)
+        assert model.values == (1.0, 0.6 + 0.1j, 0.3 + 0.05j)
+
 
 class TestAmplitudeDamping:
     def test_identity_at_q_one(self):
@@ -229,6 +236,10 @@ class TestAmplitudeDamping:
             assert abs(out.trace() - 1.0) <= 1e-12
             assert np.abs(out - out.conj().T).max() <= 1e-12
             assert np.linalg.eigvalsh(out).min() >= -1e-10
+
+    def test_amplitude_above_one_rejected(self, mixed_rho):
+        with pytest.raises(ValueError, match=r"\|q\| must be <= 1, got 1.1"):
+            apply_amplitude_damping(mixed_rho, 1.1)
 
 
 class TestEvolveX:
@@ -467,6 +478,8 @@ class TestTimeScan:
             time_scan(bell_x, model, [0.0, 1.0, 1.0])
         with pytest.raises(ValueError, match="t_grid must be one-dimensional"):
             time_scan(bell_x, model, [[0.0, 1.0]])
+        with pytest.raises(ValueError, match="t_grid must not be empty"):
+            time_scan(bell_x, model, [])
 
     def test_lorentzian_revivals_cross_repeatedly(self):
         # strong coupling: |q|^2 revives, so the boundary is crossed > 2 times
@@ -1257,6 +1270,8 @@ class TestNonFiniteInputs:
     ] + [
         pytest.param("1,0.5", "line 3: expected 3 fields, got 2", id="1,0.5"),
         pytest.param("1,0.5,0,7", "line 3: expected 3 fields, got 4", id="1,0.5,0,7"),
+        pytest.param("0.5,abc,0", "line 3: could not convert string to float: 'abc'",
+                     id="0.5,abc,0"),
         pytest.param("1," + "0" * 131073 + ",0",
                      "line 3: field larger than field limit (131072)", id="huge-field"),
     ])

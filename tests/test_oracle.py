@@ -15,6 +15,7 @@ from bellopt import (
     NotXStructured,
     ObservableDirection,
     OracleConfig,
+    OracleResult,
     Region,
     Splitmix64,
     TSIRELSON,
@@ -89,6 +90,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             OracleConfig(refine_iters=-1)
 
+    def test_result_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="bmax_est out of range: 3.0"):
+            OracleResult(bmax_est=3.0, thetas=(0.0,) * 4, phis=(0.0,) * 4,
+                         evaluations=1)
+
     def test_budget_guard(self, bell_rho, monkeypatch):
         restarts = OracleConfig().restarts
         n = 4
@@ -127,7 +133,7 @@ class TestBellValues:
     def test_rows_do_not_depend_on_batch(self):
         rng = np.random.default_rng(31)
         rho = random_density(rng)
-        t = pauli_correlation_matrix(rho).t
+        t = pauli_correlation_matrix(rho)
         rows = np.hstack([rng.uniform(0.0, math.pi, (1000, 4)),
                           rng.uniform(-math.pi, math.pi, (1000, 4))])
         single = np.array([_bell_values(t, row) for row in rows])
@@ -158,7 +164,7 @@ class TestAliceValues:
         rng = np.random.default_rng(34)
         for rho in (random_density(rng), x_to_dense(random_x_state(rng)),
                     x_to_dense(werner(0.9))):
-            t = pauli_correlation_matrix(rho).t
+            t = pauli_correlation_matrix(rho)
             for alice in _random_alice(rng, 50):
                 f = _alice_value(t, alice)
                 angles = _settings(t, alice)
@@ -171,7 +177,7 @@ class TestAliceValues:
                 assert _bell_values(t, others).max() <= f + 1e-12
 
     def test_zero_vectors_get_a_fixed_direction(self, mixed_rho):
-        t = pauli_correlation_matrix(mixed_rho).t
+        t = pauli_correlation_matrix(mixed_rho)
         angles = _settings(t, np.array([1.0, 2.0, -0.5, 0.5]))
         assert angles.tolist() == [1.0, 2.0, 0.0, 0.0, -0.5, 0.5, 0.0, 0.0]
 
@@ -181,7 +187,7 @@ class TestAliceValues:
         rng = np.random.default_rng(35)
         for rho in (random_density(rng), x_to_dense(random_x_state(rng)),
                     x_to_dense(werner(0.9))):
-            t = pauli_correlation_matrix(rho).t
+            t = pauli_correlation_matrix(rho)
             for theta, phi in zip(rng.uniform(-1.0, 4.0, 50).tolist() + [0.0, math.pi],
                                   rng.uniform(-4.0, 4.0, 52).tolist()):
                 n = np.array(_frame(theta, phi)[0])
@@ -192,7 +198,7 @@ class TestAliceValues:
                     assert abs(np.dot(_frame(th, ph)[0], n)) <= 1e-12
                 assert abs(_direct_bell(rho, _settings(t, alice)) - bound) <= 1e-12
         # T = 0: every pair is as good, and a = a' = e1 = n(theta + pi/2, phi)
-        t = pauli_correlation_matrix(mixed_rho).t
+        t = pauli_correlation_matrix(mixed_rho)
         assert np.allclose(_alice(t, 1.0, 2.0), [1.0 + math.pi / 2] * 2 + [2.0] * 2,
                            rtol=0.0, atol=1e-15)
 
@@ -239,7 +245,7 @@ class TestCompassBatch:
         rho = {"werner": lambda: x_to_dense(werner(0.9)),
                "ginibre": lambda: random_density(rng),
                "x": lambda: x_to_dense(random_x_state(rng))}[kind]()
-        t = pauli_correlation_matrix(rho).t
+        t = pauli_correlation_matrix(rho)
         starts = np.column_stack([rng.uniform(0.0, math.pi, 6),
                                   rng.uniform(-math.pi, math.pi, 6)])
         starts[0] = [0.0, -0.0]  # the pole, as on the grid
@@ -342,7 +348,7 @@ class TestBruteForce:
         for rho in (bell_rho, mixed_rho, x_to_dense(werner(0.3)),
                     x_to_dense(random_x_state(rng)), random_density(rng)):
             res = brute_force_bmax(rho, FAST_CFG)
-            t = pauli_correlation_matrix(rho).t
+            t = pauli_correlation_matrix(rho)
             angles = np.array(res.thetas + res.phis)
             assert res.bmax_est == float(_bell_values(t, angles))
 
@@ -355,7 +361,7 @@ class TestBruteForce:
 
 def _sequential_certify(rho, s, cfg):
     """The certify walk proposing one move at a time."""
-    t = pauli_correlation_matrix(rho).t
+    t = pauli_correlation_matrix(rho)
     current = np.array(s.thetas + s.phis)
     base = best = float(_bell_values(t, current))
     rng = Splitmix64(cfg.seed)

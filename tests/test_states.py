@@ -20,12 +20,7 @@ from bellopt import (
     validate_density_matrix,
     x_to_dense,
 )
-from conftest import random_density, werner, x_states
-
-# Independent Pauli/kron/trace oracle, built from literal matrices.
-_SX = np.array([[0, 1], [1, 0]], dtype=complex)
-_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+from conftest import PAULIS, random_density, random_x_state, werner, x_states
 
 
 def trace_correlation(rho, pauli_q1, pauli_q2):
@@ -76,6 +71,10 @@ class TestValidateDensityMatrix:
         m[1, 2] = bad
         with pytest.raises(StateValidationError, match="non-finite entry"):
             validate_density_matrix(m)
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(StateValidationError, match=r"expected a 4x4 matrix, got \(3, 3\)"):
+            validate_density_matrix(np.eye(3) / 3)
 
     def test_entries_are_immutable(self):
         rho = validate_density_matrix(np.eye(4) / 4.0)
@@ -143,21 +142,21 @@ class TestXToDense:
 
 class TestPauliCorrelationMatrix:
     def test_maximally_mixed_is_zero(self, mixed_rho):
-        assert np.all(pauli_correlation_matrix(mixed_rho).t == 0.0)
+        assert np.all(pauli_correlation_matrix(mixed_rho) == 0.0)
 
     def test_bell_state_diagonal(self, bell_rho):
         # oracle: direct 4x4 traces with literal Pauli matrices
         expected = np.array([
-            [trace_correlation(bell_rho.entries, n, m) for n in (_SX, _SY, _SZ)]
-            for m in (_SX, _SY, _SZ)
+            [trace_correlation(bell_rho.entries, n, m) for n in PAULIS]
+            for m in PAULIS
         ])
         assert np.allclose(expected, np.diag([1.0, 1.0, -1.0]), atol=1e-12)
-        got = pauli_correlation_matrix(bell_rho).t
+        got = pauli_correlation_matrix(bell_rho)
         assert np.allclose(got, np.diag([1.0, 1.0, -1.0]), atol=1e-12)
 
     def test_product_excited_state(self):
         rho = validate_density_matrix(np.diag([1.0, 0.0, 0.0, 0.0]))
-        t = pauli_correlation_matrix(rho).t
+        t = pauli_correlation_matrix(rho)
         assert t[2, 2] == pytest.approx(1.0, abs=1e-12)
         t_no_zz = t.copy()
         t_no_zz[2, 2] = 0.0
@@ -166,13 +165,29 @@ class TestPauliCorrelationMatrix:
     def test_entries_bounded_for_random_states(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
-            t = pauli_correlation_matrix(random_density(rng)).t
+            t = pauli_correlation_matrix(random_density(rng))
             assert np.abs(t).max() <= 1.0 + 1e-12
+
+    def test_equals_literal_kron_trace(self):
+        # T's own reference: the other users of the Pauli kernel (correlation,
+        # bell_function) cannot catch a slip that the kernel shares with them
+        rng = np.random.default_rng(2025)
+        for k in range(600):
+            rho = random_density(rng) if k % 2 else x_to_dense(random_x_state(rng))
+            expected = [[trace_correlation(rho.entries, n, m) for n in PAULIS]
+                        for m in PAULIS]
+            assert np.abs(pauli_correlation_matrix(rho) - expected).max() <= 4e-15
+
+    def test_is_a_read_only_float_array(self, bell_rho):
+        t = pauli_correlation_matrix(bell_rho)
+        assert t.shape == (3, 3) and t.dtype == np.float64
+        with pytest.raises(ValueError):
+            t[0, 0] = 0.0
 
     @settings(max_examples=60)
     @given(x_states())
     def test_x_state_block_structure(self, x):
-        t = pauli_correlation_matrix(x_to_dense(x)).t
+        t = pauli_correlation_matrix(x_to_dense(x))
         assert t[2, 2] == pytest.approx(x.diagonal_gap, abs=1e-12)
         for i, j in ((0, 2), (2, 0), (1, 2), (2, 1)):
             assert abs(t[i, j]) <= 1e-12
