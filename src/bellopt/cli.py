@@ -31,7 +31,7 @@ from .dynamics import (
     ExponentialModel,
     LorentzianModel,
     TabulatedModel,
-    crossing_roots,
+    crossing_surface,
     ewl_state,
     scan_events,
     time_scan,
@@ -43,6 +43,7 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
 EXIT_NOT_X = 3
 EXIT_ORACLE_MISMATCH = 4
+MAX_STATE_BYTES = 2 ** 20  # a valid state file is under 1 KiB
 
 _DEG = 180.0 / math.pi
 
@@ -86,8 +87,11 @@ def _load_state(args):
     """The --input state, and its X parameters under --off-x-tol (or the
     file's off_x_tol) or the NotXStructured error that says why it has none."""
     try:
-        with open(args.input, encoding="utf-8") as fh:  # JSON is UTF-8 (RFC 8259)
-            doc = json.load(fh)
+        with open(args.input, "rb") as fh:
+            data = fh.read(MAX_STATE_BYTES + 1)
+        if len(data) > MAX_STATE_BYTES:
+            raise InputError(f"{args.input} is larger than {MAX_STATE_BYTES} bytes")
+        doc = json.loads(data.decode("utf-8"))  # JSON is UTF-8 (RFC 8259)
     except OSError as exc:
         raise InputError(f"cannot read {args.input}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
@@ -280,15 +284,10 @@ def cmd_surface(args):
     if n_alpha * n_r > MAX_SAMPLES:
         raise InputError(f"--grid must have at most {MAX_SAMPLES} cells, "
                          f"got {n_alpha} x {n_r}")
-    alpha2 = np.repeat(np.arange(n_alpha) / n_alpha, n_r)
-    r = np.tile(np.arange(1, n_r + 1) / n_r, n_alpha)
-    roots = np.full((alpha2.size, 2), math.nan)  # NaN: no such root, an empty cell
-    for row, (a, b) in zip(roots, zip(alpha2.tolist(), r.tolist())):
-        found = crossing_roots(EWLParams(alpha2=a, r=b))[:2]
-        row[:len(found)] = found
-    return EXIT_OK, {"version": __version__}, lambda d: (
+    alpha2, r, roots = crossing_surface(n_alpha, n_r)
+    return EXIT_OK, {"version": __version__}, lambda d: (  # NaN roots: empty cells
         f"# bellopt surface {d['version']}\nalpha2,r,x_root1,x_root2\n"
-        + _csv_rows((alpha2, r, roots)) + "\n")
+        + _csv_rows((alpha2, r, roots[:, :2])) + "\n")
 
 
 def _oracle_text(doc: dict) -> str:

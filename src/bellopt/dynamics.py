@@ -23,10 +23,13 @@ keep a zero term.
 Along a trajectory (u1, u2, u3) depend on t only through x = |q(t)|^2, so
 its events are crossings of levels of x set by the initial state, found by
 a secant with bisection fallback between the model's turning_times, where
-|q|^2 is monotone.  time_scan gives a TimeScan of columns, one entry per
-sample time, from one array pass that equals evolve_x and optimal_settings
-bit for bit; scan_events(x0, model, tmax) gives the events up to tmax,
-which depend on no sampling.
+|q|^2 is monotone.  The levels come from one array level finder, rows of
+candidate roots and one sign test (_sign_changes), for one state
+(crossing_levels, the violation levels of scan_events) or a whole grid of
+states (crossing_surface) alike.  time_scan gives a TimeScan of columns,
+one entry per sample time, from one array pass that equals evolve_x and
+optimal_settings bit for bit; scan_events(x0, model, tmax) gives the events
+up to tmax, which depend on no sampling.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from typing import Union
 
 import numpy as np
 
-from .angles import _HALF_PI, _sign, optimal_settings
+from .angles import _HALF_PI, optimal_settings
 from .chsh import TIE_TOL, U_MAX, U_MIN, U_ORDER_TOL, U_SUM_MAX, Region
 from .states import POSITIVITY_TOL, TRACE_TOL, DensityMatrix4, XState
 
@@ -213,10 +216,15 @@ class TabulatedModel:
 
     @classmethod
     def from_csv(cls, path) -> "TabulatedModel":
-        """Load samples from a CSV file with header `t,q_re,q_im` and three
-        fields in every other non-empty row."""
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
+        """Load samples from a UTF-8 CSV file (a byte-order mark is skipped)
+        with header `t,q_re,q_im` and three fields in every other non-empty
+        row, of which there are at most MAX_PIECES + 1."""
+        with open(path, encoding="latin-1", newline="") as fh:
+            # latin-1 maps each byte to one character, so each line is decoded
+            # as UTF-8 by itself and a bad byte's error names its line
+            reader = csv.reader(
+                line.encode("latin-1").decode("utf-8-sig" if i == 0 else "utf-8")
+                for i, line in enumerate(fh))
             try:
                 header = next(reader, None)
                 if header is None or [h.strip() for h in header] != ["t", "q_re", "q_im"]:
@@ -226,14 +234,18 @@ class TabulatedModel:
                     if not row:
                         continue
                     try:
+                        if len(times) > MAX_PIECES:  # read no further
+                            raise ValueError(f"more than {MAX_PIECES + 1} samples")
                         if len(row) != 3:
                             raise ValueError(f"expected 3 fields, got {len(row)}")
                         times.append(float(row[0]))
                         values.append(complex(float(row[1]), float(row[2])))
-                    except ValueError as exc:  # a short or long row, or a non-number
+                    except ValueError as exc:  # too many, too short or long, not a number
                         raise ValueError(f"line {reader.line_num}: {exc}") from exc
             except csv.Error as exc:  # a malformed or oversized field
                 raise ValueError(f"line {reader.line_num}: {exc}") from exc
+            except UnicodeDecodeError as exc:  # the line after the last one read
+                raise ValueError(f"line {reader.line_num + 1}: {exc}") from exc
         return cls(tuple(times), tuple(values))
 
     def q(self, t):
@@ -329,63 +341,79 @@ class EWLParams:
             raise ValueError(f"delta must be finite, got {self.delta!r}")
 
 
+def _ewl_entries(alpha2, r):
+    # rho11 = rho44, rho22, rho33 and |rho23| of the EWL state, for floats or arrays
+    beta2, background = 1.0 - alpha2, 0.25 * (1.0 - r)
+    return (background, background + r * beta2, background + r * alpha2,
+            r * np.sqrt(alpha2 * beta2))
+
+
 def ewl_state(p: EWLParams) -> XState:
-    beta2 = 1.0 - p.alpha2
-    background = 0.25 * (1.0 - p.r)
-    rho23 = p.r * math.sqrt(p.alpha2 * beta2) * cmath.exp(1j * p.delta)
-    return XState(
-        background,
-        background + p.r * beta2,
-        background + p.r * p.alpha2,
-        background,
-        0.0j,
-        rho23,
-    )
+    rho11, rho22, rho33, m23 = _ewl_entries(p.alpha2, p.r)
+    return XState(rho11, rho22, rho33, rho11, 0.0j, float(m23) * cmath.exp(1j * p.delta))
+
+
+def _coefficients(rho11, rho22, rho33, m14, m23):
+    # trajectory_coefficients from rho11..rho33, |rho14|, |rho23|: floats or arrays
+    return (2.0 * (m14 + m23), 2.0 * abs(m14 - m23),
+            -2.0 * (rho22 + rho33 + 2.0 * rho11), 4.0 * rho11)
 
 
 def trajectory_coefficients(x0: XState) -> tuple[float, float, float, float]:
     """(k1, k3, b, a) such that along evolve_x(x0, q), with x = |q|^2,
     u1 = (k1 x)^2, u3 = (k3 x)^2 and u2 = gap(x)^2, where the diagonal gap is
     1 - 2 x (rho22 + rho33 + 2 rho11 (1 - x)) = 1 + b x + a x^2."""
-    m14, m23 = abs(x0.rho14), abs(x0.rho23)
-    return (2.0 * (m14 + m23), 2.0 * abs(m14 - m23),
-            -2.0 * (x0.rho22 + x0.rho33 + 2.0 * x0.rho11), 4.0 * x0.rho11)
+    return _coefficients(x0.rho11, x0.rho22, x0.rho33, abs(x0.rho14), abs(x0.rho23))
 
 
-def _quadratic_roots(a: float, b: float) -> list[float]:
-    # real roots of a x^2 + b x + 1, but no double root: it only touches 0
-    if a == 0.0:
-        return [-1.0 / b] if b else []
-    disc = b * b - 4.0 * a
-    if disc <= 1e-14 * max(b * b, abs(4.0 * a)):
-        return []
-    r1 = (-b + math.copysign(math.sqrt(disc), -b)) / (2.0 * a)
-    return [r1, 1.0 / (a * r1)]
+@np.errstate(all="ignore")  # a = 0, no real root, or a root beyond float range
+def _quadratic_roots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # the real roots of a x^2 + b x + 1 for columns a (n, 1) and b (n, k), as
+    # (n, 2k), NaN or -inf where there is none; no double root: it only
+    # touches 0.  When a = 0, r1 is infinite or NaN, so 1 / (a r1) is NaN.
+    bb, a4 = b * b, 4.0 * a
+    disc = bb - a4
+    r1 = (-b + np.copysign(np.sqrt(disc), -b)) / (2.0 * a)
+    r1 = np.where(disc > 1e-14 * np.maximum(bb, abs(a4)), r1, np.nan)
+    return np.concatenate((np.where(a == 0.0, -1.0 / b, r1), 1.0 / (a * r1)), axis=1)
 
 
-def _sign_changes(f, candidates) -> list[tuple[float, float]]:
-    """(x, sign of f just above x) for each distinct candidate x in (0, 1]
+def _sign_changes(f, candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of candidates (n, m): the distinct candidates x in (0, 1]
     across which f changes sign, judged 1e-7 away or halfway to a nearer
-    neighbouring candidate; f must be defined a little beyond [0, 1]."""
-    xs = sorted(min(x, 1.0) for x in candidates if 0.0 < x <= 1.0 + 1e-12)
-    xs = [x for i, x in enumerate(xs) if i == 0 or x - xs[i - 1] > 1e-12]
-    levels: list[tuple[float, float]] = []
-    for prev, x, nxt in zip([-1.0] + xs, xs, xs[1:] + [3.0]):  # -1, 3: no neighbour
-        below = _sign(f(max(x - 1e-7, 0.5 * (prev + x))))
-        above = _sign(f(min(x + 1e-7, 0.5 * (x + nxt))))
-        if below != above:
-            levels.append((x, above))
-    return levels
+    neighbouring candidate, and whether f >= 0 just above each, as (n, m)
+    arrays with NaN for a candidate that is no level.  A candidate in
+    (1, 1 + 1e-12] counts as 1, and one at most 1e-12 above the one before
+    is dropped.  f maps (n, 2m) arrays in and a little beyond [0, 1]."""
+    n, m = candidates.shape
+    inside = (candidates > 0.0) & (candidates <= 1.0 + 1e-12)
+    xs = np.sort(np.where(inside, np.minimum(candidates, 1.0), np.nan), axis=1)
+    xs[:, 1:][xs[:, 1:] - xs[:, :-1] <= 1e-12] = np.nan
+    # the sorted candidates between NaN ends and the midpoints of neighbours,
+    # where fmax and fmin pass over a NaN (no neighbour)
+    near = np.full((n, m + 2), np.nan)
+    near[:, 1:-1] = np.sort(xs, axis=1)
+    xs, mid = near[:, 1:-1], 0.5 * (near[:, :-1] + near[:, 1:])
+    nonneg = f(np.concatenate((np.fmax(xs - 1e-7, mid[:, :-1]),
+                               np.fmin(xs + 1e-7, mid[:, 1:])), axis=1)) >= 0.0
+    above = nonneg[:, m:]
+    return np.where(nonneg[:, :m] != above, xs, np.nan), above
+
+
+def _crossing_rows(k3: np.ndarray, b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    # crossing_levels for columns k3, b, a (n, 1): sorted, NaN-padded rows of 4
+    candidates = _quadratic_roots(a, np.concatenate((b - k3, b + k3), axis=1))
+    levels, _ = _sign_changes(lambda x: _sq(1.0 + b * x + a * x * x) - _sq(k3 * x),
+                              candidates)
+    return np.sort(levels, axis=1)
 
 
 def crossing_levels(x0: XState) -> list[float]:
     """All x = |q|^2 in (0, 1] where u2 - u3 changes sign along evolve_x(x0, q):
     the simple roots of gap(x) = +-k3 x, two quadratics (a tangency is
     dropped).  Empty when k3 = 0, as u3 is then zero and never exceeds u2."""
-    _, k3, b, a = trajectory_coefficients(x0)
-    candidates = _quadratic_roots(a, b - k3) + _quadratic_roots(a, b + k3)
-    return [x for x, _ in _sign_changes(
-        lambda x: (1.0 + b * x + a * x * x) ** 2 - (k3 * x) ** 2, candidates)]
+    row = _crossing_rows(*np.reshape(trajectory_coefficients(x0)[1:], (3, 1, 1)))[0]
+    return row[~np.isnan(row)].tolist()
 
 
 def crossing_roots(p: EWLParams) -> list[float]:
@@ -393,18 +421,30 @@ def crossing_roots(p: EWLParams) -> list[float]:
     return crossing_levels(ewl_state(p))
 
 
-def _violation_levels(x0: XState) -> list[tuple[float, float]]:
-    """(x, sign of bmax - 2 just above x) for each x = |q|^2 in (0, 1] where
-    bmax - 2, like max(u1 + u2, u1 + u3) - 1, changes sign: u1 + u3 = 1 at
-    x = 1 / sqrt(k1^2 + k3^2), and (u1 + u2 - 1) / x is a cubic."""
-    k1, k3, b, a = trajectory_coefficients(x0)
+def crossing_surface(n_alpha: int, n_r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(alpha2, r, roots) on the grid alpha2 = i / n_alpha, r = (j + 1) / n_r,
+    j fastest, with crossing_roots(EWLParams(alpha2, r)) as sorted rows of 4,
+    NaN-padded, from one array pass."""
+    alpha2 = np.repeat(np.arange(n_alpha) / n_alpha, n_r)
+    r = np.tile(np.arange(1, n_r + 1) / n_r, n_alpha)
+    rho11, rho22, rho33, m23 = _ewl_entries(alpha2[:, None], r[:, None])
+    return alpha2, r, _crossing_rows(*_coefficients(rho11, rho22, rho33, 0.0, m23)[1:])
+
+
+def _violation_levels(k1: float, k3: float, b: float, a: float) -> list[tuple[float, bool]]:
+    """(x, whether bmax >= 2 just above x) for each x = |q|^2 in (0, 1] where
+    bmax - 2, like max(u1 + u2, u1 + u3) - 1, changes sign along a trajectory
+    with coefficients (k1, k3, b, a): u1 + u3 = 1 at x = 1 / sqrt(k1^2 + k3^2),
+    and (u1 + u2 - 1) / x is a cubic."""
     candidates = [1.0 / math.hypot(k1, k3)] if k1 else []
     cubic = np.roots([a * a, 2.0 * a * b, b * b + 2.0 * a + k1 * k1, 2.0 * b])
     candidates += cubic.real[np.abs(cubic.imag) <= 1e-9].tolist()
 
     def excess(x):  # max(u1 + u2, u1 + u3) - 1
-        return (k1 * x) ** 2 + max((1.0 + b * x + a * x * x) ** 2, (k3 * x) ** 2) - 1.0
-    return _sign_changes(excess, candidates)
+        return _sq(k1 * x) + np.maximum(_sq(1.0 + b * x + a * x * x), _sq(k3 * x)) - 1.0
+    levels, above = _sign_changes(excess, np.array([candidates]))
+    keep = ~np.isnan(levels[0])
+    return list(zip(levels[0][keep].tolist(), above[0][keep].tolist()))
 
 
 class EventKind(str, Enum):
@@ -490,8 +530,8 @@ def scan_events(x0: XState, model: QModel, tmax: float) -> list[ScanEvent]:
     jump, on, off = EventKind.SET_JUMP, EventKind.VIOLATION_ON, EventKind.VIOLATION_OFF
     # (x*, kind when x falls through x*, kind when it rises)
     levels = [(x, jump, jump) for x in crossing_levels(x0)]
-    levels += [(x, off, on) if above > 0 else (x, on, off)
-               for x, above in _violation_levels(x0)]
+    levels += [(x, off, on) if above else (x, on, off)
+               for x, above in _violation_levels(*trajectory_coefficients(x0))]
     levels = [lv for lv in levels if lv[0] < 1.0 - 1e-12]
     edges = np.concatenate(([0.0], model.turning_times(tmax), [tmax]))
     level_x = np.array([lv[0] for lv in levels])

@@ -20,6 +20,7 @@ from bellopt import (
     brute_force_bmax,
     cli,
     crossing_roots,
+    dynamics,
     ewl_state,
     x_to_dense,
 )
@@ -284,6 +285,18 @@ class TestStateFile:
         assert captured.err.startswith(f"error: {path} is not valid JSON: 'utf-8' codec "
                                        "can't decode byte 0xff")
         assert captured.err.count("\n") == 1
+
+    def test_file_size_cap(self, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        text = Path(bell_file(tmp_path)).read_text()
+        path.write_text(text + " " * (cli.MAX_STATE_BYTES - len(text)))
+        assert main(["bmax", "--input", str(path)]) == 0
+        capsys.readouterr()
+        path.write_text(text + " " * (cli.MAX_STATE_BYTES + 1 - len(text)))
+        assert main(["bmax", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path} is larger than 1048576 bytes\n"
 
     @pytest.mark.parametrize("command", ["bmax", "angles", "oracle-check", "scan"])
     def test_missing_file_exits_2(self, tmp_path, capsys, command):
@@ -617,6 +630,38 @@ class TestScan:
         table.write_text("t,q_re,q_im\n0,1,0\n2,0.5,0\n")
         assert main(["scan", "--ewl", "0.5,1,0", "--qmodel", f"table:{table}",
                      "--tmax", "5", "--samples", "10"]) == 2
+
+    def test_table_with_a_byte_order_mark(self, tmp_path):
+        table = tmp_path / "q.csv"
+        table.write_bytes(b"\xef\xbb\xbf" + (GOLDEN / "q_table.csv").read_bytes())
+        case = next(c for c in GOLDEN_CASES if c["name"] == "scan-table-csv")
+        argv = [f"table:{table}" if a == "table:q_table.csv" else a for a in case["argv"]]
+        assert run_golden(argv) == (0, (GOLDEN / "scan-table-csv.out").read_text())
+
+    def test_table_bad_byte_names_its_line(self, tmp_path, capsys):
+        table = tmp_path / "q.csv"
+        table.write_bytes(b"t,q_re,q_im\n0,1,0\n1,0.5\xff,0\n2,0.5,0\n")
+        spec = f"table:{table}"
+        assert main(["scan", "--ewl", "0.5,1,0", "--qmodel", spec,
+                     "--tmax", "2", "--samples", "3"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: bad --qmodel {spec!r}: line 3: 'utf-8' codec can't decode "
+            "byte 0xff in position 5: invalid start byte\n")
+
+    def test_table_stops_at_the_row_cap(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(dynamics, "MAX_PIECES", 3)
+        table = tmp_path / "q.csv"
+        # five samples, one over the cap of MAX_PIECES + 1, then a bad row
+        table.write_text("t,q_re,q_im\n0,1,0\n1,0.9,0\n\n2,0.8,0\n3,0.7,0\n"
+                         "4,0.6,0\nnot,a,row\n")
+        spec = f"table:{table}"
+        assert main(["scan", "--ewl", "0.5,1,0", "--qmodel", spec,
+                     "--tmax", "2", "--samples", "3"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: bad --qmodel {spec!r}: line 7: more than 4 samples\n")
+        table.write_text("t,q_re,q_im\n0,1,0\n1,0.9,0\n2,0.8,0\n3,0.7,0\n\n")
+        assert main(["scan", "--ewl", "0.5,1,0", "--qmodel", spec,
+                     "--tmax", "2", "--samples", "3"]) == 0
 
 
 class TestSurface:

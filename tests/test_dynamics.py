@@ -7,7 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bellopt import (
     DensityMatrix4,
@@ -45,8 +46,10 @@ from bellopt.dynamics import (
     EVENT_REL_TOL,
     MAX_PIECES,
     MAX_SAMPLES,
+    _crossing_rows,
     _crossing_times,
     _violation_levels,
+    crossing_surface,
 )
 from conftest import damping_amplitudes, random_density, random_x_state, x_states
 
@@ -194,6 +197,12 @@ class TestTabulated:
         model = TabulatedModel.from_csv(path)
         assert model.q(0.5) == pytest.approx(0.8 + 0.05j)
 
+    @pytest.mark.parametrize("eol", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_csv_line_endings(self, tmp_path, eol):
+        path = tmp_path / "q.csv"
+        path.write_bytes(eol.join(["t,q_re,q_im", "0,1,0", "1,0.6,0.1", ""]).encode())
+        assert TabulatedModel.from_csv(path).values == (1.0, 0.6 + 0.1j)
+
     def test_csv_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "q.csv"
         path.write_text("t,q_re,q_im\n0,1,0\n\n1,0.6,0.1\n\n2,0.3,0.05\n")
@@ -300,6 +309,17 @@ class TestEWL:
             expected = r * np.outer(ket, ket.conj()) + (1 - r) * np.eye(4) / 4
             got = x_to_dense(ewl_state(EWLParams(alpha2, r, delta))).entries
             assert np.abs(got - expected).max() <= 1e-15
+
+    def test_entries_are_the_plain_float_formula(self):
+        # bit for bit, delta != 0 included, with the formula in Python floats
+        # and complexes: the array-capable entries change no scalar bit
+        rng = np.random.default_rng(46)
+        for _ in range(200):
+            alpha2, r, delta = rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(-4, 4)
+            bg = 0.25 * (1.0 - r)
+            rho23 = r * math.sqrt(alpha2 * (1.0 - alpha2)) * cmath.exp(1j * delta)
+            assert ewl_state(EWLParams(alpha2, r, delta)) == XState(
+                bg, bg + r * (1.0 - alpha2), bg + r * alpha2, bg, 0.0j, rho23)
 
 
 def trajectory_eigenvalues(x0: XState, x: float) -> tuple[float, float, float]:
@@ -412,6 +432,101 @@ class TestCrossingRoots:
             oracle = bisect_crossings(x0)
             assert len(levels) == len(oracle)
             assert levels == pytest.approx(oracle, abs=1e-9)
+
+
+def _scalar_quadratic_roots(a, b):
+    # scalar reference for _quadratic_roots: one pair of coefficients
+    if a == 0.0:
+        return [-1.0 / b] if b else []
+    disc = b * b - 4.0 * a
+    if disc <= 1e-14 * max(b * b, abs(4.0 * a)):
+        return []
+    r1 = (-b + math.copysign(math.sqrt(disc), -b)) / (2.0 * a)
+    return [r1, 1.0 / (a * r1)]
+
+
+def _scalar_sign_changes(f, candidates):
+    # scalar reference for _sign_changes: one list of candidates
+    xs = sorted(min(x, 1.0) for x in candidates if 0.0 < x <= 1.0 + 1e-12)
+    xs = [x for i, x in enumerate(xs) if i == 0 or x - xs[i - 1] > 1e-12]
+    levels = []
+    for prev, x, nxt in zip([-1.0] + xs, xs, xs[1:] + [3.0]):  # -1, 3: no neighbour
+        below = _sign(f(max(x - 1e-7, 0.5 * (prev + x))))
+        above = _sign(f(min(x + 1e-7, 0.5 * (x + nxt))))
+        if below != above:
+            levels.append((x, above))
+    return levels
+
+
+def _scalar_levels(k1, k3, b, a):
+    """(crossing levels, violation levels) by the scalar path."""
+    crossing = _scalar_sign_changes(
+        lambda x: (1.0 + b * x + a * x * x) ** 2 - (k3 * x) ** 2,
+        _scalar_quadratic_roots(a, b - k3) + _scalar_quadratic_roots(a, b + k3))
+    candidates = [1.0 / math.hypot(k1, k3)] if k1 else []
+    cubic = np.roots([a * a, 2.0 * a * b, b * b + 2.0 * a + k1 * k1, 2.0 * b])
+    candidates += cubic.real[np.abs(cubic.imag) <= 1e-9].tolist()
+    violation = _scalar_sign_changes(
+        lambda x: (k1 * x) ** 2 + max((1.0 + b * x + a * x * x) ** 2, (k3 * x) ** 2) - 1.0,
+        candidates)
+    return [x for x, _ in crossing], violation
+
+
+def _at_disc_cutoff(k1, k3, a, above):
+    """Coefficients whose quadratic a x^2 + (b - k3) x + 1, with a near-double
+    root at 1 / sqrt(a), has the last discriminant at or below the 1e-14
+    cutoff, or the first one above it."""
+    b = k3 - 2.0 * math.sqrt(a)  # disc = 0
+    while True:
+        bp = b - k3
+        if bp * bp - 4.0 * a > 1e-14 * max(bp * bp, abs(4.0 * a)):
+            return (k1, k3, b if above else last, a)
+        last, b = b, math.nextafter(b, -math.inf)
+
+
+def _magnitude(hi):
+    # 0, or in [1e-6, hi]: np.roots overflows on a subnormal a, by either path
+    return st.one_of(st.just(0.0), st.floats(1e-6, hi))
+
+
+_COEFFICIENTS = st.one_of(
+    x_states().map(trajectory_coefficients),
+    st.tuples(_magnitude(2.0), _magnitude(2.0), _magnitude(4.0).map(lambda v: -v),
+              _magnitude(4.0)))
+
+
+class TestArrayLevels:
+    """The array level finder equals a scalar reference bit for bit, for
+    every row of one call: crossing and violation levels alike."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_COEFFICIENTS, min_size=1, max_size=6))
+    @example([trajectory_coefficients(ewl_state(EWLParams(0.3, 1.0))),  # a = 0
+              trajectory_coefficients(ewl_state(EWLParams(0.5, 1.0))),  # a root at 1
+              trajectory_coefficients(XState(0.25, 0.25, 0.25, 0.25, 0.1, 0.1j))])  # k3 = 0
+    @example([_at_disc_cutoff(0.7, 0.5, 4.0, above=False),
+              _at_disc_cutoff(0.7, 0.5, 4.0, above=True),
+              _at_disc_cutoff(0.0, 0.25, 1.5, above=True)])
+    @example([(0.5, 1e-13, -2.0, 0.0), (0.5, 2e-12, -2.0, 0.0),  # roots 1e-12 apart
+              (0.5, 0.5, -0.5 - 4e-13, 0.0), (0.5, 0.5, -0.5 + 4e-13, 0.0),  # near 1
+              (0.5, 0.5, -0.5, 0.0), (0.0, 0.0, 0.0, 0.0)])
+    def test_rows_match_the_scalar_path(self, coefficients):
+        k3, b, a = np.array(coefficients)[:, 1:].T[:, :, None]
+        rows = _crossing_rows(k3, b, a)
+        for (k1, k3, b, a), row in zip(coefficients, rows):
+            crossing, violation = _scalar_levels(k1, k3, b, a)
+            assert row[~np.isnan(row)].tolist() == crossing
+            assert np.isnan(row[len(crossing):]).all()
+            assert [(x, 1.0 if up else -1.0)
+                    for x, up in _violation_levels(k1, k3, b, a)] == violation
+
+    def test_surface_equals_crossing_roots(self):
+        alpha2, r, roots = crossing_surface(40, 25)
+        assert len(alpha2) == len(r) == len(roots) == 1000
+        for a2, rr, row in zip(alpha2.tolist(), r.tolist(), roots):
+            found = crossing_roots(EWLParams(a2, rr))
+            assert row[:len(found)].tolist() == found
+            assert np.isnan(row[len(found):]).all()
 
 
 class TestTimeScan:
@@ -1178,7 +1293,8 @@ class TestEventRoots:
         model = _constant_table()
         n_events = 0
         for x0 in SCAN_STATES:
-            levels = crossing_levels(x0) + [x for x, _ in _violation_levels(x0)]
+            levels = crossing_levels(x0) + [
+                x for x, _ in _violation_levels(*trajectory_coefficients(x0))]
             counting = _CountingModel(model)
             for e in scan_events(x0, counting, 5.0):
                 level = min(levels, key=lambda x: abs(x - e.q2))
@@ -1197,7 +1313,8 @@ class TestEventRoots:
         scans += [(x0, ExponentialModel(1.3), 4.0) for x0 in SCAN_STATES]
         n_events = 0
         for x0, model, tmax in scans:
-            levels = crossing_levels(x0) + [x for x, _ in _violation_levels(x0)]
+            levels = crossing_levels(x0) + [
+                x for x, _ in _violation_levels(*trajectory_coefficients(x0))]
             for e in scan_events(x0, model, tmax):
                 level = min(levels, key=lambda x: abs(x - e.q2))
                 exact = -math.log(level) / model.gamma
