@@ -11,7 +11,7 @@ along the entire trajectory.
 Three environment models are shipped: exponential (memoryless decay),
 a damped-oscillator form for a single Lorentzian resonance (decay for weak
 coupling, collapses and revivals for strong coupling), and tabulated samples
-with linear interpolation for anything else.
+with linear interpolation for anything else, held as two read-only arrays.
 
 Every model's q(t) takes a float, giving a Python complex, or an array of
 times, giving a complex array of its shape, from one implementation whose
@@ -37,6 +37,7 @@ from __future__ import annotations
 import cmath
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -176,43 +177,41 @@ class LorentzianModel:
         return t[t < tmax]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TabulatedModel:
     """User-supplied q(t) samples, linearly interpolated (real and imaginary
     parts separately).  Requires at least two finite samples, strictly
-    increasing times starting at 0, q(0) = 1 and |q| <= 1 at every sample."""
+    increasing times starting at 0, q(0) = 1 and |q| <= 1 at every sample.
+    times and values are read-only float and complex copies of the input."""
 
-    times: tuple[float, ...]
-    values: tuple[complex, ...]
+    times: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        times = tuple(map(float, self.times))
-        values = tuple(map(complex, self.values))
-        if len(times) != len(values) or len(times) < 2:
+        t, v = np.array(self.times, dtype=float), np.array(self.values, dtype=complex)
+        if t.ndim != 1 or t.shape != v.shape or len(t) < 2:
             raise ValueError("times and values must be equally long, with "
                              "at least two samples")
-        t, v = np.array(times), np.array(values)
         bad = ~(np.isfinite(t) & np.isfinite(v))  # complex: both parts finite
         if bad.any():
             i = int(bad.argmax())
-            raise ValueError(f"sample {i} is not finite: t = {times[i]!r}, "
-                             f"q = {values[i]!r}")
-        if times[0] != 0.0:
+            raise ValueError(f"sample {i} is not finite: t = {float(t[i])!r}, "
+                             f"q = {complex(v[i])!r}")
+        if t[0] != 0.0:
             raise ValueError("samples must start at t = 0")
         if (t[1:] <= t[:-1]).any():
             raise ValueError("times must be strictly increasing")
-        if abs(values[0] - 1.0) > 1e-12:
+        if abs(complex(v[0]) - 1.0) > 1e-12:
             raise ValueError("q(0) must equal 1")
         # np.abs of a complex may differ from abs() in the last bit, so it
         # only picks the samples whose abs() is compared
-        near = np.flatnonzero(np.abs(v) > 1.0 + 0.5e-12).tolist()
-        worst = max((abs(values[i]) for i in near), default=0.0)
+        worst = max(map(abs, v[np.abs(v) > 1.0 + 0.5e-12].tolist()), default=0.0)
         if worst > Q_ABS_MAX:
             raise ValueError(f"|q| exceeds 1 at a sample: {worst!r}")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_t", t)
-        object.__setattr__(self, "_v", v)
+        t.setflags(write=False)
+        v.setflags(write=False)
+        object.__setattr__(self, "times", t)
+        object.__setattr__(self, "values", v)
 
     @classmethod
     def from_csv(cls, path) -> "TabulatedModel":
@@ -229,7 +228,8 @@ class TabulatedModel:
                 header = next(reader, None)
                 if header is None or [h.strip() for h in header] != ["t", "q_re", "q_im"]:
                     raise ValueError("expected CSV header 't,q_re,q_im'")
-                times, values = [], []
+                # flat doubles: t, and the (re, im) pairs of q
+                times, values = array("d"), array("d")
                 for row in reader:
                     if not row:
                         continue
@@ -239,14 +239,14 @@ class TabulatedModel:
                         if len(row) != 3:
                             raise ValueError(f"expected 3 fields, got {len(row)}")
                         times.append(float(row[0]))
-                        values.append(complex(float(row[1]), float(row[2])))
+                        values.extend((float(row[1]), float(row[2])))
                     except ValueError as exc:  # too many, too short or long, not a number
                         raise ValueError(f"line {reader.line_num}: {exc}") from exc
             except csv.Error as exc:  # a malformed or oversized field
                 raise ValueError(f"line {reader.line_num}: {exc}") from exc
             except UnicodeDecodeError as exc:  # the line after the last one read
                 raise ValueError(f"line {reader.line_num + 1}: {exc}") from exc
-        return cls(tuple(times), tuple(values))
+        return cls(np.frombuffer(times), np.frombuffer(values, dtype=complex))
 
     def q(self, t):
         t = _times(t)
@@ -254,27 +254,27 @@ class TabulatedModel:
         if beyond.any():
             raise ValueError(
                 f"t = {float(t[beyond].flat[0])!r} beyond the last tabulated "
-                f"sample {self.times[-1]!r}"
+                f"sample {float(self.times[-1])!r}"
             )
         # The last sample is the right end of the last interval, where
         # w = 1 exactly and the blend is exactly that sample.
-        i = np.minimum(np.searchsorted(self._t, t, side="right") - 1,
+        i = np.minimum(np.searchsorted(self.times, t, side="right") - 1,
                        len(self.times) - 2)
-        t0, t1 = self._t[i], self._t[i + 1]
+        t0, t1 = self.times[i], self.times[i + 1]
         w = (t - t0) / (t1 - t0)
         # each product has a real factor, so it rounds as Python's does
-        return _like_t(self._v[i] * (1.0 - w) + self._v[i + 1] * w, t)
+        return _like_t(self.values[i] * (1.0 - w) + self.values[i + 1] * w, t)
 
     @np.errstate(divide="ignore", invalid="ignore")  # constant segments
     def turning_times(self, tmax: float) -> np.ndarray:
         """Times in (0, tmax) between which |q|^2 is monotone: the sample
         times, and on each segment, where q is linear and |q|^2 a quadratic
         in t, its interior extremum."""
-        v, dv = self._v[:-1], np.diff(self._v)
+        v, dv = self.values[:-1], np.diff(self.values)
         w = -(v.real * dv.real + v.imag * dv.imag) / (dv.real ** 2 + dv.imag ** 2)
         inside = (w > 0.0) & (w < 1.0)
-        turns = self._t[:-1][inside] + w[inside] * np.diff(self._t)[inside]
-        t = np.sort(np.concatenate((self._t[1:], turns)))
+        turns = self.times[:-1][inside] + w[inside] * np.diff(self.times)[inside]
+        t = np.sort(np.concatenate((self.times[1:], turns)))
         t = t[t < tmax]
         _check_pieces(len(t) + 1, tmax)
         return t
@@ -369,13 +369,14 @@ def trajectory_coefficients(x0: XState) -> tuple[float, float, float, float]:
 @np.errstate(all="ignore")  # a = 0, no real root, or a root beyond float range
 def _quadratic_roots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # the real roots of a x^2 + b x + 1 for columns a (n, 1) and b (n, k), as
-    # (n, 2k), NaN or -inf where there is none; no double root: it only
-    # touches 0.  When a = 0, r1 is infinite or NaN, so 1 / (a r1) is NaN.
+    # (n, 2k), NaN or infinite where there is none; no double root: it only
+    # touches 0.  Where r1 = s / (2a) overflows (a = 0 or subnormal), the
+    # small root 1 / (a r1) is taken as 2 / s, which a = 0 makes -1 / b.
     bb, a4 = b * b, 4.0 * a
     disc = bb - a4
-    r1 = (-b + np.copysign(np.sqrt(disc), -b)) / (2.0 * a)
-    r1 = np.where(disc > 1e-14 * np.maximum(bb, abs(a4)), r1, np.nan)
-    return np.concatenate((np.where(a == 0.0, -1.0 / b, r1), 1.0 / (a * r1)), axis=1)
+    s = -b + np.copysign(np.sqrt(disc), -b)
+    r1 = np.where(disc > 1e-14 * np.maximum(bb, abs(a4)), s / (2.0 * a), np.nan)
+    return np.concatenate((r1, np.where(np.isinf(r1), 2.0 / s, 1.0 / (a * r1))), axis=1)
 
 
 def _sign_changes(f, candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -437,7 +438,12 @@ def _violation_levels(k1: float, k3: float, b: float, a: float) -> list[tuple[fl
     with coefficients (k1, k3, b, a): u1 + u3 = 1 at x = 1 / sqrt(k1^2 + k3^2),
     and (u1 + u2 - 1) / x is a cubic."""
     candidates = [1.0 / math.hypot(k1, k3)] if k1 else []
-    cubic = np.roots([a * a, 2.0 * a * b, b * b + 2.0 * a + k1 * k1, 2.0 * b])
+    # np.roots divides by p[0]: drop a leading p[0] (of a tiny a) that overflows
+    p = np.array([a * a, 2.0 * a * b, b * b + 2.0 * a + k1 * k1, 2.0 * b])
+    with np.errstate(all="ignore"):
+        while len(p) > 1 and not np.isfinite(p[1:] / p[0]).all():
+            p = p[1:]
+    cubic = np.roots(p)
     candidates += cubic.real[np.abs(cubic.imag) <= 1e-9].tolist()
 
     def excess(x):  # max(u1 + u2, u1 + u3) - 1

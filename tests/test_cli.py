@@ -517,6 +517,20 @@ class TestScan:
             0.95 * 2 * math.sqrt(2), abs=1e-12)
         assert [e["kind"] for e in doc["events"]].count("ViolationOff") == 1
 
+    @pytest.mark.parametrize("rho11", [1e-310, 1e-320, 5e-324])
+    def test_subnormal_rho11_scans_like_zero(self, tmp_path, capsys, rho11):
+        outputs = []
+        for r11 in (rho11, 0.0):
+            m = np.diag([r11, 0.5, 0.5, 0.0]).astype(complex)
+            m[1, 2] = m[2, 1] = 0.5
+            assert main(["scan", "--input", write_state(tmp_path, m), "--qmodel", "exp:1",
+                         "--tmax", "5", "--samples", "11", "--format", "json"]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0].err == outputs[1].err == ""
+        events = json.loads(outputs[0].out)["events"]
+        assert events == json.loads(outputs[1].out)["events"]
+        assert [e["kind"] for e in events] == ["ViolationOff", "SetJump"]
+
     def test_config_errors_exit_2(self, tmp_path):
         assert main(["scan", "--ewl", "0.3,1,0", "--qmodel", "exp:1.0",
                      "--tmax", "5", "--samples", "1"]) == 2

@@ -3,6 +3,7 @@ import cmath
 import math
 import re
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -201,14 +202,100 @@ class TestTabulated:
     def test_csv_line_endings(self, tmp_path, eol):
         path = tmp_path / "q.csv"
         path.write_bytes(eol.join(["t,q_re,q_im", "0,1,0", "1,0.6,0.1", ""]).encode())
-        assert TabulatedModel.from_csv(path).values == (1.0, 0.6 + 0.1j)
+        assert TabulatedModel.from_csv(path).values.tolist() == [1.0, 0.6 + 0.1j]
 
     def test_csv_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "q.csv"
         path.write_text("t,q_re,q_im\n0,1,0\n\n1,0.6,0.1\n\n2,0.3,0.05\n")
         model = TabulatedModel.from_csv(path)
-        assert model.times == (0.0, 1.0, 2.0)
-        assert model.values == (1.0, 0.6 + 0.1j, 0.3 + 0.05j)
+        assert model.times.tolist() == [0.0, 1.0, 2.0]
+        assert model.values.tolist() == [1.0, 0.6 + 0.1j, 0.3 + 0.05j]
+
+    def test_fields_are_read_only_float_and_complex_arrays(self):
+        model = TabulatedModel((0, 1, 2), (1, 0.5, 0.25j))
+        assert model.times.dtype == np.float64 and model.values.dtype == np.complex128
+        with pytest.raises(ValueError, match="read-only"):
+            model.times[1] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            model.values[1] = 0.0
+        with pytest.raises(AttributeError):
+            model.times = np.array([0.0, 1.0])
+        assert model != TabulatedModel((0, 1, 2), (1, 0.5, 0.25j))  # by identity
+        assert model == model
+
+    def test_constructor_copies_its_input(self):
+        times, values = np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.5, 0.25j])
+        model = TabulatedModel(times, values)
+        before = model.q(1.5)
+        times[1], values[1] = 1.9, 0.0
+        assert model.q(1.5) == before == 0.25 + 0.125j
+        assert model.times.tolist() == [0.0, 1.0, 2.0]
+
+    @pytest.mark.parametrize("times,values", [
+        ((0.0, 1.0, 2.0), (1.0, 0.5 - 0.1j, 0.25j)),
+        ((0.0, 1.0, math.nan, math.inf), (1.0, 0.5, 0.2, 0.1)),
+        ((0.0, 1.0, 2.0), (1.0, complex(0.5, math.nan), math.inf)),
+        ((0.0, 1.0, 2.0, 2.0), (1.0, 0.5, 0.2, 0.1)),
+        ((0.0, 1.0, 2.0), (1.0, 0.5, -1.5j)),
+        ((0.5, 1.0), (1.0, 0.5)),
+        ((0.0, 1.0), (0.9, 0.5)),
+        ((0.0, 1.0), (1.0, 0.5, 0.2)),
+        ((0.0,), (1.0,)),
+    ], ids=["valid", "nan-time", "nan-value", "repeated-time", "imaginary",
+            "late-start", "q0", "lengths", "one-sample"])
+    def test_tuple_list_and_array_inputs_agree(self, times, values):
+        outcomes = []
+        for convert in (tuple, list, np.array):
+            try:
+                model = TabulatedModel(convert(times), convert(values))
+                outcomes.append((model.times.tolist(), model.values.tolist()))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+
+    def test_two_dimensional_times_are_rejected(self):
+        with pytest.raises(ValueError, match="equally long"):
+            TabulatedModel(((0.0, 1.0), (2.0, 3.0)), (1.0, 0.5))
+        with pytest.raises(ValueError, match="equally long"):
+            TabulatedModel(np.zeros((2, 2)), np.ones((2, 2)))
+
+    def test_csv_samples_are_parsed_bit_for_bit(self, tmp_path):
+        rng = np.random.default_rng(17)
+        n = 2000
+        times = np.concatenate(([0.0, 5e-324, 1e-310, 2.2e-308],
+                                2e-308 + np.cumsum(rng.uniform(1e-3, 2.0, n - 4))))
+        q_re, q_im = rng.uniform(-0.7, 0.7, (2, n))
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-315])
+        for part in (q_re, q_im):
+            picks = rng.integers(0, n, n // 4)
+            part[picks] = special[rng.integers(0, len(special), len(picks))]
+        q_re[0], q_im[0], q_im[1], q_im[2] = 1.0, -0.0, 0.0, -0.0
+        path = tmp_path / "q.csv"
+        path.write_text("t,q_re,q_im\n" + "".join(
+            f"{t!r},{x!r},{y!r}\n" for t, x, y in zip(times.tolist(), q_re.tolist(),
+                                                    q_im.tolist())))
+        model = TabulatedModel.from_csv(path)
+        assert (np.signbit(q_im) & (q_im == 0.0)).sum() > 50  # -0.0 is written
+        assert (model.times.view(np.uint64) == times.view(np.uint64)).all()
+        assert (model.values.view(np.uint64)
+                == np.column_stack((q_re, q_im)).ravel().view(np.uint64)).all()
+
+    def test_loaded_table_holds_24_bytes_per_sample(self, tmp_path):
+        n = 50_000
+        t = np.linspace(0.0, 50.0, n)
+        q = np.exp(-0.001 * t) * np.cos(0.3 * t)
+        path = tmp_path / "q.csv"
+        path.write_text("t,q_re,q_im\n" + "".join(
+            f"{a!r},{b!r},0.0\n" for a, b in zip(t.tolist(), q.tolist())))
+        tracemalloc.start()
+        try:
+            model = TabulatedModel.from_csv(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(model.times) == n
+        assert held <= 1.25 * 24 * n
+        assert peak <= 3.0 * 24 * n
 
 
 class TestAmplitudeDamping:
@@ -441,8 +528,10 @@ def _scalar_quadratic_roots(a, b):
     disc = b * b - 4.0 * a
     if disc <= 1e-14 * max(b * b, abs(4.0 * a)):
         return []
-    r1 = (-b + math.copysign(math.sqrt(disc), -b)) / (2.0 * a)
-    return [r1, 1.0 / (a * r1)]
+    s = -b + math.copysign(math.sqrt(disc), -b)
+    r1 = s / (2.0 * a)
+    # 1 / (a r1) is 0 once r1 overflows, for a subnormal a
+    return [r1, 2.0 / s if math.isinf(r1) else 1.0 / (a * r1)]
 
 
 def _scalar_sign_changes(f, candidates):
@@ -464,7 +553,11 @@ def _scalar_levels(k1, k3, b, a):
         lambda x: (1.0 + b * x + a * x * x) ** 2 - (k3 * x) ** 2,
         _scalar_quadratic_roots(a, b - k3) + _scalar_quadratic_roots(a, b + k3))
     candidates = [1.0 / math.hypot(k1, k3)] if k1 else []
-    cubic = np.roots([a * a, 2.0 * a * b, b * b + 2.0 * a + k1 * k1, 2.0 * b])
+    p = [a * a, 2.0 * a * b, b * b + 2.0 * a + k1 * k1, 2.0 * b]
+    # np.roots overflows dividing by a leading coefficient this small
+    while len(p) > 1 and (p[0] == 0.0 or max(abs(c / p[0]) for c in p) == math.inf):
+        p.pop(0)
+    cubic = np.roots(p)
     candidates += cubic.real[np.abs(cubic.imag) <= 1e-9].tolist()
     violation = _scalar_sign_changes(
         lambda x: (k1 * x) ** 2 + max((1.0 + b * x + a * x * x) ** 2, (k3 * x) ** 2) - 1.0,
@@ -485,14 +578,13 @@ def _at_disc_cutoff(k1, k3, a, above):
 
 
 def _magnitude(hi):
-    # 0, or in [1e-6, hi]: np.roots overflows on a subnormal a, by either path
     return st.one_of(st.just(0.0), st.floats(1e-6, hi))
 
 
 _COEFFICIENTS = st.one_of(
     x_states().map(trajectory_coefficients),
     st.tuples(_magnitude(2.0), _magnitude(2.0), _magnitude(4.0).map(lambda v: -v),
-              _magnitude(4.0)))
+              st.one_of(_magnitude(4.0), st.floats(5e-324, 1e-300))))
 
 
 class TestArrayLevels:
@@ -510,6 +602,10 @@ class TestArrayLevels:
     @example([(0.5, 1e-13, -2.0, 0.0), (0.5, 2e-12, -2.0, 0.0),  # roots 1e-12 apart
               (0.5, 0.5, -0.5 - 4e-13, 0.0), (0.5, 0.5, -0.5 + 4e-13, 0.0),  # near 1
               (0.5, 0.5, -0.5, 0.0), (0.0, 0.0, 0.0, 0.0)])
+    @example([trajectory_coefficients(XState(rho11, 0.5, 0.5, 0.0, 0j, 0.5))  # subnormal a
+              for rho11 in (1e-310, 1e-320, 5e-324, 1e-160, 0.0)])
+    @example([(0.3, 0.2, -1.5, 4e-310), (0.0, 0.7, -3.0, 5e-324), (0.9, 0.0, 0.0, 1e-315),
+              (1.2, 1.0, -2.5, 2e-300), (0.4, 0.3, -1e-200, 1e-320)])
     def test_rows_match_the_scalar_path(self, coefficients):
         k3, b, a = np.array(coefficients)[:, 1:].T[:, :, None]
         rows = _crossing_rows(k3, b, a)
@@ -527,6 +623,26 @@ class TestArrayLevels:
             found = crossing_roots(EWLParams(a2, rr))
             assert row[:len(found)].tolist() == found
             assert np.isnan(row[len(found):]).all()
+
+
+class TestSubnormalRho11:
+    """A state with a subnormal rho11 has the levels and events of rho11 = 0:
+    a subnormal leading coefficient loses no root and overflows nothing."""
+
+    @staticmethod
+    def state(rho11):
+        return XState(rho11, 0.5, 0.5, 0.0, 0j, 0.5)
+
+    @pytest.mark.parametrize("rho11", [1e-310, 1e-320, 5e-324])
+    def test_levels_and_events_equal_those_at_zero(self, rho11):
+        x0, zero = self.state(rho11), self.state(0.0)
+        assert crossing_levels(x0) == crossing_levels(zero) == [0.3333333333333333, 1.0]
+        assert (_violation_levels(*trajectory_coefficients(x0))
+                == _violation_levels(*trajectory_coefficients(zero)))
+        for model, tmax in ((ExponentialModel(1.0), 5.0), (LorentzianModel(1.0, 5.0), 12.0)):
+            events = scan_events(x0, model, tmax)
+            assert events == scan_events(zero, model, tmax)
+            assert EventKind.SET_JUMP in [e.kind for e in events]
 
 
 class TestTimeScan:
@@ -630,12 +746,13 @@ def ref_q_lorentzian(t: float, lam: float, gamma0: float) -> complex:
 
 
 def ref_q_table(model: TabulatedModel, t: float) -> complex:
-    i = bisect.bisect_right(model.times, t) - 1
-    if i >= len(model.times) - 1:
-        return model.values[-1]
-    t0, t1 = model.times[i], model.times[i + 1]
+    times, values = model.times.tolist(), model.values.tolist()
+    i = bisect.bisect_right(times, t) - 1
+    if i >= len(times) - 1:
+        return values[-1]
+    t0, t1 = times[i], times[i + 1]
     w = (t - t0) / (t1 - t0)
-    return model.values[i] * (1.0 - w) + model.values[i + 1] * w
+    return values[i] * (1.0 - w) + values[i + 1] * w
 
 
 PROBES_PER_INTERVAL = 9
