@@ -107,7 +107,7 @@ def _dot(a: tuple, v: tuple) -> float:
 def correlation(rho: DensityMatrix4, a: ObservableDirection,
                 b: ObservableDirection) -> float:
     """Tr(rho (a.sigma (x) b.sigma)) by direct trace; a acts on qubit 1."""
-    return _dot(a.unit_vector, _pauli_vector(rho.entries.tolist(), b.unit_vector))
+    return _dot(a.unit_vector, _pauli_vector(rho.rows, b.unit_vector))
 
 
 def bell_function(rho: DensityMatrix4, s: BellSettings) -> float:
@@ -115,7 +115,7 @@ def bell_function(rho: DensityMatrix4, s: BellSettings) -> float:
 
     This ground-truth evaluator shares only the Pauli kernel _pauli_vector
     with the correlation matrix T and never builds T itself."""
-    r, b, bp = rho.entries.tolist(), s.b.unit_vector, s.b_prime.unit_vector
+    r, b, bp = rho.rows, s.b.unit_vector, s.b_prime.unit_vector
     plus = _pauli_vector(r, [p + q for p, q in zip(b, bp)])
     minus = _pauli_vector(r, [p - q for p, q in zip(b, bp)])
     return abs(_dot(s.a.unit_vector, plus) + _dot(s.a_prime.unit_vector, minus))

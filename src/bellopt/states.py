@@ -10,6 +10,8 @@ Conventions used throughout the package:
 * The spin correlation matrix is t[m][n] = Tr(rho (sigma_n (x) sigma_m)),
   with the first Kronecker factor acting on qubit 1.  _pauli_vector gives its
   rows and every Bell-function trace: it is the one Pauli kernel.
+* DensityMatrix4 keeps its Hermitian part as the array `entries` and the tuple
+  `rows`; its PSD check uses the 2x2 blocks if every off-X entry is exactly 0.
 
 All types are immutable values and all operations are pure functions, so the
 module is safe for unrestricted concurrent use.
@@ -17,8 +19,9 @@ module is safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,6 +35,7 @@ DEFAULT_OFF_X_TOL = 1e-9
 _OFF_X_INDICES = (
     (0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2),
 )
+_UPPER = tuple((i, j) for i in range(4) for j in range(i, 4))  # defects are symmetric
 
 
 class StateValidationError(ValueError):
@@ -67,25 +71,40 @@ class DensityMatrix4:
     holds the input's Hermitian part, so defects below HERMITICITY_TOL vanish."""
 
     entries: np.ndarray
+    rows: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         m = np.array(self.entries, dtype=complex)
         if m.shape != (4, 4):
             raise StateValidationError(f"expected a 4x4 matrix, got {m.shape}")
-        herm = np.abs(m - m.conj().T).max()
-        if not math.isfinite(herm):  # a NaN or infinite entry
+        r = m.tolist()
+        try:
+            herm = max([abs(r[i][j] - r[j][i].conjugate()) for i, j in _UPPER])
+        except OverflowError:  # abs() of a finite defect past float range
+            herm = math.inf
+        if not math.isfinite(herm) or not all(map(cmath.isfinite, r[0] + r[1] + r[2] + r[3])):
             raise StateValidationError("matrix has a non-finite entry")
         if herm > HERMITICITY_TOL:
             raise NotHermitian(f"worst Hermiticity defect {herm:.3e}")
-        tr = m.trace()
+        tr = r[0][0] + r[1][1] + r[2][2] + r[3][3]
         if abs(tr - 1.0) > TRACE_TOL:
             raise TraceNotOne(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-        lam_min = float(np.linalg.eigvalsh(m).min())
-        if lam_min < -POSITIVITY_TOL:
-            raise NotPositive(f"smallest eigenvalue {lam_min:.3e}")
         m = 0.5 * (m + m.conj().T)  # exact on Hermitian input
         m.setflags(write=False)
+        rows = tuple(map(tuple, m.tolist()))
+        off_x = rows[0][1] or rows[0][2] or rows[1][3] or rows[2][3]  # 0 iff mirrors are
+        lam_min = float(np.linalg.eigvalsh(m).min()) if off_x else _x_least_eigenvalue(rows)
+        if not lam_min >= -POSITIVITY_TOL:  # also rejects NaN
+            raise NotPositive(f"smallest eigenvalue {lam_min:.3e}")
         object.__setattr__(self, "entries", m)
+        object.__setattr__(self, "rows", rows)
+
+
+def _x_least_eigenvalue(r) -> float:
+    """Least eigenvalue of a Hermitian X matrix, rows r, over its blocks {0,3} and {1,2}."""
+    return min((a + d) / 2 - math.hypot((a - d) / 2, c.real, c.imag)
+               for a, d, c in ((r[0][0].real, r[3][3].real, r[0][3]),
+                               (r[1][1].real, r[2][2].real, r[1][2])))
 
 
 def validate_density_matrix(entries) -> DensityMatrix4:
@@ -148,18 +167,11 @@ def as_x_state(rho: DensityMatrix4, off_x_tol: float = DEFAULT_OFF_X_TOL) -> XSt
     """Extract the 7 X parameters, requiring off-pattern entries <= off_x_tol."""
     if not off_x_tol >= 0:  # also rejects NaN, for which every comparison is False
         raise ValueError(f"off_x_tol must be >= 0, got {off_x_tol!r}")
-    m = rho.entries
-    worst, worst_idx = 0.0, (0, 0)
-    for i, j in _OFF_X_INDICES:
-        mag = abs(m[i, j])
-        if mag > worst:
-            worst, worst_idx = mag, (i, j)
-    if worst > off_x_tol:
-        raise NotXStructured(worst, worst_idx)
-    return XState(
-        m[0, 0].real, m[1, 1].real, m[2, 2].real, m[3, 3].real,
-        m[0, 3], m[1, 2],
-    )
+    r = rho.rows
+    mags = [abs(r[i][j]) for i, j in _OFF_X_INDICES]
+    if max(mags) > off_x_tol:
+        raise NotXStructured(max(mags), _OFF_X_INDICES[mags.index(max(mags))])
+    return XState(r[0][0].real, r[1][1].real, r[2][2].real, r[3][3].real, r[0][3], r[1][2])
 
 
 def x_to_dense(x: XState) -> DensityMatrix4:
@@ -171,7 +183,7 @@ def x_to_dense(x: XState) -> DensityMatrix4:
     return DensityMatrix4(m)
 
 
-def _pauli_vector(r: list, c) -> tuple[float, float, float]:
+def _pauli_vector(r: tuple, c) -> tuple[float, float, float]:
     """(Tr(m sigma_x), Tr(m sigma_y), Tr(m sigma_z)) of the qubit-1 block
     m = Tr_2(rho (1 (x) c.sigma)), for rho as rows r of Python complexes and a
     real 3-vector c, so that a . _pauli_vector(r, c) = Tr(rho (a.sigma (x)
@@ -192,7 +204,7 @@ def _pauli_vector(r: list, c) -> tuple[float, float, float]:
 def pauli_correlation_matrix(rho: DensityMatrix4) -> np.ndarray:
     """t[m][n] = Tr(rho (sigma_n (x) sigma_m)), first factor on qubit 1, as a
     read-only 3x3 float array."""
-    r, axes = rho.entries.tolist(), ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    r, axes = rho.rows, ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
     t = np.array([_pauli_vector(r, e) for e in axes])
     t.setflags(write=False)
     return t

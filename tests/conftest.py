@@ -47,6 +47,15 @@ def random_density(rng: np.random.Generator) -> DensityMatrix4:
     return DensityMatrix4(m / m.trace())
 
 
+def lower_triangle_fault() -> np.ndarray:
+    """Unit trace, and a Hermitian part with least eigenvalue -2.475e-10, but
+    a lower triangle (all that eigvalsh reads) with least eigenvalue -9.9e-11."""
+    a = (1.0 + 0.99e-10) / 3.0
+    v = np.full(4, 0.5)
+    h0 = a * np.eye(4) + (-a - 0.99e-10) * np.outer(v, v)
+    return h0 - 0.99e-10 * np.triu(np.ones((4, 4)), 1)
+
+
 def werner(r: float) -> XState:
     """r * |(01)+(10)><...| + (1 - r) I/4."""
     bg = 0.25 * (1.0 - r)

@@ -128,7 +128,9 @@ class TestDirectTrace:
     def test_imaginary_residue_raises(self):
         # DensityMatrix4 stores a Hermitian matrix; bypass it to reach the check.
         rho = validate_density_matrix(np.eye(4) / 4.0)
-        fake = type("Fake", (), {"entries": rho.entries + np.diag([1e-9j, 0, 0, 0])})()
+        entries = rho.entries + np.diag([1e-9j, 0, 0, 0])
+        fake = type("Fake", (), {"entries": entries,
+                                 "rows": tuple(map(tuple, entries.tolist()))})()
         with pytest.raises(ValueError, match="correlation has imaginary residue"):
             correlation(fake, Z_UP, Z_UP)
         with pytest.raises(ValueError, match="correlation has imaginary residue"):

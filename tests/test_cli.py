@@ -25,7 +25,7 @@ from bellopt import (
     x_to_dense,
 )
 from bellopt.cli import _csv_rows, _scan_csv, fmt9, main
-from conftest import random_density, werner
+from conftest import lower_triangle_fault, random_density, werner
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text())
@@ -168,6 +168,13 @@ class TestBmax:
     def test_invalid_matrix_exits_2(self, tmp_path, capsys):
         path = write_state(tmp_path, np.diag([0.6, 0.6, -0.1, -0.1]))
         assert main(["bmax", "--input", path, "--format", "json"]) == 2
+
+    def test_negative_hermitian_part_exits_2(self, tmp_path, capsys):
+        path = write_state(tmp_path, lower_triangle_fault())
+        assert main(["bmax", "--input", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: smallest eigenvalue -2.475e-10\n"
 
     def test_human_output(self, tmp_path, capsys):
         assert main(["bmax", "--input", bell_file(tmp_path)]) == 0
