@@ -509,7 +509,7 @@ def _crossing_times(model: QModel, lo: np.ndarray, hi: np.ndarray,
         # secant point lands past the root: by 1 - g / g_old, else by 1/2
         with np.errstate(divide="ignore", invalid="ignore"):  # g_old = 0
             m = 1.0 - g / g_old
-        m = np.where(m > 0.0, m, 0.5)
+        m = np.where(open_ & (m > 0.0), m, 0.5)  # no inf * 0 on closed brackets
         g_hi = np.where(to_lo & kept_hi, m * g_hi, g_hi)
         g_lo = np.where(to_hi & kept_lo, m * g_lo, g_lo)
         lo, g_lo = np.where(to_lo, t, lo), np.where(to_lo, g, g_lo)

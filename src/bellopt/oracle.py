@@ -10,8 +10,8 @@ min_n |T n|^2) over unit n, attained with a, a' in the plane normal to n.
 |T n|^2 is minimized over n's two angles on a grid, then by a zooming 9x9
 pattern search from the best grid point and from seeded splitmix64 restarts;
 Alice's and Bob's directions then follow explicitly.  The reported value is
-the Bell function at the 8 angles found.  All evaluators are elementwise, so
-results are reproducible bit for bit whatever the batching.
+the Bell function at the 8 angles found.  Evaluators are elementwise or fixed-size
+contractions, start axis first, so results are bitwise the same in any batching.
 """
 
 from __future__ import annotations
@@ -30,11 +30,15 @@ _MASK64 = (1 << 64) - 1
 _GAMMA64 = 0x9E3779B97F4A7C15
 # Moves certify_settings draws and evaluates at once.
 _CERTIFY_BLOCK = 256
-# Most starts refined in one batch: a poll's working set is ~7 kB per start,
-# so a batch stays under ~2 MB however many restarts are asked for.
+# Most starts refined in one batch: a search holds ~3 kB per start, so a
+# batch stays under ~1 MB however many restarts are asked for.
 _COMPASS_BATCH = 256
-# Offsets i, j (in steps h) of the 9x9 pattern n + i h e1 + j h e2.
-_OFFSETS = np.arange(-4.0, 5.0)
+# The 81 pattern points m = n + i h e1 + j h e2 (i outer): i, j, whether each
+# is interior, i^2 + j^2, and c_a c_b for c = (1, i, j), as |T m|^2 = c^T G c.
+_I, _J = np.repeat(np.arange(-4.0, 5.0), 9), np.tile(np.arange(-4.0, 5.0), 9)
+_INTERIOR = (np.abs(_I) < 4) & (np.abs(_J) < 4)
+_RADII = _I * _I + _J * _J
+_BASIS = np.array([a * b for a in (np.ones(81), _I, _J) for b in (np.ones(81), _I, _J)])
 
 
 class BudgetExceeded(ValueError):
@@ -133,15 +137,11 @@ def _frame(theta, phi):
     return (st * cp, st * sp, ct), (ct * cp, ct * sp, -st), (-sp, cp, 0.0)
 
 
-def _norm2(w) -> np.ndarray:
-    """Squared length of the vector with the components w."""
-    return w[0] * w[0] + w[1] * w[1] + w[2] * w[2]
-
-
 def _grid_bytes(grid_n: int, restarts: int) -> int:
     # Over-estimates the bytes brute_force_bmax holds at once: 8 float64
     # arrays over the grid directions, 16 words per start (draws, point,
-    # value, count) and 12 per pattern point of each start in a batch.
+    # value, count) and 12 per pattern point of each start in a batch (a poll
+    # holds ~4.5: 81 values, their divisors and three 3x3 matrices per start).
     starts = restarts + 1
     return 8 * (8 * grid_n ** 2 + 16 * starts + 972 * min(starts, _COMPASS_BATCH))
 
@@ -151,7 +151,7 @@ def _coarse_grid_best(t: np.ndarray, grid_n: int) -> np.ndarray:
     grid_n x grid_n grid of polar and azimuthal angles."""
     thetas = np.linspace(0.0, math.pi, grid_n)
     phis = -math.pi + 2.0 * math.pi * np.arange(1, grid_n + 1) / grid_n
-    g = _norm2(_images(t, *_frame(thetas[:, None], phis)[0]))
+    g = sum(w * w for w in _images(t, *_frame(thetas[:, None], phis)[0]))
     i, j = np.unravel_index(np.argmin(g), g.shape)
     return np.array([thetas[i], phis[j]])
 
@@ -161,42 +161,51 @@ def _compass_search(t: np.ndarray, starts: np.ndarray, initial_step: float,
     """Zooming pattern search of g(n) = |T n|^2 from each row (theta, phi)
     of the (R, 2) `starts`.
 
-    A poll evaluates g at the 9x9 directions n + i h e1 + j h e2, i, j in
-    -4..4 (a square on the sphere, poles included), around every live start
-    and moves it to the best of them (the first of equal minima).  The step
-    h is divided by 4 when that point is interior or gains no more than
-    rounding, and grows by half when it is on the edge, so that a start
-    crosses a long valley in few polls.  A start stops at h < 1e-8 or after
-    max_iters polls; each row's result equals a one-start search.  Returns
-    values, points, evaluation counts.
+    A poll evaluates g at the 9x9 directions m = n + i h e1 + j h e2, i, j in
+    -4..4 (a square on the sphere, poles included), as c^T G c / |m|^2 from
+    each live start's `_gram`, and moves it to the best of them (the first of
+    equal minima, i outer).  The step h is divided by 4 when that point is
+    interior or gains no more than rounding, and grows by half when it is on
+    the edge, so that a start crosses a long valley in few polls.  A start
+    stops at h < 1e-8 or after max_iters polls; each row's result equals a
+    one-start search.  Returns values, points, evaluation counts.
     """
-    current = np.array(starts, dtype=float)
-    value = _norm2(_images(t, *_frame(current[:, 0], current[:, 1])[0]))
-    step = np.full(len(current), float(initial_step))
-    evals = np.ones(len(current), dtype=np.int64)
+    at = point = np.array(starts, dtype=float)
+    step = np.full(len(point), float(initial_step))
+    now = value = _gram(t, point, step)[1][:, 0]  # |T n|^2, the pattern's center
+    evals = np.full(len(point), 1 + 81 * max_iters)  # less for a start that stops
     rounding = 4.0 * np.finfo(float).eps * sum(v * v for v in t.ravel().tolist())
-    for _ in range(max_iters):
-        live = np.flatnonzero(step >= 1e-8)
-        if live.size == 0:
-            break
-        frame = _frame(current[live, 0, None, None], current[live, 1, None, None])
-        u = step[live, None] * _OFFSETS
-        ui, uj = u[:, :, None], u[:, None, :]
-        m = [a + ui * b + uj * c for a, b, c in zip(*frame)]  # (live, 9, 9)
-        vals = (_norm2(_images(t, *m)) / (1.0 + ui * ui + uj * uj)).reshape(-1, 81)
-        rows = np.arange(live.size)
+    live = np.arange(len(point))  # rows of the live starts, kept compacted in at, now, step
+    for poll in range(max_iters):
+        done = step < 1e-8
+        if done.any():
+            gone = live[done]
+            point[gone], value[gone], evals[gone] = at[done], now[done], 1 + 81 * poll
+            live, at, now, step = (a[~done] for a in (live, at, now, step))
+            if live.size == 0:
+                break
+        f, g = _gram(t, at, step)
+        vals = np.einsum("lc,ck->lk", g, _BASIS) / (1.0 + (step * step)[:, None] * _RADII)
         k = vals.argmin(axis=1)
-        i, j = np.divmod(k, 9)
-        top = vals[rows, k]
-        zoom = ((i % 8 != 0) & (j % 8 != 0)) | (value[live] - top <= rounding)
+        top = vals.min(axis=1)
+        zoom = _INTERIOR[k] | (now - top <= rounding)
         moved = k != 40  # the center keeps its angles as they are
-        x, y, z = (w.reshape(-1, 81)[rows[moved], k[moved]] for w in m)
-        current[live[moved], 0] = np.arctan2(np.hypot(x, y), z)
-        current[live[moved], 1] = np.arctan2(y, x)
-        value[live] = top
-        step[live] *= np.where(zoom, 0.25, 1.5)
-        evals[live] += 81
-    return value, current, evals
+        x, y, z = (f[:, 0] + _I[k, None] * f[:, 1] + _J[k, None] * f[:, 2])[moved].T
+        at[moved, 0], at[moved, 1] = np.arctan2(np.hypot(x, y), z), np.arctan2(y, x)
+        now = top
+        step = step * np.where(zoom, 0.25, 1.5)
+    point[live], value[live] = at, now
+    return value, point, evals
+
+
+def _gram(t: np.ndarray, points: np.ndarray, step: np.ndarray) -> tuple:
+    """The rows n, h e1, h e2 of `_frame` at each (theta, phi) row of `points`
+    and step h, as (L, 3, 3), and the Gram matrices G of their T images, (L, 9)."""
+    n, e1, e2 = _frame(points[:, 0], points[:, 1])
+    f = np.column_stack([*n, *e1, *e2[:2], np.zeros(len(points))]).reshape(-1, 3, 3)
+    f[:, 1:] *= step[:, None, None]
+    w = np.einsum("pq,laq->lap", t, f)
+    return f, np.einsum("lap,lbp->lab", w, w).reshape(-1, 9)
 
 
 def _polar(x: float, y: float, z: float) -> tuple[float, float]:

@@ -89,7 +89,8 @@ class DensityMatrix4:
         tr = r[0][0] + r[1][1] + r[2][2] + r[3][3]
         if abs(tr - 1.0) > TRACE_TOL:
             raise TraceNotOne(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-        m = 0.5 * (m + m.conj().T)  # exact on Hermitian input
+        if herm:  # the Hermitian part; unlike 0.5 * (m + m^H), it cannot overflow
+            m = 0.5 * m + 0.5 * m.conj().T
         m.setflags(write=False)
         rows = tuple(map(tuple, m.tolist()))
         off_x = rows[0][1] or rows[0][2] or rows[1][3] or rows[2][3]  # 0 iff mirrors are

@@ -1406,6 +1406,21 @@ class TestEventRoots:
         assert abs(t_star - reference) <= EVENT_REL_TOL * reference
         assert calls <= _ROOT_CALL_BOUNDS.get(name, _MAX_ROOT_ITERS - 1)
 
+    def test_closed_bracket_on_its_level_stays_quiet(self):
+        # a bracket closed from the start, whose x_hi is the level itself,
+        # steps along with an open one: its g_old = 0 makes 1 - g / g_old
+        # infinite, which must not meet its g_hi = 0 (the suite turns the
+        # RuntimeWarning of inf * 0 into an error)
+        rising = TabulatedModel((0.0, 1.0, 2.0), (1.0, 0.3, 0.8))  # up on [1, 2]
+        x_hi = abs(rising.q(2.0)) ** 2
+        lo = 2.0 * (1.0 - 0.5 * EVENT_REL_TOL)
+        x = [abs(q) ** 2 for q in rising.q(np.array([1.0, lo, 2.0])).tolist()]
+        t_star = _crossing_times(rising, np.array([1.0, lo]), np.array([2.0, 2.0]),
+                                 np.array(x[:2]), np.array([x[2], x[2]]),
+                                 np.array([0.25, x_hi]))
+        assert t_star[1] == 0.5 * (lo + 2.0)
+        assert t_star[0] == _root_steps(rising, 1.0, 2.0, 0.25)[0]
+
     def test_constant_segments(self):
         model = _constant_table()
         n_events = 0

@@ -38,9 +38,8 @@ from bellopt.oracle import (
     _bell_values,
     _compass_search,
     _frame,
+    _gram,
     _grid_bytes,
-    _images,
-    _norm2,
     _settings,
 )
 from conftest import random_density, random_x_state, werner
@@ -203,19 +202,25 @@ class TestAliceValues:
                            rtol=0.0, atol=1e-15)
 
 
-def _g(t, theta, phi, ui, uj):
-    """g at the pattern point n + ui e1 + uj e2 around n(theta, phi), from
-    one-element arrays."""
-    frame = _frame(np.array([theta]), np.array([phi]))
-    m = [a + ui * b + uj * c for a, b, c in zip(*frame)]
-    return float(_norm2(_images(t, *m))[0] / (1.0 + ui * ui + uj * uj)), m
+def _g(t, theta, phi, step, i, j):
+    """g at the pattern point m = n + i h e1 + j h e2 around n(theta, phi)
+    with h = step, as c^T G c for c = (1, i, j) and the start's Gram
+    matrix G, summed one term at a time; and the components of m."""
+    f, g = _gram(t, np.array([[theta, phi]]), np.array([step]))
+    f, g, c = f[0].tolist(), g[0].tolist(), (1.0, float(i), float(j))
+    value = 0.0
+    for a in range(3):
+        for b in range(3):
+            value += g[3 * a + b] * (c[a] * c[b])
+    m = [f[0][p] + i * f[1][p] + j * f[2][p] for p in range(3)]
+    return value / (1.0 + step * step * (i * i + j * j)), m
 
 
 def _reference_search(t, start, step, max_iters):
     """One pattern search of |T n|^2, evaluating one pattern point at a
     time; the first of equal best points (theta offset outer) wins."""
     theta, phi = start.tolist()
-    value, evals = _g(t, theta, phi, 0.0, 0.0)[0], 1
+    value, evals = _g(t, theta, phi, step, 0, 0)[0], 1
     rounding = 4.0 * np.finfo(float).eps * sum(v * v for v in t.ravel().tolist())
     for _ in range(max_iters):
         if step < 1e-8:
@@ -223,13 +228,13 @@ def _reference_search(t, start, step, max_iters):
         best = None
         for i in range(-4, 5):
             for j in range(-4, 5):
-                v, m = _g(t, theta, phi, step * i, step * j)
+                v, m = _g(t, theta, phi, step, i, j)
                 evals += 1
                 if best is None or v < best[0]:
                     best = (v, i, j, m)
         top, i, j, m = best
         if (i, j) != (0, 0):
-            x, y, z = (float(w[0]) for w in m)
+            x, y, z = m
             theta = float(np.arctan2(np.hypot([x], [y]), [z])[0])
             phi = float(np.arctan2([y], [x])[0])
         edge = abs(i) == 4 or abs(j) == 4
@@ -241,28 +246,36 @@ def _reference_search(t, start, step, max_iters):
 class TestCompassBatch:
     @pytest.mark.parametrize("kind", ["werner", "ginibre", "x"])
     def test_batch_equals_one_start_calls(self, kind):
+        # each row of a batch, whatever its size, equals the one-start search
+        # and the one-point-at-a-time reference, bit for bit
         rng = np.random.default_rng(32)
         rho = {"werner": lambda: x_to_dense(werner(0.9)),
                "ginibre": lambda: random_density(rng),
                "x": lambda: x_to_dense(random_x_state(rng))}[kind]()
         t = pauli_correlation_matrix(rho)
-        starts = np.column_stack([rng.uniform(0.0, math.pi, 6),
-                                  rng.uniform(-math.pi, math.pi, 6)])
-        starts[0] = [0.0, -0.0]  # the pole, as on the grid
-        values, points, evals = _compass_search(t, starts, math.pi / 8, 120)
+        starts = np.column_stack([rng.uniform(0.0, math.pi, 40),
+                                  rng.uniform(-math.pi, math.pi, 40)])
+        starts[:3] = [[0.0, -0.0], [0.0, 1.0], [math.pi, -2.5]]  # the poles
+        singles = [_compass_search(t, start[None, :], math.pi / 8, 120)
+                   for start in starts]
+        for i, start in enumerate(starts):
+            ref = _reference_search(t, start, math.pi / 8, 120)
+            assert singles[i][0][0] == ref[0]
+            assert np.array_equal(singles[i][1][0], ref[1])
+            assert singles[i][2][0] == ref[2]
+        for batch in (1, 17, 256):
+            parts = [_compass_search(t, starts[i:i + batch], math.pi / 8, 120)
+                     for i in range(0, len(starts), batch)]
+            values, points, evals = (np.concatenate(p) for p in zip(*parts))
+            assert values.tolist() == [s[0][0] for s in singles]
+            assert np.array_equal(points, np.vstack([s[1] for s in singles]))
+            assert evals.tolist() == [s[2][0] for s in singles]
         if kind == "werner":
             # |T n|^2 is the same for every n: each poll gains only rounding
             # and zooms, so every start stops after 13 polls
             assert set(evals.tolist()) == {1 + 81 * 13}
         else:  # the starts leave the batch at different polls
             assert len(set(evals.tolist())) > 1
-        for i, start in enumerate(starts):
-            v1, p1, e1 = _compass_search(t, start[None, :], math.pi / 8, 120)
-            ref = _reference_search(t, start, math.pi / 8, 120)
-            assert v1[0] == values[i] == ref[0]
-            assert np.array_equal(p1[0], points[i])
-            assert np.array_equal(ref[1], points[i])
-            assert e1[0] == evals[i] == ref[2]
 
 
 def _golden_state(name):

@@ -195,17 +195,38 @@ class TestPlainPythonValidation:
         with pytest.raises(StateValidationError, match="^matrix has a non-finite entry$"):
             validate_density_matrix(m)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("i, j", [(0, 1), (0, 3), (0, 0)])
     def test_entries_past_half_the_float_range_rejected(self, i, j):
-        # the Hermitian part overflows; its NaN or inf must not pass the PSD check
+        # m + m^H would overflow here; the Hermitian part is taken without
+        # it, so no warning is raised and the check that fails names the
+        # true magnitude, with or without a small defect elsewhere
+        for defect in (0.0, 1e-12):
+            m = np.eye(4, dtype=complex) / 4.0
+            m[i, j] = m[j, i] = 1e308
+            m[2, 3] = defect
+            if i == j:
+                m[1, 1] = -1e308 + 0.25
+                kind, text = TraceNotOne, "trace deviates from 1 by 5.000e-01"
+            else:
+                kind, text = NotPositive, "smallest eigenvalue -1.000e+308"
+            with pytest.raises(kind) as err:
+                validate_density_matrix(m)
+            assert type(err.value) is kind and str(err.value) == text
+
+    def test_entries_are_exactly_hermitian(self):
+        # a + (b - a) / 2 and b + (a - b) / 2 would round apart here
         m = np.eye(4, dtype=complex) / 4.0
-        m[i, j] = m[j, i] = 1e308
-        if i == j:
-            m[1, 1] = -1e308 + 0.25
-        with pytest.raises(ValueError):
-            validate_density_matrix(m)
+        m[0, 1], m[1, 0] = 1e-17, -2.7e-17
+        entries = validate_density_matrix(m).entries
+        assert np.array_equal(entries, entries.conj().T)
+        assert entries[0, 1] == 0.5 * (1e-17 - 2.7e-17)
+
+    def test_hermitian_input_is_kept_byte_for_byte(self):
+        # an exactly Hermitian input is its own Hermitian part, -0.0 and all
+        m = np.eye(4, dtype=complex) / 4.0
+        m[0, 1], m[1, 0] = complex(-0.0, 0.1), complex(-0.0, -0.1)
+        m[2, 2] = complex(0.25, -0.0)
+        assert validate_density_matrix(m).entries.tobytes() == m.tobytes()
 
     @settings(max_examples=100)
     @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -0.5, 20.0, -20.0]),
