@@ -14,10 +14,13 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .chsh import BellEigenvalues, BellSettings, Region, x_state_eigenvalues
 from .states import ObservableDirection, XState, normalize_direction
 
 _HALF_PI = 0.5 * math.pi
+_TWO_PI = 2.0 * math.pi
 
 
 def _sign(v: float) -> float:
@@ -71,6 +74,15 @@ def settings_set2(x: XState) -> AngleSettings:
     return _settings(x, x_state_eigenvalues(x), Region.SET2)
 
 
+# The closed forms are built canonical: with phases in [-pi, pi] and the spread
+# atan2(sqrt(u), sqrt(u1)) in [0, pi/2], every theta is in [0, pi], never -0.0,
+# and every phi in [-3 pi/2, 3 pi/2], where _wrap is normalize_direction's phi.
+
+def _wrap(phi):
+    # one 2 pi step into (-pi, pi], float or array; a last + 0.0 clears -0.0
+    return phi - _TWO_PI * (phi > math.pi) + _TWO_PI * (phi <= -math.pi)
+
+
 def _settings(x: XState, u: BellEigenvalues, region: Region) -> AngleSettings:
     # cmath.phase(0) == 0.0, which is exactly the arg(0) := 0 convention.
     arg14, arg23 = cmath.phase(x.rho14), cmath.phase(x.rho23)
@@ -80,11 +92,36 @@ def _settings(x: XState, u: BellEigenvalues, region: Region) -> AngleSettings:
     half_rel = 0.5 * (arg23 - arg14)  # phi2 of set 1
     if set1:
         theta2 = _HALF_PI - _sign(x.diagonal_gap) * spread
-        return AngleSettings.from_angles(region, (_HALF_PI, 0.0, theta2, math.pi - theta2),
-                                         (phi1, 0.0, half_rel, half_rel))
-    phi1p = phi1 + _sign(abs(x.rho23) - abs(x.rho14)) * _HALF_PI
-    return AngleSettings.from_angles(region, (_HALF_PI,) * 4,
-                                     (phi1, phi1p, half_rel + spread, half_rel - spread))
+        thetas = (_HALF_PI, 0.0, theta2, math.pi - theta2)
+        phis = (phi1, 0.0, half_rel, half_rel)
+    else:
+        phi1p = phi1 + _sign(abs(x.rho23) - abs(x.rho14)) * _HALF_PI
+        thetas, phis = (_HALF_PI,) * 4, (phi1, phi1p, half_rel + spread, half_rel - spread)
+    return AngleSettings(thetas, tuple(map(_wrap, phis)), region)
+
+
+def _atan2(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # math.atan2, and cmath.phase(complex(x, y)), elementwise; numpy's arctan2
+    # differs from libm's for ~7% of arguments on AVX-512 hosts
+    return np.fromiter(map(math.atan2, y.tolist(), x.tolist()), float, len(y))
+
+
+def _settings_rows(set1, gap, u1, u2, u3, m14, m23, rho14, rho23):
+    # _settings bit for bit on rows, SET1 where set1 else SET2, as (n, 4) thetas
+    # and phis; gap is diagonal_gap, m14, m23 the |rho|, rho14, rho23 (re, im)
+    arg14, arg23 = _atan2(rho14[1], rho14[0]), _atan2(rho23[1], rho23[0])
+    spread = _atan2(np.sqrt(np.where(set1, u2, u3)), np.sqrt(u1))  # set 1: tilt
+    phi1 = -0.5 * (arg14 + arg23)
+    half_rel = 0.5 * (arg23 - arg14)  # phi2 of set 1
+    theta2 = _HALF_PI - np.where(gap >= 0.0, 1.0, -1.0) * spread
+    phi1p = phi1 + np.where(m23 - m14 >= 0.0, 1.0, -1.0) * _HALF_PI
+    zero = np.zeros_like(phi1)
+    thetas = np.where(set1[:, None], np.column_stack(
+        (zero + _HALF_PI, zero, theta2, math.pi - theta2)), _HALF_PI)
+    phis = np.where(set1[:, None],
+                    np.column_stack((phi1, zero, half_rel, half_rel)),
+                    np.column_stack((phi1, phi1p, half_rel + spread, half_rel - spread)))
+    return thetas, _wrap(phis)
 
 
 def optimal_settings(x: XState) -> tuple[AngleSettings, BellEigenvalues]:

@@ -44,7 +44,7 @@ from typing import Union
 
 import numpy as np
 
-from .angles import _HALF_PI, optimal_settings
+from .angles import _settings_rows, optimal_settings
 from .chsh import TIE_TOL, U_MAX, U_MIN, U_ORDER_TOL, U_SUM_MAX, Region
 from .states import POSITIVITY_TOL, TRACE_TOL, DensityMatrix4, XState
 
@@ -314,13 +314,23 @@ def evolve_x(x0: XState, q: complex) -> XState:
     q = complex(q)
     if abs(q) > Q_ABS_MAX:
         raise ValueError(f"|q| must be <= 1, got {abs(q)!r}")
-    x = min(1.0, abs(q) ** 2)
+    r11, r22, r33, r44, rho14, rho23 = _evolve(x0, q, min(1.0, abs(q) ** 2))
+    return XState(r11, r22, r33, r44, complex(*rho14), complex(*rho23))
+
+
+def _evolve(x0: XState, q, x):
+    # evolve_x for a complex or array q, x = min(1, |q|^2): populations and the
+    # (re, im) of q * q * rho14 and complex(x, 0.0) * rho23, in Python's order
     fed = x0.rho11 * (1.0 - x)
     r11 = x0.rho11 * x * x
     r22 = x * (x0.rho22 + fed)
     r33 = x * (x0.rho33 + fed)
     r44 = 1.0 - (r11 + r22 + r33)
-    return XState(r11, r22, r33, r44, q * q * x0.rho14, x * x0.rho23)
+    c14, c23 = x0.rho14, x0.rho23
+    sr, si = q.real * q.real - q.imag * q.imag, q.real * q.imag + q.imag * q.real
+    rho14 = (sr * c14.real - si * c14.imag, sr * c14.imag + si * c14.real)
+    rho23 = (x * c23.real - 0.0 * c23.imag, x * c23.imag + 0.0 * c23.real)
+    return r11, r22, r33, r44, rho14, rho23
 
 
 @dataclass(frozen=True)
@@ -578,69 +588,12 @@ class TimeScan:
 
 
 # Array forms of the scalar row path evolve_x -> x_state_eigenvalues ->
-# optimal_settings, equal to it bit for bit, the sign of zero included.
-# That rules out the obvious numpy calls: v ** 2 is libm's pow, which
-# differs from v * v in the last bit for some v; numpy's arctan2 differs
-# from libm's atan2 for ~7% of arguments on AVX-512 hosts; and a complex
-# product rounds as Python's only when written out in its order.  abs of a
-# complex is hypot, and np.sqrt and np.fmod are exact.
+# optimal_settings, equal to it bit for bit, the sign of zero included:
+# abs of a complex is hypot, and v ** 2 is libm's pow, not always v * v.
 
 def _sq(v: np.ndarray) -> np.ndarray:
     # float ** 2
     return np.float_power(v, 2.0)
-
-
-def _atan2(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # math.atan2, and cmath.phase(complex(x, y))
-    return np.fromiter(map(math.atan2, y.tolist(), x.tolist()), float, len(y))
-
-
-def _evolve_rows(x0: XState, q: np.ndarray, q2: np.ndarray):
-    # evolve_x(x0, q) for each q, with q2 = abs(q) ** 2: the populations and
-    # the coherences rho14, rho23 as (real, imaginary) pairs
-    x = np.where(q2 < 1.0, q2, 1.0)  # min(1.0, q2)
-    fed = x0.rho11 * (1.0 - x)
-    r11 = x0.rho11 * x * x
-    r22 = x * (x0.rho22 + fed)
-    r33 = x * (x0.rho33 + fed)
-    r44 = 1.0 - (r11 + r22 + r33)
-    # q * q * rho14, and x * rho23 as Python multiplies: complex(x, 0.0) * rho23
-    c14, c23 = complex(x0.rho14), complex(x0.rho23)
-    sr, si = q.real * q.real - q.imag * q.imag, q.real * q.imag + q.imag * q.real
-    rho14 = (sr * c14.real - si * c14.imag, sr * c14.imag + si * c14.real)
-    rho23 = (x * c23.real - 0.0 * c23.imag, x * c23.imag + 0.0 * c23.real)
-    return r11, r22, r33, r44, rho14, rho23
-
-
-def _normalize_rows(theta: np.ndarray, phi: np.ndarray):
-    # normalize_direction(theta, phi) elementwise
-    theta = np.fmod(theta, 2.0 * math.pi)
-    theta = np.where(theta < 0.0, theta + 2.0 * math.pi, theta)
-    flip = theta > math.pi
-    theta = np.where(flip, 2.0 * math.pi - theta, theta)
-    phi = np.fmod(np.where(flip, phi + math.pi, phi), 2.0 * math.pi)
-    phi = np.where(phi > math.pi, phi - 2.0 * math.pi,
-                   np.where(phi <= -math.pi, phi + 2.0 * math.pi, phi))
-    return theta + 0.0, phi + 0.0
-
-
-def _settings_rows(set1, gap, u1, u2, u3, m14, m23, rho14, rho23):
-    # the raw angles of angles._settings for region SET1 where set1, else
-    # for SET2, normalized as AngleSettings.from_angles does
-    arg14, arg23 = _atan2(rho14[1], rho14[0]), _atan2(rho23[1], rho23[0])
-    spread = _atan2(np.sqrt(np.where(set1, u2, u3)), np.sqrt(u1))  # set 1: tilt
-    phi1 = -0.5 * (arg14 + arg23)
-    half_rel = 0.5 * (arg23 - arg14)  # phi2 of set 1
-    theta2 = _HALF_PI - np.where(gap >= 0.0, 1.0, -1.0) * spread
-    phi1p = phi1 + np.where(m23 - m14 >= 0.0, 1.0, -1.0) * _HALF_PI
-    zero = np.zeros_like(phi1)
-    thetas = np.where(set1[:, None],
-                      np.column_stack((zero + _HALF_PI, zero, theta2, math.pi - theta2)),
-                      _HALF_PI)
-    phis = np.where(set1[:, None],
-                    np.column_stack((phi1, zero, half_rel, half_rel)),
-                    np.column_stack((phi1, phi1p, half_rel + spread, half_rel - spread)))
-    return _normalize_rows(thetas, phis)
 
 
 def time_scan(x0: XState, model: QModel, t_grid) -> TimeScan:
@@ -670,7 +623,7 @@ def time_scan(x0: XState, model: QModel, t_grid) -> TimeScan:
 def _scan_columns(x0: XState, t: np.ndarray, q: np.ndarray) -> TimeScan:
     mod_q = np.hypot(q.real, q.imag)
     q2 = _sq(mod_q)
-    r11, r22, r33, r44, rho14, rho23 = _evolve_rows(x0, q, q2)
+    r11, r22, r33, r44, rho14, rho23 = _evolve(x0, q, np.where(q2 < 1.0, q2, 1.0))
     pops = np.stack((r11, r22, r33, r44))
     # x_state_eigenvalues
     m14, m23 = np.hypot(*rho14), np.hypot(*rho23)

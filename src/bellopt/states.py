@@ -114,7 +114,7 @@ def validate_density_matrix(entries) -> DensityMatrix4:
     Raises NotHermitian, TraceNotOne or NotPositive naming the violated
     invariant together with the worst offending magnitude.
     """
-    return DensityMatrix4(np.asarray(entries, dtype=complex))
+    return DensityMatrix4(entries)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,15 @@
+import cmath
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from bellopt import (
+    AngleSettings,
+    ExponentialModel,
+    LorentzianModel,
     Region,
     TSIRELSON,
     XState,
@@ -18,9 +23,12 @@ from bellopt import (
     settings_distance,
     settings_set1,
     settings_set2,
+    time_scan,
     x_state_eigenvalues,
     x_to_dense,
 )
+from bellopt import angles, states
+from bellopt.cli import main
 from conftest import random_x_state, werner, x_states
 
 PI = math.pi
@@ -217,6 +225,76 @@ class TestAngleSettings:
             AngleSettings(thetas, phis, Region.SET1)
         with pytest.raises(ValueError):
             AngleSettings.from_angles(Region.SET1, thetas, phis)
+
+
+def raw_closed_forms(x: XState):
+    """The raw (thetas, phis) of set 1 and of set 2 as the paper writes them,
+    before any canonicalization: the tilt of set 1 is arctan(sqrt(u2/u1)),
+    the spread of set 2 arctan(sqrt(u3/u1)), taken as atan2 of the roots."""
+    u = x_state_eigenvalues(x)
+    arg14, arg23 = cmath.phase(x.rho14), cmath.phase(x.rho23)
+    phi1, phi2 = -(arg14 + arg23) / 2, (arg23 - arg14) / 2
+    tilt = math.atan2(math.sqrt(u.u2), math.sqrt(u.u1))
+    theta2 = PI / 2 - tilt if x.diagonal_gap >= 0 else PI / 2 + tilt
+    spread = math.atan2(math.sqrt(u.u3), math.sqrt(u.u1))
+    phi1p = phi1 + PI / 2 if abs(x.rho23) >= abs(x.rho14) else phi1 - PI / 2
+    return (((PI / 2, 0.0, theta2, PI - theta2), (phi1, 0.0, phi2, phi2)),
+            ((PI / 2,) * 4, (phi1, phi1p, phi2 + spread, phi2 - spread)))
+
+
+def hexes(s: AngleSettings):
+    # float.hex tells -0.0 from 0.0 and every last bit
+    return [v.hex() for v in s.thetas + s.phis], s.set_id
+
+
+class TestCanonicalClosedForms:
+    """The closed-form sets are built canonical, equal bit for bit to their
+    raw angles canonicalized by normalize_direction (from_angles)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(x_states())
+    # phases exactly +-pi: phi1, phi2 and phi2 +- spread land on +-pi or -0.0
+    @example(XState(0.3, 0.2, 0.2, 0.3, complex(-0.2, 0.0), complex(-0.1, 0.0)))
+    @example(XState(0.3, 0.2, 0.2, 0.3, complex(-0.2, -0.0), complex(-0.1, 0.0)))
+    @example(XState(0.3, 0.2, 0.2, 0.3, complex(-0.2, 0.0), complex(-0.1, -0.0)))
+    @example(XState(0.3, 0.2, 0.2, 0.3, complex(-0.15, 0.0), complex(-0.15, -0.0)))
+    @example(XState(0.3, 0.2, 0.2, 0.3, complex(-0.15, -0.0), complex(-0.15, 0.0)))
+    # zero coherences (u1 = 0), with signed zeros, whose phases are 0, -0.0 or -pi
+    @example(XState(0.4, 0.1, 0.2, 0.3, 0.0, 0.0))
+    @example(XState(0.4, 0.1, 0.2, 0.3, complex(-0.0, -0.0), complex(0.0, -0.0)))
+    @example(werner(0.8))  # a tie u2 = u3
+    @example(XState(0.25, 0.25, 0.25, 0.25, 0.1j, complex(-0.05, -0.0)))  # zero gap
+    def test_equal_to_canonicalized_raw_angles(self, x):
+        raw1, raw2 = raw_closed_forms(x)
+        assert hexes(settings_set1(x)) == hexes(AngleSettings.from_angles(Region.SET1, *raw1))
+        assert hexes(settings_set2(x)) == hexes(AngleSettings.from_angles(Region.SET2, *raw2))
+
+    def test_no_call_path_reaches_the_general_normalizer(self, tmp_path, monkeypatch, capsys):
+        rng = np.random.default_rng(20)
+        xs = [random_x_state(rng) for _ in range(20)] + [
+            werner(0.8), XState(0.4, 0.1, 0.2, 0.3, 0.0, 0.0),
+            XState(0.3, 0.2, 0.2, 0.3, complex(-0.15, 0.0), complex(-0.15, -0.0))]
+        path = tmp_path / "state.json"
+        rows = x_to_dense(xs[0]).rows
+        path.write_text(json.dumps({"rho": [[[z.real, z.imag] for z in r] for r in rows]}))
+
+        def refuse(*args):
+            raise AssertionError("general normalizer called")
+
+        monkeypatch.setattr(states, "normalize_direction", refuse)
+        monkeypatch.setattr(angles, "normalize_direction", refuse)
+        monkeypatch.setattr(AngleSettings, "from_angles", refuse)
+        with pytest.raises(AssertionError, match="general normalizer called"):
+            AngleSettings.from_angles(Region.SET1, (0.0,) * 4, (0.0,) * 4)
+        t = np.linspace(0.0, 4.0, 41)
+        for x in xs:
+            optimal_settings(x), settings_set1(x), settings_set2(x)
+            time_scan(x, ExponentialModel(1.0), t)
+            time_scan(x, LorentzianModel(1.0, 5.0), t)
+        assert main(["angles", "--input", str(path), "--degrees"]) == 0
+        capsys.readouterr()
+        assert main(["angles", "--input", str(path), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["set"] in (1, 2)
 
 
 class TestSettingsDistance:
