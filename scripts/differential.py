@@ -1,0 +1,236 @@
+#!/usr/bin/env python3
+"""Record the library's outputs on a seeded corpus bit for bit, or compare
+two such records.
+
+    python scripts/differential.py --write before.txt
+    # ... change the code ...
+    python scripts/differential.py --write after.txt
+    python scripts/differential.py --compare before.txt after.txt
+
+--write runs a fixed corpus through the public closed-form, dynamics and
+oracle functions and writes one line per value: a label, the value's type and
+the value, floats as float.hex (so -0.0 and every last bit count), or the
+exception type and message where a call raises.  The corpus holds random X
+states, coherence phases of exactly +-pi and next to them, +-0.0 parts, ties
+u2 = u3, u1 = 0, pure and fully mixed states, subnormal rho11, extended
+Werner-like states and Ginibre (non-X) states.  --compare names the first
+record where two files differ and exits 1, or counts the records and exits 0
+when they are identical.
+"""
+
+from __future__ import annotations
+
+import argparse
+import cmath
+import dataclasses
+import math
+import sys
+from enum import Enum
+from itertools import zip_longest
+
+import numpy as np
+
+from bellopt import (
+    EWLParams,
+    ExponentialModel,
+    LorentzianModel,
+    OracleConfig,
+    TabulatedModel,
+    XState,
+    as_x_state,
+    brute_force_bmax,
+    crossing_levels,
+    evolve_x,
+    ewl_state,
+    horodecki_eigenvalues,
+    optimal_settings,
+    scan_events,
+    settings_set1,
+    settings_set2,
+    time_scan,
+    trajectory_coefficients,
+    validate_density_matrix,
+    x_state_eigenvalues,
+    x_to_dense,
+)
+from bellopt.dynamics import crossing_surface
+
+SEED = 2009
+TMAX = 6.0
+GRID = np.linspace(0.0, TMAX, 25)
+Q_VALUES = (1.0, 1.0 + 5e-13, 0.8, -0.6, 0.3 + 0.4j, -0.5j, 1e-160, 0.0, 1.1)
+ORACLE = OracleConfig(grid_n=4, refine_iters=40, restarts=2)
+SURFACE = (24, 24)
+
+
+def _models() -> list:
+    # exp, weak and strong Lorentzian, and a table whose phase rotates
+    times = np.linspace(0.0, TMAX, 121)
+    values = (LorentzianModel(1.0, 5.0).q(times) * np.exp(0.7j * times)).tolist()
+    values[0] = 1.0
+    return [ExponentialModel(1.3), LorentzianModel(5.0, 0.5),
+            LorentzianModel(1.0, 5.0), TabulatedModel(times, values)]
+
+
+def _coherent(p, f14, f23, mu, nu) -> tuple:
+    # populations p with coherences a fraction f of their PSD bound, at phases mu, nu
+    return (*p, f14 * math.sqrt(p[0] * p[3]) * cmath.rect(1.0, mu),
+            f23 * math.sqrt(p[1] * p[2]) * cmath.rect(1.0, nu))
+
+
+def x_corpus(rng: np.random.Generator) -> list[tuple]:
+    """The X states as the six XState arguments, some of which XState rejects."""
+    corpus = []
+    for _ in range(120):  # random X states
+        corpus.append(_coherent(rng.dirichlet(np.ones(4)), *rng.uniform(0.0, 1.0, 2),
+                                *rng.uniform(-math.pi, math.pi, 2)))
+    edges = (math.pi, -math.pi, math.nextafter(math.pi, 0.0),
+             math.nextafter(-math.pi, 0.0), 0.0, -0.0, 1e-300, -1e-300)
+    for mu in edges:  # phases on and next to +-pi and 0
+        for nu in edges:
+            corpus.append(_coherent(rng.dirichlet(np.ones(4)), *rng.uniform(0.2, 1.0, 2), mu, nu))
+    signed = [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
+    parts = [complex(-0.1, 0.0), complex(-0.1, -0.0), complex(0.0, 0.1), complex(-0.0, -0.1)]
+    for c14 in signed + parts:  # +-0.0 real and imaginary parts
+        for c23 in signed + parts:
+            corpus.append((0.3, 0.2, 0.2, 0.3, c14, c23))
+    for r in (0.2, 1.0 / 3.0, 0.5, 0.9, 1.0):  # ties: Werner states and EWL at alpha2 = 1/2
+        bg = 0.25 * (1.0 - r)
+        corpus.append((bg, bg + 0.5 * r, bg + 0.5 * r, bg, 0.0, 0.5 * r))
+        x = ewl_state(EWLParams(0.5, r, 2.0 * r))
+        corpus.append((x.rho11, x.rho22, x.rho33, x.rho44, x.rho14, x.rho23))
+    for eps in (1e-12, -1e-12, 2e-12, -2e-12, 1e-9):  # next to the tie
+        corpus.append((0.1, 0.4 + eps, 0.4 - eps, 0.1, 0.1j, 0.3))
+    for p in ((0.1, 0.2, 0.3, 0.4), (1.0, 0.0, 0.0, 0.0), (0.0, 0.5, 0.5, 0.0)):  # u1 = 0
+        corpus.append((*p, 0j, 0j))
+        corpus.append((*p, complex(-0.0, -0.0), complex(0.0, -0.0)))
+    corpus.append((0.25, 0.25, 0.25, 0.25, 0j, 0j))  # fully mixed
+    for phase in (0.0, 0.5 * math.pi, math.pi, -0.5 * math.pi, 2.5):  # pure X states
+        corpus.append((0.5, 0.0, 0.0, 0.5, 0.5 * cmath.exp(1j * phase), 0j))
+        corpus.append((0.0, 0.5, 0.5, 0.0, 0j, 0.5 * cmath.exp(1j * phase)))
+        c, s = math.cos(0.4), math.sin(0.4)
+        corpus.append((c * c, 0.0, 0.0, s * s, c * s * cmath.exp(1j * phase), 0j))
+    for rho11 in (5e-324, 1e-310, 2.2250738585072014e-308, 1e-300):  # subnormal rho11
+        corpus.append(_coherent((rho11, 0.3, 0.2, 0.5 - rho11), 0.9, 0.7, 1.0, -2.0))
+        corpus.append((rho11, 0.3, 0.2, 0.5 - rho11, 0j, 0.2))
+    corpus.append((0.5, 0.0, 0.0, 0.5, 0.6, 0j))  # not PSD
+    corpus.append((0.5, 0.5, 0.5, 0.5, 0j, 0j))  # trace 2
+    for _ in range(40):  # extended Werner-like states
+        x = ewl_state(EWLParams(*rng.uniform(0.0, 1.0, 2), rng.uniform(-4.0, 4.0)))
+        corpus.append((x.rho11, x.rho22, x.rho33, x.rho44, x.rho14, x.rho23))
+    return corpus
+
+
+def ginibre(rng: np.random.Generator) -> np.ndarray:
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    m = g @ g.conj().T
+    return m / m.trace()
+
+
+def _values(label: str, value):
+    """(label, type, text) for every number in value, floats as float.hex."""
+    if isinstance(value, Enum):
+        yield label, type(value).__name__, value.name
+    elif isinstance(value, (bool, int, np.bool_, np.integer)):
+        yield label, type(value).__name__, repr(value)
+    elif isinstance(value, (float, np.floating)):
+        yield label, type(value).__name__, float.hex(float(value))
+    elif isinstance(value, complex):
+        yield from _values(label + ".re", value.real)
+        yield from _values(label + ".im", value.imag)
+    elif isinstance(value, np.ndarray):
+        yield from _values(label, value.tolist())
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            if f.repr:
+                yield from _values(f"{label}.{f.name}", getattr(value, f.name))
+    elif isinstance(value, (tuple, list)):
+        for i, v in enumerate(value):
+            yield from _values(f"{label}[{i}]", v)
+    else:
+        raise TypeError(f"{label}: no record for {type(value).__name__}")
+
+
+def records() -> list[str]:
+    """Every record line of the corpus, in a fixed order."""
+    rng = np.random.default_rng(SEED)
+    models = _models()
+    lines = []
+
+    def call(label, fn, *args):
+        # the records of fn(*args), or of the exception it raises; its value
+        try:
+            value = fn(*args)
+        except Exception as exc:  # recorded, and the corpus goes on
+            lines.append(f"{label} !{type(exc).__name__} {exc}")
+            return None
+        lines.extend(" ".join(r) for r in _values(label, value))
+        return value
+
+    for i, elements in enumerate(x_corpus(rng)):
+        x = call(f"x{i}", XState, *elements)
+        if x is not None:
+            call(f"x{i} set1", settings_set1, x)
+            call(f"x{i} set2", settings_set2, x)
+            call(f"x{i} optimal", optimal_settings, x)
+            u = call(f"x{i} eigenvalues", x_state_eigenvalues, x)
+            if u is not None:
+                call(f"x{i} bell", lambda: (u.b1, u.b2, u.bmax, u.region, u.tie))
+            call(f"x{i} horodecki", lambda: horodecki_eigenvalues(x_to_dense(x)))
+            for k, q in enumerate(Q_VALUES):
+                call(f"x{i} evolve{k}", evolve_x, x, q)
+            call(f"x{i} coefficients", trajectory_coefficients, x)
+            call(f"x{i} levels", crossing_levels, x)
+            model = models[i % len(models)]
+            call(f"x{i} scan", time_scan, x, model, GRID)
+            call(f"x{i} events", scan_events, x, model, TMAX)
+            if i % 16 == 0:
+                call(f"x{i} oracle", lambda: brute_force_bmax(x_to_dense(x), ORACLE))
+    for i in range(20):
+        rho = call(f"g{i}", validate_density_matrix, ginibre(rng))
+        call(f"g{i} horodecki", horodecki_eigenvalues, rho)
+        call(f"g{i} as_x", as_x_state, rho)
+        call(f"g{i} oracle", brute_force_bmax, rho, ORACLE)
+    call("surface", crossing_surface, *SURFACE)
+    return lines
+
+
+def write(path: str) -> int:
+    lines = records()
+    with open(path, "w", newline="\n") as fh:
+        fh.writelines(line + "\n" for line in lines)
+    return len(lines)
+
+
+def compare(path_a: str, path_b: str) -> str | None:
+    """None if the files hold the same records, else the first difference."""
+    with open(path_a) as a, open(path_b) as b:
+        for n, (la, lb) in enumerate(zip_longest(a, b), 1):
+            if la != lb:
+                return (f"record {n} differs:\n  {path_a}: {(la or '<end>').rstrip()}\n"
+                        f"  {path_b}: {(lb or '<end>').rstrip()}")
+    return None
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--write", metavar="PATH", help="write the records of the corpus")
+    mode.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                      help="name the first record where A and B differ")
+    args = ap.parse_args(argv)
+    if args.write:
+        print(f"{write(args.write)} records written to {args.write}")
+        return 0
+    diff = compare(*args.compare)
+    if diff:
+        print(diff)
+        return 1
+    with open(args.compare[0]) as fh:
+        print(f"identical: {sum(1 for _ in fh)} records")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

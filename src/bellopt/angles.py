@@ -10,7 +10,6 @@ continuous.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -21,11 +20,6 @@ from .states import ObservableDirection, XState, normalize_direction
 
 _HALF_PI = 0.5 * math.pi
 _TWO_PI = 2.0 * math.pi
-
-
-def _sign(v: float) -> float:
-    # +1 for v >= 0, -1 for v < 0 (the convention the closed forms rely on).
-    return 1.0 if v >= 0.0 else -1.0
 
 
 @dataclass(frozen=True)
@@ -83,20 +77,29 @@ def _wrap(phi):
     return phi - _TWO_PI * (phi > math.pi) + _TWO_PI * (phi <= -math.pi)
 
 
-def _settings(x: XState, u: BellEigenvalues, region: Region) -> AngleSettings:
-    # cmath.phase(0) == 0.0, which is exactly the arg(0) := 0 convention.
-    arg14, arg23 = cmath.phase(x.rho14), cmath.phase(x.rho23)
-    set1 = region is Region.SET1
-    spread = math.atan2(math.sqrt(u.u2 if set1 else u.u3), math.sqrt(u.u1))  # set 1: tilt
+def _closed_forms(set1, gap, u1, u2, u3, m14, m23, re14, im14, re23, im23, atan2, sqrt, where):
+    # both sets' (thetas, phis), phis unwrapped, for one state's floats or for
+    # rows with the caller's atan2, sqrt and where; atan2(0.0, 0.0) is arg(0) := 0,
+    # and 2.0 * (v >= 0.0) - 1.0 the sign of v, 1.0 at 0, that the forms rely on
+    arg14, arg23 = atan2(im14, re14), atan2(im23, re23)
+    spread = atan2(sqrt(where(set1, u2, u3)), sqrt(u1))  # set 1: tilt
     phi1 = -0.5 * (arg14 + arg23)
     half_rel = 0.5 * (arg23 - arg14)  # phi2 of set 1
-    if set1:
-        theta2 = _HALF_PI - _sign(x.diagonal_gap) * spread
-        thetas = (_HALF_PI, 0.0, theta2, math.pi - theta2)
-        phis = (phi1, 0.0, half_rel, half_rel)
-    else:
-        phi1p = phi1 + _sign(abs(x.rho23) - abs(x.rho14)) * _HALF_PI
-        thetas, phis = (_HALF_PI,) * 4, (phi1, phi1p, half_rel + spread, half_rel - spread)
+    theta2 = _HALF_PI - (2.0 * (gap >= 0.0) - 1.0) * spread
+    phi1p = phi1 + (2.0 * (m23 - m14 >= 0.0) - 1.0) * _HALF_PI
+    return (((_HALF_PI, 0.0, theta2, math.pi - theta2), (phi1, 0.0, half_rel, half_rel)),
+            ((_HALF_PI,) * 4, (phi1, phi1p, half_rel + spread, half_rel - spread)))
+
+
+def _if(c, a, b):
+    return a if c else b
+
+
+def _settings(x: XState, u: BellEigenvalues, region: Region) -> AngleSettings:
+    set1, r14, r23 = region is Region.SET1, x.rho14, x.rho23
+    sets = _closed_forms(set1, x.diagonal_gap, u.u1, u.u2, u.u3, abs(r14), abs(r23),
+                         r14.real, r14.imag, r23.real, r23.imag, math.atan2, math.sqrt, _if)
+    thetas, phis = sets[0] if set1 else sets[1]
     return AngleSettings(thetas, tuple(map(_wrap, phis)), region)
 
 
@@ -108,19 +111,12 @@ def _atan2(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _settings_rows(set1, gap, u1, u2, u3, m14, m23, rho14, rho23):
     # _settings bit for bit on rows, SET1 where set1 else SET2, as (n, 4) thetas
-    # and phis; gap is diagonal_gap, m14, m23 the |rho|, rho14, rho23 (re, im)
-    arg14, arg23 = _atan2(rho14[1], rho14[0]), _atan2(rho23[1], rho23[0])
-    spread = _atan2(np.sqrt(np.where(set1, u2, u3)), np.sqrt(u1))  # set 1: tilt
-    phi1 = -0.5 * (arg14 + arg23)
-    half_rel = 0.5 * (arg23 - arg14)  # phi2 of set 1
-    theta2 = _HALF_PI - np.where(gap >= 0.0, 1.0, -1.0) * spread
-    phi1p = phi1 + np.where(m23 - m14 >= 0.0, 1.0, -1.0) * _HALF_PI
-    zero = np.zeros_like(phi1)
-    thetas = np.where(set1[:, None], np.column_stack(
-        (zero + _HALF_PI, zero, theta2, math.pi - theta2)), _HALF_PI)
-    phis = np.where(set1[:, None],
-                    np.column_stack((phi1, zero, half_rel, half_rel)),
-                    np.column_stack((phi1, phi1p, half_rel + spread, half_rel - spread)))
+    # and phis, column by column; gap is diagonal_gap, m14, m23 the |rho|,
+    # rho14, rho23 (re, im)
+    sets = _closed_forms(set1, gap, u1, u2, u3, m14, m23, *rho14, *rho23,
+                         _atan2, np.sqrt, np.where)
+    thetas, phis = (np.column_stack([np.where(set1, a, b) for a, b in zip(*pair)])
+                    for pair in zip(*sets))
     return thetas, _wrap(phis)
 
 

@@ -27,8 +27,8 @@ from .states import (
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 TIE_TOL = 1e-12
-# Bounds, with rounding room, that BellEigenvalues and dynamics._scan_columns
-# check: each u in [U_MIN, U_MAX], u1 >= u3 - U_ORDER_TOL, u1 + max(u2, u3) <= U_SUM_MAX.
+# Bounds, with rounding room, that BellEigenvalues checks, and scan rows all but the
+# order: each u in [U_MIN, U_MAX], u1 >= u3 - U_ORDER_TOL, u1 + max(u2, u3) <= U_SUM_MAX.
 U_MIN = -1e-12
 U_MAX = 1.0 + 1e-10
 U_ORDER_TOL = 1e-12

@@ -40,19 +40,21 @@ import math
 from array import array
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Union
 
 import numpy as np
 
 from .angles import _settings_rows, optimal_settings
-from .chsh import TIE_TOL, U_MAX, U_MIN, U_ORDER_TOL, U_SUM_MAX, Region
-from .states import POSITIVITY_TOL, TRACE_TOL, DensityMatrix4, XState
+from .chsh import TIE_TOL, U_MAX, U_MIN, U_SUM_MAX, Region
+from .states import POSITIVITY_TOL, DensityMatrix4, XState
 
 EVENT_REL_TOL = 1e-9
 Q_ABS_MAX = 1.0 + 1e-12  # largest damping amplitude |q| accepted
 _MAX_ROOT_ITERS = 80
 MAX_PIECES = 10 ** 6
 MAX_SAMPLES = 10 ** 6
+MAX_LINE_BYTES = 3 * (4 * 131072 + 2) + 4  # csv's limit: 3 quoted fields, 4-byte chars
 
 
 def _times(t) -> np.ndarray:
@@ -215,15 +217,18 @@ class TabulatedModel:
 
     @classmethod
     def from_csv(cls, path) -> "TabulatedModel":
-        """Load samples from a UTF-8 CSV file (a byte-order mark is skipped)
-        with header `t,q_re,q_im` and three fields in every other non-empty
-        row, of which there are at most MAX_PIECES + 1."""
+        """Load samples from a UTF-8 CSV file (a byte-order mark is skipped) with
+        header `t,q_re,q_im`, three fields in every other non-empty row, at most
+        MAX_PIECES + 1 rows, and no line (its break included) over MAX_LINE_BYTES."""
+        def decoded(fh):
+            # latin-1 maps each byte to one character, so each line is read up
+            # to its cap and decoded as UTF-8 by itself, and its errors name it
+            for i, line in enumerate(iter(partial(fh.readline, MAX_LINE_BYTES + 1), "")):
+                if len(line) > MAX_LINE_BYTES:
+                    raise ValueError(f"line {i + 1}: longer than {MAX_LINE_BYTES} bytes")
+                yield line.encode("latin-1").decode("utf-8-sig" if i == 0 else "utf-8")
         with open(path, encoding="latin-1", newline="") as fh:
-            # latin-1 maps each byte to one character, so each line is decoded
-            # as UTF-8 by itself and a bad byte's error names its line
-            reader = csv.reader(
-                line.encode("latin-1").decode("utf-8-sig" if i == 0 else "utf-8")
-                for i, line in enumerate(fh))
+            reader = csv.reader(decoded(fh))
             try:
                 header = next(reader, None)
                 if header is None or [h.strip() for h in header] != ["t", "q_re", "q_im"]:
@@ -598,8 +603,8 @@ def _sq(v: np.ndarray) -> np.ndarray:
 
 def time_scan(x0: XState, model: QModel, t_grid) -> TimeScan:
     """Evolve x0 along t_grid (at most MAX_SAMPLES times) in one array pass,
-    from one model.q call.  Each check of the scalar path is one mask, and
-    the first row that fails one raises what the scalar path raises there.
+    from one model.q call.  Each check a row can fail is one mask, and the
+    first row that fails one raises what the scalar path raises there.
     The events of the trajectory come from scan_events(x0, model,
     t_grid[-1]).
     """
@@ -632,14 +637,12 @@ def _scan_columns(x0: XState, t: np.ndarray, q: np.ndarray) -> TimeScan:
     u = np.stack((u1, u2, u3))
     failed = (
         (mod_q > Q_ABS_MAX)  # evolve_x
-        # XState: trace, populations, outer and inner 2x2 blocks PSD
-        | (abs(r11 + r22 + r33 + r44 - 1.0) > TRACE_TOL)
+        # XState: populations (r44 = 1 - (r11 + r22 + r33) fixes the trace), 2x2 blocks PSD
         | ~((-POSITIVITY_TOL <= pops) & (pops <= 1.0 + POSITIVITY_TOL)).all(axis=0)
         | ~(_sq(m14) - POSITIVITY_TOL <= r11 * r44)
         | ~(_sq(m23) - POSITIVITY_TOL <= r22 * r33)
-        # BellEigenvalues: range, u1 >= u3, Tsirelson
+        # BellEigenvalues: range, Tsirelson; m14, m23 >= 0 give u1 >= u3
         | ~((U_MIN <= u) & (u <= U_MAX)).all(axis=0)
-        | (u1 < u3 - U_ORDER_TOL)
         | (u1 + np.where(u3 > u2, u3, u2) > U_SUM_MAX)
     )
     if failed.any():  # the scalar path raises the first failing row's error

@@ -684,6 +684,16 @@ class TestScan:
         assert main(["scan", "--ewl", "0.5,1,0", "--qmodel", spec,
                      "--tmax", "2", "--samples", "3"]) == 0
 
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_endless_line_exits_2(self, capsys):
+        # a line is read only up to its cap, so a file of one endless line
+        # is refused at line 1 instead of filling memory
+        assert main(["scan", "--ewl", "0.3,1,0", "--qmodel", "table:/dev/zero",
+                     "--tmax", "1", "--samples", "3"]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad --qmodel 'table:/dev/zero': line 1: longer than "
+            f"{dynamics.MAX_LINE_BYTES} bytes\n")
+
 
 class TestSurface:
     def test_exact_row(self, tmp_path):

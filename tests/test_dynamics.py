@@ -41,18 +41,25 @@ from bellopt import (
     x_state_eigenvalues,
     x_to_dense,
 )
-from bellopt.angles import _sign
+from bellopt.angles import _settings_rows
 from bellopt.dynamics import (
     _MAX_ROOT_ITERS,
     EVENT_REL_TOL,
+    MAX_LINE_BYTES,
     MAX_PIECES,
     MAX_SAMPLES,
     _crossing_rows,
     _crossing_times,
+    _sq,
     _violation_levels,
     crossing_surface,
 )
-from conftest import damping_amplitudes, random_density, random_x_state, x_states
+from bellopt.states import POSITIVITY_TOL, TRACE_TOL
+from conftest import damping_amplitudes, random_density, random_x_state, werner, x_states
+
+
+def _sign(v: float) -> float:
+    return 1.0 if v >= 0.0 else -1.0
 
 
 def kraus_oracle(rho: np.ndarray, q: complex) -> np.ndarray:
@@ -296,6 +303,44 @@ class TestTabulated:
         assert len(model.times) == n
         assert held <= 1.25 * 24 * n
         assert peak <= 3.0 * 24 * n
+
+    def test_csv_line_at_the_cap_loads(self, tmp_path):
+        # three quoted fields of 131072 four-byte UTF-8 digits, the longest
+        # csv lets through, and CRLF fill the cap exactly; one more byte is
+        # refused
+        zero, one = "\U0001D7CE", "\U0001D7CF"  # mathematical digits 0 and 1
+        digits = '"' + zero * 131071 + one + '"'
+        row = ",".join((digits, digits, '"' + zero * 131072 + '"'))
+        assert len(row.encode()) + 2 == MAX_LINE_BYTES
+        path = tmp_path / "q.csv"
+        for eol in ("\n", "\r\n"):
+            path.write_bytes(f"t,q_re,q_im{eol}0,1,0{eol}{row}{eol}".encode())
+            assert TabulatedModel.from_csv(path).values.tolist() == [1.0, 1.0]
+        path.write_bytes(f"t,q_re,q_im\n0,1,0\n {row}\r\n".encode())
+        with pytest.raises(ValueError, match=f"^line 3: longer than {MAX_LINE_BYTES} bytes$"):
+            TabulatedModel.from_csv(path)
+
+    def test_csv_long_header_is_refused(self, tmp_path):
+        path = tmp_path / "q.csv"
+        path.write_text("t" + " " * MAX_LINE_BYTES + ",q_re,q_im\n0,1,0\n1,0.5,0\n")
+        with pytest.raises(ValueError, match=f"^line 1: longer than {MAX_LINE_BYTES} bytes$"):
+            TabulatedModel.from_csv(path)
+
+    def test_csv_long_line_is_not_read_whole(self, tmp_path):
+        path = tmp_path / "q.csv"
+        with open(path, "wb") as fh:
+            fh.write(b"t,q_re,q_im\n0,1,0\n1,")
+            for _ in range(16):
+                fh.write(b"0" * 2 ** 20)
+            fh.write(b",0\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^line 3: longer than"):
+                TabulatedModel.from_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * MAX_LINE_BYTES
 
 
 class TestAmplitudeDamping:
@@ -1106,6 +1151,56 @@ class TestScanRowsBitForBit:
         assert (time_scan(x0, self.MODELS[0], self.GRID).u1 == 0.0).all()
         for model in self.MODELS:
             assert_rows_bit_for_bit(x0, model, self.GRID)
+
+
+class TestSettingsRowsBothSets:
+    """_settings_rows with every row forced to one set equals that set's
+    settings_set1 / settings_set2 of each state, bit for bit, so the set a
+    jump switches to is checked on rows too."""
+
+    STATES = _phase_edge_states() + [
+        XState(0.3, 0.2, 0.2, 0.3, complex(-0.2, -0.0), complex(-0.0, 0.1)),
+        XState(0.3, 0.2, 0.2, 0.3, complex(0.0, -0.0), complex(-0.1, -0.0)),
+        XState(0.1, 0.2, 0.3, 0.4, complex(-0.0, -0.0), complex(0.0, -0.0)),
+        werner(0.6),
+        XState(0.1, 0.2, 0.3, 0.4, 0.0, 0.0),
+        XState(0.25, 0.25, 0.25, 0.25, 0.0, 0.0),
+    ]
+
+    @pytest.mark.parametrize("set1,settings_of", [(True, settings_set1),
+                                                  (False, settings_set2)],
+                             ids=["set1", "set2"])
+    def test_forced_set_matches_the_scalar_set(self, set1, settings_of):
+        xs = self.STATES
+        us = [x_state_eigenvalues(x) for x in xs]
+        assert any(u.tie for u in us) and any(u.u1 == 0.0 for u in us)
+        gap, u1, u2, u3, m14, m23, re14, im14, re23, im23 = np.array(
+            [(x.diagonal_gap, u.u1, u.u2, u.u3, abs(x.rho14), abs(x.rho23),
+              x.rho14.real, x.rho14.imag, x.rho23.real, x.rho23.imag)
+             for x, u in zip(xs, us)]).T
+        thetas, phis = _settings_rows(np.full(len(xs), set1), gap, u1, u2, u3, m14, m23,
+                                      (re14, im14), (re23, im23))
+        for x, row_thetas, row_phis in zip(xs, thetas.tolist(), phis.tolist()):
+            s = settings_of(x)
+            assert list(map(float.hex, row_thetas)) == list(map(float.hex, s.thetas)), x
+            assert list(map(float.hex, row_phis)) == list(map(float.hex, s.phis)), x
+
+
+@settings(max_examples=500, deadline=None)
+@given(*[st.floats(-POSITIVITY_TOL, 1.0 + POSITIVITY_TOL)] * 3)
+def test_rows_inside_the_population_mask_have_unit_trace(r11, r22, r33):
+    # why time_scan has no trace mask: r44 = 1 - (r11 + r22 + r33) leaves
+    # XState's sum within TRACE_TOL of 1 whenever the populations are in range
+    r44 = 1.0 - (r11 + r22 + r33)
+    assert abs(sum((r11, r22, r33, r44)) - 1.0) <= TRACE_TOL
+
+
+@settings(max_examples=500, deadline=None)
+@given(*[st.floats(0.0, 1.0)] * 2)
+def test_rows_cannot_have_u1_below_u3(m14, m23):
+    # why time_scan has no u1 >= u3 mask: rounding is monotone, so
+    # m14 + m23 >= |m14 - m23| survives it for m14, m23 >= 0
+    assert 4.0 * _sq(np.array(m14 + m23)) >= 4.0 * _sq(np.array(m14 - m23))
 
 
 def unchecked_x_state(*elements) -> XState:
