@@ -13,9 +13,10 @@ the value, floats as float.hex (so -0.0 and every last bit count), or the
 exception type and message where a call raises.  The corpus holds random X
 states, coherence phases of exactly +-pi and next to them, +-0.0 parts, ties
 u2 = u3, u1 = 0, pure and fully mixed states, subnormal rho11, extended
-Werner-like states and Ginibre (non-X) states.  --compare names the first
-record where two files differ and exits 1, or counts the records and exits 0
-when they are identical.
+Werner-like states, states at the tolerance edges of the PSD rule and
+Ginibre (non-X) states.  --compare prints every pair of records where two files
+differ and their count and exits 1, or counts the records and exits 0 when
+they are identical.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from bellopt import (
     x_to_dense,
 )
 from bellopt.dynamics import crossing_surface
+from bellopt.states import POSITIVITY_TOL
 
 SEED = 2009
 TMAX = 6.0
@@ -118,6 +120,16 @@ def x_corpus(rng: np.random.Generator) -> list[tuple]:
     for _ in range(40):  # extended Werner-like states
         x = ewl_state(EWLParams(*rng.uniform(0.0, 1.0, 2), rng.uniform(-4.0, 4.0)))
         corpus.append((x.rho11, x.rho22, x.rho33, x.rho44, x.rho14, x.rho23))
+    tol, edge = POSITIVITY_TOL, 0.5000000000999999  # 0.5 - edge is the last float >= -tol
+    corpus += [  # at the tolerance edges of the PSD rule
+        (0.0, 0.5, 0.5, 0.0, 0.99e-5, 0j),  # a coherence between two zero populations
+        (0.0, -0.9e-10, -0.9e-10, 1.0 + 1.8e-10, 0j, 0j),
+        (-5e-11, 1.9e-11, -3.9e-11, 1.0 + 7e-11, 0j, 0j),
+        (-tol, 0.5, 0.5 + tol, 0.0, 0j, 0j),  # a population of exactly -tol
+        (0.5, 0.0, 0.0, 0.5, 0j, tol),  # inner block's least eigenvalue exactly -tol
+        (0.5, 0.0, 0.0, 0.5, edge, tol),  # both blocks at the edge
+        (0.5, 0.0, 0.0, 0.5, math.nextafter(edge, 1.0), tol),  # and one past it
+    ]
     return corpus
 
 
@@ -203,13 +215,15 @@ def write(path: str) -> int:
 
 
 def compare(path_a: str, path_b: str) -> str | None:
-    """None if the files hold the same records, else the first difference."""
+    """None if the files hold the same records, else every differing pair of
+    records and their count."""
+    report = []
     with open(path_a) as a, open(path_b) as b:
         for n, (la, lb) in enumerate(zip_longest(a, b), 1):
             if la != lb:
-                return (f"record {n} differs:\n  {path_a}: {(la or '<end>').rstrip()}\n"
-                        f"  {path_b}: {(lb or '<end>').rstrip()}")
-    return None
+                report.append(f"record {n} differs:\n  {path_a}: {(la or '<end>').rstrip()}\n"
+                              f"  {path_b}: {(lb or '<end>').rstrip()}")
+    return "\n".join(report + [f"{len(report)} records differ"]) if report else None
 
 
 def main(argv=None) -> int:
@@ -218,7 +232,7 @@ def main(argv=None) -> int:
     mode = ap.add_mutually_exclusive_group(required=True)
     mode.add_argument("--write", metavar="PATH", help="write the records of the corpus")
     mode.add_argument("--compare", nargs=2, metavar=("A", "B"),
-                      help="name the first record where A and B differ")
+                      help="print every record where A and B differ, and their count")
     args = ap.parse_args(argv)
     if args.write:
         print(f"{write(args.write)} records written to {args.write}")

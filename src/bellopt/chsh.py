@@ -6,7 +6,8 @@ Its maximum over all settings is 2*sqrt(s), s the sum of the two largest
 eigenvalues of U = T^T T (the squared singular values of the Pauli
 correlation matrix T).  For X states the three eigenvalues have closed forms
 in the density matrix elements, which is what makes explicit optimal
-settings possible.
+settings possible.  BellEigenvalues holds them unchecked: the XState they
+come from was checked where it was built.
 """
 
 from __future__ import annotations
@@ -27,12 +28,6 @@ from .states import (
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 TIE_TOL = 1e-12
-# Bounds, with rounding room, that BellEigenvalues checks, and scan rows all but the
-# order: each u in [U_MIN, U_MAX], u1 >= u3 - U_ORDER_TOL, u1 + max(u2, u3) <= U_SUM_MAX.
-U_MIN = -1e-12
-U_MAX = 1.0 + 1e-10
-U_ORDER_TOL = 1e-12
-U_SUM_MAX = 2.0 + 1e-10
 
 
 class Region(IntEnum):
@@ -48,22 +43,13 @@ class BellEigenvalues:
 
     u1 = 4(|rho14| + |rho23|)^2 and u3 = 4(|rho14| - |rho23|)^2 come from the
     coherences, u2 = (rho11 + rho44 - rho22 - rho33)^2 from the populations;
-    u1 >= u3 always.
+    u1 >= u3 always.  A record without checks that derives tie, region, b1, b2
+    and bmax: its values come from an XState, validated where it was built.
     """
 
     u1: float
     u2: float
     u3: float
-
-    def __post_init__(self):
-        for name in ("u1", "u2", "u3"):
-            v = getattr(self, name)
-            if not (U_MIN <= v <= U_MAX):
-                raise ValueError(f"{name} out of [0, 1]: {v!r}")
-        if self.u1 < self.u3 - U_ORDER_TOL:
-            raise ValueError(f"u1 < u3: {self.u1!r} < {self.u3!r}")
-        if self.u1 + max(self.u2, self.u3) > U_SUM_MAX:
-            raise ValueError("u1 + max(u2, u3) exceeds the Tsirelson bound")
 
     @property
     def tie(self) -> bool:

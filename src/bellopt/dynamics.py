@@ -46,8 +46,8 @@ from typing import Union
 import numpy as np
 
 from .angles import _settings_rows, optimal_settings
-from .chsh import TIE_TOL, U_MAX, U_MIN, U_SUM_MAX, Region
-from .states import POSITIVITY_TOL, DensityMatrix4, XState
+from .chsh import TIE_TOL, Region
+from .states import POSITIVITY_TOL, DensityMatrix4, XState, _block_least_eigenvalue
 
 EVENT_REL_TOL = 1e-9
 Q_ABS_MAX = 1.0 + 1e-12  # largest damping amplitude |q| accepted
@@ -296,7 +296,7 @@ def apply_amplitude_damping(rho0: DensityMatrix4, q: complex) -> DensityMatrix4:
     returns a validated state.
     """
     q = complex(q)
-    if abs(q) > Q_ABS_MAX:
+    if not abs(q) <= Q_ABS_MAX:  # also rejects NaN
         raise ValueError(f"|q| must be <= 1, got {abs(q)!r}")
     loss = math.sqrt(max(0.0, 1.0 - abs(q) ** 2))
     k0 = np.array([[q, 0.0], [0.0, 1.0]], dtype=complex)
@@ -317,7 +317,7 @@ def evolve_x(x0: XState, q: complex) -> XState:
     Identical to evolving the dense matrix through the product channel.
     """
     q = complex(q)
-    if abs(q) > Q_ABS_MAX:
+    if not abs(q) <= Q_ABS_MAX:  # also rejects NaN
         raise ValueError(f"|q| must be <= 1, got {abs(q)!r}")
     r11, r22, r33, r44, rho14, rho23 = _evolve(x0, q, min(1.0, abs(q) ** 2))
     return XState(r11, r22, r33, r44, complex(*rho14), complex(*rho23))
@@ -629,21 +629,16 @@ def _scan_columns(x0: XState, t: np.ndarray, q: np.ndarray) -> TimeScan:
     mod_q = np.hypot(q.real, q.imag)
     q2 = _sq(mod_q)
     r11, r22, r33, r44, rho14, rho23 = _evolve(x0, q, np.where(q2 < 1.0, q2, 1.0))
-    pops = np.stack((r11, r22, r33, r44))
     # x_state_eigenvalues
     m14, m23 = np.hypot(*rho14), np.hypot(*rho23)
     gap = r11 + r44 - r22 - r33
     u1, u2, u3 = 4.0 * _sq(m14 + m23), _sq(gap), 4.0 * _sq(m14 - m23)
-    u = np.stack((u1, u2, u3))
+    # evolve_x's |q| and XState's blocks, failing on NaN; with r44 = 1 - (r11 + r22 + r33),
+    # a row off in trace has a population far below 0, so it fails a block too
     failed = (
-        (mod_q > Q_ABS_MAX)  # evolve_x
-        # XState: populations (r44 = 1 - (r11 + r22 + r33) fixes the trace), 2x2 blocks PSD
-        | ~((-POSITIVITY_TOL <= pops) & (pops <= 1.0 + POSITIVITY_TOL)).all(axis=0)
-        | ~(_sq(m14) - POSITIVITY_TOL <= r11 * r44)
-        | ~(_sq(m23) - POSITIVITY_TOL <= r22 * r33)
-        # BellEigenvalues: range, Tsirelson; m14, m23 >= 0 give u1 >= u3
-        | ~((U_MIN <= u) & (u <= U_MAX)).all(axis=0)
-        | (u1 + np.where(u3 > u2, u3, u2) > U_SUM_MAX)
+        ~(mod_q <= Q_ABS_MAX)
+        | ~(_block_least_eigenvalue(r11, r44, m14, np.hypot) >= -POSITIVITY_TOL)
+        | ~(_block_least_eigenvalue(r22, r33, m23, np.hypot) >= -POSITIVITY_TOL)
     )
     if failed.any():  # the scalar path raises the first failing row's error
         optimal_settings(evolve_x(x0, complex(q[failed.argmax()])))

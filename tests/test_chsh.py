@@ -169,10 +169,6 @@ class TestXStateEigenvalues:
 
 
 class TestBellEigenvalues:
-    def test_u1_below_u3_rejected(self):
-        with pytest.raises(ValueError, match="u1 < u3: 0.1 < 0.5"):
-            BellEigenvalues(0.1, 0.0, 0.5)
-
     def test_region_and_tie_are_not_arguments(self):
         # a caller cannot pass a region that contradicts the tie rule
         with pytest.raises(TypeError):

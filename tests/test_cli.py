@@ -176,6 +176,12 @@ class TestBmax:
         assert captured.out == ""
         assert captured.err == "error: smallest eigenvalue -2.475e-10\n"
 
+    def test_populations_at_the_positivity_tolerance(self, tmp_path, capsys):
+        # a valid state that XState's former population range rejected
+        path = write_state(tmp_path, np.diag([0.0, -0.9e-10, -0.9e-10, 1.0 + 1.8e-10]))
+        assert main(["bmax", "--input", path, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["region"] == 1
+
     def test_human_output(self, tmp_path, capsys):
         assert main(["bmax", "--input", bell_file(tmp_path)]) == 0
         out = capsys.readouterr().out
@@ -523,6 +529,15 @@ class TestScan:
         assert doc["rows"][0]["bmax"] == pytest.approx(
             0.95 * 2 * math.sqrt(2), abs=1e-12)
         assert [e["kind"] for e in doc["events"]].count("ViolationOff") == 1
+
+    def test_populations_at_the_positivity_tolerance(self, tmp_path, capsys):
+        # a valid state whose rows BellEigenvalues' former u2 range rejected
+        path = write_state(tmp_path, np.diag([-5e-11, 1.9e-11, -3.9e-11, 1.0 + 7e-11]))
+        assert main(["scan", "--input", path, "--qmodel", "exp:1", "--tmax", "5",
+                     "--samples", "50", "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert len(json.loads(captured.out)["rows"]) == 50
 
     @pytest.mark.parametrize("rho11", [1e-310, 1e-320, 5e-324])
     def test_subnormal_rho11_scans_like_zero(self, tmp_path, capsys, rho11):

@@ -1187,10 +1187,11 @@ class TestSettingsRowsBothSets:
 
 
 @settings(max_examples=500, deadline=None)
-@given(*[st.floats(-POSITIVITY_TOL, 1.0 + POSITIVITY_TOL)] * 3)
+@given(*[st.floats(-POSITIVITY_TOL, 1.0 + 3.0 * POSITIVITY_TOL)] * 3)
 def test_rows_inside_the_population_mask_have_unit_trace(r11, r22, r33):
     # why time_scan has no trace mask: r44 = 1 - (r11 + r22 + r33) leaves
-    # XState's sum within TRACE_TOL of 1 whenever the populations are in range
+    # XState's sum within TRACE_TOL of 1 whenever each population is at least
+    # about -POSITIVITY_TOL, as the block masks require
     r44 = 1.0 - (r11 + r22 + r33)
     assert abs(sum((r11, r22, r33, r44)) - 1.0) <= TRACE_TOL
 
@@ -1219,36 +1220,48 @@ class _Overshoot:
         return np.asarray(1.0 + 1e-9 * np.asarray(t, dtype=float) + 0j)
 
 
+class _NaNAfterStart:
+    """q(t) = 1 at t = 0 and NaN after, as from a model that lost its digits."""
+
+    def q(self, t):
+        return np.where(np.asarray(t, dtype=float) > 0.0, complex(math.nan, 0.0), 1.0 + 0j)
+
+
 class TestScanChecks:
     """Each check of the scalar row path is one mask in time_scan, and its
-    first failing row raises the scalar path's exception.  The u1 >= u3
-    check has no case: u1 = 4 (m14 + m23)^2 and u3 = 4 (m14 - m23)^2 with
-    m14, m23 >= 0 cannot fail it, in floating point too.  A row fails the
-    trace check only with a population far out of range, as r44 is
-    1 - (r11 + r22 + r33), so that case also fails the population mask."""
+    first failing row raises the scalar path's exception: evolve_x's |q| and
+    XState's least eigenvalue of each 2x2 block.  A row fails the trace check
+    only with a population far below 0, as r44 is 1 - (r11 + r22 + r33), so
+    that case also fails a block mask.  BellEigenvalues checks nothing, so the
+    valid states at its former bounds scan like the scalar loop."""
 
-    TSIRELSON_E = 0.1125e-10  # u1 = u2 = 1 + 0.9e-10: each in range, sum > 2 + 1e-10
+    TSIRELSON_E = 0.1125e-10  # u1 = u2 = 1 + 0.9e-10, just past Tsirelson's u1 + u2 <= 2
 
     @pytest.mark.parametrize("x0,model,error,message", [
         (ewl_state(EWLParams(0.3, 1.0)), _Overshoot(), ValueError,
          "|q| must be <= 1, got 1.0000000005"),
+        (ewl_state(EWLParams(0.3, 1.0)), _NaNAfterStart(), ValueError,
+         "|q| must be <= 1, got nan"),
         (unchecked_x_state(1e20, 0.0, 0.0, 0.0, 0j, 0j), ExponentialModel(1.0),
          TraceNotOne, "populations sum deviates from 1 by 1.000e+00"),
         (unchecked_x_state(0.0, 1.5, -0.5, 0.0, 0j, 0j), ExponentialModel(1.0),
-         NotPositive, "population 2 out of [0, 1]: 1.5"),
+         NotPositive, "smallest eigenvalue -5.000e-01"),
         (unchecked_x_state(0.5, 0.0, 0.0, 0.5, 0.6 + 0j, 0j), ExponentialModel(1.0),
-         NotPositive, "outer 2x2 block not PSD"),
+         NotPositive, "smallest eigenvalue -1.000e-01"),
         (unchecked_x_state(0.0, 0.5, 0.5, 0.0, 0j, 0.6 + 0j), ExponentialModel(1.0),
-         NotPositive, "inner 2x2 block not PSD"),
+         NotPositive, "smallest eigenvalue -1.000e-01"),
+        # valid states: neither path raises, and the rows agree
         (XState(1.0 + 0.9e-10, -0.9e-10, 0.0, 0.0, 0j, 0j), ExponentialModel(1.0),
-         ValueError, "u2 out of [0, 1]: 1.00000000036"),
+         None, None),
         (XState(0.5 + TSIRELSON_E, -TSIRELSON_E, -TSIRELSON_E, 0.5 + TSIRELSON_E,
-                math.sqrt(0.25 + 0.225e-10), 0j), ExponentialModel(1.0),
-         ValueError, "u1 + max(u2, u3) exceeds the Tsirelson bound"),
-    ], ids=["q", "trace", "population", "outer-block", "inner-block",
+                math.sqrt(0.25 + 0.225e-10), 0j), ExponentialModel(1.0), None, None),
+    ], ids=["q", "q-nan", "trace", "population", "outer-block", "inner-block",
             "eigenvalue-range", "tsirelson"])
     def test_raises_as_the_scalar_path(self, x0, model, error, message):
         grid = np.linspace(0.0, 2.0, 5)
+        if error is None:
+            assert_rows_bit_for_bit(x0, model, grid)
+            return
         with pytest.raises(error) as scalar:
             for t in grid.tolist():
                 optimal_settings(evolve_x(x0, model.q(t)))
@@ -1593,12 +1606,25 @@ class TestNonFiniteInputs:
         (lambda: TabulatedModel((0.0, 1.0), (1.0, complex(0.5, math.inf))),
          "sample 1 is not finite"),
         (lambda: TabulatedModel((0.0,), (1.0,)), "at least two samples"),
-        (lambda: XState(math.nan, 0.5, 0.5, 0.0, 0.0, 0.0),
-         "population 1 out of [0, 1]: nan"),
-        (lambda: XState(0.0, 0.5, 0.5, 0.0, 0.0, complex(math.inf, 0.0)),
-         "inner 2x2 block not PSD: rho22*rho33=2.500e-01 < |rho23|^2=inf"),
-        (lambda: XState(0.5, 0.0, 0.0, 0.5, complex(0.0, math.nan), 0.0),
-         "outer 2x2 block not PSD: rho11*rho44=2.500e-01 < |rho14|^2=nan"),
+        pytest.param(lambda: XState(math.nan, 0.5, 0.5, 0.0, 0.0, 0.0),
+                     "smallest eigenvalue nan", id="XState-rho11-nan"),
+        pytest.param(lambda: XState(0.0, 0.5, 0.5, 0.0, 0.0, complex(math.inf, 0.0)),
+                     "smallest eigenvalue -inf", id="XState-rho23-inf"),
+        pytest.param(lambda: XState(0.5, 0.0, 0.0, 0.5, complex(0.0, math.nan), 0.0),
+                     "smallest eigenvalue nan", id="XState-rho14-nan"),
+        # a NaN in the second block, which a min() over both blocks would pass
+        pytest.param(lambda: XState(0.5, math.nan, 0.0, 0.5, 0.0, 0.0),
+                     "smallest eigenvalue nan", id="XState-rho22-nan"),
+        pytest.param(lambda: XState(0.5, 0.0, math.nan, 0.5, 0.0, 0.0),
+                     "smallest eigenvalue nan", id="XState-rho33-nan"),
+        pytest.param(lambda: XState(0.5, 0.0, 0.0, 0.5, 0.0, complex(math.nan, 0.0)),
+                     "smallest eigenvalue nan", id="XState-rho23-nan"),
+        *[pytest.param(lambda q=q: evolve_x(ewl_state(EWLParams(0.3, 1.0)), q),
+                       "|q| must be <= 1, got nan", id=f"evolve_x-{q!r}")
+          for q in (math.nan, complex(math.nan, 0.0), complex(0.5, math.nan))],
+        *[pytest.param(lambda q=q: apply_amplitude_damping(x_to_dense(werner(0.5)), q),
+                       "|q| must be <= 1, got nan", id=f"apply_amplitude_damping-{q!r}")
+          for q in (math.nan, complex(math.nan, 0.0), complex(0.5, math.nan))],
         *[(lambda tmax=tmax: scan_events(ewl_state(EWLParams(0.3, 1.0)),
                                          ExponentialModel(1.0), tmax),
            f"tmax must be finite and >= 0, got {tmax!r}")

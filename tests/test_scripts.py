@@ -81,6 +81,15 @@ def test_differential_reports_a_one_ulp_change(differential_runs, tmp_path, monk
     reference = differential_runs[0][0]
     report = differential.compare(str(reference), str(changed))
     assert report is not None and report.startswith("record ")
-    first, second = report.splitlines()[1:]
+    # every differing pair, three lines each, then their count
+    *pairs, count = report.splitlines()
+    ref_lines, changed_lines = reference.read_text().splitlines(), changed.read_text().splitlines()
+    assert len(ref_lines) == len(changed_lines)
+    differing = [n for n, (a, b) in enumerate(zip(ref_lines, changed_lines), 1) if a != b]
+    assert len(differing) > 1 and len(pairs) == 3 * len(differing)
+    assert pairs[::3] == [f"record {n} differs:" for n in differing]
+    assert count == f"{len(differing)} records differ"
+    first, second = pairs[1:3]
     assert first.split()[1:3] == second.split()[1:3] == ["x0", "set1.phis[0]"]
+    assert all(".phis[" in line for line in pairs[1::3])  # _wrap moves only phis
     assert differential.main(["--compare", str(reference), str(changed)]) == 1

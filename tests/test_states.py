@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -20,9 +21,9 @@ from bellopt import (
     validate_density_matrix,
     x_to_dense,
 )
-from bellopt.angles import optimal_settings
-from bellopt.chsh import bell_function, correlation
-from bellopt.states import POSITIVITY_TOL, _x_least_eigenvalue
+from bellopt.angles import optimal_settings, settings_set1, settings_set2
+from bellopt.chsh import bell_function, correlation, x_state_eigenvalues
+from bellopt.states import POSITIVITY_TOL, TRACE_TOL, _x_least_eigenvalue
 from conftest import (PAULIS, lower_triangle_fault, random_density, random_x_state, werner,
                       x_states)
 
@@ -255,6 +256,62 @@ class TestPlainPythonValidation:
         assert correlation(rows_only, z, z) == correlation(bell_rho, z, z)
         s = optimal_settings(x)[0].bell_settings()
         assert bell_function(rows_only, s) == bell_function(bell_rho, s)
+
+
+@st.composite
+def x_edge_args(draw):
+    """XState arguments at the edges of the PSD and trace rules: populations
+    down to and past -POSITIVITY_TOL, a trace off by up to twice TRACE_TOL,
+    coherences at and past each block's eigenvalue bound, and NaN/inf entries."""
+    edge = st.floats(-3 * POSITIVITY_TOL, POSITIVITY_TOL)
+    pops = [draw(st.one_of(edge, st.just(-POSITIVITY_TOL), st.floats(0.0, 0.4)))
+            for _ in range(3)]
+    k = draw(st.integers(0, 3))  # the population that makes up the trace
+    off = st.one_of(st.just(0.0), st.floats(-TRACE_TOL, TRACE_TOL),
+                    st.floats(-2 * TRACE_TOL, 2 * TRACE_TOL))
+    pops.insert(k, 1.0 - sum(pops) + draw(off))
+    coherences = []
+    for a, d in ((pops[0], pops[3]), (pops[1], pops[2])):
+        lam = draw(st.one_of(edge, st.just(-POSITIVITY_TOL), st.floats(-1.0, 1.0)))
+        mod = math.sqrt((a - lam) * (d - lam)) if lam < min(a, d) else 0.0
+        coherences.append(mod * cmath.rect(1.0, draw(st.floats(-math.pi, math.pi))))
+    args = [*pops, *coherences]
+    i = draw(st.integers(0, 17))
+    if i < 6:  # one entry not finite
+        bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        args[i] = bad if i < 4 else draw(st.sampled_from(
+            [complex(bad, 0.0), complex(0.0, bad), complex(0.1, bad)]))
+    return tuple(args)
+
+
+class TestOneRuleForXStates:
+    """XState and validate_density_matrix apply one PSD rule to X matrices,
+    so every state that XState accepts has every closed form."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(x_edge_args())
+    @example((0.0, 0.5, 0.5, 0.0, 0.99e-5, 0.0))  # rho14 with both populations 0
+    @example((0.0, -0.9e-10, -0.9e-10, 1.0 + 1.8e-10, 0.0, 0.0))
+    @example((-5e-11, 1.9e-11, -3.9e-11, 1.0 + 7e-11, 0.0, 0.0))
+    @example((-POSITIVITY_TOL, 0.5, 0.5 + POSITIVITY_TOL, 0.0, 0.0, 0.0))
+    def test_accepted_iff_the_dense_matrix_is(self, args):
+        a1, a2, d2, d1, c14, c23 = args
+        try:
+            x = XState(*args)
+        except StateValidationError:
+            x = None
+        try:
+            validate_density_matrix(x_matrix(a1, d1, c14, a2, d2, c23))
+            dense_ok = True
+        except StateValidationError:
+            dense_ok = False
+        assert (x is not None) == dense_ok
+        if x is not None:
+            x_to_dense(x)
+            x_state_eigenvalues(x)
+            optimal_settings(x)
+            settings_set1(x)
+            settings_set2(x)
 
 
 class TestXStateExtraction:
