@@ -14,9 +14,11 @@ exception type and message where a call raises.  The corpus holds random X
 states, coherence phases of exactly +-pi and next to them, +-0.0 parts, ties
 u2 = u3, u1 = 0, pure and fully mixed states, subnormal rho11, extended
 Werner-like states, states at the tolerance edges of the PSD rule and
-Ginibre (non-X) states.  --compare prints every pair of records where two files
-differ and their count and exits 1, or counts the records and exits 0 when
-they are identical.
+Ginibre (non-X) states.  --compare pairs the records of two files by label
+(the text before the type field, or before " !" where a call raised), prints
+every label whose records differ or that one file lacks, with the count of
+such labels and of the states they belong to, and exits 1; or it counts the
+records and exits 0 when the files are identical.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ import argparse
 import cmath
 import dataclasses
 import math
+import re
 import sys
 from enum import Enum
-from itertools import zip_longest
 
 import numpy as np
 
@@ -214,16 +216,31 @@ def write(path: str) -> int:
     return len(lines)
 
 
+def _by_label(path: str) -> dict[str, str]:
+    # every record of the file under its label
+    records = {}
+    with open(path) as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            head, bang, _ = line.partition(" !")
+            records[head if bang else line.rsplit(" ", 2)[0]] = line
+    return records
+
+
 def compare(path_a: str, path_b: str) -> str | None:
-    """None if the files hold the same records, else every differing pair of
-    records and their count."""
-    report = []
-    with open(path_a) as a, open(path_b) as b:
-        for n, (la, lb) in enumerate(zip_longest(a, b), 1):
-            if la != lb:
-                report.append(f"record {n} differs:\n  {path_a}: {(la or '<end>').rstrip()}\n"
-                              f"  {path_b}: {(lb or '<end>').rstrip()}")
-    return "\n".join(report + [f"{len(report)} records differ"]) if report else None
+    """None if the files hold the same records, else, paired by label, every
+    label whose records differ or that one file lacks, and the count of such
+    labels and of their states (x0, g3, surface: the label's first name)."""
+    a, b = _by_label(path_a), _by_label(path_b)
+    report, states = [], set()
+    for label in dict.fromkeys([*a, *b]):  # a's order, then labels only b has
+        la, lb = a.get(label, "<absent>"), b.get(label, "<absent>")
+        if la != lb:
+            report.append(f"{label} differs:\n  {path_a}: {la}\n  {path_b}: {lb}")
+            states.add(re.match(r"[^ .\[]+", label).group())
+    if not report:
+        return None
+    return "\n".join(report + [f"{len(report)} records differ in {len(states)} states"])
 
 
 def main(argv=None) -> int:
@@ -232,7 +249,8 @@ def main(argv=None) -> int:
     mode = ap.add_mutually_exclusive_group(required=True)
     mode.add_argument("--write", metavar="PATH", help="write the records of the corpus")
     mode.add_argument("--compare", nargs=2, metavar=("A", "B"),
-                      help="print every record where A and B differ, and their count")
+                      help="print every label whose records in A and B differ, "
+                           "and their count")
     args = ap.parse_args(argv)
     if args.write:
         print(f"{write(args.write)} records written to {args.write}")

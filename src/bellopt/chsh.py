@@ -6,8 +6,10 @@ Its maximum over all settings is 2*sqrt(s), s the sum of the two largest
 eigenvalues of U = T^T T (the squared singular values of the Pauli
 correlation matrix T).  For X states the three eigenvalues have closed forms
 in the density matrix elements, which is what makes explicit optimal
-settings possible.  BellEigenvalues holds them unchecked: the XState they
-come from was checked where it was built.
+settings possible.  _eigenvalues writes them once, for a state and for scan
+rows, each square a product v * v, which Python and numpy round alike (a
+float's v ** 2 is libm's pow, not always correctly rounded).  BellEigenvalues
+holds them unchecked: the XState they come from was checked where it was built.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ class BellEigenvalues:
 
     u1 = 4(|rho14| + |rho23|)^2 and u3 = 4(|rho14| - |rho23|)^2 come from the
     coherences, u2 = (rho11 + rho44 - rho22 - rho33)^2 from the populations;
-    u1 >= u3 always.  A record without checks that derives tie, region, b1, b2
+    u1 >= u3 >= 0.  A record without checks that derives tie, region, b1, b2
     and bmax: its values come from an XState, validated where it was built.
     """
 
@@ -64,12 +66,12 @@ class BellEigenvalues:
     @property
     def b1(self) -> float:
         """Bell value at settings set 1: 2*sqrt(u1 + u2)."""
-        return 2.0 * math.sqrt(max(0.0, self.u1 + self.u2))
+        return 2.0 * math.sqrt(self.u1 + self.u2)
 
     @property
     def b2(self) -> float:
         """Bell value at settings set 2: 2*sqrt(u1 + u3)."""
-        return 2.0 * math.sqrt(max(0.0, self.u1 + self.u3))
+        return 2.0 * math.sqrt(self.u1 + self.u3)
 
     @property
     def bmax(self) -> float:
@@ -107,13 +109,15 @@ def bell_function(rho: DensityMatrix4, s: BellSettings) -> float:
     return abs(_dot(s.a.unit_vector, plus) + _dot(s.a_prime.unit_vector, minus))
 
 
+def _eigenvalues(m14, m23, gap):
+    # (u1, u2, u3) from |rho14|, |rho23| and the diagonal gap, floats or rows
+    s, d = m14 + m23, m14 - m23
+    return 4.0 * (s * s), gap * gap, 4.0 * (d * d)
+
+
 def x_state_eigenvalues(x: XState) -> BellEigenvalues:
     """Closed-form (u1, u2, u3) for an X state."""
-    mod14, mod23 = abs(x.rho14), abs(x.rho23)
-    u1 = 4.0 * (mod14 + mod23) ** 2
-    u2 = x.diagonal_gap ** 2
-    u3 = 4.0 * (mod14 - mod23) ** 2
-    return BellEigenvalues(u1, u2, u3)
+    return BellEigenvalues(*_eigenvalues(abs(x.rho14), abs(x.rho23), x.diagonal_gap))
 
 
 def bmax_x(x: XState) -> float:

@@ -48,10 +48,6 @@ MAX_STATE_BYTES = 2 ** 20  # a valid state file is under 1 KiB
 _DEG = 180.0 / math.pi
 
 
-class InputError(ValueError):
-    pass
-
-
 def _csv_rows(columns) -> str:
     """CSV lines of `columns` (1-D arrays and (n, k) blocks, side by side),
     each cell by the number rule of the module docstring, in one % operation:
@@ -90,31 +86,31 @@ def _load_state(args):
         with open(args.input, "rb") as fh:
             data = fh.read(MAX_STATE_BYTES + 1)
         if len(data) > MAX_STATE_BYTES:
-            raise InputError(f"{args.input} is larger than {MAX_STATE_BYTES} bytes")
+            raise ValueError(f"{args.input} is larger than {MAX_STATE_BYTES} bytes")
         doc = json.loads(data.decode("utf-8"))  # JSON is UTF-8 (RFC 8259)
     except OSError as exc:
-        raise InputError(f"cannot read {args.input}: {exc}") from exc
+        raise ValueError(f"cannot read {args.input}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise InputError(f"{args.input} is not valid JSON: {exc}") from exc
+        raise ValueError(f"{args.input} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "rho" not in doc:
-        raise InputError(f"{args.input} must be an object with a 'rho' key")
+        raise ValueError(f"{args.input} must be an object with a 'rho' key")
     try:
         arr = np.array([[_entry(cell) for cell in row] for row in doc["rho"]],
                        dtype=complex)
     except (TypeError, ValueError, LookupError, OverflowError) as exc:
-        raise InputError(f"'rho' must be a 4x4 array of [re, im] pairs: {exc}") from exc
+        raise ValueError(f"'rho' must be a 4x4 array of [re, im] pairs: {exc}") from exc
     if arr.shape != (4, 4):
-        raise InputError(f"'rho' must be 4x4, got {arr.shape}")
+        raise ValueError(f"'rho' must be 4x4, got {arr.shape}")
     rho = validate_density_matrix(arr)
     off_x_tol = DEFAULT_OFF_X_TOL
     if "off_x_tol" in doc:
         if not _is_number(doc["off_x_tol"]):
-            raise InputError("'off_x_tol' must be a number, got "
+            raise ValueError("'off_x_tol' must be a number, got "
                              + type(doc["off_x_tol"]).__name__)
         try:
             off_x_tol = float(doc["off_x_tol"])
         except OverflowError as exc:  # an integer beyond float range
-            raise InputError(f"'off_x_tol' is out of range: {exc}") from exc
+            raise ValueError(f"'off_x_tol' is out of range: {exc}") from exc
     if args.off_x_tol is not None:
         off_x_tol = args.off_x_tol
     try:
@@ -211,8 +207,8 @@ def _parse_qmodel(spec: str):
         if kind == "table":
             return TabulatedModel.from_csv(rest)
     except (ValueError, OSError) as exc:
-        raise InputError(f"bad --qmodel {spec!r}: {exc}") from exc
-    raise InputError(
+        raise ValueError(f"bad --qmodel {spec!r}: {exc}") from exc
+    raise ValueError(
         f"unknown --qmodel kind {kind!r} (use exp:GAMMA, lorentz:LAMBDA,GAMMA0 or table:PATH)"
     )
 
@@ -222,7 +218,7 @@ def _parse_ewl(spec: str) -> EWLParams:
         alpha2, r, delta = (float(v) for v in spec.split(","))
         return EWLParams(alpha2=alpha2, r=r, delta=delta)
     except ValueError as exc:
-        raise InputError(f"bad --ewl {spec!r}: {exc}") from exc
+        raise ValueError(f"bad --ewl {spec!r}: {exc}") from exc
 
 
 # CSV header and JSON row key: TimeScan field, of the columns before the angles
@@ -244,13 +240,13 @@ def _scan_csv(scan, doc: dict) -> str:
 
 def cmd_scan(args):
     if (args.ewl is None) == (args.input is None):
-        raise InputError("provide exactly one of --ewl or --input")
+        raise ValueError("provide exactly one of --ewl or --input")
     if args.samples < 2:
-        raise InputError("--samples must be >= 2")
+        raise ValueError("--samples must be >= 2")
     if args.samples > MAX_SAMPLES:
-        raise InputError(f"--samples must be <= {MAX_SAMPLES}")
+        raise ValueError(f"--samples must be <= {MAX_SAMPLES}")
     if not (math.isfinite(args.tmax) and args.tmax > 0):
-        raise InputError("--tmax must be finite and > 0")
+        raise ValueError("--tmax must be finite and > 0")
     if args.ewl is not None:
         x0 = ewl_state(_parse_ewl(args.ewl))
     else:
@@ -278,11 +274,11 @@ def cmd_surface(args):
     try:
         n_alpha, n_r = (int(v) for v in args.grid.split(","))
     except ValueError as exc:
-        raise InputError(f"bad --grid {args.grid!r}: {exc}") from exc
+        raise ValueError(f"bad --grid {args.grid!r}: {exc}") from exc
     if n_alpha < 2 or n_r < 2:
-        raise InputError("--grid dimensions must be >= 2")
+        raise ValueError("--grid dimensions must be >= 2")
     if n_alpha * n_r > MAX_SAMPLES:
-        raise InputError(f"--grid must have at most {MAX_SAMPLES} cells, "
+        raise ValueError(f"--grid must have at most {MAX_SAMPLES} cells, "
                          f"got {n_alpha} x {n_r}")
     alpha2, r, roots = crossing_surface(n_alpha, n_r)
     return EXIT_OK, {"version": __version__}, lambda d: (  # NaN roots: empty cells
@@ -402,7 +398,7 @@ def main(argv=None) -> int:
                 with open(args.output, "w", newline="\n") as fh:
                     fh.write(text)
             except OSError as exc:
-                raise InputError(f"cannot write {args.output}: {exc}") from exc
+                raise ValueError(f"cannot write {args.output}: {exc}") from exc
         else:
             sys.stdout.write(text)
         return code

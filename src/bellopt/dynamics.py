@@ -28,8 +28,10 @@ candidate roots and one sign test (_sign_changes), for one state
 (crossing_levels, the violation levels of scan_events) or a whole grid of
 states (crossing_surface) alike.  time_scan gives a TimeScan of columns,
 one entry per sample time, from one array pass that equals evolve_x and
-optimal_settings bit for bit; scan_events(x0, model, tmax) gives the events
-up to tmax, which depend on no sampling.
+optimal_settings bit for bit: the eigenvalues come from chsh's one kernel,
+and each square is a product, which Python and numpy round alike.
+scan_events(x0, model, tmax) gives the events up to tmax, which depend on
+no sampling.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from typing import Union
 import numpy as np
 
 from .angles import _settings_rows, optimal_settings
-from .chsh import TIE_TOL, Region
+from .chsh import TIE_TOL, Region, _eigenvalues
 from .states import POSITIVITY_TOL, DensityMatrix4, XState, _block_least_eigenvalue
 
 EVENT_REL_TOL = 1e-9
@@ -292,14 +294,16 @@ def apply_amplitude_damping(rho0: DensityMatrix4, q: complex) -> DensityMatrix4:
     """Apply the one-qubit damping map with amplitude q to both qubits.
 
     Operator-sum form with Kraus pair K0 = diag(q, 1),
-    K1 = sqrt(1 - |q|^2) |0><1| per qubit; the product map is CPTP and
-    returns a validated state.
+    K1 = sqrt(1 - |q|^2) |0><1| per qubit, with q / |q| where |q| rounds
+    above 1; the product map is CPTP and returns a validated state.
     """
     q = complex(q)
-    if not abs(q) <= Q_ABS_MAX:  # also rejects NaN
-        raise ValueError(f"|q| must be <= 1, got {abs(q)!r}")
-    loss = math.sqrt(max(0.0, 1.0 - abs(q) ** 2))
-    k0 = np.array([[q, 0.0], [0.0, 1.0]], dtype=complex)
+    mod_q = abs(q)
+    if not mod_q <= Q_ABS_MAX:  # also rejects NaN
+        raise ValueError(f"|q| must be <= 1, got {mod_q!r}")
+    loss = math.sqrt(max(0.0, 1.0 - mod_q * mod_q))
+    scale = max(1.0, mod_q)  # q / |q| where |q| rounds above 1, as _evolve divides
+    k0 = np.array([[complex(q.real / scale, q.imag / scale), 0.0], [0.0, 1.0]], dtype=complex)
     k1 = np.array([[0.0, 0.0], [loss, 0.0]], dtype=complex)
     out = np.zeros((4, 4), dtype=complex)
     for ka in (k0, k1):
@@ -314,25 +318,29 @@ def evolve_x(x0: XState, q: complex) -> XState:
 
     With x = |q|^2: rho11 -> rho11 x^2, rho22/rho33 gain the one-photon decay
     from rho11, rho44 absorbs the rest, rho14 -> q^2 rho14, rho23 -> x rho23.
-    Identical to evolving the dense matrix through the product channel.
+    Identical to evolving the dense matrix through the product channel.  A |q|
+    in (1, Q_ABS_MAX] acts as q / |q|, so rounding cannot scale rho14 up.
     """
     q = complex(q)
-    if not abs(q) <= Q_ABS_MAX:  # also rejects NaN
-        raise ValueError(f"|q| must be <= 1, got {abs(q)!r}")
-    r11, r22, r33, r44, rho14, rho23 = _evolve(x0, q, min(1.0, abs(q) ** 2))
+    mod_q = abs(q)
+    if not mod_q <= Q_ABS_MAX:  # also rejects NaN
+        raise ValueError(f"|q| must be <= 1, got {mod_q!r}")
+    r11, r22, r33, r44, rho14, rho23 = _evolve(x0, q, max(1.0, mod_q), min(1.0, mod_q * mod_q))
     return XState(r11, r22, r33, r44, complex(*rho14), complex(*rho23))
 
 
-def _evolve(x0: XState, q, x):
-    # evolve_x for a complex or array q, x = min(1, |q|^2): populations and the
-    # (re, im) of q * q * rho14 and complex(x, 0.0) * rho23, in Python's order
+def _evolve(x0: XState, q, scale, x):
+    # evolve_x for a complex or array q, scale = max(1, |q|), x = min(1, |q|^2):
+    # populations and the (re, im) of p * p * rho14, p = q / scale by parts (numpy's
+    # complex division rounds unlike Python's), and complex(x, 0.0) * rho23, in Python's order
+    qr, qi = q.real / scale, q.imag / scale
     fed = x0.rho11 * (1.0 - x)
     r11 = x0.rho11 * x * x
     r22 = x * (x0.rho22 + fed)
     r33 = x * (x0.rho33 + fed)
     r44 = 1.0 - (r11 + r22 + r33)
     c14, c23 = x0.rho14, x0.rho23
-    sr, si = q.real * q.real - q.imag * q.imag, q.real * q.imag + q.imag * q.real
+    sr, si = qr * qr - qi * qi, qr * qi + qi * qr
     rho14 = (sr * c14.real - si * c14.imag, sr * c14.imag + si * c14.real)
     rho23 = (x * c23.real - 0.0 * c23.imag, x * c23.imag + 0.0 * c23.real)
     return r11, r22, r33, r44, rho14, rho23
@@ -419,7 +427,7 @@ def _sign_changes(f, candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _crossing_rows(k3: np.ndarray, b: np.ndarray, a: np.ndarray) -> np.ndarray:
     # crossing_levels for columns k3, b, a (n, 1): sorted, NaN-padded rows of 4
     candidates = _quadratic_roots(a, np.concatenate((b - k3, b + k3), axis=1))
-    levels, _ = _sign_changes(lambda x: _sq(1.0 + b * x + a * x * x) - _sq(k3 * x),
+    levels, _ = _sign_changes(lambda x: (1.0 + b * x + a * x * x) ** 2 - (k3 * x) ** 2,
                               candidates)
     return np.sort(levels, axis=1)
 
@@ -462,7 +470,7 @@ def _violation_levels(k1: float, k3: float, b: float, a: float) -> list[tuple[fl
     candidates += cubic.real[np.abs(cubic.imag) <= 1e-9].tolist()
 
     def excess(x):  # max(u1 + u2, u1 + u3) - 1
-        return _sq(k1 * x) + np.maximum(_sq(1.0 + b * x + a * x * x), _sq(k3 * x)) - 1.0
+        return (k1 * x) ** 2 + np.maximum((1.0 + b * x + a * x * x) ** 2, (k3 * x) ** 2) - 1.0
     levels, above = _sign_changes(excess, np.array([candidates]))
     keep = ~np.isnan(levels[0])
     return list(zip(levels[0][keep].tolist(), above[0][keep].tolist()))
@@ -564,8 +572,8 @@ def scan_events(x0: XState, model: QModel, tmax: float) -> list[ScanEvent]:
                              x[piece + 1], level_x[k])
     kinds = [levels[i][1 if f else 2]
              for i, f in zip(k.tolist(), side[piece, k].tolist())]
-    return sorted((ScanEvent(kind, t, abs(q) ** 2) for kind, t, q in
-                   zip(kinds, t_star.tolist(), model.q(t_star).tolist())),
+    return sorted((ScanEvent(kind, t, m * m) for kind, t, m in
+                   zip(kinds, t_star.tolist(), map(abs, model.q(t_star).tolist()))),
                   key=lambda e: e.t)
 
 
@@ -590,15 +598,6 @@ class TimeScan:
     tie: np.ndarray
     thetas: np.ndarray
     phis: np.ndarray
-
-
-# Array forms of the scalar row path evolve_x -> x_state_eigenvalues ->
-# optimal_settings, equal to it bit for bit, the sign of zero included:
-# abs of a complex is hypot, and v ** 2 is libm's pow, not always v * v.
-
-def _sq(v: np.ndarray) -> np.ndarray:
-    # float ** 2
-    return np.float_power(v, 2.0)
 
 
 def time_scan(x0: XState, model: QModel, t_grid) -> TimeScan:
@@ -627,12 +626,12 @@ def time_scan(x0: XState, model: QModel, t_grid) -> TimeScan:
 @np.errstate(all="ignore")  # a row that is not finite fails its check
 def _scan_columns(x0: XState, t: np.ndarray, q: np.ndarray) -> TimeScan:
     mod_q = np.hypot(q.real, q.imag)
-    q2 = _sq(mod_q)
-    r11, r22, r33, r44, rho14, rho23 = _evolve(x0, q, np.where(q2 < 1.0, q2, 1.0))
-    # x_state_eigenvalues
+    q2 = mod_q * mod_q
+    r11, r22, r33, r44, rho14, rho23 = _evolve(x0, q, np.where(mod_q > 1.0, mod_q, 1.0),
+                                               np.where(q2 < 1.0, q2, 1.0))
     m14, m23 = np.hypot(*rho14), np.hypot(*rho23)
     gap = r11 + r44 - r22 - r33
-    u1, u2, u3 = 4.0 * _sq(m14 + m23), _sq(gap), 4.0 * _sq(m14 - m23)
+    u1, u2, u3 = _eigenvalues(m14, m23, gap)
     # evolve_x's |q| and XState's blocks, failing on NaN; with r44 = 1 - (r11 + r22 + r33),
     # a row off in trace has a population far below 0, so it fails a block too
     failed = (
@@ -644,10 +643,8 @@ def _scan_columns(x0: XState, t: np.ndarray, q: np.ndarray) -> TimeScan:
         optimal_settings(evolve_x(x0, complex(q[failed.argmax()])))
     tie = abs(u2 - u3) <= TIE_TOL
     set1 = tie | (u2 >= u3)
-    # BellEigenvalues.b1, .b2 and .bmax, with max(0.0, s) and max(b1, b2)
-    s1, s2 = u1 + u2, u1 + u3
-    b1 = 2.0 * np.sqrt(np.where(s1 > 0.0, s1, 0.0))
-    b2 = 2.0 * np.sqrt(np.where(s2 > 0.0, s2, 0.0))
+    # BellEigenvalues.b1, .b2 and .bmax, with max(b1, b2)
+    b1, b2 = 2.0 * np.sqrt(u1 + u2), 2.0 * np.sqrt(u1 + u3)
     thetas, phis = _settings_rows(set1, gap, u1, u2, u3, m14, m23, rho14, rho23)
     return TimeScan(t=t, q2=q2, u1=u1, u2=u2, u3=u3, b1=b1, b2=b2,
                     bmax=np.where(b2 > b1, b2, b1),

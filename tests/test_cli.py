@@ -17,6 +17,7 @@ from bellopt import (
     EWLParams,
     OracleConfig,
     TimeScan,
+    XState,
     brute_force_bmax,
     cli,
     crossing_roots,
@@ -420,6 +421,17 @@ class TestScan:
         jump_ts = sorted(float(e[2]) for e in events if e[1] == "SetJump")
         expected_ts = sorted(-math.log(x) for x in roots)
         assert jump_ts == pytest.approx(expected_ts, abs=1e-7)
+
+    def test_state_at_the_psd_edge_where_q_rounds_above_one(self, tmp_path, capsys):
+        # rho14 is the largest modulus the PSD rule accepts, and
+        # LorentzianModel(5, 0.5).q rounds to |q| = 1 + 2**-52 near t = 6.7e-9;
+        # as q / |q| it leaves rho14 in bounds, where q^2 would scale it out
+        x0 = XState(0.5, 0.0, 0.0, 0.5, 0.5000000000999999, 1e-10)
+        path = write_state(tmp_path, x_to_dense(x0).entries)
+        assert main(["bmax", "--input", path]) == 0
+        assert main(["scan", "--input", path, "--qmodel", "lorentz:5,0.5",
+                     "--tmax", "7.073332279644438e-09", "--samples", "11"]) == 0
+        assert "error" not in capsys.readouterr().err
 
     def test_json_format(self, tmp_path, capsys):
         assert main(["scan", "--ewl", "0.5,0.9,0", "--qmodel", "exp:0.5",

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bellopt import (
@@ -42,19 +42,20 @@ from bellopt import (
     x_to_dense,
 )
 from bellopt.angles import _settings_rows
+from bellopt.chsh import _eigenvalues
 from bellopt.dynamics import (
     _MAX_ROOT_ITERS,
     EVENT_REL_TOL,
     MAX_LINE_BYTES,
     MAX_PIECES,
     MAX_SAMPLES,
+    Q_ABS_MAX,
     _crossing_rows,
     _crossing_times,
-    _sq,
     _violation_levels,
     crossing_surface,
 )
-from bellopt.states import POSITIVITY_TOL, TRACE_TOL
+from bellopt.states import POSITIVITY_TOL, TRACE_TOL, _block_least_eigenvalue
 from conftest import damping_amplitudes, random_density, random_x_state, werner, x_states
 
 
@@ -383,7 +384,53 @@ class TestAmplitudeDamping:
             apply_amplitude_damping(mixed_rho, 1.1)
 
 
+def _largest_accepted_modulus(a: float, d: float) -> float:
+    """The largest |c| for which the block ((a, c), (c*, d)) passes XState's
+    rule (c = 0 must pass), found by bisection."""
+    lo, hi = 0.0, abs(a) + abs(d) + 1.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if _block_least_eigenvalue(a, d, mid) >= -POSITIVITY_TOL:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@st.composite
+def psd_edge_x_states(draw):
+    """X states at the tolerance edges of the PSD rule: rho11..rho33 drawn (one
+    of them possibly down to -POSITIVITY_TOL), rho44 = 1 - (rho11 + rho22 +
+    rho33) as evolve_x sums it, and each coherence 0 or the largest modulus
+    its block accepts, at a phase of 1, -1, i or -i (which keep it exact)."""
+    w = [draw(st.floats(1e-3, 1.0)) for _ in range(4)]
+    p = [v / sum(w) for v in w][:3]
+    negative = draw(st.sampled_from([None, 0, 1, 2]))
+    if negative is not None:
+        p[negative] = -draw(st.floats(0.0, POSITIVITY_TOL))
+    rho44 = 1.0 - (p[0] + p[1] + p[2])
+    # a population near -POSITIVITY_TOL may fail the rule by rounding alone
+    assume(min(_block_least_eigenvalue(p[0], rho44, 0.0),
+               _block_least_eigenvalue(p[1], p[2], 0.0)) >= -POSITIVITY_TOL)
+    phases = st.sampled_from([1.0, -1.0, 1j, -1j])
+    rho14 = draw(st.sampled_from([0.0, _largest_accepted_modulus(p[0], rho44)])) * draw(phases)
+    rho23 = draw(st.sampled_from([0.0, _largest_accepted_modulus(p[1], p[2])])) * draw(phases)
+    return XState(*p, rho44, rho14, rho23)
+
+
 class TestEvolveX:
+    @settings(max_examples=200, deadline=None)
+    @given(psd_edge_x_states(), st.floats(1.0, Q_ABS_MAX, exclude_min=True),
+           st.sampled_from([1.0, -1.0]))
+    @example(XState(0.5, 0.0, 0.0, 0.5, 0.5000000000999999, 1e-10), 1.0 + 5e-13, 1.0)
+    def test_q_rounding_above_one_keeps_an_edge_state(self, x0, mod_q, sign):
+        # a real q with 1 < |q| <= Q_ABS_MAX acts as q / |q| = +-1, which
+        # leaves the state as it is, where q^2 would scale rho14 past its bound
+        q = sign * mod_q
+        assert evolve_x(x0, q) == x0
+        assert_rows_bit_for_bit(x0, TabulatedModel((0.0, 1.0), (1.0, q)), [0.0, 1.0])
+        rho0 = x_to_dense(x0)
+        assert np.array_equal(apply_amplitude_damping(rho0, q).entries, rho0.entries)
+
     def test_identity_at_q_one(self):
         rng = np.random.default_rng(34)
         x = random_x_state(rng)
@@ -1071,7 +1118,7 @@ def assert_rows_bit_for_bit(x0, model, grid):
     for t, row in zip(np.asarray(grid, dtype=float).tolist(), rows):
         q = model.q(t)
         settings_, u = optimal_settings(evolve_x(x0, q))
-        expected = scalar_row(t, abs(q) ** 2, u, settings_)
+        expected = scalar_row(t, abs(q) * abs(q), u, settings_)
         assert all(map(_same_bits, row, expected)), (t, row, expected)
 
 
@@ -1197,11 +1244,31 @@ def test_rows_inside_the_population_mask_have_unit_trace(r11, r22, r33):
 
 
 @settings(max_examples=500, deadline=None)
-@given(*[st.floats(0.0, 1.0)] * 2)
-def test_rows_cannot_have_u1_below_u3(m14, m23):
+@given(*[st.floats(0.0, 1.0)] * 2, st.floats(-1.0, 1.0))
+def test_rows_cannot_have_u1_below_u3(m14, m23, gap):
     # why time_scan has no u1 >= u3 mask: rounding is monotone, so
-    # m14 + m23 >= |m14 - m23| survives it for m14, m23 >= 0
-    assert 4.0 * _sq(np.array(m14 + m23)) >= 4.0 * _sq(np.array(m14 - m23))
+    # m14 + m23 >= |m14 - m23| survives it for m14, m23 >= 0; and why neither
+    # path clamps u1 + u2 or u1 + u3 before sqrt: a product v * v is never
+    # below +0.0, whatever the sign of v or of its zero
+    for u1, u2, u3 in (_eigenvalues(m14, m23, gap),
+                       _eigenvalues(np.array([m14]), np.array([m23]), np.array([gap]))):
+        assert np.all(u1 >= u3)
+        assert np.all(np.copysign(1.0, [u1, u2, u3]) == 1.0)
+
+
+def test_gap_squared_by_product():
+    # a state whose diagonal gap g has g ** 2 != g * g under glibc's pow, found
+    # by a seeded search (random_x_state with default_rng(2023), draw 1233, and
+    # rho44 = 1 - (rho11 + rho22 + rho33), so that evolve_x(x0, 1) is x0)
+    x0 = XState(0.7326420979274851, 0.033684126608324955, 0.16377795466537398,
+                0.06989582079881584, -0.020703511785449512 + 0.02979748130473139j,
+                -0.028966486022523094 - 0.0516335840356031j)
+    assert evolve_x(x0, 1.0) == x0
+    g = x0.diagonal_gap
+    assert x_state_eigenvalues(x0).u2 == g * g
+    scan = time_scan(x0, ExponentialModel(1.0), [0.0, 1.0])
+    assert scan.u2[0] == g * g
+    assert_rows_bit_for_bit(x0, ExponentialModel(1.0), [0.0, 1.0])
 
 
 def unchecked_x_state(*elements) -> XState:

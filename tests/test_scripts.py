@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -80,16 +81,45 @@ def test_differential_reports_a_one_ulp_change(differential_runs, tmp_path, monk
     differential.write(str(changed))
     reference = differential_runs[0][0]
     report = differential.compare(str(reference), str(changed))
-    assert report is not None and report.startswith("record ")
+    assert report is not None
     # every differing pair, three lines each, then their count
     *pairs, count = report.splitlines()
     ref_lines, changed_lines = reference.read_text().splitlines(), changed.read_text().splitlines()
     assert len(ref_lines) == len(changed_lines)
-    differing = [n for n, (a, b) in enumerate(zip(ref_lines, changed_lines), 1) if a != b]
+    differing = [(a, b) for a, b in zip(ref_lines, changed_lines) if a != b]
+    labels = [a.rsplit(" ", 2)[0] for a, _ in differing]
+    assert labels == [b.rsplit(" ", 2)[0] for _, b in differing]
     assert len(differing) > 1 and len(pairs) == 3 * len(differing)
-    assert pairs[::3] == [f"record {n} differs:" for n in differing]
-    assert count == f"{len(differing)} records differ"
-    first, second = pairs[1:3]
-    assert first.split()[1:3] == second.split()[1:3] == ["x0", "set1.phis[0]"]
-    assert all(".phis[" in line for line in pairs[1::3])  # _wrap moves only phis
+    assert pairs[::3] == [f"{label} differs:" for label in labels]
+    assert pairs[1::3] == [f"  {reference}: {a}" for a, _ in differing]
+    assert pairs[2::3] == [f"  {changed}: {b}" for _, b in differing]
+    states = {re.split(r"[ .\[]", label)[0] for label in labels}
+    assert count == f"{len(differing)} records differ in {len(states)} states"
+    assert labels[0] == "x0 set1.phis[0]"
+    assert all(".phis[" in label for label in labels)  # _wrap moves only phis
     assert differential.main(["--compare", str(reference), str(changed)]) == 1
+
+
+def test_differential_pairs_records_by_label(tmp_path, capsys):
+    # x1 is rejected in a and accepted in b: only x1's records differ, although
+    # every later line of b sits at another position
+    later = ["x2.rho11 float 0x1.0000000000000p-1", "x2 set1.set_id Region SET1",
+             "surface[0][0] float nan"]
+    a = ["x0.rho11 float 0x1.0000000000000p-2",
+         "x1 !NotPositive smallest eigenvalue -1.005e-10", *later]
+    b = ["x0.rho11 float 0x1.0000000000000p-2", "x1.rho11 float 0x1.0000000000000p-1",
+         "x1.rho14.re float 0x1.0000000000000p-1", *later]
+    path_a, path_b = tmp_path / "a.txt", tmp_path / "b.txt"
+    path_a.write_text("\n".join(a) + "\n")
+    path_b.write_text("\n".join(b) + "\n")
+    differential = _load_differential()
+    assert differential.compare(str(path_a), str(path_b)).splitlines() == [
+        "x1 differs:", f"  {path_a}: {a[1]}", f"  {path_b}: <absent>",
+        "x1.rho11 differs:", f"  {path_a}: <absent>", f"  {path_b}: {b[1]}",
+        "x1.rho14.re differs:", f"  {path_a}: <absent>", f"  {path_b}: {b[2]}",
+        "3 records differ in 1 states",
+    ]
+    assert differential.main(["--compare", str(path_a), str(path_b)]) == 1
+    assert differential.compare(str(path_b), str(path_b)) is None
+    assert differential.main(["--compare", str(path_b), str(path_b)]) == 0
+    assert capsys.readouterr().out.endswith("identical: 6 records\n")
