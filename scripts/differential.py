@@ -8,9 +8,10 @@ two such records.
     python scripts/differential.py --compare before.txt after.txt
 
 --write runs a fixed corpus through the public closed-form, dynamics and
-oracle functions and writes one line per value: a label, the value's type and
-the value, floats as float.hex (so -0.0 and every last bit count), or the
-exception type and message where a call raises.  The corpus holds random X
+oracle functions, and the Bell function at both closed-form sets, and writes
+one line per value: a label, the value's type and the value, floats as
+float.hex (so -0.0 and every last bit count), or the exception type and
+message where a call raises.  The corpus holds random X
 states, coherence phases of exactly +-pi and next to them, +-0.0 parts, ties
 u2 = u3, u1 = 0, pure and fully mixed states, subnormal rho11, extended
 Werner-like states, states at the tolerance edges of the PSD rule and
@@ -41,6 +42,7 @@ from bellopt import (
     TabulatedModel,
     XState,
     as_x_state,
+    bell_function,
     brute_force_bmax,
     crossing_levels,
     evolve_x,
@@ -191,6 +193,9 @@ def records() -> list[str]:
             if u is not None:
                 call(f"x{i} bell", lambda: (u.b1, u.b2, u.bmax, u.region, u.tie))
             call(f"x{i} horodecki", lambda: horodecki_eigenvalues(x_to_dense(x)))
+            call(f"x{i} bell_function", lambda: [  # at set 1 and set 2
+                bell_function(x_to_dense(x), s(x).bell_settings())
+                for s in (settings_set1, settings_set2)])
             for k, q in enumerate(Q_VALUES):
                 call(f"x{i} evolve{k}", evolve_x, x, q)
             call(f"x{i} coefficients", trajectory_coefficients, x)

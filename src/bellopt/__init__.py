@@ -7,6 +7,7 @@ from .states import (
     DensityMatrix4,
     XState,
     ObservableDirection,
+    BellSettings,
     StateValidationError,
     NotHermitian,
     TraceNotOne,
@@ -21,7 +22,6 @@ from .states import (
 from .chsh import (
     Region,
     BellEigenvalues,
-    BellSettings,
     TSIRELSON,
     correlation,
     bell_function,
@@ -66,11 +66,11 @@ from .dynamics import (
 
 __all__ = [
     "__version__",
-    "DensityMatrix4", "XState", "ObservableDirection",
+    "DensityMatrix4", "XState", "ObservableDirection", "BellSettings",
     "StateValidationError", "NotHermitian", "TraceNotOne", "NotPositive",
     "NotXStructured", "validate_density_matrix", "as_x_state", "x_to_dense",
     "pauli_correlation_matrix", "normalize_direction",
-    "Region", "BellEigenvalues", "BellSettings", "TSIRELSON",
+    "Region", "BellEigenvalues", "TSIRELSON",
     "correlation", "bell_function", "x_state_eigenvalues", "bmax_x",
     "horodecki_eigenvalues", "horodecki_bmax",
     "AngleSettings", "settings_set1", "settings_set2", "optimal_settings",

@@ -15,29 +15,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chsh import BellEigenvalues, BellSettings, Region, x_state_eigenvalues
-from .states import ObservableDirection, XState, normalize_direction
+from .chsh import BellEigenvalues, Region, x_state_eigenvalues
+from .states import BellSettings, XState, _unit_vector, normalize_direction
 
 _HALF_PI = 0.5 * math.pi
 _TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
-class AngleSettings:
-    """The optimized angles of A, A', B, B' in that order, theta in [0, pi]
-    and phi in (-pi, pi], with the region whose closed-form set they are."""
+class AngleSettings(BellSettings):
+    """A `BellSettings` with the region whose closed-form set it is."""
 
-    thetas: tuple[float, float, float, float]
-    phis: tuple[float, float, float, float]
     set_id: Region
 
-    def __post_init__(self):
-        if len(self.thetas) != 4 or len(self.phis) != 4:
-            raise ValueError(f"expected 4 thetas and 4 phis, got "
-                             f"{len(self.thetas)} and {len(self.phis)}")
-
-    def bell_settings(self) -> BellSettings:
-        return BellSettings(*map(ObservableDirection, self.thetas, self.phis))
+    def bell_settings(self) -> "AngleSettings":
+        """The settings themselves, which bell_function takes as they are."""
+        return self
 
     @classmethod
     def from_angles(cls, set_id: Region, thetas, phis) -> "AngleSettings":
@@ -130,12 +123,11 @@ def optimal_settings(x: XState) -> tuple[AngleSettings, BellEigenvalues]:
     return _settings(x, u, u.region), u
 
 
-def settings_distance(a: AngleSettings, b: AngleSettings) -> float:
+def settings_distance(a: BellSettings, b: BellSettings) -> float:
     """Largest angle (radians) between corresponding measurement directions."""
     worst = 0.0
     for ta, pa, tb, pb in zip(a.thetas, a.phis, b.thetas, b.phis):
-        va = ObservableDirection(ta, pa).unit_vector
-        vb = ObservableDirection(tb, pb).unit_vector
+        va, vb = _unit_vector(ta, pa), _unit_vector(tb, pb)
         dot = sum(p * q for p, q in zip(va, vb))
         worst = max(worst, math.acos(min(1.0, max(-1.0, dot))))
     return worst

@@ -1,7 +1,7 @@
 """CHSH-Bell function evaluation and its state-dependent maximum.
 
-The Bell function is two direct traces of rho in Python complex arithmetic,
-through the Pauli kernel of `states` that also gives the correlation matrix T.
+The Bell function reads the eight angles of a `BellSettings` and takes two
+direct traces of rho through the Pauli kernel of `states`, which also gives T.
 Its maximum over all settings is 2*sqrt(s), s the sum of the two largest
 eigenvalues of U = T^T T (the squared singular values of the Pauli
 correlation matrix T).  For X states the three eigenvalues have closed forms
@@ -21,10 +21,12 @@ from enum import IntEnum
 import numpy as np
 
 from .states import (
+    BellSettings,
     DensityMatrix4,
     ObservableDirection,
     XState,
     _pauli_vector,
+    _unit_vector,
     pauli_correlation_matrix,
 )
 
@@ -78,16 +80,6 @@ class BellEigenvalues:
         return max(self.b1, self.b2)
 
 
-@dataclass(frozen=True)
-class BellSettings:
-    """The four measurement directions of a CHSH test."""
-
-    a: ObservableDirection
-    a_prime: ObservableDirection
-    b: ObservableDirection
-    b_prime: ObservableDirection
-
-
 def _dot(a: tuple, v: tuple) -> float:
     return a[0] * v[0] + a[1] * v[1] + a[2] * v[2]
 
@@ -99,14 +91,14 @@ def correlation(rho: DensityMatrix4, a: ObservableDirection,
 
 
 def bell_function(rho: DensityMatrix4, s: BellSettings) -> float:
-    """|Tr(rho [A (x) (B + B') + A' (x) (B - B')])|, two direct traces of rho.
+    """|Tr(rho [A (x) (B + B') + A' (x) (B - B')])| at the angles of s.
 
     This ground-truth evaluator shares only the Pauli kernel _pauli_vector
     with the correlation matrix T and never builds T itself."""
-    r, b, bp = rho.rows, s.b.unit_vector, s.b_prime.unit_vector
+    r, (a, ap, b, bp) = rho.rows, map(_unit_vector, s.thetas, s.phis)
     plus = _pauli_vector(r, [p + q for p, q in zip(b, bp)])
     minus = _pauli_vector(r, [p - q for p, q in zip(b, bp)])
-    return abs(_dot(s.a.unit_vector, plus) + _dot(s.a_prime.unit_vector, minus))
+    return abs(_dot(a, plus) + _dot(ap, minus))
 
 
 def _eigenvalues(m14, m23, gap):

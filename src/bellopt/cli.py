@@ -185,14 +185,14 @@ def cmd_angles(args):
     if isinstance(x, NotXStructured):
         raise x
     settings, u = optimal_settings(x)
-    certified = bell_function(rho, settings.bell_settings())
+    certified = bell_function(rho, settings)
     doc = {**_angles_doc(settings), "tie": u.tie, "bell_value": certified,
            "violates": certified > 2.0, "version": __version__,
            "tied_alternative": None}
     if u.tie:
         alt = settings_set2(x)
         doc["tied_alternative"] = _angles_doc(alt)
-        doc["tied_alternative"]["bell_value"] = bell_function(rho, alt.bell_settings())
+        doc["tied_alternative"]["bell_value"] = bell_function(rho, alt)
     return EXIT_OK, doc, functools.partial(_angles_text, degrees=args.degrees)
 
 

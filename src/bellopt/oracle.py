@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DensityMatrix4, pauli_correlation_matrix
+from .states import BellSettings, DensityMatrix4, pauli_correlation_matrix
 
 # Largest search accepted, in bytes of the arrays it holds at once.
 MAX_GRID_BYTES = 256 * 2 ** 20
@@ -97,13 +97,12 @@ class OracleConfig:
 
 
 @dataclass(frozen=True)
-class OracleResult:
+class OracleResult(BellSettings):
     bmax_est: float
-    thetas: tuple[float, float, float, float]
-    phis: tuple[float, float, float, float]
     evaluations: int
 
     def __post_init__(self):
+        super().__post_init__()
         if not (0.0 <= self.bmax_est <= 2.0 * math.sqrt(2.0) + 1e-6):
             raise ValueError(f"bmax_est out of range: {self.bmax_est!r}")
 
@@ -266,17 +265,17 @@ def brute_force_bmax(rho: DensityMatrix4, cfg: OracleConfig) -> OracleResult:
     values, points, evals = (np.concatenate(parts) for parts in zip(*batches))
     angles = _settings(t, _alice(t, *points[int(values.argmin())].tolist()))
     return OracleResult(
-        bmax_est=float(_bell_values(t, angles)),
         thetas=tuple(angles[:4].tolist()),
         phis=tuple(angles[4:].tolist()),
+        bmax_est=float(_bell_values(t, angles)),
         evaluations=cfg.grid_n ** 2 + int(evals.sum()),
     )
 
 
-def certify_settings(rho: DensityMatrix4, s, cfg: OracleConfig) -> float:
+def certify_settings(rho: DensityMatrix4, s: BellSettings, cfg: OracleConfig) -> float:
     """Best Bell improvement found by a seeded random walk around the
-    settings `s` (anything with 4 `thetas` and 4 `phis`, such as an
-    `AngleSettings`).
+    settings `s`, a `BellSettings` such as an `AngleSettings` or an
+    `OracleResult`.
 
     Two stages of hill climbing (perturbation radius pi/8, then pi/64, each
     for max(refine_iters, 64) steps).  A return value <= 1e-6 certifies that

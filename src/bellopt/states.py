@@ -13,6 +13,7 @@ Conventions used throughout the package:
 * DensityMatrix4 keeps its Hermitian part as the array `entries` and the tuple
   `rows`; its PSD check uses the 2x2 blocks if every off-X entry is exactly 0.
   XState applies that same block rule, so the two accept the same X matrices.
+* BellSettings and ObservableDirection share _check_direction and _unit_vector.
 
 All types are immutable values and all operations are pure functions, so the
 module is safe for unrestricted concurrent use.
@@ -211,6 +212,18 @@ def pauli_correlation_matrix(rho: DensityMatrix4) -> np.ndarray:
     return t
 
 
+def _check_direction(theta: float, phi: float) -> None:
+    if not (-1e-12 <= theta <= math.pi + 1e-12):
+        raise ValueError(f"theta out of [0, pi]: {theta!r}")
+    if not (-math.pi - 1e-12 < phi <= math.pi + 1e-12):
+        raise ValueError(f"phi out of (-pi, pi]: {phi!r}")
+
+
+def _unit_vector(theta: float, phi: float) -> tuple[float, float, float]:
+    st = math.sin(theta)
+    return st * math.cos(phi), st * math.sin(phi), math.cos(theta)
+
+
 @dataclass(frozen=True)
 class ObservableDirection:
     """Measurement direction on the Bloch sphere, theta in [0, pi], phi in (-pi, pi]."""
@@ -221,15 +234,26 @@ class ObservableDirection:
     def __post_init__(self):
         object.__setattr__(self, "theta", float(self.theta))
         object.__setattr__(self, "phi", float(self.phi))
-        if not (-1e-12 <= self.theta <= math.pi + 1e-12):
-            raise ValueError(f"theta out of [0, pi]: {self.theta!r}")
-        if not (-math.pi - 1e-12 < self.phi <= math.pi + 1e-12):
-            raise ValueError(f"phi out of (-pi, pi]: {self.phi!r}")
+        _check_direction(self.theta, self.phi)
 
     @property
     def unit_vector(self) -> tuple[float, float, float]:
-        st = math.sin(self.theta)
-        return st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)
+        return _unit_vector(self.theta, self.phi)
+
+
+@dataclass(frozen=True)
+class BellSettings:
+    """The angles of A, A', B, B' in that order, each pair a valid ObservableDirection."""
+
+    thetas: tuple[float, float, float, float]
+    phis: tuple[float, float, float, float]
+
+    def __post_init__(self):
+        if len(self.thetas) != 4 or len(self.phis) != 4:
+            raise ValueError(f"expected 4 thetas and 4 phis, got "
+                             f"{len(self.thetas)} and {len(self.phis)}")
+        for theta, phi in zip(self.thetas, self.phis):
+            _check_direction(theta, phi)
 
 
 def normalize_direction(theta: float, phi: float) -> tuple[float, float]:

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,13 +9,18 @@ from hypothesis import example, given, settings
 
 from bellopt import (
     AngleSettings,
+    BellSettings,
     ExponentialModel,
     LorentzianModel,
+    ObservableDirection,
+    OracleConfig,
     Region,
     TSIRELSON,
     XState,
     bell_function,
     bmax_x,
+    brute_force_bmax,
+    certify_settings,
     crossing_roots,
     evolve_x,
     ewl_state,
@@ -27,9 +33,10 @@ from bellopt import (
     x_state_eigenvalues,
     x_to_dense,
 )
-from bellopt import angles, states
+from bellopt import angles, chsh, states
 from bellopt.cli import main
-from conftest import random_x_state, werner, x_states
+from bellopt.states import _pauli_vector
+from conftest import random_density, random_x_state, werner, x_states
 
 PI = math.pi
 
@@ -322,3 +329,71 @@ class TestSettingsDistance:
         state = evolve_x(ewl_state(p), math.sqrt(x_root))
         gap = settings_distance(settings_set1(state), settings_set2(state))
         assert gap > 0.1
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def direction_bell_function(rho, s):
+    """bell_function as it was written over four ObservableDirections, kept as
+    the reference that reading the angles directly must equal bit for bit."""
+    def dot(u, v):
+        return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+    a, ap, b, bp = (ObservableDirection(t, p).unit_vector for t, p in zip(s.thetas, s.phis))
+    plus = _pauli_vector(rho.rows, [p + q for p, q in zip(b, bp)])
+    minus = _pauli_vector(rho.rows, [p - q for p, q in zip(b, bp)])
+    return abs(dot(a, plus) + dot(ap, minus))
+
+
+class TestOneSettingsRecord:
+    """BellSettings is the one settings record: the Bell function, the
+    distance and the oracle's certificate read its angles directly."""
+
+    def test_subclasses_are_the_settings_themselves(self, bell_x):
+        s = settings_set1(bell_x)
+        assert isinstance(s, BellSettings) and s.bell_settings() is s
+        result = brute_force_bmax(x_to_dense(bell_x), OracleConfig(grid_n=4, restarts=1))
+        assert isinstance(result, BellSettings)
+
+    def test_bit_for_bit_equal_to_the_direction_formula(self):
+        rng = np.random.default_rng(24)
+        edges = [(0.0, 0.0), (PI, PI), (-1e-12, -PI), (PI + 1e-12, PI + 1e-12), (0.5 * PI, -0.0)]
+        for k in range(300):
+            x = random_x_state(rng)
+            rho = random_density(rng) if k % 3 == 0 else x_to_dense(x)
+            pairs = [edges[rng.integers(len(edges))] if rng.uniform() < 0.2
+                     else (rng.uniform(0.0, PI), rng.uniform(-PI, PI)) for _ in range(4)]
+            for s in (BellSettings(*zip(*pairs)), settings_set1(x), settings_set2(x)):
+                assert bell_function(rho, s).hex() == direction_bell_function(rho, s).hex()
+
+    def test_no_direction_objects_on_the_bell_value_path(self, monkeypatch, capsys):
+        rng = np.random.default_rng(24)
+        xs = [random_x_state(rng) for _ in range(10)] + [
+            werner(0.8), XState(0.4, 0.1, 0.2, 0.3, 0.0, 0.0)]
+        cfg = OracleConfig(grid_n=4, refine_iters=0, restarts=1)
+
+        def refuse(*args):
+            raise AssertionError("ObservableDirection built")
+
+        for module in (states, chsh, angles):
+            monkeypatch.setattr(module, "ObservableDirection", refuse, raising=False)
+        with pytest.raises(AssertionError, match="ObservableDirection built"):
+            states.ObservableDirection(0.0, 0.0)
+        for x in xs:
+            rho = x_to_dense(x)
+            active, u = optimal_settings(x)
+            s1, s2 = settings_set1(x), settings_set2(x)
+            assert abs(bell_function(rho, s1) - u.b1) <= 1e-10
+            assert abs(bell_function(rho, s2) - u.b2) <= 1e-10
+            assert settings_distance(s1, s2) >= 0.0
+            assert certify_settings(rho, active, cfg) <= 1e-6
+            result = brute_force_bmax(rho, cfg)
+            assert certify_settings(rho, result, cfg) >= 0.0
+        monkeypatch.chdir(GOLDEN)
+        cases = [c for c in json.loads((GOLDEN / "cases.json").read_text())
+                 if c["argv"][0] == "angles"]
+        assert {c["name"].rsplit("-", 1)[1] for c in cases} == {"text", "deg", "json"}
+        for case in cases:
+            assert main(case["argv"]) == case["exit"]
+            assert capsys.readouterr().out == (GOLDEN / f"{case['name']}.out").read_text()

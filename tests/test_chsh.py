@@ -28,22 +28,26 @@ Z_UP = ObservableDirection(0.0, 0.0)
 
 
 def all_z_settings():
-    return BellSettings(Z_UP, Z_UP, Z_UP, Z_UP)
+    return BellSettings((0.0,) * 4, (0.0,) * 4)
 
 
 def random_settings(rng):
     def d():
-        return ObservableDirection(rng.uniform(0, math.pi),
-                                   rng.uniform(-math.pi, math.pi))
-    return BellSettings(d(), d(), d(), d())
+        return rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi)
+    return BellSettings(*zip(d(), d(), d(), d()))
+
+
+def directions(s):
+    """A, A', B, B' of the settings s as ObservableDirections."""
+    return [ObservableDirection(t, p) for t, p in zip(s.thetas, s.phis)]
 
 
 class TestCorrelation:
     def test_maximally_mixed_vanishes(self, mixed_rho):
         rng = np.random.default_rng(0)
         for _ in range(10):
-            s = random_settings(rng)
-            assert correlation(mixed_rho, s.a, s.b) == pytest.approx(0.0, abs=1e-14)
+            a, _, b, _ = directions(random_settings(rng))
+            assert correlation(mixed_rho, a, b) == pytest.approx(0.0, abs=1e-14)
 
     def test_bell_state_antidiagonal_zz(self, bell_rho):
         # one up, one down: perfectly anti-correlated along z
@@ -80,28 +84,27 @@ def kron_correlation(rho, a, b):
 
 
 def kron_bell_function(rho, s):
-    return abs(kron_correlation(rho, s.a, s.b) + kron_correlation(rho, s.a, s.b_prime)
-               + kron_correlation(rho, s.a_prime, s.b)
-               - kron_correlation(rho, s.a_prime, s.b_prime))
+    a, a_prime, b, b_prime = directions(s)
+    return abs(kron_correlation(rho, a, b) + kron_correlation(rho, a, b_prime)
+               + kron_correlation(rho, a_prime, b)
+               - kron_correlation(rho, a_prime, b_prime))
 
 
 def reference_cases():
     """Seeded Ginibre and random X states, each with random settings whose
     directions include the poles (theta = 0, pi) and phi = pi."""
     rng = np.random.default_rng(2024)
-    special = [ObservableDirection(0.0, 0.0), ObservableDirection(math.pi, 0.0),
-               ObservableDirection(0.0, math.pi), ObservableDirection(math.pi, math.pi),
-               ObservableDirection(0.5 * math.pi, math.pi),
-               ObservableDirection(rng.uniform(0, math.pi), math.pi)]
+    special = [(0.0, 0.0), (math.pi, 0.0), (0.0, math.pi), (math.pi, math.pi),
+               (0.5 * math.pi, math.pi), (rng.uniform(0, math.pi), math.pi)]
 
     def d():
         if rng.uniform() < 0.3:
             return special[rng.integers(len(special))]
-        return ObservableDirection(rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi))
+        return rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi)
 
     for k in range(600):
         rho = random_density(rng) if k % 2 else x_to_dense(random_x_state(rng))
-        yield rho, BellSettings(d(), d(), d(), d())
+        yield rho, BellSettings(*zip(d(), d(), d(), d()))
 
 
 class TestDirectTrace:
@@ -111,8 +114,9 @@ class TestDirectTrace:
 
     def test_correlation_equals_kron_trace(self):
         for rho, s in reference_cases():
-            for a, b in ((s.a, s.b), (s.a_prime, s.b_prime), (s.b, s.a_prime)):
-                assert abs(correlation(rho, a, b) - kron_correlation(rho, a, b)) <= 4e-15
+            a, a_prime, b, b_prime = directions(s)
+            for u, v in ((a, b), (a_prime, b_prime), (b, a_prime)):
+                assert abs(correlation(rho, u, v) - kron_correlation(rho, u, v)) <= 4e-15
 
     def test_bell_function_equals_correlation_matrix_form(self):
         # E(a, b) = b . T a.  Both sides use the Pauli kernel of `states`, so
@@ -121,7 +125,7 @@ class TestDirectTrace:
         # test_states.py::TestPauliCorrelationMatrix::test_equals_literal_kron_trace.
         for rho, s in reference_cases():
             t = pauli_correlation_matrix(rho)
-            a, ap, b, bp = (np.array(d.unit_vector) for d in (s.a, s.a_prime, s.b, s.b_prime))
+            a, ap, b, bp = (np.array(d.unit_vector) for d in directions(s))
             via_t = abs(b @ t @ a + bp @ t @ a + b @ t @ ap - bp @ t @ ap)
             assert abs(bell_function(rho, s) - via_t) <= 1e-14
 

@@ -13,7 +13,6 @@ from bellopt import (
     BudgetExceeded,
     DensityMatrix4,
     NotXStructured,
-    ObservableDirection,
     OracleConfig,
     OracleResult,
     Region,
@@ -93,6 +92,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="bmax_est out of range: 3.0"):
             OracleResult(bmax_est=3.0, thetas=(0.0,) * 4, phis=(0.0,) * 4,
                          evaluations=1)
+        for bmax in (-0.1, math.nan):
+            with pytest.raises(ValueError, match=f"bmax_est out of range: {bmax!r}"):
+                OracleResult(thetas=(0.0,) * 4, phis=(0.0,) * 4, bmax_est=bmax,
+                             evaluations=1)
 
     def test_budget_guard(self, bell_rho, monkeypatch):
         restarts = OracleConfig().restarts
@@ -123,9 +126,7 @@ class TestConfig:
 
 
 def _direct_bell(rho, row):
-    thetas, phis = row[:4], row[4:]
-    d = [ObservableDirection(th, ph) for th, ph in zip(thetas, phis)]
-    return bell_function(rho, BellSettings(*d))
+    return bell_function(rho, BellSettings(tuple(row[:4].tolist()), tuple(row[4:].tolist())))
 
 
 class TestBellValues:

@@ -62,6 +62,12 @@ def test_differential_runs_are_fast_and_byte_identical(differential_runs):
     # raised calls are records too
     assert any(" !NotXStructured " in line for line in lines)
     assert any(" !TraceNotOne " in line for line in lines)
+    # the Bell value at both closed-form sets of every X state that has them
+    states = {line.split()[0] for line in lines if " set1.set_id " in line}
+    for k in (0, 1):
+        valued = {line.split()[0] for line in lines
+                  if re.match(rf"x\d+ bell_function\[{k}\] float ", line)}
+        assert states and valued == states
     differential = _load_differential()
     assert differential.compare(str(a), str(b)) is None
     assert differential.main(["--compare", str(a), str(b)]) == 0
@@ -96,7 +102,9 @@ def test_differential_reports_a_one_ulp_change(differential_runs, tmp_path, monk
     states = {re.split(r"[ .\[]", label)[0] for label in labels}
     assert count == f"{len(differing)} records differ in {len(states)} states"
     assert labels[0] == "x0 set1.phis[0]"
-    assert all(".phis[" in label for label in labels)  # _wrap moves only phis
+    # _wrap moves only phis, and with them the Bell value at the settings
+    assert all(".phis[" in label or " bell_function[" in label for label in labels)
+    assert any(" bell_function[" in label for label in labels)
     assert differential.main(["--compare", str(reference), str(changed)]) == 1
 
 

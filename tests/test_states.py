@@ -7,11 +7,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellopt import (
+    AngleSettings,
+    BellSettings,
     DensityMatrix4,
     NotHermitian,
     NotPositive,
     NotXStructured,
     ObservableDirection,
+    OracleResult,
+    Region,
     StateValidationError,
     TraceNotOne,
     XState,
@@ -425,6 +429,22 @@ class TestPauliCorrelationMatrix:
             assert abs(t[i, j]) <= 1e-12
 
 
+def bell_settings(theta, phi):
+    return BellSettings((0.0, theta, 0.0, 0.0), (0.0, phi, 0.0, 0.0))
+
+
+def angle_settings(theta, phi):
+    return AngleSettings((0.0, 0.0, 0.0, theta), (0.0, 0.0, 0.0, phi), Region.SET2)
+
+
+def oracle_result(theta, phi):
+    return OracleResult(thetas=(theta, 0.0, 0.0, 0.0), phis=(phi, 0.0, 0.0, 0.0),
+                        bmax_est=2.0, evaluations=1)
+
+
+RANGE_BUILDERS = [ObservableDirection, bell_settings, angle_settings, oracle_result]
+
+
 class TestDirections:
     def test_unit_vector_normalized(self):
         d = ObservableDirection(1.234, -2.1)
@@ -435,6 +455,33 @@ class TestDirections:
             ObservableDirection(4.0, 0.0)
         with pytest.raises(ValueError):
             ObservableDirection(1.0, 4.0)
+
+    @pytest.mark.parametrize("build", RANGE_BUILDERS, ids=lambda b: b.__name__)
+    @pytest.mark.parametrize("theta,phi,message", [
+        (math.nextafter(-1e-12, -math.inf), 0.0, "theta out of [0, pi]"),
+        (math.nextafter(math.pi + 1e-12, math.inf), 0.0, "theta out of [0, pi]"),
+        (math.nan, 0.0, "theta out of [0, pi]"),
+        (1.0, -math.pi - 1e-12, "phi out of (-pi, pi]"),
+        (1.0, math.nextafter(-math.pi - 1e-12, -math.inf), "phi out of (-pi, pi]"),
+        (1.0, math.nextafter(math.pi + 1e-12, math.inf), "phi out of (-pi, pi]"),
+        (1.0, math.nan, "phi out of (-pi, pi]"),
+    ])
+    def test_one_range_rule_rejects(self, build, theta, phi, message):
+        # every settings record applies ObservableDirection's rule and texts
+        bad = theta if message.startswith("theta") else phi
+        with pytest.raises(ValueError) as info:
+            build(theta, phi)
+        assert str(info.value) == f"{message}: {bad!r}"
+
+    @pytest.mark.parametrize("build", RANGE_BUILDERS, ids=lambda b: b.__name__)
+    @pytest.mark.parametrize("theta,phi", [
+        (-1e-12, math.nextafter(-math.pi - 1e-12, math.inf)),
+        (math.pi + 1e-12, math.pi + 1e-12),
+        (0.0, -math.pi),
+        (math.pi, math.pi),
+    ])
+    def test_one_range_rule_accepts_the_edges(self, build, theta, phi):
+        build(theta, phi)
 
     @given(raw_theta=st.floats(-10, 10), raw_phi=st.floats(-10, 10))
     def test_normalize_preserves_direction(self, raw_theta, raw_phi):
