@@ -15,7 +15,10 @@ message where a call raises.  The corpus holds random X
 states, coherence phases of exactly +-pi and next to them, +-0.0 parts, ties
 u2 = u3, u1 = 0, pure and fully mixed states, subnormal rho11, extended
 Werner-like states, states at the tolerance edges of the PSD rule and
-Ginibre (non-X) states.  --compare pairs the records of two files by label
+Ginibre (non-X) states; TabulatedModel.from_csv records the samples it loads
+from generated table files (a BOM and CRLF, padded fields, quoted rows after
+the first block the loader parses, +-0.0 parts, subnormal samples), written
+to a temporary directory.  --compare pairs the records of two files by label
 (the text before the type field, or before " !" where a call raised), prints
 every label whose records differ or that one file lacks, with the count of
 such labels and of the states they belong to, and exits 1; or it counts the
@@ -28,8 +31,10 @@ import argparse
 import cmath
 import dataclasses
 import math
+import os
 import re
 import sys
+import tempfile
 from enum import Enum
 
 import numpy as np
@@ -143,6 +148,32 @@ def ginibre(rng: np.random.Generator) -> np.ndarray:
     return m / m.trace()
 
 
+def table_files() -> dict[str, bytes]:
+    """Table files of 3000 samples, each longer than the 64 KiB block that
+    TabulatedModel.from_csv parses at once, by the name of what they hold."""
+    rng = np.random.default_rng(SEED)
+    n = 3000
+    times = np.linspace(0.0, TMAX, n).tolist()
+    q = rng.uniform(-0.7, 0.7, (n, 2)).tolist()
+    signed = [[math.copysign(0.0, v) if z else v for v, z in zip(pair, zeros)]
+              for pair, zeros in zip(q, rng.random((n, 2)) < 0.5)]
+    tiny = (5e-324, -5e-324, 1e-310, -2.5e-315, 2.2250738585072014e-308, -0.0)
+    subnormal = [[tiny[i] for i in pair] for pair in rng.integers(0, len(tiny), (n, 2)).tolist()]
+    q[0] = signed[0] = subnormal[0] = [1.0, 0.0]
+    pads = (" ", "\t", "\x0b", "\x0c", "\x85", "\u2028", "\u2029")
+
+    def table(samples, t=times, field=lambda k, x: repr(x), head="", eol="\n") -> bytes:
+        rows = (",".join(field(k, x) for x in (t[k], *samples[k])) for k in range(n))
+        return (head + "t,q_re,q_im" + eol + "".join(r + eol for r in rows)).encode()
+    return {
+        "bom-crlf": table(q, head="\ufeff", eol="\r\n"),
+        "padded": table(q, field=lambda k, x: f"{pads[k % 7]}{x!r}{pads[k * 3 % 7]}"),
+        "quoted": table(q, field=lambda k, x: f'"{x!r}"' if k >= 2000 and k % 7 == 0 else repr(x)),
+        "signed-zero": table(signed),
+        "subnormal": table(subnormal, t=[0.0, 5e-324, 1e-310, *times[3:]]),
+    }
+
+
 def _values(label: str, value):
     """(label, type, text) for every number in value, floats as float.hex."""
     if isinstance(value, Enum):
@@ -211,6 +242,12 @@ def records() -> list[str]:
         call(f"g{i} as_x", as_x_state, rho)
         call(f"g{i} oracle", brute_force_bmax, rho, ORACLE)
     call("surface", crossing_surface, *SURFACE)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in table_files().items():
+            path = os.path.join(tmp, f"{name}.csv")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            call(f"table-{name}", TabulatedModel.from_csv, path)
     return lines
 
 

@@ -43,6 +43,7 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from itertools import chain, repeat
 from typing import Union
 
 import numpy as np
@@ -56,7 +57,9 @@ Q_ABS_MAX = 1.0 + 1e-12  # largest damping amplitude |q| accepted
 _MAX_ROOT_ITERS = 80
 MAX_PIECES = 10 ** 6
 MAX_SAMPLES = 10 ** 6
-MAX_LINE_BYTES = 3 * (4 * 131072 + 2) + 4  # csv's limit: 3 quoted fields, 4-byte chars
+_FIELD_LIMIT = 131072  # csv's default field size limit, in characters
+MAX_LINE_BYTES = 3 * (4 * _FIELD_LIMIT + 2) + 4  # csv's limit: 3 quoted fields, 4-byte chars
+_BLOCK_CHARS = 1 << 16  # characters of table text parsed as one block
 
 
 def _times(t) -> np.ndarray:
@@ -221,38 +224,26 @@ class TabulatedModel:
     def from_csv(cls, path) -> "TabulatedModel":
         """Load samples from a UTF-8 CSV file (a byte-order mark is skipped) with
         header `t,q_re,q_im`, three fields in every other non-empty row, at most
-        MAX_PIECES + 1 rows, and no line (its break included) over MAX_LINE_BYTES."""
-        def decoded(fh):
-            # latin-1 maps each byte to one character, so each line is read up
-            # to its cap and decoded as UTF-8 by itself, and its errors name it
-            for i, line in enumerate(iter(partial(fh.readline, MAX_LINE_BYTES + 1), "")):
-                if len(line) > MAX_LINE_BYTES:
-                    raise ValueError(f"line {i + 1}: longer than {MAX_LINE_BYTES} bytes")
-                yield line.encode("latin-1").decode("utf-8-sig" if i == 0 else "utf-8")
+        MAX_PIECES + 1 rows, and no line (its break included) over MAX_LINE_BYTES.
+
+        After the header, plain rows are read in blocks of about _BLOCK_CHARS
+        characters and parsed a column at a time; a block with any other line
+        (a quote, a lone CR, a bad byte, a line over csv's field limit, a bad or
+        surplus row) goes through the per-line reader from its first line on.
+        The files accepted, the values read and the error texts are those of
+        the per-line reader alone."""
+        times, values = array("d"), array("d")  # t, and the (re, im) pairs of q
         with open(path, encoding="latin-1", newline="") as fh:
-            reader = csv.reader(decoded(fh))
-            try:
-                header = next(reader, None)
-                if header is None or [h.strip() for h in header] != ["t", "q_re", "q_im"]:
-                    raise ValueError("expected CSV header 't,q_re,q_im'")
-                # flat doubles: t, and the (re, im) pairs of q
-                times, values = array("d"), array("d")
-                for row in reader:
-                    if not row:
-                        continue
-                    try:
-                        if len(times) > MAX_PIECES:  # read no further
-                            raise ValueError(f"more than {MAX_PIECES + 1} samples")
-                        if len(row) != 3:
-                            raise ValueError(f"expected 3 fields, got {len(row)}")
-                        times.append(float(row[0]))
-                        values.extend((float(row[1]), float(row[2])))
-                    except ValueError as exc:  # too many, too short or long, not a number
-                        raise ValueError(f"line {reader.line_num}: {exc}") from exc
-            except csv.Error as exc:  # a malformed or oversized field
-                raise ValueError(f"line {reader.line_num}: {exc}") from exc
-            except UnicodeDecodeError as exc:  # the line after the last one read
-                raise ValueError(f"line {reader.line_num + 1}: {exc}") from exc
+            lines = iter(partial(fh.readline, MAX_LINE_BYTES + 1), "")
+            header = next(lines, "")
+            # a quoted header may run on to later lines, so then all are read per line
+            _read_rows(chain([header], lines) if '"' in header else [header], 0, times, values)
+            start = 1  # lines before the block
+            for block in _blocks(lines):
+                if not _parse_block(block, times, values):
+                    _read_rows(chain(block, lines), start, times, values)
+                    break
+                start += len(block)
         return cls(np.frombuffer(times), np.frombuffer(values, dtype=complex))
 
     def q(self, t):
@@ -285,6 +276,79 @@ class TabulatedModel:
         t = t[t < tmax]
         _check_pieces(len(t) + 1, tmax)
         return t
+
+
+def _read_rows(lines, start, times, values) -> None:
+    """The per-line reader: append the rows of lines, raw latin-1 text whose
+    first line is line start + 1 of the file, to times and values, naming the
+    line of any fault; from start = 0 the first row is the header."""
+    def decoded():
+        # latin-1 maps each byte to one character, so each line is read up
+        # to its cap and decoded as UTF-8 by itself, and its errors name it
+        for i, line in enumerate(lines, start):
+            if len(line) > MAX_LINE_BYTES:
+                raise ValueError(f"line {i + 1}: longer than {MAX_LINE_BYTES} bytes")
+            yield line.encode("latin-1").decode("utf-8-sig" if i == 0 else "utf-8")
+    reader = csv.reader(decoded())
+    try:
+        if start == 0:
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header] != ["t", "q_re", "q_im"]:
+                raise ValueError("expected CSV header 't,q_re,q_im'")
+        for row in reader:
+            if not row:
+                continue
+            try:
+                if len(times) > MAX_PIECES:  # parse no further
+                    raise ValueError(f"more than {MAX_PIECES + 1} samples")
+                if len(row) != 3:
+                    raise ValueError(f"expected 3 fields, got {len(row)}")
+                times.append(float(row[0]))
+                values.extend((float(row[1]), float(row[2])))
+            except ValueError as exc:  # too many, too short or long, not a number
+                raise ValueError(f"line {start + reader.line_num}: {exc}") from exc
+    except csv.Error as exc:  # a malformed or oversized field
+        raise ValueError(f"line {start + reader.line_num}: {exc}") from exc
+    except UnicodeDecodeError as exc:  # the line after the last one read
+        raise ValueError(f"line {start + reader.line_num + 1}: {exc}") from exc
+
+
+def _blocks(lines):
+    """Lists of consecutive lines, each ending once it holds _BLOCK_CHARS
+    characters, so a line too long for csv ends its block."""
+    block, size = [], 0
+    for line in lines:
+        block.append(line)
+        size += len(line)
+        if size >= _BLOCK_CHARS:
+            yield block
+            block, size = [], 0
+    if block:
+        yield block
+
+
+def _parse_block(block, times, values) -> bool:
+    """Append a block of blank lines and rows of three unquoted fields to times
+    and values a column at a time, with the per-line reader's float() and row
+    cap; False, appending nothing, if any line needs that reader."""
+    if max(map(len, block)) > _FIELD_LIMIT:  # before any copy
+        return False
+    try:
+        text = "".join(block).encode("latin-1").decode("utf-8").replace("\r\n", "\n")
+    except UnicodeDecodeError:
+        return False
+    rows = list(filter(None, text.split("\n")))
+    if ('"' in text or "\r" in text or len(times) + len(rows) > MAX_PIECES + 1
+            or set(map(str.count, rows, repeat(","))) - {2}):
+        return False
+    try:  # t, re, im of each row in turn
+        v = array("d", map(float, ",".join(rows).split(",") if rows else ()))
+    except ValueError:
+        return False
+    times += v[::3]
+    del v[::3]
+    values += v
+    return True
 
 
 QModel = Union[ExponentialModel, LorentzianModel, TabulatedModel]

@@ -721,6 +721,27 @@ class TestScan:
             "error: bad --qmodel 'table:/dev/zero': line 1: longer than "
             f"{dynamics.MAX_LINE_BYTES} bytes\n")
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+    @pytest.mark.parametrize("quoted", [None, 2500], ids=["plain", "quoted-after-block-1"])
+    def test_table_from_a_pipe(self, tmp_path, quoted):
+        # a table is read once, front to back: a pipe gives the file's output,
+        # also when the per-line reader takes over after the first block
+        t = np.linspace(0.0, 2.0, 3001).tolist()
+        lines = ["t,q_re,q_im\n"] + [f"{a!r},{math.exp(-a)!r},0.0\n" for a in t]
+        if quoted:
+            assert len("".join(lines[:quoted])) > dynamics._BLOCK_CHARS
+            lines[quoted] = '"' + lines[quoted].replace(",", '","').rstrip("\n") + '"\n'
+        data = "".join(lines).encode()
+        table = tmp_path / "q.csv"
+        table.write_bytes(data)
+        argv = [sys.executable, "-m", "bellopt", "scan", "--ewl", "0.3,1,0",
+                "--tmax", "2", "--samples", "50", "--qmodel"]
+        piped = subprocess.run(argv + ["table:/dev/stdin"], input=data, capture_output=True)
+        from_file = subprocess.run(argv + [f"table:{table}"], capture_output=True)
+        assert piped.returncode == from_file.returncode == 0, piped.stderr
+        assert piped.stdout == from_file.stdout
+        assert from_file.stdout.count(b"\n") > 50
+
 
 class TestSurface:
     def test_exact_row(self, tmp_path):

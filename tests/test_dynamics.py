@@ -41,6 +41,7 @@ from bellopt import (
     x_state_eigenvalues,
     x_to_dense,
 )
+from bellopt import dynamics
 from bellopt.angles import _settings_rows
 from bellopt.chsh import _eigenvalues
 from bellopt.dynamics import (
@@ -152,6 +153,75 @@ class TestQLorentzian:
         q_near = LorentzianModel(1.0, 0.5 + 1e-9).q(2.0)
         assert q_crit.real == pytest.approx(q_near.real, abs=1e-7)
         assert q_crit.real == pytest.approx(math.exp(-1.0) * 2.0, abs=1e-12)
+
+
+# whitespace that float() strips and that csv and the line reader keep in a field
+_PADS = [" ", "\t", "\x0b", "\x0c", "\x85", "\u2028", "\u2029"]
+# fields no plain block takes: NUL, a bad byte, a BOM, one character past csv's
+# field limit, not a number, empty, an unclosed quote
+_BAD_FIELDS = [b"1\x00", b"0.5\xff", b"\xef\xbb\xbf1", b"0" * 131073, b"abc", b"", b'"0.5']
+# the plain header most often, so that most tables reach their rows
+_HEADERS = [b"t,q_re,q_im"] * 4 + [b"\xef\xbb\xbft,q_re,q_im", b" t ,q_re,\tq_im ",
+                                   b'"t",q_re,q_im', b'"t\n",q_re,q_im', b"time,q_re,q_im", b""]
+
+
+@st.composite
+def csv_tables(draw) -> bytes:
+    """A table file: valid rows (increasing times from 0, q(0) = 1, |q| < 1),
+    some fields padded, with LF or CRLF, and up to four edits at random lines:
+    a quoted field (with or without a line break in it), a short, long or bad
+    row, a lone CR, a blank or whitespace-only line, two rows joined into one
+    by whitespace, a lone CR or a character str.splitlines() splits on."""
+    step = draw(st.sampled_from([0.25, 5e-324, 2.5e-310, 1e300]))
+    number = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-315]),
+                       st.floats(-0.7, 0.7))
+    eol = draw(st.sampled_from([b"\n", b"\r\n"]))
+
+    def field(x: float) -> bytes:
+        text = draw(st.sampled_from([repr, "{:.17e}".format, "{:.3G}".format]))(x)
+        if draw(st.integers(0, 7)) == 0:
+            text = draw(st.sampled_from(_PADS)) + text + draw(st.sampled_from(_PADS))
+        return text.encode()
+
+    lines = [[draw(st.sampled_from(_HEADERS)), eol]] + [
+        [b",".join((field(k * step), field(1.0 if k == 0 else draw(number)),
+                    field(0.0 if k == 0 else draw(number)))), eol]
+        for k in range(draw(st.integers(1, 60)))]
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(1, len(lines) - 1))
+        fields = lines[i][0].split(b",")
+        j = draw(st.integers(0, len(fields) - 1))
+        edit = draw(st.sampled_from(["quote", "quoted-break", "short", "long", "bad", "cr",
+                                     "blank", "space", "space-cr", "joined"]))
+        if edit in ("quote", "quoted-break"):
+            fields[j] = b'"' + fields[j] + (b'\n"' if edit == "quoted-break" else b'"')
+        elif edit in ("short", "long"):
+            fields = fields[:-1] if edit == "short" else fields + [b"0.5"]
+        elif edit == "bad":
+            fields[j] = draw(st.sampled_from(_BAD_FIELDS))
+        elif edit == "cr":
+            lines[i][1] = b"\r"
+        elif edit == "joined" and i + 1 < len(lines):
+            sep = draw(st.sampled_from(_PADS + ["\x1c", "\x1d", "\x1e", "\r"])).encode()
+            lines[i][0] = lines[i][0] + sep + lines.pop(i + 1)[0]
+            continue
+        else:
+            pad = b"" if edit == "blank" else draw(st.sampled_from(_PADS)).encode()
+            lines.insert(i, [pad, b"\r" if edit == "space-cr" else eol])
+            continue
+        lines[i][0] = b",".join(fields)
+    if draw(st.booleans()):
+        lines[-1][1] = b""  # no break after the last line
+    return b"".join(line + end for line, end in lines)
+
+
+def _loaded(path):
+    """The bits of the table at path, or the type and text of what it raises."""
+    try:
+        model = TabulatedModel.from_csv(path)
+    except Exception as exc:  # compared, whatever it is
+        return type(exc), str(exc)
+    return model.times.tobytes(), model.values.tobytes()
 
 
 class TestTabulated:
@@ -342,6 +412,57 @@ class TestTabulated:
         finally:
             tracemalloc.stop()
         assert peak < 4 * MAX_LINE_BYTES
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=csv_tables(), budget=st.integers(1, 300),
+           cap=st.one_of(st.just(MAX_PIECES), st.integers(1, 60)))
+    # lines a plain block would misread: a whitespace line ending in a lone CR,
+    # two rows joined by a character str.splitlines() splits on, one row past
+    # the cap, a field float() reads but csv refuses, and a quoted row in a
+    # later block
+    @example(table=b"t,q_re,q_im\n0,1,0\n \r1,0.5,0\n", budget=300, cap=MAX_PIECES)
+    @example(table=b"t,q_re,q_im\n0,1,0\n1,0.5,0\x1c2,0.25,0\n", budget=300, cap=MAX_PIECES)
+    @example(table=b"t,q_re,q_im\n0,1,0\n1,0.5,0\n2,0.25,0\n", budget=300, cap=1)
+    @example(table=b"t,q_re,q_im\n0,1,0\n1," + b"0" * 131073 + b",0\n", budget=300,
+             cap=MAX_PIECES)
+    @example(table=b't,q_re,q_im\n0,1,0\n1,0.5,0\n"2",0.25,0\n', budget=8, cap=MAX_PIECES)
+    def test_block_reader_matches_the_per_line_reader(self, tmp_path_factory, table,
+                                                      budget, cap):
+        # a small block budget starts the per-line reader at block 2 or later
+        path = tmp_path_factory.getbasetemp() / "differential-table.csv"
+        path.write_bytes(table)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "MAX_PIECES", cap)
+            default_blocks = _loaded(path)
+            mp.setattr(dynamics, "_BLOCK_CHARS", budget)
+            small_blocks = _loaded(path)
+            mp.setattr(dynamics, "_parse_block", lambda block, times, values: False)
+            per_line = _loaded(path)
+        assert default_blocks == small_blocks == per_line
+
+    def test_plain_blocks_skip_the_per_line_reader(self, tmp_path, monkeypatch):
+        # the per-line reader takes the header, then only the block holding the
+        # first quoted row, from its first line on
+        starts, read_rows = [], dynamics._read_rows
+
+        def spy(lines, start, times, values):
+            starts.append((start, len(times)))
+            read_rows(lines, start, times, values)
+        monkeypatch.setattr(dynamics, "_read_rows", spy)
+        lines = ["t,q_re,q_im\n"] + [f"{k / 8!r},{0.999 ** k!r},0.0\n" for k in range(3000)]
+        path = tmp_path / "q.csv"
+        path.write_text("".join(lines))
+        plain = TabulatedModel.from_csv(path)
+        assert starts == [(0, 0)] and len(plain.times) == 3000
+        lines[2501] = '"' + lines[2501].replace(",", '","').rstrip("\n") + '"\n'
+        path.write_text("".join(lines))
+        starts.clear()
+        quoted = TabulatedModel.from_csv(path)
+        (_, _), (start, parsed) = starts
+        assert 1 < start <= 2501 and parsed == start - 1
+        assert sum(map(len, lines[start:2501])) < dynamics._BLOCK_CHARS
+        assert quoted.times.tobytes() == plain.times.tobytes()
+        assert quoted.values.tobytes() == plain.values.tobytes()
 
 
 class TestAmplitudeDamping:
