@@ -22,7 +22,8 @@ to a temporary directory.  --compare pairs the records of two files by label
 (the text before the type field, or before " !" where a call raised), prints
 every label whose records differ or that one file lacks, with the count of
 such labels and of the states they belong to, and exits 1; or it counts the
-records and exits 0 when the files are identical.
+records and exits 0 when the files are identical.  Only --write imports
+bellopt and numpy, so --compare runs without PYTHONPATH=src.
 """
 
 from __future__ import annotations
@@ -37,45 +38,18 @@ import sys
 import tempfile
 from enum import Enum
 
-import numpy as np
-
-from bellopt import (
-    EWLParams,
-    ExponentialModel,
-    LorentzianModel,
-    OracleConfig,
-    TabulatedModel,
-    XState,
-    as_x_state,
-    bell_function,
-    brute_force_bmax,
-    crossing_levels,
-    evolve_x,
-    ewl_state,
-    horodecki_eigenvalues,
-    optimal_settings,
-    scan_events,
-    settings_set1,
-    settings_set2,
-    time_scan,
-    trajectory_coefficients,
-    validate_density_matrix,
-    x_state_eigenvalues,
-    x_to_dense,
-)
-from bellopt.dynamics import crossing_surface
-from bellopt.states import POSITIVITY_TOL
-
 SEED = 2009
 TMAX = 6.0
-GRID = np.linspace(0.0, TMAX, 25)
 Q_VALUES = (1.0, 1.0 + 5e-13, 0.8, -0.6, 0.3 + 0.4j, -0.5j, 1e-160, 0.0, 1.1)
-ORACLE = OracleConfig(grid_n=4, refine_iters=40, restarts=2)
 SURFACE = (24, 24)
 
 
 def _models() -> list:
     # exp, weak and strong Lorentzian, and a table whose phase rotates
+    import numpy as np
+
+    from bellopt import ExponentialModel, LorentzianModel, TabulatedModel
+
     times = np.linspace(0.0, TMAX, 121)
     values = (LorentzianModel(1.0, 5.0).q(times) * np.exp(0.7j * times)).tolist()
     values[0] = 1.0
@@ -89,8 +63,14 @@ def _coherent(p, f14, f23, mu, nu) -> tuple:
             f23 * math.sqrt(p[1] * p[2]) * cmath.rect(1.0, nu))
 
 
-def x_corpus(rng: np.random.Generator) -> list[tuple]:
-    """The X states as the six XState arguments, some of which XState rejects."""
+def x_corpus(rng) -> list[tuple]:
+    """The X states as the six XState arguments, some of which XState rejects;
+    rng is a numpy Generator."""
+    import numpy as np
+
+    from bellopt import EWLParams, ewl_state
+    from bellopt.states import POSITIVITY_TOL
+
     corpus = []
     for _ in range(120):  # random X states
         corpus.append(_coherent(rng.dirichlet(np.ones(4)), *rng.uniform(0.0, 1.0, 2),
@@ -142,7 +122,7 @@ def x_corpus(rng: np.random.Generator) -> list[tuple]:
     return corpus
 
 
-def ginibre(rng: np.random.Generator) -> np.ndarray:
+def ginibre(rng):
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     m = g @ g.conj().T
     return m / m.trace()
@@ -151,6 +131,8 @@ def ginibre(rng: np.random.Generator) -> np.ndarray:
 def table_files() -> dict[str, bytes]:
     """Table files of 3000 samples, each longer than the 64 KiB block that
     TabulatedModel.from_csv parses at once, by the name of what they hold."""
+    import numpy as np
+
     rng = np.random.default_rng(SEED)
     n = 3000
     times = np.linspace(0.0, TMAX, n).tolist()
@@ -176,6 +158,8 @@ def table_files() -> dict[str, bytes]:
 
 def _values(label: str, value):
     """(label, type, text) for every number in value, floats as float.hex."""
+    import numpy as np
+
     if isinstance(value, Enum):
         yield label, type(value).__name__, value.name
     elif isinstance(value, (bool, int, np.bool_, np.integer)):
@@ -200,6 +184,32 @@ def _values(label: str, value):
 
 def records() -> list[str]:
     """Every record line of the corpus, in a fixed order."""
+    import numpy as np
+
+    from bellopt import (
+        OracleConfig,
+        TabulatedModel,
+        XState,
+        as_x_state,
+        bell_function,
+        brute_force_bmax,
+        crossing_levels,
+        evolve_x,
+        horodecki_eigenvalues,
+        optimal_settings,
+        scan_events,
+        settings_set1,
+        settings_set2,
+        time_scan,
+        trajectory_coefficients,
+        validate_density_matrix,
+        x_state_eigenvalues,
+        x_to_dense,
+    )
+    from bellopt.dynamics import crossing_surface
+
+    grid = np.linspace(0.0, TMAX, 25)
+    oracle = OracleConfig(grid_n=4, refine_iters=40, restarts=2)
     rng = np.random.default_rng(SEED)
     models = _models()
     lines = []
@@ -232,15 +242,15 @@ def records() -> list[str]:
             call(f"x{i} coefficients", trajectory_coefficients, x)
             call(f"x{i} levels", crossing_levels, x)
             model = models[i % len(models)]
-            call(f"x{i} scan", time_scan, x, model, GRID)
+            call(f"x{i} scan", time_scan, x, model, grid)
             call(f"x{i} events", scan_events, x, model, TMAX)
             if i % 16 == 0:
-                call(f"x{i} oracle", lambda: brute_force_bmax(x_to_dense(x), ORACLE))
+                call(f"x{i} oracle", lambda: brute_force_bmax(x_to_dense(x), oracle))
     for i in range(20):
         rho = call(f"g{i}", validate_density_matrix, ginibre(rng))
         call(f"g{i} horodecki", horodecki_eigenvalues, rho)
         call(f"g{i} as_x", as_x_state, rho)
-        call(f"g{i} oracle", brute_force_bmax, rho, ORACLE)
+        call(f"g{i} oracle", brute_force_bmax, rho, oracle)
     call("surface", crossing_surface, *SURFACE)
     with tempfile.TemporaryDirectory() as tmp:
         for name, data in table_files().items():

@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -392,11 +393,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, doc, render = args.func(args)
-        text = json.dumps(doc, indent=2) + "\n" if args.format == "json" else render(doc)
+        text = (json.dumps(doc, indent=2, allow_nan=False) + "\n" if args.format == "json"
+                else render(doc))
         if args.output:
-            try:
-                with open(args.output, "w", newline="\n") as fh:
-                    fh.write(text)
+            data = text.encode()
+            try:  # in place: ext4 flushes a file cut to zero bytes when it is closed
+                with open(os.open(args.output, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+                    if os.fstat(fh.fileno()).st_size > len(data):
+                        fh.truncate(len(data))  # the old file's longer tail
+                    fh.write(data)
             except OSError as exc:
                 raise ValueError(f"cannot write {args.output}: {exc}") from exc
         else:

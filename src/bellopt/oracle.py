@@ -39,6 +39,10 @@ _I, _J = np.repeat(np.arange(-4.0, 5.0), 9), np.tile(np.arange(-4.0, 5.0), 9)
 _INTERIOR = (np.abs(_I) < 4) & (np.abs(_J) < 4)
 _RADII = _I * _I + _J * _J
 _BASIS = np.array([a * b for a in (np.ones(81), _I, _J) for b in (np.ones(81), _I, _J)])
+# The 9 entries of n, h e1, h e2 as products of three columns of sin th, sin ph,
+# cos th, cos ph, -sin th, -sin ph, 1, 0, h: n = (st cp 1, st sp 1, ct 1 1), ...
+_IA, _IB, _IC = np.array([[0, 0, 2, 2, 2, 4, 5, 3, 7], [3, 1, 6, 3, 1, 6, 6, 6, 6],
+                          [6, 6, 6, 8, 8, 8, 8, 8, 8]])
 
 
 class BudgetExceeded(ValueError):
@@ -140,7 +144,7 @@ def _grid_bytes(grid_n: int, restarts: int) -> int:
     # Over-estimates the bytes brute_force_bmax holds at once: 8 float64
     # arrays over the grid directions, 16 words per start (draws, point,
     # value, count) and 12 per pattern point of each start in a batch (a poll
-    # holds ~4.5: 81 values, their divisors and three 3x3 matrices per start).
+    # holds ~5: 81 values, their divisors, 9 factors and four 3x3 matrices each).
     starts = restarts + 1
     return 8 * (8 * grid_n ** 2 + 16 * starts + 972 * min(starts, _COMPASS_BATCH))
 
@@ -171,7 +175,9 @@ def _compass_search(t: np.ndarray, starts: np.ndarray, initial_step: float,
     """
     at = point = np.array(starts, dtype=float)
     step = np.full(len(point), float(initial_step))
-    now = value = _gram(t, point, step)[1][:, 0]  # |T n|^2, the pattern's center
+    e = np.zeros((len(point), 9))  # each poll's factors of its frames, for _gram
+    e[:, 6] = 1.0
+    now = value = _gram(t, point, step, e)[1][:, 0]  # |T n|^2, the pattern's center
     evals = np.full(len(point), 1 + 81 * max_iters)  # less for a start that stops
     rounding = 4.0 * np.finfo(float).eps * sum(v * v for v in t.ravel().tolist())
     live = np.arange(len(point))  # rows of the live starts, kept compacted in at, now, step
@@ -183,7 +189,7 @@ def _compass_search(t: np.ndarray, starts: np.ndarray, initial_step: float,
             live, at, now, step = (a[~done] for a in (live, at, now, step))
             if live.size == 0:
                 break
-        f, g = _gram(t, at, step)
+        f, g = _gram(t, at, step, e)
         vals = np.einsum("lc,ck->lk", g, _BASIS) / (1.0 + (step * step)[:, None] * _RADII)
         k = vals.argmin(axis=1)
         top = vals.min(axis=1)
@@ -197,12 +203,17 @@ def _compass_search(t: np.ndarray, starts: np.ndarray, initial_step: float,
     return value, point, evals
 
 
-def _gram(t: np.ndarray, points: np.ndarray, step: np.ndarray) -> tuple:
+def _gram(t: np.ndarray, points: np.ndarray, step: np.ndarray, e: np.ndarray) -> tuple:
     """The rows n, h e1, h e2 of `_frame` at each (theta, phi) row of `points`
-    and step h, as (L, 3, 3), and the Gram matrices G of their T images, (L, 9)."""
-    n, e1, e2 = _frame(points[:, 0], points[:, 1])
-    f = np.column_stack([*n, *e1, *e2[:2], np.zeros(len(points))]).reshape(-1, 3, 3)
-    f[:, 1:] *= step[:, None, None]
+    and step h, as (L, 3, 3), and the Gram matrices G of their T images, (L, 9).
+    `e` is an (R >= L, 9) buffer of the factors of _IA, whose columns 6, 7 hold 1, 0."""
+    e = e[:len(points)]
+    np.sin(points, out=e[:, 0:2])
+    np.cos(points, out=e[:, 2:4])
+    np.negative(e[:, 0:2], out=e[:, 4:6])
+    e[:, 8] = step
+    # take, not e[:, index]: einsum's bits depend on the layout of its operands
+    f = (e.take(_IA, 1) * e.take(_IB, 1) * e.take(_IC, 1)).reshape(-1, 3, 3)
     w = np.einsum("pq,laq->lap", t, f)
     return f, np.einsum("lap,lbp->lab", w, w).reshape(-1, 9)
 

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -339,6 +340,51 @@ class TestUnwritableOutput:
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write {output}: ")
         assert captured.err.count("\n") == 1
+
+
+class TestOutputFile:
+    SURFACE = ["surface", "--grid", "3,3"]
+
+    def test_new_file_gets_the_mode_open_gives(self, tmp_path):
+        # 0o666 less the umask, as with open(path, "w")
+        mask = os.umask(0o027)
+        try:
+            assert main([*self.SURFACE, "--output", str(tmp_path / "new.csv")]) == 0
+            (tmp_path / "plain.csv").open("w").close()
+        finally:
+            os.umask(mask)
+        modes = [stat.S_IMODE((tmp_path / name).stat().st_mode)
+                 for name in ("new.csv", "plain.csv")]
+        assert modes == [0o640, 0o640]
+
+    def test_dev_null(self, capsys):
+        assert main([*self.SURFACE, "--output", os.devnull]) == 0
+        assert capsys.readouterr() == ("", "")
+
+    def test_fifo(self, tmp_path, capsys):
+        # a FIFO has no size to cut: the reader gets the whole document
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        reader = subprocess.Popen(["cat", str(fifo)], stdout=subprocess.PIPE)
+        try:
+            assert main([*self.SURFACE, "--output", str(fifo)]) == 0
+            data = reader.communicate(timeout=30)[0]
+        finally:
+            reader.kill()
+        assert main(self.SURFACE) == 0
+        assert data.decode() == capsys.readouterr().out
+
+    def test_nan_in_a_json_document_exits_2(self, tmp_path, capsys, monkeypatch):
+        # RFC 8259 JSON has no NaN: the document is an error, and no file is made
+        monkeypatch.setattr(cli, "horodecki_eigenvalues", lambda rho: (math.nan, 0.0, 0.0))
+        argv = ["bmax", "--input", str(GOLDEN / "states" / "ginibre.json"), "--format", "json"]
+        output = tmp_path / "bmax.json"
+        for target in ([], ["--output", str(output)]):
+            assert main([*argv, *target]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not output.exists()
 
 
 class TestAngles:
@@ -1071,6 +1117,18 @@ class TestDeterminism:
             assert output.read_bytes() == golden
         else:  # angles on a non-X state exits 3 before any result exists
             assert not output.exists()
+
+    @pytest.mark.parametrize("case", GOLDEN_CASES, ids=lambda c: c["name"])
+    def test_golden_output_over_a_longer_file(self, case, tmp_path):
+        # --output rewrites an existing file in place and cuts the old tail
+        golden = (GOLDEN / f"{case['name']}.out").read_bytes()
+        output = tmp_path / "out"
+        stale = b"stale\n" * (len(golden) // 6 + 100)
+        output.write_bytes(stale)
+        code, out = run_golden([*case["argv"], "--output", str(output)])
+        assert (code, out) == (case["exit"], "")
+        # angles on a non-X state exits 3 before any result exists: no write
+        assert output.read_bytes() == (golden or stale)
 
     def test_console_entry_point_help(self):
         result = run_cli("--help")

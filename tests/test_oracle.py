@@ -124,6 +124,21 @@ class TestConfig:
         assert _grid_bytes(8, 2 * 10 ** 6) > _grid_bytes(8, 10 ** 6) > _grid_bytes(8, 16)
         assert _grid_bytes(100, 16) <= MAX_GRID_BYTES < _grid_bytes(3000, 16)
 
+    @pytest.mark.parametrize("cfg", [OracleConfig(), OracleConfig(grid_n=60, restarts=300),
+                                     OracleConfig(grid_n=300, restarts=4)],
+                             ids=["default", "two-batches", "large-grid"])
+    def test_budget_over_estimates_the_peak(self, cfg):
+        # what the search holds at once, its compass buffers included, is
+        # within the bytes the budget asks for
+        rho = random_density(np.random.default_rng(37))
+        tracemalloc.start()
+        try:
+            brute_force_bmax(rho, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= _grid_bytes(cfg.grid_n, cfg.restarts)
+
 
 def _direct_bell(rho, row):
     return bell_function(rho, BellSettings(tuple(row[:4].tolist()), tuple(row[4:].tolist())))
@@ -203,11 +218,55 @@ class TestAliceValues:
                            rtol=0.0, atol=1e-15)
 
 
+def _factor_buffer(rows):
+    # _gram's factor buffer as _compass_search makes it: columns 6, 7 hold 1, 0
+    e = np.full((rows, 9), np.nan)
+    e[:, 6], e[:, 7] = 1.0, 0.0
+    return e
+
+
+def _stacked_gram(t, points, step):
+    """_gram's f and G built another way, as the reference: `_frame`'s four
+    strided trig calls, a column stack of the 9 entries, then h times e1, e2."""
+    st, ct = np.sin(points[:, 0]), np.cos(points[:, 0])
+    sp, cp = np.sin(points[:, 1]), np.cos(points[:, 1])
+    n, e1, e2 = (st * cp, st * sp, ct), (ct * cp, ct * sp, -st), (-sp, cp, 0.0)
+    f = np.column_stack([*n, *e1, *e2[:2], np.zeros(len(points))]).reshape(-1, 3, 3)
+    f[:, 1:] *= step[:, None, None]
+    w = np.einsum("pq,laq->lap", t, f)
+    return f, np.einsum("lap,lbp->lab", w, w).reshape(-1, 9)
+
+
+class TestGram:
+    def test_gather_equals_the_column_stack(self):
+        # f and G bit for bit (signed zeros included) in every batch size, at
+        # the poles and at steps down to 1e-9, from a buffer a larger batch
+        # has already filled; f is C-contiguous, so einsum sums as in the reference
+        rng = np.random.default_rng(36)
+        poles = [[0.0, 0.0], [0.0, -0.0], [math.pi, 0.0], [math.pi, -0.0],
+                 [0.0, math.pi], [math.pi, -math.pi], [-0.0, 1.0]]
+        points = np.vstack([poles, np.column_stack([rng.uniform(0.0, math.pi, 249),
+                                                    rng.uniform(-math.pi, math.pi, 249)])])
+        steps = np.concatenate([[math.pi / 8, 1e-8, 1e-9, 0.75],
+                                10.0 ** rng.uniform(-9.0, 0.5, 252)])
+        e = _factor_buffer(300)
+        for rho in (random_density(rng), x_to_dense(random_x_state(rng)), x_to_dense(werner(0.9))):
+            t = pauli_correlation_matrix(rho)
+            for batch in (256, 17, 1):
+                for i in range(0, len(points), batch):
+                    p, h = points[i:i + batch], steps[i:i + batch]
+                    f, g = _gram(t, p, h, e)
+                    ref_f, ref_g = _stacked_gram(t, p, h)
+                    assert f.flags.c_contiguous and f.shape == ref_f.shape
+                    assert f.tobytes() == ref_f.tobytes()
+                    assert g.tobytes() == ref_g.tobytes()
+
+
 def _g(t, theta, phi, step, i, j):
     """g at the pattern point m = n + i h e1 + j h e2 around n(theta, phi)
     with h = step, as c^T G c for c = (1, i, j) and the start's Gram
     matrix G, summed one term at a time; and the components of m."""
-    f, g = _gram(t, np.array([[theta, phi]]), np.array([step]))
+    f, g = _gram(t, np.array([[theta, phi]]), np.array([step]), _factor_buffer(1))
     f, g, c = f[0].tolist(), g[0].tolist(), (1.0, float(i), float(j))
     value = 0.0
     for a in range(3):

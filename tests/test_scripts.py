@@ -73,6 +73,23 @@ def test_differential_runs_are_fast_and_byte_identical(differential_runs):
     assert differential.main(["--compare", str(a), str(b)]) == 0
 
 
+def test_differential_compare_runs_without_pythonpath(differential_runs, tmp_path):
+    # comparing two record files needs neither bellopt nor numpy
+    (a, _), (b, _) = differential_runs
+    changed = tmp_path / "changed.txt"
+    changed.write_text(a.read_text().replace(" float 0x", " float 0X", 1))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    script = str(ROOT / "scripts" / "differential.py")
+    same = subprocess.run([sys.executable, script, "--compare", str(a), str(b)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert (same.returncode, same.stderr) == (0, "")
+    assert same.stdout == f"identical: {len(a.read_text().splitlines())} records\n"
+    differs = subprocess.run([sys.executable, script, "--compare", str(a), str(changed)],
+                             capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert (differs.returncode, differs.stderr) == (1, "")
+    assert differs.stdout.endswith("1 records differ in 1 states\n")
+
+
 def test_differential_reports_a_one_ulp_change(differential_runs, tmp_path, monkeypatch):
     wrap = angles._wrap
 
