@@ -6,6 +6,7 @@ two such records.
     # ... change the code ...
     python scripts/differential.py --write after.txt
     python scripts/differential.py --compare before.txt after.txt
+    python scripts/differential.py --against HEAD   # git's HEAD against src/
 
 --write runs a fixed corpus through the public closed-form, dynamics and
 oracle functions, and the Bell function at both closed-form sets, and writes
@@ -15,7 +16,10 @@ message where a call raises.  The corpus holds random X
 states, coherence phases of exactly +-pi and next to them, +-0.0 parts, ties
 u2 = u3, u1 = 0, pure and fully mixed states, subnormal rho11, extended
 Werner-like states, states at the tolerance edges of the PSD rule and
-Ginibre (non-X) states; TabulatedModel.from_csv records the samples it loads
+Ginibre (non-X) states, and DensityMatrix4 built from arrays and from nested
+lists with Hermiticity defects up to just past HERMITICITY_TOL and +-0.0 and
+-5e-324 parts in mirrored entries, as the float.hex of its rows and entries;
+TabulatedModel.from_csv records the samples it loads
 from generated table files (a BOM and CRLF, padded fields, quoted rows after
 the first block the loader parses, +-0.0 parts, subnormal samples), written
 to a temporary directory.  --compare pairs the records of two files by label
@@ -23,7 +27,12 @@ to a temporary directory.  --compare pairs the records of two files by label
 every label whose records differ or that one file lacks, with the count of
 such labels and of the states they belong to, and exits 1; or it counts the
 records and exits 0 when the files are identical.  Only --write imports
-bellopt and numpy, so --compare runs without PYTHONPATH=src.
+bellopt and numpy, so --compare runs without PYTHONPATH=src.  --against REV
+extracts src/ at the git revision REV (`git archive REV src`, local git only)
+to a temporary directory, runs --write once on that tree and once on this
+checkout's src/, each in a subprocess with PYTHONPATH set to it, and compares
+the two records as --compare does; a name one tree lacks is recorded as the
+error it raises where it is used.
 """
 
 from __future__ import annotations
@@ -31,9 +40,11 @@ from __future__ import annotations
 import argparse
 import cmath
 import dataclasses
+import itertools
 import math
 import os
 import re
+import subprocess
 import sys
 import tempfile
 from enum import Enum
@@ -42,6 +53,7 @@ SEED = 2009
 TMAX = 6.0
 Q_VALUES = (1.0, 1.0 + 5e-13, 0.8, -0.6, 0.3 + 0.4j, -0.5j, 1e-160, 0.0, 1.1)
 SURFACE = (24, 24)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _models() -> list:
@@ -128,6 +140,38 @@ def ginibre(rng):
     return m / m.trace()
 
 
+def hermitian_corpus(rng) -> list:
+    """4x4 complex arrays: valid states with +-0.0 and -5e-324 (whose half
+    rounds to -0.0) real and imaginary parts in mirrored entries, with and
+    without a defect elsewhere that makes the Hermitian part differ from the
+    input, and with Hermiticity defects from a subnormal to just past
+    HERMITICITY_TOL; rng is a numpy Generator."""
+    import numpy as np
+
+    from bellopt.states import HERMITICITY_TOL
+
+    corpus = []
+    for a, b, c, d in itertools.product((0.0, -0.0, -5e-324), repeat=4):  # mirrored parts
+        for i, j in ((0, 1), (0, 3)):
+            for defect in (0.0, 3e-11j):
+                m = np.eye(4, dtype=complex) / 4.0
+                m[i, j], m[j, i], m[2, 2] = complex(a, b), complex(c, d), complex(0.25, b)
+                m[1, 2] += defect
+                corpus.append(m)
+    tol = HERMITICITY_TOL
+    bases = (np.eye(4, dtype=complex) / 4.0, ginibre(rng), ginibre(rng),
+             np.array([[0.5, 0, 0, 0.5j], [0, 0, 0, 0], [0, 0, 0, 0], [-0.5j, 0, 0, 0.5]]))
+    for base in bases:
+        for size in (5e-324, 1e-17, 0.5 * tol, 0.999 * tol, math.nextafter(tol, 0.0),
+                     1.5 * tol):
+            for i, j in ((0, 1), (3, 0), (1, 1)):
+                for phase in (1.0, -1j):
+                    m = base.copy()
+                    m[i, j] += size * phase
+                    corpus.append(m)
+    return corpus
+
+
 def table_files() -> dict[str, bytes]:
     """Table files of 3000 samples, each longer than the 64 KiB block that
     TabulatedModel.from_csv parses at once, by the name of what they hold."""
@@ -154,6 +198,18 @@ def table_files() -> dict[str, bytes]:
         "signed-zero": table(signed),
         "subnormal": table(subnormal, t=[0.0, 5e-324, 1e-310, *times[3:]]),
     }
+
+
+def _api(*names) -> list:
+    """bellopt's names; one this tree lacks is a function that raises
+    AttributeError, so the calls that use it are records of that error."""
+    import bellopt
+
+    def lacking(name):
+        def raiser(*args, **kwargs):
+            raise AttributeError(f"module 'bellopt' has no attribute {name!r}")
+        return raiser
+    return [getattr(bellopt, name, None) or lacking(name) for name in names]
 
 
 def _values(label: str, value):
@@ -186,26 +242,15 @@ def records() -> list[str]:
     """Every record line of the corpus, in a fixed order."""
     import numpy as np
 
-    from bellopt import (
-        OracleConfig,
-        TabulatedModel,
-        XState,
-        as_x_state,
-        bell_function,
-        brute_force_bmax,
-        crossing_levels,
-        evolve_x,
-        horodecki_eigenvalues,
-        optimal_settings,
-        scan_events,
-        settings_set1,
-        settings_set2,
-        time_scan,
-        trajectory_coefficients,
-        validate_density_matrix,
-        x_state_eigenvalues,
-        x_to_dense,
-    )
+    (DensityMatrix4, OracleConfig, TabulatedModel, XState, as_x_state, bell_function,
+     brute_force_bmax, crossing_levels, evolve_x, horodecki_eigenvalues, optimal_settings,
+     scan_events, settings_set1, settings_set2, time_scan, trajectory_coefficients,
+     validate_density_matrix, x_state_eigenvalues, x_to_dense) = _api(
+        "DensityMatrix4", "OracleConfig", "TabulatedModel", "XState", "as_x_state",
+        "bell_function", "brute_force_bmax", "crossing_levels", "evolve_x",
+        "horodecki_eigenvalues", "optimal_settings", "scan_events", "settings_set1",
+        "settings_set2", "time_scan", "trajectory_coefficients", "validate_density_matrix",
+        "x_state_eigenvalues", "x_to_dense")
     from bellopt.dynamics import crossing_surface
 
     grid = np.linspace(0.0, TMAX, 25)
@@ -251,13 +296,21 @@ def records() -> list[str]:
         call(f"g{i} horodecki", horodecki_eigenvalues, rho)
         call(f"g{i} as_x", as_x_state, rho)
         call(f"g{i} oracle", brute_force_bmax, rho, oracle)
+
+    def rows_and_entries(entries):
+        rho = DensityMatrix4(entries)
+        return rho.rows, rho.entries
+
+    for i, m in enumerate(hermitian_corpus(rng)):
+        call(f"h{i} array", rows_and_entries, m)
+        call(f"h{i} list", rows_and_entries, m.tolist())
     call("surface", crossing_surface, *SURFACE)
     with tempfile.TemporaryDirectory() as tmp:
         for name, data in table_files().items():
             path = os.path.join(tmp, f"{name}.csv")
             with open(path, "wb") as fh:
                 fh.write(data)
-            call(f"table-{name}", TabulatedModel.from_csv, path)
+            call(f"table-{name}", lambda: TabulatedModel.from_csv(path))
     return lines
 
 
@@ -279,20 +332,44 @@ def _by_label(path: str) -> dict[str, str]:
     return records
 
 
-def compare(path_a: str, path_b: str) -> str | None:
+def compare(path_a: str, path_b: str, names=None) -> str | None:
     """None if the files hold the same records, else, paired by label, every
     label whose records differ or that one file lacks, and the count of such
-    labels and of their states (x0, g3, surface: the label's first name)."""
+    labels and of their states (x0, g3, surface: the label's first name);
+    the report names the files by names, else by their paths."""
     a, b = _by_label(path_a), _by_label(path_b)
+    name_a, name_b = names or (path_a, path_b)
     report, states = [], set()
     for label in dict.fromkeys([*a, *b]):  # a's order, then labels only b has
         la, lb = a.get(label, "<absent>"), b.get(label, "<absent>")
         if la != lb:
-            report.append(f"{label} differs:\n  {path_a}: {la}\n  {path_b}: {lb}")
+            report.append(f"{label} differs:\n  {name_a}: {la}\n  {name_b}: {lb}")
             states.add(re.match(r"[^ .\[]+", label).group())
     if not report:
         return None
     return "\n".join(report + [f"{len(report)} records differ in {len(states)} states"])
+
+
+def write_against(rev: str, tmp: str) -> tuple[str, str]:
+    """The record files of src/ at git revision rev and of this checkout's
+    src/, written under tmp; RuntimeError if git, tar or a --write run fails."""
+    tree = os.path.join(tmp, "rev")
+    os.mkdir(tree)
+    archive = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT, capture_output=True)
+    if archive.returncode != 0:
+        raise RuntimeError(f"git archive {rev} failed: {archive.stderr.decode().strip()}")
+    if subprocess.run(["tar", "-x", "-C", tree], input=archive.stdout).returncode != 0:
+        raise RuntimeError(f"tar could not extract git archive {rev}")
+    paths = []
+    for name, src in ((rev, os.path.join(tree, "src")), ("src", os.path.join(ROOT, "src"))):
+        path = os.path.join(tmp, f"{len(paths)}.txt")
+        run = subprocess.run([sys.executable, os.path.abspath(__file__), "--write", path],
+                             env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                             text=True)
+        if run.returncode != 0:
+            raise RuntimeError(f"--write on {name} failed:\n{run.stderr.strip()}")
+        paths.append(path)
+    return paths[0], paths[1]
 
 
 def main(argv=None) -> int:
@@ -303,16 +380,27 @@ def main(argv=None) -> int:
     mode.add_argument("--compare", nargs=2, metavar=("A", "B"),
                       help="print every label whose records in A and B differ, "
                            "and their count")
+    mode.add_argument("--against", metavar="REV",
+                      help="compare the records of src/ at git revision REV with "
+                           "those of this checkout's src/")
     args = ap.parse_args(argv)
     if args.write:
         print(f"{write(args.write)} records written to {args.write}")
         return 0
-    diff = compare(*args.compare)
-    if diff:
-        print(diff)
-        return 1
-    with open(args.compare[0]) as fh:
-        print(f"identical: {sum(1 for _ in fh)} records")
+    with tempfile.TemporaryDirectory() as tmp:
+        paths, names = args.compare, None
+        if args.against:
+            try:
+                paths, names = write_against(args.against, tmp), (args.against, "src")
+            except RuntimeError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
+        diff = compare(*paths, names=names)
+        if diff:
+            print(diff)
+            return 1
+        with open(paths[0]) as fh:
+            print(f"identical: {sum(1 for _ in fh)} records")
     return 0
 
 

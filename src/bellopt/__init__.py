@@ -3,6 +3,8 @@ their open-system dynamics for two-qubit X states."""
 
 __version__ = "0.1.0"
 
+from importlib import import_module
+
 from .states import (
     DensityMatrix4,
     XState,
@@ -37,32 +39,31 @@ from .angles import (
     optimal_settings,
     settings_distance,
 )
-from .oracle import (
-    OracleConfig,
-    OracleResult,
-    BudgetExceeded,
-    Splitmix64,
-    brute_force_bmax,
-    certify_settings,
-)
-from .dynamics import (
-    ExponentialModel,
-    LorentzianModel,
-    TabulatedModel,
-    QModel,
-    EWLParams,
-    EventKind,
-    ScanEvent,
-    TimeScan,
-    apply_amplitude_damping,
-    evolve_x,
-    ewl_state,
-    trajectory_coefficients,
-    crossing_levels,
-    crossing_roots,
-    time_scan,
-    scan_events,
-)
+# dynamics and oracle, and the names below, load on first use (PEP 562), so
+# that `bmax` and `angles` start without them
+_LAZY = dict.fromkeys(["OracleConfig", "OracleResult", "BudgetExceeded", "Splitmix64",
+                       "brute_force_bmax", "certify_settings"], "oracle")
+_LAZY.update(dict.fromkeys([
+    "ExponentialModel", "LorentzianModel", "TabulatedModel", "QModel",
+    "EWLParams", "EventKind", "ScanEvent", "TimeScan",
+    "apply_amplitude_damping", "evolve_x", "ewl_state", "trajectory_coefficients",
+    "crossing_levels", "crossing_roots", "time_scan", "scan_events"], "dynamics"))
+
+
+def __getattr__(name):
+    module = _LAZY.get(name, name if name in ("dynamics", "oracle") else None)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = import_module(f"{__name__}.{module}")
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), "dynamics", "oracle", *_LAZY})
+
 
 __all__ = [
     "__version__",
@@ -74,11 +75,5 @@ __all__ = [
     "correlation", "bell_function", "x_state_eigenvalues", "bmax_x",
     "horodecki_eigenvalues", "horodecki_bmax",
     "AngleSettings", "settings_set1", "settings_set2", "optimal_settings",
-    "settings_distance",
-    "OracleConfig", "OracleResult", "BudgetExceeded", "Splitmix64",
-    "brute_force_bmax", "certify_settings",
-    "ExponentialModel", "LorentzianModel", "TabulatedModel", "QModel",
-    "EWLParams", "EventKind", "ScanEvent", "TimeScan",
-    "apply_amplitude_damping", "evolve_x", "ewl_state", "trajectory_coefficients",
-    "crossing_levels", "crossing_roots", "time_scan", "scan_events",
+    "settings_distance", *_LAZY,
 ]

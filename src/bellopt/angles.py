@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .chsh import BellEigenvalues, Region, x_state_eigenvalues
 from .states import BellSettings, XState, _unit_vector, normalize_direction
 
@@ -96,9 +94,11 @@ def _settings(x: XState, u: BellEigenvalues, region: Region) -> AngleSettings:
     return AngleSettings(thetas, tuple(map(_wrap, phis)), region)
 
 
-def _atan2(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # math.atan2, and cmath.phase(complex(x, y)), elementwise; numpy's arctan2
-    # differs from libm's for ~7% of arguments on AVX-512 hosts
+def _atan2(y, x):
+    # math.atan2, and cmath.phase(complex(x, y)), elementwise on arrays; numpy's
+    # arctan2 differs from libm's for ~7% of arguments on AVX-512 hosts
+    import numpy as np
+
     return np.fromiter(map(math.atan2, y.tolist(), x.tolist()), float, len(y))
 
 
@@ -106,6 +106,8 @@ def _settings_rows(set1, gap, u1, u2, u3, m14, m23, rho14, rho23):
     # _settings bit for bit on rows, SET1 where set1 else SET2, as (n, 4) thetas
     # and phis, column by column; gap is diagonal_gap, m14, m23 the |rho|,
     # rho14, rho23 (re, im)
+    import numpy as np
+
     sets = _closed_forms(set1, gap, u1, u2, u3, m14, m23, *rho14, *rho23,
                          _atan2, np.sqrt, np.where)
     thetas, phis = (np.column_stack([np.where(set1, a, b) for a, b in zip(*pair)])

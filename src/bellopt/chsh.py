@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 
-import numpy as np
-
 from .states import (
     BellSettings,
     DensityMatrix4,
@@ -68,16 +66,21 @@ class BellEigenvalues:
     @property
     def b1(self) -> float:
         """Bell value at settings set 1: 2*sqrt(u1 + u2)."""
-        return 2.0 * math.sqrt(self.u1 + self.u2)
+        return _bound(self.u1, self.u2)
 
     @property
     def b2(self) -> float:
         """Bell value at settings set 2: 2*sqrt(u1 + u3)."""
-        return 2.0 * math.sqrt(self.u1 + self.u3)
+        return _bound(self.u1, self.u3)
 
     @property
     def bmax(self) -> float:
         return max(self.b1, self.b2)
+
+
+def _bound(ua: float, ub: float) -> float:
+    # the Bell maximum over eigenvalues ua, ub of U: any two for X states, the two largest else
+    return 2.0 * math.sqrt(ua + ub)
 
 
 def _dot(a: tuple, v: tuple) -> float:
@@ -123,6 +126,8 @@ def horodecki_eigenvalues(rho: DensityMatrix4) -> tuple[float, float, float]:
     They are the squared singular values of the Pauli correlation matrix T;
     taking them from the SVD of T avoids squaring its condition number.
     """
+    import numpy as np
+
     s = np.linalg.svd(pauli_correlation_matrix(rho), compute_uv=False)
     return tuple((s * s).tolist())
 
@@ -131,4 +136,4 @@ def horodecki_bmax(rho: DensityMatrix4) -> float:
     """Maximum of the Bell function for an arbitrary two-qubit state:
     2*sqrt(u1 + u2) over the two largest eigenvalues of U = T^T T."""
     u1, u2, _ = horodecki_eigenvalues(rho)
-    return 2.0 * math.sqrt(u1 + u2)
+    return _bound(u1, u2)

@@ -6,10 +6,12 @@ byte-identical files.  Exit codes: 0 success, 2 input/validation error
 (an unwritable --output included), 3 state valid but not X-structured,
 4 oracle disagreement.
 
-Every number in text and CSV output follows one rule, written once in
-_csv_rows: 9 significant digits, in lowercase scientific notation with 8
-decimals when 0 < |v| < 10^-4 or |v| >= 10^6; -0 prints as 0; an absent
-value (a surface row's missing crossing root) is an empty cell.
+Every number in text and CSV output follows one rule, written in fmt9 for one
+value and in _csv_rows for columns: 9 significant digits, in lowercase
+scientific notation with 8 decimals when 0 < |v| < 10^-4 or |v| >= 10^6; -0
+prints as 0; an absent value (a surface row's missing crossing root) is an
+empty cell.  Each command imports what only it uses: `bmax` and `angles` on
+an X state load neither numpy nor `dynamics` and `oracle`.
 """
 
 from __future__ import annotations
@@ -21,24 +23,11 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .angles import optimal_settings, settings_set2
-from .chsh import bell_function, horodecki_eigenvalues, x_state_eigenvalues
-from .dynamics import (
-    MAX_SAMPLES,
-    EWLParams,
-    ExponentialModel,
-    LorentzianModel,
-    TabulatedModel,
-    crossing_surface,
-    ewl_state,
-    scan_events,
-    time_scan,
-)
-from .oracle import OracleConfig, brute_force_bmax, certify_settings
-from .states import DEFAULT_OFF_X_TOL, NotXStructured, as_x_state, validate_density_matrix
+from .chsh import _bound, bell_function, horodecki_eigenvalues, x_state_eigenvalues
+from .states import (DEFAULT_OFF_X_TOL, MAX_SAMPLES, NotXStructured, as_x_state,
+                     validate_density_matrix)
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -53,6 +42,8 @@ def _csv_rows(columns) -> str:
     """CSV lines of `columns` (1-D arrays and (n, k) blocks, side by side),
     each cell by the number rule of the module docstring, in one % operation:
     there are few distinct row patterns of plain, scientific and NaN cells."""
+    import numpy as np
+
     values = np.column_stack(columns) + 0.0  # + 0.0 turns -0.0 into 0.0
     magnitude = np.abs(values)
     absent = np.isnan(values)
@@ -65,8 +56,11 @@ def _csv_rows(columns) -> str:
 
 
 def fmt9(v: float) -> str:
-    """One number by the rule of _csv_rows."""
-    return _csv_rows(([v],))
+    """One number by the rule of the module docstring, as _csv_rows writes it."""
+    v = float(v) + 0.0  # + 0.0 turns -0.0 into 0.0
+    if v != v:  # NaN: absent
+        return ""
+    return ("%.8e" if v and (abs(v) < 1e-4 or abs(v) >= 1e6) else "%.9g") % v
 
 
 def _is_number(v) -> bool:
@@ -96,13 +90,15 @@ def _load_state(args):
     if not isinstance(doc, dict) or "rho" not in doc:
         raise ValueError(f"{args.input} must be an object with a 'rho' key")
     try:
-        arr = np.array([[_entry(cell) for cell in row] for row in doc["rho"]],
-                       dtype=complex)
+        rows = [[_entry(cell) for cell in row] for row in doc["rho"]]
+        lengths = {len(row) for row in rows}
+        if len(lengths) > 1:
+            raise ValueError("its rows differ in length")
     except (TypeError, ValueError, LookupError, OverflowError) as exc:
         raise ValueError(f"'rho' must be a 4x4 array of [re, im] pairs: {exc}") from exc
-    if arr.shape != (4, 4):
-        raise ValueError(f"'rho' must be 4x4, got {arr.shape}")
-    rho = validate_density_matrix(arr)
+    if (len(rows), *lengths) != (4, 4):
+        raise ValueError(f"'rho' must be 4x4, got {(len(rows), *lengths)}")
+    rho = validate_density_matrix(rows)
     off_x_tol = DEFAULT_OFF_X_TOL
     if "off_x_tol" in doc:
         if not _is_number(doc["off_x_tol"]):
@@ -125,7 +121,7 @@ def _bmax_doc(rho, x) -> dict:
     one SVD of T (Horodecki) when x is the NotXStructured error."""
     if isinstance(x, NotXStructured):
         u, region, tie = horodecki_eigenvalues(rho), None, False
-        bmax = 2.0 * math.sqrt(u[0] + u[1])
+        bmax = _bound(u[0], u[1])
     else:
         e = x_state_eigenvalues(x)
         u, region, tie, bmax = (e.u1, e.u2, e.u3), int(e.region), e.tie, e.bmax
@@ -198,6 +194,8 @@ def cmd_angles(args):
 
 
 def _parse_qmodel(spec: str):
+    from .dynamics import ExponentialModel, LorentzianModel, TabulatedModel
+
     kind, _, rest = spec.partition(":")
     try:
         if kind == "exp":
@@ -214,7 +212,9 @@ def _parse_qmodel(spec: str):
     )
 
 
-def _parse_ewl(spec: str) -> EWLParams:
+def _parse_ewl(spec: str):
+    from .dynamics import EWLParams
+
     try:
         alpha2, r, delta = (float(v) for v in spec.split(","))
         return EWLParams(alpha2=alpha2, r=r, delta=delta)
@@ -240,6 +240,10 @@ def _scan_csv(scan, doc: dict) -> str:
 
 
 def cmd_scan(args):
+    import numpy as np
+
+    from .dynamics import ewl_state, scan_events, time_scan
+
     if (args.ewl is None) == (args.input is None):
         raise ValueError("provide exactly one of --ewl or --input")
     if args.samples < 2:
@@ -272,6 +276,8 @@ def cmd_scan(args):
 
 
 def cmd_surface(args):
+    from .dynamics import crossing_surface
+
     try:
         n_alpha, n_r = (int(v) for v in args.grid.split(","))
     except ValueError as exc:
@@ -299,9 +305,12 @@ def _oracle_text(doc: dict) -> str:
 
 
 def cmd_oracle_check(args):
+    from .oracle import OracleConfig, brute_force_bmax, certify_settings
+
     rho, x = _load_state(args)
-    cfg = OracleConfig(grid_n=args.grid_n, refine_iters=args.refine,
-                       restarts=args.restarts, seed=args.seed)
+    flags = {"grid_n": args.grid_n, "refine_iters": args.refine,
+             "restarts": args.restarts, "seed": args.seed}
+    cfg = OracleConfig(**{k: v for k, v in flags.items() if v is not None})  # else defaults
     is_x = not isinstance(x, NotXStructured)
     analytic = _bmax_doc(rho, x)["bmax"]
     result = brute_force_bmax(rho, cfg)
@@ -377,10 +386,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-check",
                        help="compare closed forms against the brute-force oracle")
     add_state(p)
-    p.add_argument("--grid-n", type=int, default=OracleConfig.grid_n)
-    p.add_argument("--restarts", type=int, default=OracleConfig.restarts)
-    p.add_argument("--refine", type=int, default=OracleConfig.refine_iters)
-    p.add_argument("--seed", type=int, default=OracleConfig.seed, metavar="UINT")
+    p.add_argument("--grid-n", type=int)  # the flags left out take OracleConfig's defaults
+    p.add_argument("--restarts", type=int)
+    p.add_argument("--refine", type=int)
+    p.add_argument("--seed", type=int, metavar="UINT")
     add_io(p, formats=("json",))
     p.set_defaults(func=cmd_oracle_check)
 

@@ -50,13 +50,12 @@ import numpy as np
 
 from .angles import _settings_rows, optimal_settings
 from .chsh import TIE_TOL, Region, _eigenvalues
-from .states import POSITIVITY_TOL, DensityMatrix4, XState, _block_least_eigenvalue
+from .states import MAX_SAMPLES, POSITIVITY_TOL, DensityMatrix4, XState, _block_least_eigenvalue
 
 EVENT_REL_TOL = 1e-9
 Q_ABS_MAX = 1.0 + 1e-12  # largest damping amplitude |q| accepted
 _MAX_ROOT_ITERS = 80
 MAX_PIECES = 10 ** 6
-MAX_SAMPLES = 10 ** 6
 _FIELD_LIMIT = 131072  # csv's default field size limit, in characters
 MAX_LINE_BYTES = 3 * (4 * _FIELD_LIMIT + 2) + 4  # csv's limit: 3 quoted fields, 4-byte chars
 _BLOCK_CHARS = 1 << 16  # characters of table text parsed as one block

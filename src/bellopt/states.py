@@ -10,9 +10,11 @@ Conventions used throughout the package:
 * The spin correlation matrix is t[m][n] = Tr(rho (sigma_n (x) sigma_m)),
   with the first Kronecker factor acting on qubit 1.  _pauli_vector gives its
   rows and every Bell-function trace: it is the one Pauli kernel.
-* DensityMatrix4 keeps its Hermitian part as the array `entries` and the tuple
-  `rows`; its PSD check uses the 2x2 blocks if every off-X entry is exactly 0.
+* DensityMatrix4 keeps its Hermitian part as the tuple `rows`, and builds the
+  read-only array `entries` from it on first access; its PSD check uses the
+  2x2 blocks if every off-X entry is exactly 0, else numpy's eigvalsh.
   XState applies that same block rule, so the two accept the same X matrices.
+  The X-state route never loads numpy: what needs it imports it inside.
 * BellSettings and ObservableDirection share _check_direction and _unit_vector.
 
 All types are immutable values and all operations are pure functions, so the
@@ -25,12 +27,11 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-10
 DEFAULT_OFF_X_TOL = 1e-9
+MAX_SAMPLES = 10 ** 6  # most times a scan evaluates, and cells of a crossing surface
 
 # Index pairs that must vanish for the X pattern (everything off the main
 # diagonal and the anti-diagonal).
@@ -67,19 +68,25 @@ class NotXStructured(StateValidationError):
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class DensityMatrix4:
     """Validated 4x4 two-qubit state: Hermitian, unit trace, PSD.  `entries`
-    holds the input's Hermitian part, so defects below HERMITICITY_TOL vanish."""
+    holds the input's Hermitian part, so defects below HERMITICITY_TOL vanish.
+    The input is an array (read by tolist()) or nested sequences of numbers."""
 
-    entries: np.ndarray
-    rows: tuple = field(init=False, repr=False)
+    entries: np.ndarray  # built from rows on first access, by __getattr__
+    rows: tuple = field(repr=False)
 
-    def __post_init__(self):
-        m = np.array(self.entries, dtype=complex)
-        if m.shape != (4, 4):
-            raise StateValidationError(f"expected a 4x4 matrix, got {m.shape}")
-        r = m.tolist()
+    def __init__(self, entries):
+        m = entries.tolist() if hasattr(entries, "tolist") else entries
+        try:  # a complex 4x4 array's tolist() holds Python complexes already
+            r = m if getattr(entries, "shape", None) == (4, 4) and entries.dtype == complex else [
+                [complex(v) for v in row] for row in m]
+        except TypeError:  # a cell that is itself a sequence
+            r = []
+        if [len(row) for row in r] != [4, 4, 4, 4]:
+            import numpy as np
+            raise StateValidationError(f"expected a 4x4 matrix, got {np.shape(entries)}")
         try:
             herm = max([abs(r[i][j] - r[j][i].conjugate()) for i, j in _UPPER])
         except OverflowError:  # abs() of a finite defect past float range
@@ -91,16 +98,36 @@ class DensityMatrix4:
         tr = r[0][0] + r[1][1] + r[2][2] + r[3][3]
         if abs(tr - 1.0) > TRACE_TOL:
             raise TraceNotOne(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-        if herm:  # the Hermitian part; unlike 0.5 * (m + m^H), it cannot overflow
-            m = 0.5 * m + 0.5 * m.conj().T
-        m.setflags(write=False)
-        rows = tuple(map(tuple, m.tolist()))
+        if herm:  # 0.5 * m + 0.5 * m^H; unlike 0.5 * (m + m^H), it cannot overflow
+            r = [[_half(z) + _half(w.conjugate()) for z, w in zip(row, col)]
+                 for row, col in zip(r, zip(*r))]
+        rows = tuple(map(tuple, r))
         off_x = rows[0][1] or rows[0][2] or rows[1][3] or rows[2][3]  # 0 iff mirrors are
-        lam_min = float(np.linalg.eigvalsh(m).min()) if off_x else _x_least_eigenvalue(rows)
+        if off_x:  # an exactly Hermitian complex array is its own Hermitian part
+            import numpy as np
+            lam_min = float(np.linalg.eigvalsh(entries if r is m else np.array(rows)).min())
+        else:
+            lam_min = _x_least_eigenvalue(rows)
         if not lam_min >= -POSITIVITY_TOL:  # also rejects NaN
             raise NotPositive(f"smallest eigenvalue {lam_min:.3e}")
-        object.__setattr__(self, "entries", m)
         object.__setattr__(self, "rows", rows)
+
+    def __getattr__(self, name):
+        if name != "entries":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        import numpy as np
+        m = np.array(self.rows)
+        m.setflags(write=False)
+        object.__setattr__(self, "entries", m)
+        return m
+
+
+def _half(z: complex) -> complex:
+    """numpy's 0.5 * z: each part one fused multiply-add, as numpy's SIMD loops
+    round it on hosts with FMA, so a part +-5e-324, whose half rounds to 0,
+    keeps its sign where (0.5 + 0j) * z would add a +0.0."""
+    re, im = 0.5 * z.real, 0.5 * z.imag
+    return complex(re if z.real else re - 0.0 * z.imag, im if z.imag else im + 0.0 * z.real)
 
 
 def _block_least_eigenvalue(a, d, mod_c, hypot=lambda x, y: abs(complex(x, y))):
@@ -178,11 +205,10 @@ def as_x_state(rho: DensityMatrix4, off_x_tol: float = DEFAULT_OFF_X_TOL) -> XSt
 
 def x_to_dense(x: XState) -> DensityMatrix4:
     """Hermitian completion of an XState back into a full density matrix."""
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0], m[1, 1], m[2, 2], m[3, 3] = x.rho11, x.rho22, x.rho33, x.rho44
-    m[0, 3], m[3, 0] = x.rho14, x.rho14.conjugate()
-    m[1, 2], m[2, 1] = x.rho23, x.rho23.conjugate()
-    return DensityMatrix4(m)
+    c14, c23 = x.rho14, x.rho23
+    return DensityMatrix4([[x.rho11, 0j, 0j, c14], [0j, x.rho22, c23, 0j],
+                           [0j, c23.conjugate(), x.rho33, 0j],
+                           [c14.conjugate(), 0j, 0j, x.rho44]])
 
 
 def _pauli_vector(r: tuple, c) -> tuple[float, float, float]:
@@ -206,6 +232,8 @@ def _pauli_vector(r: tuple, c) -> tuple[float, float, float]:
 def pauli_correlation_matrix(rho: DensityMatrix4) -> np.ndarray:
     """t[m][n] = Tr(rho (sigma_n (x) sigma_m)), first factor on qubit 1, as a
     read-only 3x3 float array."""
+    import numpy as np
+
     r, axes = rho.rows, ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
     t = np.array([_pauli_vector(r, e) for e in axes])
     t.setflags(write=False)

@@ -24,6 +24,7 @@ from bellopt import (
     crossing_roots,
     dynamics,
     ewl_state,
+    oracle,
     x_to_dense,
 )
 from bellopt.cli import _csv_rows, _scan_csv, fmt9, main
@@ -91,6 +92,17 @@ class TestFmt9:
     ])
     def test_edges(self, value, text):
         assert fmt9(value) == text
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.nan, -math.nan]),
+        st.sampled_from([1e-4, 1e6]).flatmap(lambda edge: st.sampled_from([
+            edge, -edge, math.nextafter(edge, 0.0), -math.nextafter(edge, 0.0),
+            math.nextafter(edge, math.inf), -math.nextafter(edge, math.inf)]))))
+    def test_one_value_as_a_table_cell(self, v):
+        # fmt9 writes the number rule for one value without numpy
+        assert fmt9(v) == _csv_rows(([v],))
 
     def test_table_rows_mix_formats_and_empty_cells(self):
         columns = (np.array([0.5, -0.0, math.nan, 2.0]),
@@ -862,7 +874,8 @@ class TestOracleCheck:
             configs.append(cfg)
             return brute_force_bmax(rho, cfg)
 
-        monkeypatch.setattr(cli, "brute_force_bmax", recording)
+        # cmd_oracle_check imports it from bellopt.oracle when it runs
+        monkeypatch.setattr(oracle, "brute_force_bmax", recording)
         assert main(["oracle-check", "--input", bell_file(tmp_path)]) == 0
         assert configs == [OracleConfig()]
 
@@ -1143,6 +1156,16 @@ class TestDeterminism:
         result = run_cli(command, "--help")
         assert result.returncode == 0
         assert f"(default: {default})" in " ".join(result.stdout.split())
+
+    @pytest.mark.parametrize("command", ["bellopt", "bmax", "angles", "scan", "surface",
+                                         "oracle-check"])
+    def test_help_text_is_pinned(self, command, monkeypatch, capsys):
+        # the help at 80 columns, byte for byte, defaults and limits included
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as stop:
+            main([*([] if command == "bellopt" else [command]), "--help"])
+        assert stop.value.code == 0
+        assert capsys.readouterr().out == (GOLDEN / f"help-{command}.out").read_text()
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -30,3 +32,58 @@ def test_numpy_is_the_only_runtime_dependency():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
     names = [re.match(r"[A-Za-z0-9_.-]+", d).group() for d in project["project"]["dependencies"]]
     assert names == ["numpy"]
+
+
+def _loaded_after(code: str) -> set[str]:
+    """The numpy and bellopt modules a fresh interpreter holds after code."""
+    wrapper = (code + "\nimport sys\nprint(' '.join(m for m in sys.modules"
+               " if m == 'numpy' or m.startswith('bellopt.')))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", wrapper], capture_output=True, text=True,
+                         env=env, cwd=ROOT / "tests" / "golden", check=True)
+    return set(run.stdout.splitlines()[-1].split())
+
+
+LAZY = {"numpy", "bellopt.dynamics", "bellopt.oracle"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["bmax", "--input", "states/randx1.json"],
+    ["bmax", "--input", "states/randx1.json", "--format", "json"],
+    ["angles", "--input", "states/tie.json"],
+    ["angles", "--input", "states/tie.json", "--format", "json", "--degrees"],
+], ids=" ".join)
+def test_bmax_and_angles_on_x_states_load_no_numpy_dynamics_or_oracle(argv):
+    loaded = _loaded_after(f"from bellopt.cli import main\nassert main({argv!r}) == 0")
+    assert "bellopt.cli" in loaded
+    assert not loaded & LAZY
+
+
+@pytest.mark.parametrize("argv,wanted", [
+    (["scan", "--ewl", "0.3,1,0", "--qmodel", "exp:1", "--tmax", "1", "--samples", "3"],
+     {"numpy", "bellopt.dynamics"}),
+    (["oracle-check", "--input", "states/randx1.json"], {"numpy", "bellopt.oracle"}),
+], ids=lambda v: v[0] if isinstance(v, list) else "")
+def test_scan_and_oracle_check_load_only_their_module(argv, wanted):
+    loaded = _loaded_after(f"from bellopt.cli import main\nassert main({argv!r}) == 0")
+    assert loaded & LAZY == wanted
+
+
+def test_import_loads_neither_dynamics_nor_oracle():
+    assert not _loaded_after("import bellopt") & {"bellopt.dynamics", "bellopt.oracle"}
+
+
+def test_lazy_names_resolve_to_their_module():
+    from bellopt import dynamics, oracle
+
+    assert bellopt.time_scan is dynamics.time_scan
+    assert bellopt.OracleConfig is oracle.OracleConfig
+    assert bellopt.dynamics is dynamics and bellopt.oracle is oracle
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        bellopt.no_such_name
+
+
+def test_every_exported_name_is_listed_by_dir():
+    assert set(bellopt.__all__) <= set(dir(bellopt))
+    assert {"dynamics", "oracle"} <= set(dir(bellopt))

@@ -2,6 +2,7 @@ import importlib.util
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -148,3 +149,67 @@ def test_differential_pairs_records_by_label(tmp_path, capsys):
     assert differential.compare(str(path_b), str(path_b)) is None
     assert differential.main(["--compare", str(path_b), str(path_b)]) == 0
     assert capsys.readouterr().out.endswith("identical: 6 records\n")
+
+
+_SHIFTED_WRAP = '''
+
+_wrap_exact = _wrap
+
+
+def _wrap(phi):  # one ulp up, of a float or of each array entry
+    import numpy as np
+
+    out = _wrap_exact(phi)
+    return math.nextafter(out, math.inf) if isinstance(out, float) else np.nextafter(out, np.inf)
+'''
+
+
+@pytest.fixture
+def scratch_clone(tmp_path):
+    """A clone of this repository's HEAD, holding this checkout's
+    scripts/differential.py; skips outside a git checkout."""
+    if shutil.which("git") is None or subprocess.run(
+            ["git", "rev-parse", "--git-dir"], cwd=ROOT, capture_output=True).returncode:
+        pytest.skip("not a git checkout (or no git): --against reads src/ from git")
+    clone = tmp_path / "clone"
+    subprocess.run(["git", "clone", "--quiet", str(ROOT), str(clone)], check=True)
+    shutil.copy(ROOT / "scripts" / "differential.py", clone / "scripts" / "differential.py")
+    return clone
+
+
+def _against(clone, rev):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    return subprocess.run([sys.executable, str(clone / "scripts" / "differential.py"),
+                           "--against", rev], cwd=clone, capture_output=True, text=True,
+                          env=env)
+
+
+def test_differential_against_head_of_a_clean_checkout_is_identical(scratch_clone):
+    run = _against(scratch_clone, "HEAD")
+    assert (run.returncode, run.stderr) == (0, "")
+    assert re.fullmatch(r"identical: \d+ records\n", run.stdout)
+
+
+def test_differential_against_reports_a_one_ulp_commit(scratch_clone):
+    angles_py = scratch_clone / "src" / "bellopt" / "angles.py"
+    angles_py.write_text(angles_py.read_text() + _SHIFTED_WRAP)
+    git = ["git", "-c", "user.name=test", "-c", "user.email=test@example.invalid",
+           "-c", "commit.gpgsign=false"]
+    subprocess.run([*git, "commit", "--quiet", "-am", "shift _wrap by one ulp"],
+                   cwd=scratch_clone, check=True)
+    run = _against(scratch_clone, "HEAD~1")
+    assert (run.returncode, run.stderr) == (1, "")
+    lines = run.stdout.splitlines()
+    assert lines[0] == "x0 set1.phis[0] differs:"
+    assert lines[1].startswith("  HEAD~1: x0 set1.phis[0] float ")
+    assert lines[2].startswith("  src: x0 set1.phis[0] float ")
+    assert lines[1].rsplit(" ", 1)[1] != lines[2].rsplit(" ", 1)[1]
+    labels = lines[:-1:3]
+    assert all(".phis[" in label or " bell_function[" in label for label in labels)
+    assert re.fullmatch(rf"{len(labels)} records differ in \d+ states", lines[-1])
+
+
+def test_differential_against_an_unknown_revision_exits_2(scratch_clone):
+    run = _against(scratch_clone, "no-such-revision")
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr.startswith("error: git archive no-such-revision failed: ")

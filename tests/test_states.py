@@ -233,6 +233,30 @@ class TestPlainPythonValidation:
         m[2, 2] = complex(0.25, -0.0)
         assert validate_density_matrix(m).entries.tobytes() == m.tobytes()
 
+    @settings(max_examples=300)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 0.01, -0.007, 1.0 / 300.0]),
+                    min_size=32, max_size=32),
+           st.lists(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-17, -3e-17, 1.5e-11,
+                                     -2e-11]), min_size=32, max_size=32),
+           st.booleans())
+    @example([0.0] * 32, [-0.0] * 32, False)
+    @example([0.0] * 32, [-0.0] * 31 + [5e-324], True)
+    @example([0.0] * 32, [0.0] * 23 + [-5e-324] + [0.0] * 5 + [5e-324, 0.0, 5e-324], False)
+    def test_hermitian_part_is_numpys_bit_for_bit(self, coherences, defects, as_list):
+        # a Hermitian matrix with zero diagonal, plus defects below HERMITICITY_TOL,
+        # read from an array or from nested lists of Python complex
+        a = np.array([complex(re, im) for re, im in zip(coherences[::2], coherences[1::2])])
+        a = a.reshape(4, 4) * (1.0 - np.eye(4))
+        m = np.eye(4) / 4.0 + (a + a.conj().T) + np.array(
+            [complex(re, im) for re, im in zip(defects[::2], defects[1::2])]).reshape(4, 4)
+        rho = validate_density_matrix(m.tolist() if as_list else m)
+        # an exactly Hermitian input is kept as it is, -0.0 parts and all
+        expected = 0.5 * m + 0.5 * m.conj().T if np.any(m != m.conj().T) else m
+        assert rho.entries.tobytes() == expected.tobytes()
+        assert rho.rows == tuple(map(tuple, expected.tolist()))
+        assert [[(z.real.hex(), z.imag.hex()) for z in row] for row in rho.rows] == [
+            [(z.real.hex(), z.imag.hex()) for z in row] for row in expected.tolist()]
+
     @settings(max_examples=100)
     @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -0.5, 20.0, -20.0]),
                     min_size=32, max_size=32))
