@@ -280,7 +280,7 @@ def records() -> list[str]:
                 call(f"x{i} bell", lambda: (u.b1, u.b2, u.bmax, u.region, u.tie))
             call(f"x{i} horodecki", lambda: horodecki_eigenvalues(x_to_dense(x)))
             call(f"x{i} bell_function", lambda: [  # at set 1 and set 2
-                bell_function(x_to_dense(x), s(x).bell_settings())
+                bell_function(x_to_dense(x), s(x))
                 for s in (settings_set1, settings_set2)])
             for k, q in enumerate(Q_VALUES):
                 call(f"x{i} evolve{k}", evolve_x, x, q)

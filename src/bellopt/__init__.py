@@ -8,7 +8,6 @@ from importlib import import_module
 from .states import (
     DensityMatrix4,
     XState,
-    ObservableDirection,
     BellSettings,
     StateValidationError,
     NotHermitian,
@@ -19,13 +18,11 @@ from .states import (
     as_x_state,
     x_to_dense,
     pauli_correlation_matrix,
-    normalize_direction,
 )
 from .chsh import (
     Region,
     BellEigenvalues,
     TSIRELSON,
-    correlation,
     bell_function,
     x_state_eigenvalues,
     bmax_x,
@@ -67,12 +64,12 @@ def __dir__():
 
 __all__ = [
     "__version__",
-    "DensityMatrix4", "XState", "ObservableDirection", "BellSettings",
+    "DensityMatrix4", "XState", "BellSettings",
     "StateValidationError", "NotHermitian", "TraceNotOne", "NotPositive",
     "NotXStructured", "validate_density_matrix", "as_x_state", "x_to_dense",
-    "pauli_correlation_matrix", "normalize_direction",
+    "pauli_correlation_matrix",
     "Region", "BellEigenvalues", "TSIRELSON",
-    "correlation", "bell_function", "x_state_eigenvalues", "bmax_x",
+    "bell_function", "x_state_eigenvalues", "bmax_x",
     "horodecki_eigenvalues", "horodecki_bmax",
     "AngleSettings", "settings_set1", "settings_set2", "optimal_settings",
     "settings_distance", *_LAZY,

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .chsh import BellEigenvalues, Region, x_state_eigenvalues
-from .states import BellSettings, XState, _unit_vector, normalize_direction
+from .states import BellSettings, XState, _unit_vector
 
 _HALF_PI = 0.5 * math.pi
 _TWO_PI = 2.0 * math.pi
@@ -30,12 +30,6 @@ class AngleSettings(BellSettings):
         """The settings themselves, which bell_function takes as they are."""
         return self
 
-    @classmethod
-    def from_angles(cls, set_id: Region, thetas, phis) -> "AngleSettings":
-        """Settings from four raw (theta, phi) pairs, each canonicalized by
-        normalize_direction."""
-        pairs = [normalize_direction(t, p) for t, p in zip(thetas, phis, strict=True)]
-        return cls(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs), set_id)
 
 
 def settings_set1(x: XState) -> AngleSettings:
@@ -61,7 +55,7 @@ def settings_set2(x: XState) -> AngleSettings:
 
 # The closed forms are built canonical: with phases in [-pi, pi] and the spread
 # atan2(sqrt(u), sqrt(u1)) in [0, pi/2], every theta is in [0, pi], never -0.0,
-# and every phi in [-3 pi/2, 3 pi/2], where _wrap is normalize_direction's phi.
+# and every phi in [-3 pi/2, 3 pi/2], where one 2 pi step of _wrap lands it in (-pi, pi].
 
 def _wrap(phi):
     # one 2 pi step into (-pi, pi], float or array; a last + 0.0 clears -0.0

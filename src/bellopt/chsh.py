@@ -21,7 +21,6 @@ from enum import IntEnum
 from .states import (
     BellSettings,
     DensityMatrix4,
-    ObservableDirection,
     XState,
     _pauli_vector,
     _unit_vector,
@@ -85,12 +84,6 @@ def _bound(ua: float, ub: float) -> float:
 
 def _dot(a: tuple, v: tuple) -> float:
     return a[0] * v[0] + a[1] * v[1] + a[2] * v[2]
-
-
-def correlation(rho: DensityMatrix4, a: ObservableDirection,
-                b: ObservableDirection) -> float:
-    """Tr(rho (a.sigma (x) b.sigma)) by direct trace; a acts on qubit 1."""
-    return _dot(a.unit_vector, _pauli_vector(rho.rows, b.unit_vector))
 
 
 def bell_function(rho: DensityMatrix4, s: BellSettings) -> float:

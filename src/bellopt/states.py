@@ -15,7 +15,8 @@ Conventions used throughout the package:
   2x2 blocks if every off-X entry is exactly 0, else numpy's eigvalsh.
   XState applies that same block rule, so the two accept the same X matrices.
   The X-state route never loads numpy: what needs it imports it inside.
-* BellSettings and ObservableDirection share _check_direction and _unit_vector.
+* BellSettings applies the range rule _check_direction to each of its four
+  directions, and _unit_vector gives a direction's Bloch vector.
 
 All types are immutable values and all operations are pure functions, so the
 module is safe for unrestricted concurrent use.
@@ -120,6 +121,9 @@ class DensityMatrix4:
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
         return m
+
+    def __reduce__(self):  # pickle and copy rebuild from rows, so entries stays read-only
+        return type(self), (self.rows,)
 
 
 def _half(z: complex) -> complex:
@@ -253,25 +257,9 @@ def _unit_vector(theta: float, phi: float) -> tuple[float, float, float]:
 
 
 @dataclass(frozen=True)
-class ObservableDirection:
-    """Measurement direction on the Bloch sphere, theta in [0, pi], phi in (-pi, pi]."""
-
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", float(self.theta))
-        object.__setattr__(self, "phi", float(self.phi))
-        _check_direction(self.theta, self.phi)
-
-    @property
-    def unit_vector(self) -> tuple[float, float, float]:
-        return _unit_vector(self.theta, self.phi)
-
-
-@dataclass(frozen=True)
 class BellSettings:
-    """The angles of A, A', B, B' in that order, each pair a valid ObservableDirection."""
+    """The angles of A, A', B, B' in that order, each pair within the range
+    rule _check_direction: theta in [0, pi], phi in (-pi, pi]."""
 
     thetas: tuple[float, float, float, float]
     phis: tuple[float, float, float, float]
@@ -282,23 +270,3 @@ class BellSettings:
                              f"{len(self.thetas)} and {len(self.phis)}")
         for theta, phi in zip(self.thetas, self.phis):
             _check_direction(theta, phi)
-
-
-def normalize_direction(theta: float, phi: float) -> tuple[float, float]:
-    """Canonicalize raw angles to theta in [0, pi], phi in (-pi, pi].
-
-    A theta outside [0, pi] is reflected through the antipode (phi shifted by
-    pi), which leaves the physical direction unchanged.
-    """
-    theta = math.fmod(theta, 2.0 * math.pi)
-    if theta < 0.0:
-        theta += 2.0 * math.pi
-    if theta > math.pi:
-        theta = 2.0 * math.pi - theta
-        phi += math.pi
-    phi = math.fmod(phi, 2.0 * math.pi)
-    if phi > math.pi:
-        phi -= 2.0 * math.pi
-    elif phi <= -math.pi:
-        phi += 2.0 * math.pi
-    return theta + 0.0, phi + 0.0  # +0.0 turns -0.0 into 0.0

@@ -6,13 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bellopt import (
     AngleSettings,
     BellSettings,
     ExponentialModel,
     LorentzianModel,
-    ObservableDirection,
     OracleConfig,
     Region,
     TSIRELSON,
@@ -33,9 +33,8 @@ from bellopt import (
     x_state_eigenvalues,
     x_to_dense,
 )
-from bellopt import angles, chsh, states
 from bellopt.cli import main
-from bellopt.states import _pauli_vector
+from bellopt.states import _check_direction, _pauli_vector, _unit_vector
 from conftest import random_density, random_x_state, werner, x_states
 
 PI = math.pi
@@ -230,8 +229,6 @@ class TestAngleSettings:
 
         with pytest.raises(ValueError, match="expected 4 thetas and 4 phis"):
             AngleSettings(thetas, phis, Region.SET1)
-        with pytest.raises(ValueError):
-            AngleSettings.from_angles(Region.SET1, thetas, phis)
 
 
 def raw_closed_forms(x: XState):
@@ -249,6 +246,34 @@ def raw_closed_forms(x: XState):
             ((PI / 2,) * 4, (phi1, phi1p, phi2 + spread, phi2 - spread)))
 
 
+def normalize_direction(theta: float, phi: float) -> tuple[float, float]:
+    """Canonicalize raw angles to theta in [0, pi], phi in (-pi, pi]: the
+    general normalizer that the closed forms are compared against.
+
+    A theta outside [0, pi] is reflected through the antipode (phi shifted by
+    pi), which leaves the physical direction unchanged.
+    """
+    theta = math.fmod(theta, 2.0 * math.pi)
+    if theta < 0.0:
+        theta += 2.0 * math.pi
+    if theta > math.pi:
+        theta = 2.0 * math.pi - theta
+        phi += math.pi
+    phi = math.fmod(phi, 2.0 * math.pi)
+    if phi > math.pi:
+        phi -= 2.0 * math.pi
+    elif phi <= -math.pi:
+        phi += 2.0 * math.pi
+    return theta + 0.0, phi + 0.0  # +0.0 turns -0.0 into 0.0
+
+
+def canonical(set_id: Region, thetas, phis) -> AngleSettings:
+    """Settings from four raw (theta, phi) pairs, each canonicalized by
+    normalize_direction."""
+    pairs = [normalize_direction(t, p) for t, p in zip(thetas, phis, strict=True)]
+    return AngleSettings(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs), set_id)
+
+
 def hexes(s: AngleSettings):
     # float.hex tells -0.0 from 0.0 and every last bit
     return [v.hex() for v in s.thetas + s.phis], s.set_id
@@ -256,7 +281,19 @@ def hexes(s: AngleSettings):
 
 class TestCanonicalClosedForms:
     """The closed-form sets are built canonical, equal bit for bit to their
-    raw angles canonicalized by normalize_direction (from_angles)."""
+    raw angles canonicalized by the general normalizer normalize_direction."""
+
+    @given(raw_theta=st.floats(-10, 10), raw_phi=st.floats(-10, 10))
+    def test_normalize_preserves_direction(self, raw_theta, raw_phi):
+        # the reference itself: a canonical direction, the same as the raw one
+        theta, phi = normalize_direction(raw_theta, raw_phi)
+        _check_direction(theta, phi)
+        raw = np.array([
+            math.sin(raw_theta) * math.cos(raw_phi),
+            math.sin(raw_theta) * math.sin(raw_phi),
+            math.cos(raw_theta),
+        ])
+        assert np.allclose(_unit_vector(theta, phi), raw, atol=1e-12)
 
     @settings(max_examples=300, deadline=None)
     @given(x_states())
@@ -273,10 +310,12 @@ class TestCanonicalClosedForms:
     @example(XState(0.25, 0.25, 0.25, 0.25, 0.1j, complex(-0.05, -0.0)))  # zero gap
     def test_equal_to_canonicalized_raw_angles(self, x):
         raw1, raw2 = raw_closed_forms(x)
-        assert hexes(settings_set1(x)) == hexes(AngleSettings.from_angles(Region.SET1, *raw1))
-        assert hexes(settings_set2(x)) == hexes(AngleSettings.from_angles(Region.SET2, *raw2))
+        assert hexes(settings_set1(x)) == hexes(canonical(Region.SET1, *raw1))
+        assert hexes(settings_set2(x)) == hexes(canonical(Region.SET2, *raw2))
 
-    def test_no_call_path_reaches_the_general_normalizer(self, tmp_path, monkeypatch, capsys):
+    def test_every_call_path_gives_canonical_angles(self, tmp_path, capsys):
+        # no library path canonicalizes raw angles: each builds them canonical,
+        # so the general normalizer leaves them as they are, bit for bit
         rng = np.random.default_rng(20)
         xs = [random_x_state(rng) for _ in range(20)] + [
             werner(0.8), XState(0.4, 0.1, 0.2, 0.3, 0.0, 0.0),
@@ -284,20 +323,16 @@ class TestCanonicalClosedForms:
         path = tmp_path / "state.json"
         rows = x_to_dense(xs[0]).rows
         path.write_text(json.dumps({"rho": [[[z.real, z.imag] for z in r] for r in rows]}))
-
-        def refuse(*args):
-            raise AssertionError("general normalizer called")
-
-        monkeypatch.setattr(states, "normalize_direction", refuse)
-        monkeypatch.setattr(angles, "normalize_direction", refuse)
-        monkeypatch.setattr(AngleSettings, "from_angles", refuse)
-        with pytest.raises(AssertionError, match="general normalizer called"):
-            AngleSettings.from_angles(Region.SET1, (0.0,) * 4, (0.0,) * 4)
         t = np.linspace(0.0, 4.0, 41)
         for x in xs:
-            optimal_settings(x), settings_set1(x), settings_set2(x)
-            time_scan(x, ExponentialModel(1.0), t)
-            time_scan(x, LorentzianModel(1.0, 5.0), t)
+            for s in (optimal_settings(x)[0], settings_set1(x), settings_set2(x)):
+                assert hexes(s) == hexes(canonical(s.set_id, s.thetas, s.phis))
+            for model in (ExponentialModel(1.0), LorentzianModel(1.0, 5.0)):
+                scan = time_scan(x, model, t)
+                for thetas, phis, region in zip(scan.thetas.tolist(), scan.phis.tolist(),
+                                                scan.region.tolist()):
+                    s = AngleSettings(tuple(thetas), tuple(phis), Region(region))
+                    assert hexes(s) == hexes(canonical(s.set_id, s.thetas, s.phis))
         assert main(["angles", "--input", str(path), "--degrees"]) == 0
         capsys.readouterr()
         assert main(["angles", "--input", str(path), "--format", "json"]) == 0
@@ -335,12 +370,13 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def direction_bell_function(rho, s):
-    """bell_function as it was written over four ObservableDirections, kept as
-    the reference that reading the angles directly must equal bit for bit."""
+    """bell_function as it was written over four direction objects, each one
+    _unit_vector of its angles, kept as the reference that reading the angles
+    directly must equal bit for bit."""
     def dot(u, v):
         return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
-    a, ap, b, bp = (ObservableDirection(t, p).unit_vector for t, p in zip(s.thetas, s.phis))
+    a, ap, b, bp = (_unit_vector(float(t), float(p)) for t, p in zip(s.thetas, s.phis))
     plus = _pauli_vector(rho.rows, [p + q for p, q in zip(b, bp)])
     minus = _pauli_vector(rho.rows, [p - q for p, q in zip(b, bp)])
     return abs(dot(a, plus) + dot(ap, minus))
@@ -367,19 +403,11 @@ class TestOneSettingsRecord:
             for s in (BellSettings(*zip(*pairs)), settings_set1(x), settings_set2(x)):
                 assert bell_function(rho, s).hex() == direction_bell_function(rho, s).hex()
 
-    def test_no_direction_objects_on_the_bell_value_path(self, monkeypatch, capsys):
+    def test_bell_value_path_reads_the_settings(self, capsys, monkeypatch):
         rng = np.random.default_rng(24)
         xs = [random_x_state(rng) for _ in range(10)] + [
             werner(0.8), XState(0.4, 0.1, 0.2, 0.3, 0.0, 0.0)]
         cfg = OracleConfig(grid_n=4, refine_iters=0, restarts=1)
-
-        def refuse(*args):
-            raise AssertionError("ObservableDirection built")
-
-        for module in (states, chsh, angles):
-            monkeypatch.setattr(module, "ObservableDirection", refuse, raising=False)
-        with pytest.raises(AssertionError, match="ObservableDirection built"):
-            states.ObservableDirection(0.0, 0.0)
         for x in xs:
             rho = x_to_dense(x)
             active, u = optimal_settings(x)

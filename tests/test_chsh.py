@@ -7,12 +7,10 @@ from hypothesis import given, settings
 from bellopt import (
     BellEigenvalues,
     BellSettings,
-    ObservableDirection,
     Region,
     TSIRELSON,
     bell_function,
     bmax_x,
-    correlation,
     horodecki_bmax,
     horodecki_eigenvalues,
     pauli_correlation_matrix,
@@ -21,10 +19,11 @@ from bellopt import (
     x_state_eigenvalues,
     x_to_dense,
 )
-from bellopt.chsh import TIE_TOL
+from bellopt.chsh import TIE_TOL, _dot
+from bellopt.states import _pauli_vector, _unit_vector
 from conftest import PAULIS, random_density, random_x_state, werner, x_states
 
-Z_UP = ObservableDirection(0.0, 0.0)
+Z_UP = (0.0, 0.0)  # (theta, phi) of +z
 
 
 def all_z_settings():
@@ -38,8 +37,14 @@ def random_settings(rng):
 
 
 def directions(s):
-    """A, A', B, B' of the settings s as ObservableDirections."""
-    return [ObservableDirection(t, p) for t, p in zip(s.thetas, s.phis)]
+    """A, A', B, B' of the settings s as (theta, phi) pairs."""
+    return list(zip(s.thetas, s.phis))
+
+
+def correlation(rho, a, b):
+    """Tr(rho (a.sigma (x) b.sigma)), a acting on qubit 1, as one term of
+    bell_function: a dot product with the Pauli kernel _pauli_vector."""
+    return _dot(_unit_vector(*a), _pauli_vector(rho.rows, _unit_vector(*b)))
 
 
 class TestCorrelation:
@@ -77,7 +82,7 @@ def kron_correlation(rho, a, b):
     """The np.kron + einsum trace that bell_function replaced, kept as a
     reference: Tr(rho (a.sigma (x) b.sigma)) from dense 4x4 operators."""
     def observable(d):
-        n = d.unit_vector
+        n = _unit_vector(*d)
         return n[0] * PAULIS[0] + n[1] * PAULIS[1] + n[2] * PAULIS[2]
     return float(np.einsum("ij,ji->", rho.entries,
                            np.kron(observable(a), observable(b))).real)
@@ -125,7 +130,7 @@ class TestDirectTrace:
         # test_states.py::TestPauliCorrelationMatrix::test_equals_literal_kron_trace.
         for rho, s in reference_cases():
             t = pauli_correlation_matrix(rho)
-            a, ap, b, bp = (np.array(d.unit_vector) for d in directions(s))
+            a, ap, b, bp = (np.array(_unit_vector(*d)) for d in directions(s))
             via_t = abs(b @ t @ a + bp @ t @ a + b @ t @ ap - bp @ t @ ap)
             assert abs(bell_function(rho, s) - via_t) <= 1e-14
 

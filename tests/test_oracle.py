@@ -514,5 +514,5 @@ class TestCertify:
             with pytest.raises(NotXStructured):
                 as_x_state(rho)
             result = brute_force_bmax(rho, cfg)
-            settings = AngleSettings.from_angles(Region.SET1, result.thetas, result.phis)
+            settings = AngleSettings(result.thetas, result.phis, Region.SET1)
             assert certify_settings(rho, result, cfg) == certify_settings(rho, settings, cfg)

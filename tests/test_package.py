@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,47 @@ ROOT = Path(__file__).parent.parent
 @pytest.mark.parametrize("name", bellopt.__all__)
 def test_exported_name_resolves(name):
     assert getattr(bellopt, name) is not None
+
+
+PUBLIC_API = {
+    "__version__",
+    "DensityMatrix4", "XState", "BellSettings", "StateValidationError", "NotHermitian",
+    "TraceNotOne", "NotPositive", "NotXStructured", "validate_density_matrix",
+    "as_x_state", "x_to_dense", "pauli_correlation_matrix",
+    "Region", "BellEigenvalues", "TSIRELSON", "bell_function", "x_state_eigenvalues",
+    "bmax_x", "horodecki_eigenvalues", "horodecki_bmax",
+    "AngleSettings", "settings_set1", "settings_set2", "optimal_settings",
+    "settings_distance",
+    "OracleConfig", "OracleResult", "BudgetExceeded", "Splitmix64", "brute_force_bmax",
+    "certify_settings",
+    "ExponentialModel", "LorentzianModel", "TabulatedModel", "QModel", "EWLParams",
+    "EventKind", "ScanEvent", "TimeScan", "apply_amplitude_damping", "evolve_x",
+    "ewl_state", "trajectory_coefficients", "crossing_levels", "crossing_roots",
+    "time_scan", "scan_events",
+}
+
+
+def test_public_api_is_pinned():
+    assert len(PUBLIC_API) == 48
+    assert len(bellopt.__all__) == len(set(bellopt.__all__))
+    assert set(bellopt.__all__) == PUBLIC_API
+
+
+@pytest.mark.parametrize("module,name", [
+    ("states", "ObservableDirection"),
+    ("states", "normalize_direction"),
+    ("chsh", "correlation"),
+])
+def test_removed_names_are_gone(module, name):
+    # one name per concept: BellSettings carries directions, bell_function the traces
+    with pytest.raises(AttributeError):
+        getattr(bellopt, name)
+    with pytest.raises(AttributeError):
+        getattr(import_module(f"bellopt.{module}"), name)
+
+
+def test_angle_settings_has_no_from_angles():
+    assert not hasattr(bellopt.AngleSettings, "from_angles")
 
 
 def test_numpy_is_the_only_runtime_dependency():

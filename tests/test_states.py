@@ -1,5 +1,7 @@
 import cmath
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -13,21 +15,20 @@ from bellopt import (
     NotHermitian,
     NotPositive,
     NotXStructured,
-    ObservableDirection,
     OracleResult,
     Region,
     StateValidationError,
     TraceNotOne,
     XState,
     as_x_state,
-    normalize_direction,
     pauli_correlation_matrix,
     validate_density_matrix,
     x_to_dense,
 )
 from bellopt.angles import optimal_settings, settings_set1, settings_set2
-from bellopt.chsh import bell_function, correlation, x_state_eigenvalues
-from bellopt.states import POSITIVITY_TOL, TRACE_TOL, _x_least_eigenvalue
+from bellopt.chsh import bell_function, x_state_eigenvalues
+from bellopt.states import (POSITIVITY_TOL, TRACE_TOL, _check_direction, _unit_vector,
+                            _x_least_eigenvalue)
 from conftest import (PAULIS, lower_triangle_fault, random_density, random_x_state, werner,
                       x_states)
 
@@ -280,10 +281,31 @@ class TestPlainPythonValidation:
         assert x == as_x_state(bell_rho)
         t = pauli_correlation_matrix(rows_only)
         assert np.array_equal(t, pauli_correlation_matrix(bell_rho))
-        z = ObservableDirection(0.0, 0.0)
-        assert correlation(rows_only, z, z) == correlation(bell_rho, z, z)
+        z = BellSettings((0.0,) * 4, (0.0,) * 4)
+        assert bell_function(rows_only, z) == bell_function(bell_rho, z)
         s = optimal_settings(x)[0].bell_settings()
         assert bell_function(rows_only, s) == bell_function(bell_rho, s)
+
+    @pytest.mark.parametrize("duplicate", [lambda r: pickle.loads(pickle.dumps(r)),
+                                           copy.copy, copy.deepcopy],
+                             ids=["pickle", "copy", "deepcopy"])
+    @pytest.mark.parametrize("entries_built", [False, True], ids=["lazy", "built"])
+    def test_copies_keep_rows_and_a_read_only_entries(self, duplicate, entries_built):
+        defect = np.zeros((4, 4), dtype=complex)
+        defect[0, 1] = 3e-11j  # below HERMITICITY_TOL: rows is the Hermitian part
+        states = [x_to_dense(werner(0.8)), random_density(np.random.default_rng(28)),
+                  validate_density_matrix(np.eye(4) / 4.0 + defect)]
+        for rho in states:
+            if entries_built:
+                rho.entries
+            dup = duplicate(rho)
+            assert type(dup) is DensityMatrix4
+            assert [[(z.real.hex(), z.imag.hex()) for z in row] for row in dup.rows] == [
+                [(z.real.hex(), z.imag.hex()) for z in row] for row in rho.rows]
+            assert not dup.entries.flags.writeable
+            with pytest.raises(ValueError):
+                dup.entries[0, 0] = 5.0
+            assert dup.entries.tolist() == [list(row) for row in dup.rows]
 
 
 @st.composite
@@ -429,8 +451,8 @@ class TestPauliCorrelationMatrix:
             assert np.abs(t).max() <= 1.0 + 1e-12
 
     def test_equals_literal_kron_trace(self):
-        # T's own reference: the other users of the Pauli kernel (correlation,
-        # bell_function) cannot catch a slip that the kernel shares with them
+        # T's own reference: the other user of the Pauli kernel (bell_function)
+        # cannot catch a slip that the kernel shares with them
         rng = np.random.default_rng(2025)
         for k in range(600):
             rho = random_density(rng) if k % 2 else x_to_dense(random_x_state(rng))
@@ -453,6 +475,11 @@ class TestPauliCorrelationMatrix:
             assert abs(t[i, j]) <= 1e-12
 
 
+def check_direction(theta, phi):
+    # the rule itself, which every settings record below applies
+    _check_direction(theta, phi)
+
+
 def bell_settings(theta, phi):
     return BellSettings((0.0, theta, 0.0, 0.0), (0.0, phi, 0.0, 0.0))
 
@@ -466,19 +493,19 @@ def oracle_result(theta, phi):
                         bmax_est=2.0, evaluations=1)
 
 
-RANGE_BUILDERS = [ObservableDirection, bell_settings, angle_settings, oracle_result]
+RANGE_BUILDERS = [check_direction, bell_settings, angle_settings, oracle_result]
 
 
 class TestDirections:
     def test_unit_vector_normalized(self):
-        d = ObservableDirection(1.234, -2.1)
-        assert np.linalg.norm(d.unit_vector) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(_unit_vector(1.234, -2.1)) == pytest.approx(1.0, abs=1e-12)
 
     def test_range_validation(self):
-        with pytest.raises(ValueError):
-            ObservableDirection(4.0, 0.0)
-        with pytest.raises(ValueError):
-            ObservableDirection(1.0, 4.0)
+        for build in RANGE_BUILDERS:
+            with pytest.raises(ValueError):
+                build(4.0, 0.0)
+            with pytest.raises(ValueError):
+                build(1.0, 4.0)
 
     @pytest.mark.parametrize("build", RANGE_BUILDERS, ids=lambda b: b.__name__)
     @pytest.mark.parametrize("theta,phi,message", [
@@ -491,7 +518,7 @@ class TestDirections:
         (1.0, math.nan, "phi out of (-pi, pi]"),
     ])
     def test_one_range_rule_rejects(self, build, theta, phi, message):
-        # every settings record applies ObservableDirection's rule and texts
+        # every settings record applies the one range rule and its texts
         bad = theta if message.startswith("theta") else phi
         with pytest.raises(ValueError) as info:
             build(theta, phi)
@@ -506,14 +533,3 @@ class TestDirections:
     ])
     def test_one_range_rule_accepts_the_edges(self, build, theta, phi):
         build(theta, phi)
-
-    @given(raw_theta=st.floats(-10, 10), raw_phi=st.floats(-10, 10))
-    def test_normalize_preserves_direction(self, raw_theta, raw_phi):
-        theta, phi = normalize_direction(raw_theta, raw_phi)
-        d = ObservableDirection(theta, phi)
-        raw = np.array([
-            math.sin(raw_theta) * math.cos(raw_phi),
-            math.sin(raw_theta) * math.sin(raw_phi),
-            math.cos(raw_theta),
-        ])
-        assert np.allclose(d.unit_vector, raw, atol=1e-12)
