@@ -209,9 +209,7 @@ class TabulatedModel:
             raise ValueError("times must be strictly increasing")
         if abs(complex(v[0]) - 1.0) > 1e-12:
             raise ValueError("q(0) must equal 1")
-        # np.abs of a complex may differ from abs() in the last bit, so it
-        # only picks the samples whose abs() is compared
-        worst = max(map(abs, v[np.abs(v) > 1.0 + 0.5e-12].tolist()), default=0.0)
+        worst = float(np.hypot(v.real, v.imag).max())
         if worst > Q_ABS_MAX:
             raise ValueError(f"|q| exceeds 1 at a sample: {worst!r}")
         t.setflags(write=False)

@@ -79,15 +79,20 @@ class DensityMatrix4:
     rows: tuple = field(repr=False)
 
     def __init__(self, entries):
+        shape = getattr(entries, "shape", None)
         m = entries.tolist() if hasattr(entries, "tolist") else entries
         try:  # a complex 4x4 array's tolist() holds Python complexes already
-            r = m if getattr(entries, "shape", None) == (4, 4) and entries.dtype == complex else [
+            r = m if shape == (4, 4) and entries.dtype == complex else [
                 [complex(v) for v in row] for row in m]
-        except TypeError:  # a cell that is itself a sequence
+        except TypeError as exc:  # a row that is a number, or a cell that is a sequence
+            if shape is None:
+                raise StateValidationError(
+                    f"expected a 4x4 matrix of numbers: {exc}") from None
             r = []
         if [len(row) for row in r] != [4, 4, 4, 4]:
-            import numpy as np
-            raise StateValidationError(f"expected a 4x4 matrix, got {np.shape(entries)}")
+            got = shape if shape is not None else (
+                f"{len(r)} rows of lengths {[len(row) for row in r]}")
+            raise StateValidationError(f"expected a 4x4 matrix, got {got}")
         try:
             herm = max([abs(r[i][j] - r[j][i].conjugate()) for i, j in _UPPER])
         except OverflowError:  # abs() of a finite defect past float range

@@ -292,6 +292,23 @@ class TestStateFile:
         assert captured.err == ("error: 'rho' must be a 4x4 array of [re, im] pairs: "
                                 "int too large to convert to float\n")
 
+    @pytest.mark.parametrize("rows,message", [
+        ([4, 4, 4, 3],
+         "'rho' must be a 4x4 array of [re, im] pairs: its rows differ in length"),
+        ([4, 4, 4], "'rho' must be 4x4, got (3, 4)"),
+        ([], "'rho' must be 4x4, got (0,)"),
+    ], ids=["ragged", "3x4", "empty"])
+    @pytest.mark.parametrize("command", ["bmax", "angles"])
+    def test_malformed_shape_exits_2(self, tmp_path, capsys, command, rows, message):
+        doc = {"rho": [[[0.25 if i == j else 0.0, 0.0] for j in range(n)]
+                       for i, n in enumerate(rows)]}
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_integer_cells_are_numbers(self, tmp_path, capsys):
         doc = {"rho": [[[1 if i == j == 0 else 0, 0] for j in range(4)] for i in range(4)]}
         path = tmp_path / "state.json"

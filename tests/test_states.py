@@ -86,6 +86,22 @@ class TestValidateDensityMatrix:
         with pytest.raises(StateValidationError, match=r"expected a 4x4 matrix, got \(3, 3\)"):
             validate_density_matrix(np.eye(3) / 3)
 
+    @pytest.mark.parametrize("entries,message", [
+        ([[1, 0, 0], [0, 0]], "expected a 4x4 matrix, got 2 rows of lengths [3, 2]"),
+        ([[0.25, 0, 0, 0]] * 3 + [[0, 0, 0.25]],
+         "expected a 4x4 matrix, got 4 rows of lengths [4, 4, 4, 3]"),
+        ([0.25, 0.25, 0.25, 0.25],
+         "expected a 4x4 matrix of numbers: 'float' object is not iterable"),
+        ([[[0.25, 0.0]] * 4] * 4, "expected a 4x4 matrix of numbers: complex() first "
+                                  "argument must be a string or a number, not 'list'"),
+        (np.zeros((4, 4, 2)), "expected a 4x4 matrix, got (4, 4, 2)"),
+        (np.full(4, 0.25), "expected a 4x4 matrix, got (4,)"),
+    ], ids=["ragged", "short-last-row", "flat", "re-im-pairs", "array-4x4x2", "array-4"])
+    def test_malformed_shape_names_it(self, entries, message):
+        with pytest.raises(StateValidationError) as info:
+            validate_density_matrix(entries)
+        assert str(info.value) == message
+
     def test_entries_are_immutable(self):
         rho = validate_density_matrix(np.eye(4) / 4.0)
         with pytest.raises(ValueError):
