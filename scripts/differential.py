@@ -18,7 +18,8 @@ u2 = u3, u1 = 0, pure and fully mixed states, subnormal rho11, extended
 Werner-like states, states at the tolerance edges of the PSD rule and
 Ginibre (non-X) states, and DensityMatrix4 built from arrays and from nested
 lists with Hermiticity defects up to just past HERMITICITY_TOL and +-0.0 and
--5e-324 parts in mirrored entries, as the float.hex of its rows and entries;
+-5e-324 parts in mirrored entries, as the float.hex of its rows and entries,
+and nested lists it rejects (text cells, ragged and wrong shapes);
 TabulatedModel.from_csv records the samples it loads
 from generated table files (a BOM and CRLF, padded fields, quoted rows after
 the first block the loader parses, +-0.0 parts, subnormal samples), written
@@ -172,6 +173,17 @@ def hermitian_corpus(rng) -> list:
     return corpus
 
 
+def list_corpus() -> list:
+    """Nested lists that DensityMatrix4 must reject: text cells, which
+    complex() would parse, and wrong shapes, one of them 1000 rows long."""
+    mixed = [[0.25 if i == j else 0.0 for j in range(4)] for i in range(4)]
+    malformed = [row[:] for row in mixed]
+    malformed[1][1] = "x"
+    return [[["0.25" if i == j else "0" for j in range(4)] for i in range(4)],
+            [[b"0.25" if i == j else b"0" for j in range(4)] for i in range(4)],
+            malformed, mixed[:3] + [[0.0, 0.0, 0.25]], mixed[:3], mixed * 250]
+
+
 def table_files() -> dict[str, bytes]:
     """Table files of 3000 samples, each longer than the 64 KiB block that
     TabulatedModel.from_csv parses at once, by the name of what they hold."""
@@ -304,6 +316,8 @@ def records() -> list[str]:
     for i, m in enumerate(hermitian_corpus(rng)):
         call(f"h{i} array", rows_and_entries, m)
         call(f"h{i} list", rows_and_entries, m.tolist())
+    for i, entries in enumerate(list_corpus()):
+        call(f"l{i}", rows_and_entries, entries)
     call("surface", crossing_surface, *SURFACE)
     with tempfile.TemporaryDirectory() as tmp:
         for name, data in table_files().items():

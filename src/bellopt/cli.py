@@ -75,8 +75,8 @@ def _entry(cell) -> complex:
 
 
 def _load_state(args):
-    """The --input state, and its X parameters under --off-x-tol (or the
-    file's off_x_tol) or the NotXStructured error that says why it has none."""
+    """The --input state, and the off-X tolerance to read it as an X state
+    with: --off-x-tol, else the file's off_x_tol, else the default."""
     try:
         with open(args.input, "rb") as fh:
             data = fh.read(MAX_STATE_BYTES + 1)
@@ -91,14 +91,9 @@ def _load_state(args):
         raise ValueError(f"{args.input} must be an object with a 'rho' key")
     try:
         rows = [[_entry(cell) for cell in row] for row in doc["rho"]]
-        lengths = {len(row) for row in rows}
-        if len(lengths) > 1:
-            raise ValueError("its rows differ in length")
-    except (TypeError, ValueError, LookupError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"'rho' must be a 4x4 array of [re, im] pairs: {exc}") from exc
-    if (len(rows), *lengths) != (4, 4):
-        raise ValueError(f"'rho' must be 4x4, got {(len(rows), *lengths)}")
-    rho = validate_density_matrix(rows)
+    rho = validate_density_matrix(rows)  # names a wrong shape
     off_x_tol = DEFAULT_OFF_X_TOL
     if "off_x_tol" in doc:
         if not _is_number(doc["off_x_tol"]):
@@ -108,18 +103,13 @@ def _load_state(args):
             off_x_tol = float(doc["off_x_tol"])
         except OverflowError as exc:  # an integer beyond float range
             raise ValueError(f"'off_x_tol' is out of range: {exc}") from exc
-    if args.off_x_tol is not None:
-        off_x_tol = args.off_x_tol
-    try:
-        return rho, as_x_state(rho, off_x_tol)
-    except NotXStructured as exc:
-        return rho, exc
+    return rho, off_x_tol if args.off_x_tol is None else args.off_x_tol
 
 
-def _bmax_doc(rho, x) -> dict:
-    """B_max and the eigenvalues u: by the closed form for an X state, from
-    one SVD of T (Horodecki) when x is the NotXStructured error."""
-    if isinstance(x, NotXStructured):
+def _bmax_doc(rho, x=None) -> dict:
+    """B_max and the eigenvalues u: by the closed form for rho's X state x,
+    from one SVD of T (Horodecki) when there is none."""
+    if x is None:
         u, region, tie = horodecki_eigenvalues(rho), None, False
         bmax = _bound(u[0], u[1])
     else:
@@ -144,10 +134,12 @@ def _bmax_text(doc: dict) -> str:
 
 
 def cmd_bmax(args):
-    rho, x = _load_state(args)
-    if isinstance(x, NotXStructured):
-        note = f"state is not X-structured ({x}); Horodecki value only\n"
-        return EXIT_NOT_X, _bmax_doc(rho, x), lambda d: note + _bmax_text(d)
+    rho, off_x_tol = _load_state(args)
+    try:
+        x = as_x_state(rho, off_x_tol)
+    except NotXStructured as exc:
+        note = f"state is not X-structured ({exc}); Horodecki value only\n"
+        return EXIT_NOT_X, _bmax_doc(rho), lambda d: note + _bmax_text(d)
     return EXIT_OK, _bmax_doc(rho, x), _bmax_text
 
 
@@ -178,9 +170,8 @@ def _angles_text(doc: dict, degrees: bool) -> str:
 
 
 def cmd_angles(args):
-    rho, x = _load_state(args)
-    if isinstance(x, NotXStructured):
-        raise x
+    rho, off_x_tol = _load_state(args)
+    x = as_x_state(rho, off_x_tol)  # NotXStructured exits 3
     settings, u = optimal_settings(x)
     certified = bell_function(rho, settings)
     doc = {**_angles_doc(settings), "tie": u.tie, "bell_value": certified,
@@ -231,12 +222,11 @@ def _scan_csv(scan, doc: dict) -> str:
     """The rows of `scan` and the events of doc."""
     body = _csv_rows([getattr(scan, f) for f in _SCAN_FIELDS.values()]
                      + [scan.thetas, scan.phis])
-    events = doc["events"]
-    cells = _csv_rows(([e["t"] for e in events], [e["q2"] for e in events])).split("\n")
     return "\n".join([
         f"# bellopt scan {doc['version']}",
         ",".join(_SCAN_FIELDS) + ",theta1,theta1p,theta2,theta2p,phi1,phi1p,phi2,phi2p",
-        body, *(f"# event,{e['kind']},{c}" for e, c in zip(events, cells))]) + "\n"
+        body, *(f"# event,{e['kind']},{fmt9(e['t'])},{fmt9(e['q2'])}"
+                for e in doc["events"])]) + "\n"
 
 
 def cmd_scan(args):
@@ -255,9 +245,7 @@ def cmd_scan(args):
     if args.ewl is not None:
         x0 = ewl_state(_parse_ewl(args.ewl))
     else:
-        x0 = _load_state(args)[1]
-        if isinstance(x0, NotXStructured):
-            raise x0
+        x0 = as_x_state(*_load_state(args))
     model = _parse_qmodel(args.qmodel)
     t_grid = np.linspace(0.0, args.tmax, args.samples)
     scan = time_scan(x0, model, t_grid)
@@ -307,19 +295,22 @@ def _oracle_text(doc: dict) -> str:
 def cmd_oracle_check(args):
     from .oracle import OracleConfig, brute_force_bmax, certify_settings
 
-    rho, x = _load_state(args)
+    rho, off_x_tol = _load_state(args)
+    try:
+        x = as_x_state(rho, off_x_tol)  # a bad off_x_tol fails before a bad flag
+    except NotXStructured:
+        x = None
     flags = {"grid_n": args.grid_n, "refine_iters": args.refine,
              "restarts": args.restarts, "seed": args.seed}
     cfg = OracleConfig(**{k: v for k, v in flags.items() if v is not None})  # else defaults
-    is_x = not isinstance(x, NotXStructured)
     analytic = _bmax_doc(rho, x)["bmax"]
     result = brute_force_bmax(rho, cfg)
     difference = result.bmax_est - analytic
     # certify the closed-form settings, or the oracle's own when there are none
-    margin = certify_settings(rho, optimal_settings(x)[0] if is_x else result, cfg)
+    margin = certify_settings(rho, result if x is None else optimal_settings(x)[0], cfg)
     doc = {
         "version": __version__,
-        "is_x": is_x,
+        "is_x": x is not None,
         "analytic_bmax": analytic,
         "oracle_bmax": result.bmax_est,
         "difference": difference,

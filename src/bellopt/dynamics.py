@@ -378,8 +378,9 @@ def evolve_x(x0: XState, q: complex) -> XState:
     """Closed-form element map of the two-qubit damping channel on X states.
 
     With x = |q|^2: rho11 -> rho11 x^2, rho22/rho33 gain the one-photon decay
-    from rho11, rho44 absorbs the rest, rho14 -> q^2 rho14, rho23 -> x rho23.
-    Identical to evolving the dense matrix through the product channel.  A |q|
+    from rho11, rho44 = 1 - the rest, rho14 -> q^2 rho14, rho23 -> x rho23.
+    The dense product channel up to rounding, but it drops a start's trace miss
+    (<= TRACE_TOL): a start at the PSD edge can fail here, not there.  A |q|
     in (1, Q_ABS_MAX] acts as q / |q|, so rounding cannot scale rho14 up.
     """
     q = complex(q)

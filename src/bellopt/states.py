@@ -83,15 +83,16 @@ class DensityMatrix4:
         m = entries.tolist() if hasattr(entries, "tolist") else entries
         try:  # a complex 4x4 array's tolist() holds Python complexes already
             r = m if shape == (4, 4) and entries.dtype == complex else [
-                [complex(v) for v in row] for row in m]
-        except TypeError as exc:  # a row that is a number, or a cell that is a sequence
-            if shape is None:
+                [_number(v) for v in row] for row in m]
+        except (TypeError, OverflowError) as exc:  # a row or a cell is no number
+            if shape is None or len(shape) == 2:  # else the shape is the fault
                 raise StateValidationError(
                     f"expected a 4x4 matrix of numbers: {exc}") from None
             r = []
-        if [len(row) for row in r] != [4, 4, 4, 4]:
+        lengths = {len(row) for row in r}
+        if (len(r), *lengths) != (4, 4):
             got = shape if shape is not None else (
-                f"{len(r)} rows of lengths {[len(row) for row in r]}")
+                (len(r), *lengths) if len(lengths) < 2 else "rows that differ in length")
             raise StateValidationError(f"expected a 4x4 matrix, got {got}")
         try:
             herm = max([abs(r[i][j] - r[j][i].conjugate()) for i, j in _UPPER])
@@ -129,6 +130,12 @@ class DensityMatrix4:
 
     def __reduce__(self):  # pickle and copy rebuild from rows, so entries stays read-only
         return type(self), (self.rows,)
+
+
+def _number(v) -> complex:  # complex(v), but text is no number though complex() parses it
+    if isinstance(v, (str, bytes, bytearray)):
+        raise TypeError(f"a cell is {type(v).__name__}, not a number")
+    return complex(v)
 
 
 def _half(z: complex) -> complex:

@@ -243,6 +243,28 @@ class TestOffXTolInput:
                      "--format", "json"]) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("command", ["bmax", "angles", "scan", "oracle-check"])
+    def test_file_tolerance_is_checked_under_the_flag(self, tmp_path, capsys, command):
+        path = self.non_x_file(tmp_path, '"abc"')
+        argv = [command, "--input", path, "--off-x-tol", "0.02"]
+        if command == "scan":
+            argv += ["--qmodel", "exp:1", "--tmax", "1", "--samples", "3"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 'off_x_tol' must be a number, got str\n"
+
+    @pytest.mark.parametrize("command", ["bmax", "angles", "scan", "oracle-check"])
+    def test_negative_flag_fails_first(self, tmp_path, capsys, command):
+        # before the non-X verdict, and before oracle-check's own flags
+        argv = [command, "--input", self.non_x_file(tmp_path), "--off-x-tol", "-1"]
+        argv += {"scan": ["--qmodel", "exp:1", "--tmax", "1", "--samples", "3"],
+                 "oracle-check": ["--grid-n", "1"]}.get(command, [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: off_x_tol must be >= 0, got -1.0\n"
+
     @pytest.mark.parametrize("raw_tol", ["NaN", "null", "[1]", '"abc"', "true", '"0.5"'])
     def test_bad_json_tolerance_exits_2(self, tmp_path, capsys, raw_tol):
         path = self.non_x_file(tmp_path, raw_tol)
@@ -293,10 +315,9 @@ class TestStateFile:
                                 "int too large to convert to float\n")
 
     @pytest.mark.parametrize("rows,message", [
-        ([4, 4, 4, 3],
-         "'rho' must be a 4x4 array of [re, im] pairs: its rows differ in length"),
-        ([4, 4, 4], "'rho' must be 4x4, got (3, 4)"),
-        ([], "'rho' must be 4x4, got (0,)"),
+        ([4, 4, 4, 3], "expected a 4x4 matrix, got rows that differ in length"),
+        ([4, 4, 4], "expected a 4x4 matrix, got (3, 4)"),
+        ([], "expected a 4x4 matrix, got (0,)"),
     ], ids=["ragged", "3x4", "empty"])
     @pytest.mark.parametrize("command", ["bmax", "angles"])
     def test_malformed_shape_exits_2(self, tmp_path, capsys, command, rows, message):

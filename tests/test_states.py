@@ -87,16 +87,35 @@ class TestValidateDensityMatrix:
             validate_density_matrix(np.eye(3) / 3)
 
     @pytest.mark.parametrize("entries,message", [
-        ([[1, 0, 0], [0, 0]], "expected a 4x4 matrix, got 2 rows of lengths [3, 2]"),
+        ([[1, 0, 0], [0, 0]], "expected a 4x4 matrix, got rows that differ in length"),
         ([[0.25, 0, 0, 0]] * 3 + [[0, 0, 0.25]],
-         "expected a 4x4 matrix, got 4 rows of lengths [4, 4, 4, 3]"),
+         "expected a 4x4 matrix, got rows that differ in length"),
         ([0.25, 0.25, 0.25, 0.25],
          "expected a 4x4 matrix of numbers: 'float' object is not iterable"),
         ([[[0.25, 0.0]] * 4] * 4, "expected a 4x4 matrix of numbers: complex() first "
                                   "argument must be a string or a number, not 'list'"),
         (np.zeros((4, 4, 2)), "expected a 4x4 matrix, got (4, 4, 2)"),
         (np.full(4, 0.25), "expected a 4x4 matrix, got (4,)"),
-    ], ids=["ragged", "short-last-row", "flat", "re-im-pairs", "array-4x4x2", "array-4"])
+        # the shape, or that the rows differ, not each row's length
+        ([[0.25, 0, 0, 0]] * 200_000, "expected a 4x4 matrix, got (200000, 4)"),
+        ([[0.25, 0, 0, 0]] * 199_999 + [[0.25]],
+         "expected a 4x4 matrix, got rows that differ in length"),
+        # complex() parses text, but text is no number
+        ([["0.25" if i == j else "0" for j in range(4)] for i in range(4)],
+         "expected a 4x4 matrix of numbers: a cell is str, not a number"),
+        ([[b"0.25" if i == j else 0.0 for j in range(4)] for i in range(4)],
+         "expected a 4x4 matrix of numbers: a cell is bytes, not a number"),
+        ([[bytearray(b"0.25") if i == j else 0.0 for j in range(4)] for i in range(4)],
+         "expected a 4x4 matrix of numbers: a cell is bytearray, not a number"),
+        ([[0.25, 0, 0, 0]] + [["x"] * 4] * 3,
+         "expected a 4x4 matrix of numbers: a cell is str, not a number"),
+        (np.array([["0.25" if i == j else "0" for j in range(4)] for i in range(4)]),
+         "expected a 4x4 matrix of numbers: a cell is str, not a number"),
+        ([[10 ** 400 if i == j == 0 else 0 for j in range(4)] for i in range(4)],
+         "expected a 4x4 matrix of numbers: int too large to convert to float"),
+    ], ids=["ragged", "short-last-row", "flat", "re-im-pairs", "array-4x4x2", "array-4",
+            "200000-rows", "200000-rows-ragged", "str-cells", "bytes-cells",
+            "bytearray-cells", "malformed-str", "str-array", "int-past-float-range"])
     def test_malformed_shape_names_it(self, entries, message):
         with pytest.raises(StateValidationError) as info:
             validate_density_matrix(entries)
