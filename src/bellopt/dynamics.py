@@ -21,17 +21,14 @@ real array differs from math.exp in ~5% of last bits) and complex products
 keep a zero term.
 
 Along a trajectory (u1, u2, u3) depend on t only through x = |q(t)|^2, so
-its events are crossings of levels of x set by the initial state, found by
-a secant with bisection fallback between the model's turning_times, where
-|q|^2 is monotone.  The levels come from one array level finder, rows of
-candidate roots and one sign test (_sign_changes), for one state
-(crossing_levels, the violation levels of scan_events) or a whole grid of
-states (crossing_surface) alike.  time_scan gives a TimeScan of columns,
-one entry per sample time, from one array pass that equals evolve_x and
-optimal_settings bit for bit: the eigenvalues come from chsh's one kernel,
-and each square is a product, which Python and numpy round alike.
-scan_events(x0, model, tmax) gives the events up to tmax, which depend on
-no sampling.
+its events are crossings of levels of x set by the initial state
+(scan_events), each a sign change at rows of candidates (_sign_changes), for
+one state or a grid alike: the roots of two quadratics for SetJump, and
+1 / hypot(k1, k3) and a cubic's roots, the eigenvalues of a 3x3 companion,
+for ViolationOn/Off.  time_scan gives a TimeScan of columns, one entry per
+sample time, from one array pass that equals evolve_x and optimal_settings
+bit for bit: the eigenvalues come from chsh's one kernel, and each square is
+a product, which Python and numpy round alike.
 """
 
 from __future__ import annotations
@@ -517,25 +514,28 @@ def crossing_surface(n_alpha: int, n_r: int) -> tuple[np.ndarray, np.ndarray, np
     return alpha2, r, _crossing_rows(*_coefficients(rho11, rho22, rho33, 0.0, m23)[1:])
 
 
-def _violation_levels(k1: float, k3: float, b: float, a: float) -> list[tuple[float, bool]]:
-    """(x, whether bmax >= 2 just above x) for each x = |q|^2 in (0, 1] where
-    bmax - 2, like max(u1 + u2, u1 + u3) - 1, changes sign along a trajectory
-    with coefficients (k1, k3, b, a): u1 + u3 = 1 at x = 1 / sqrt(k1^2 + k3^2),
-    and (u1 + u2 - 1) / x is a cubic."""
-    candidates = [1.0 / math.hypot(k1, k3)] if k1 else []
-    # np.roots divides by p[0]: drop a leading p[0] (of a tiny a) that overflows
-    p = np.array([a * a, 2.0 * a * b, b * b + 2.0 * a + k1 * k1, 2.0 * b])
-    with np.errstate(all="ignore"):
-        while len(p) > 1 and not np.isfinite(p[1:] / p[0]).all():
-            p = p[1:]
-    cubic = np.roots(p)
-    candidates += cubic.real[np.abs(cubic.imag) <= 1e-9].tolist()
-
-    def excess(x):  # max(u1 + u2, u1 + u3) - 1
-        return (k1 * x) ** 2 + np.maximum((1.0 + b * x + a * x * x) ** 2, (k3 * x) ** 2) - 1.0
-    levels, above = _sign_changes(excess, np.array([candidates]))
-    keep = ~np.isnan(levels[0])
-    return list(zip(levels[0][keep].tolist(), above[0][keep].tolist()))
+@np.errstate(all="ignore")  # a zero or subnormal b, y = 0 or p' = 0
+def _violation_rows(k1, k3, b, a) -> tuple[np.ndarray, np.ndarray]:
+    """_sign_changes of bmax - 2, as of max(u1 + u2, u1 + u3) - 1, for columns
+    k1, k3, b, a (n, 1), at u1 + u3 = 1, x = 1 / hypot(k1, k3), and at the roots
+    of p = a^2 x^3 + 2ab x^2 + c x + 2b = (u1 + u2 - 1) / x, c = b^2 + 2a + k1^2:
+    1 / y for the eigenvalues y of the companion of p's reversal over 2b, each
+    polished by one Newton step.  Populations >= 0 give |2b| >= 8 rho11 = 2a,
+    |b| <= 4 and, with PSD blocks, k1^2 <= 2|b|: its first row (c, 2ab, a^2) / 2b
+    is within 4 for any a.  Rows where it is not finite (b = 0, the ground state;
+    a subnormal b in POSITIVITY_TOL's slack, whose root x ~ -2b / c no sign
+    probe sees) have no cubic candidate."""
+    p3, p2, p1, p0 = a * a, 2.0 * a * b, b * b + 2.0 * a + k1 * k1, 2.0 * b
+    first = np.concatenate((p1, p2, p3), axis=1) / p0
+    finite = np.isfinite(first).all(axis=1, keepdims=True)
+    companion = np.zeros((len(first), 3, 3)) + np.eye(3, k=-1)
+    companion[:, 0] = np.where(finite, -first, 0.0)
+    x = 1.0 / np.linalg.eigvals(companion)
+    x = np.where(finite & (abs(x.imag) <= 1e-9), x.real, np.nan)
+    x -= (((p3 * x + p2) * x + p1) * x + p0) / ((3.0 * p3 * x + 2.0 * p2) * x + p1)
+    candidates = np.concatenate((np.where(k1 != 0.0, 1.0 / np.hypot(k1, k3), np.nan), x), axis=1)
+    return _sign_changes(lambda x: (k1 * x) ** 2 + np.maximum(
+        (1.0 + b * x + a * x * x) ** 2, (k3 * x) ** 2) - 1.0, candidates)
 
 
 class EventKind(str, Enum):
@@ -605,25 +605,25 @@ def _crossing_times(model: QModel, lo: np.ndarray, hi: np.ndarray,
 
 def scan_events(x0: XState, model: QModel, tmax: float) -> list[ScanEvent]:
     """The SetJump / ViolationOn / ViolationOff events of evolve_x(x0, q(t))
-    for t in (0, tmax), in time order.
+    for t in (0, tmax), in time order, which depend on no sampling.
 
-    Every event is the crossing of a level of x = |q(t)|^2 computed once from
-    x0 (crossing_levels for SetJump, the sign changes of bmax - 2 for
-    ViolationOn/Off).  The model's turning_times cut (0, tmax) into pieces
-    where x is monotone, and all crossings on all pieces are found together
-    by a secant with bisection fallback, one array q(t) call per step, to
-    EVENT_REL_TOL of t (_crossing_times).  A level within 1e-12 of x = 1 is
-    left out: x <= 1 can only touch it.
-    """
+    Each is the crossing of a level of x = |q(t)|^2 found once from x0, by
+    crossing_levels (SetJump) or _violation_rows (ViolationOn/Off); a level
+    within 1e-12 of x = 1 is left out, as x <= 1 can only touch it.  The
+    model's turning_times cut (0, tmax) into pieces where x is monotone, and
+    all crossings on all pieces are found together by a secant with bisection
+    fallback, one array q(t) call per step, to EVENT_REL_TOL of t
+    (_crossing_times)."""
     tmax = float(tmax)
     if not (math.isfinite(tmax) and tmax >= 0.0):
         raise ValueError(f"tmax must be finite and >= 0, got {tmax!r}")
     jump, on, off = EventKind.SET_JUMP, EventKind.VIOLATION_ON, EventKind.VIOLATION_OFF
     # (x*, kind when x falls through x*, kind when it rises)
     levels = [(x, jump, jump) for x in crossing_levels(x0)]
-    levels += [(x, off, on) if above else (x, on, off)
-               for x, above in _violation_levels(*trajectory_coefficients(x0))]
-    levels = [lv for lv in levels if lv[0] < 1.0 - 1e-12]
+    violation, above = _violation_rows(*np.reshape(trajectory_coefficients(x0), (4, 1, 1)))
+    levels += [(x, off, on) if up else (x, on, off)
+               for x, up in zip(violation[0].tolist(), above[0].tolist())]
+    levels = [lv for lv in levels if lv[0] < 1.0 - 1e-12]  # NaN pads too
     edges = np.concatenate(([0.0], model.turning_times(tmax), [tmax]))
     level_x = np.array([lv[0] for lv in levels])
     q = model.q(edges)

@@ -57,21 +57,9 @@ class Splitmix64:
     def __init__(self, seed: int):
         self._state = seed & _MASK64
 
-    def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA64) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return (z ^ (z >> 31)) & _MASK64
-
-    def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        # 53-bit mantissa in [0, 1)
-        u = (self.next_u64() >> 11) * (1.0 / (1 << 53))
-        return lo + (hi - lo) * u
-
     def uniforms(self, n: int, lo=0.0, hi=1.0) -> np.ndarray:
-        """n draws at once, bit-identical to n successive uniform(lo, hi)
-        calls; lo and hi may be scalars or length-n arrays."""
+        """n draws in [lo, hi), each lo + (hi - lo) times the output's top 53
+        bits over 2^53; lo and hi may be scalars or length-n arrays."""
         k = np.arange(1, n + 1, dtype=np.uint64)
         z = np.uint64(self._state) + k * np.uint64(_GAMMA64)  # wraps mod 2^64
         self._state = (self._state + n * _GAMMA64) & _MASK64

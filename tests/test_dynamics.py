@@ -5,6 +5,7 @@ import re
 import time
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -53,7 +54,7 @@ from bellopt.dynamics import (
     Q_ABS_MAX,
     _crossing_rows,
     _crossing_times,
-    _violation_levels,
+    _violation_rows,
     crossing_surface,
 )
 from bellopt.states import POSITIVITY_TOL, TRACE_TOL, _block_least_eigenvalue
@@ -552,6 +553,26 @@ class TestEvolveX:
         rho0 = x_to_dense(x0)
         assert np.array_equal(apply_amplitude_damping(rho0, q).entries, rho0.entries)
 
+    # A unit-modulus q whose rounded q * q has modulus 1 + ulps scales rho14
+    # of this edge state past its PSD bound; the dense channel accepts it.
+    # Both fail until the evolved state is judged with the start's slack.
+    EDGE_STATE = XState(0.5, 0.0, 0.0, 0.5, 0.5000000000999999, 1e-10)
+
+    @pytest.mark.xfail(strict=True, raises=NotPositive,
+                       reason="a unit-modulus q scales an edge rho14 past its bound")
+    def test_unit_phase_keeps_an_edge_state(self):
+        q = -0.6035880804157655 - 0.7972963245745032j
+        assert abs(q) == 1.0
+        x = evolve_x(self.EDGE_STATE, q)
+        assert abs(x.rho14) == abs(self.EDGE_STATE.rho14)
+
+    @pytest.mark.xfail(strict=True, raises=NotPositive,
+                       reason="a unit-modulus q scales an edge rho14 past its bound")
+    def test_rotating_phase_scan_of_an_edge_state(self):
+        t = np.linspace(0.0, 1.0, 21)
+        scan = time_scan(self.EDGE_STATE, TabulatedModel(t, np.exp(1j * np.pi * t)), t)
+        assert len(scan.t) == 21
+
     def test_identity_at_q_one(self):
         rng = np.random.default_rng(34)
         x = random_x_state(rng)
@@ -761,7 +782,10 @@ def _scalar_sign_changes(f, candidates):
 
 
 def _scalar_levels(k1, k3, b, a):
-    """(crossing levels, violation levels) by the scalar path."""
+    """(crossing levels, violation levels) by the scalar path, the violation
+    levels from np.roots on p(x) = (u1 + u2 - 1) / x.  np.roots divides by
+    a^2, so it loses the small root of a tiny normal a (about 1e-150 to 1e-30)
+    to rounding; _COEFFICIENTS draws no such a."""
     crossing = _scalar_sign_changes(
         lambda x: (1.0 + b * x + a * x * x) ** 2 - (k3 * x) ** 2,
         _scalar_quadratic_roots(a, b - k3) + _scalar_quadratic_roots(a, b + k3))
@@ -776,6 +800,13 @@ def _scalar_levels(k1, k3, b, a):
         lambda x: (k1 * x) ** 2 + max((1.0 + b * x + a * x * x) ** 2, (k3 * x) ** 2) - 1.0,
         candidates)
     return [x for x, _ in crossing], violation
+
+
+def violation_levels(x0: XState) -> list[tuple[float, bool]]:
+    """x0's violation levels, with whether bmax >= 2 just above each."""
+    levels, above = _violation_rows(*np.reshape(trajectory_coefficients(x0), (4, 1, 1)))
+    found = ~np.isnan(levels[0])
+    return list(zip(levels[0][found].tolist(), above[0][found].tolist()))
 
 
 def _at_disc_cutoff(k1, k3, a, above):
@@ -800,9 +831,19 @@ _COEFFICIENTS = st.one_of(
               st.one_of(_magnitude(4.0), st.floats(5e-324, 1e-300))))
 
 
+_EWL_STATES = st.builds(EWLParams, st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                        st.floats(-math.pi, math.pi)).map(ewl_state)
+
+
+# the ground state (b = 0), and a state within the PSD slack with b = -1e-323
+_NO_LEVEL_STATES = [XState(0.0, 0.0, 0.0, 1.0, 0j, 0j),
+                    XState(0.0, 5e-324, 0.0, 1.0, 0.9e-5, 0j)]
+
+
 class TestArrayLevels:
-    """The array level finder equals a scalar reference bit for bit, for
-    every row of one call: crossing and violation levels alike."""
+    """The row level finders against references, for every row of one call:
+    crossing levels equal a scalar path bit for bit, and violation levels
+    match np.roots, a dense sign scan and exact arithmetic."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_COEFFICIENTS, min_size=1, max_size=6))
@@ -819,15 +860,93 @@ class TestArrayLevels:
               for rho11 in (1e-310, 1e-320, 5e-324, 1e-160, 0.0)])
     @example([(0.3, 0.2, -1.5, 4e-310), (0.0, 0.7, -3.0, 5e-324), (0.9, 0.0, 0.0, 1e-315),
               (1.2, 1.0, -2.5, 2e-300), (0.4, 0.3, -1e-200, 1e-320)])
+    @example([trajectory_coefficients(x0) for x0 in _NO_LEVEL_STATES])
     def test_rows_match_the_scalar_path(self, coefficients):
-        k3, b, a = np.array(coefficients)[:, 1:].T[:, :, None]
+        # crossing levels bit for bit; violation levels, from the companion
+        # rather than np.roots, with the same count and direction, each within
+        # 1e-13 relative
+        k1, k3, b, a = np.array(coefficients).T[:, :, None]
         rows = _crossing_rows(k3, b, a)
-        for (k1, k3, b, a), row in zip(coefficients, rows):
-            crossing, violation = _scalar_levels(k1, k3, b, a)
+        levels, above = _violation_rows(k1, k3, b, a)
+        for coefficient, row, x, up in zip(coefficients, rows, levels, above):
+            crossing, violation = _scalar_levels(*coefficient)
             assert row[~np.isnan(row)].tolist() == crossing
             assert np.isnan(row[len(crossing):]).all()
-            assert [(x, 1.0 if up else -1.0)
-                    for x, up in _violation_levels(k1, k3, b, a)] == violation
+            found = ~np.isnan(x)
+            assert [1.0 if u else -1.0 for u in up[found]] == [s for _, s in violation]
+            assert x[found] == pytest.approx([v for v, _ in violation], rel=1e-13, abs=0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(x_states(), _EWL_STATES, psd_edge_x_states()))
+    @example(XState(1e-100, 0.475, 0.475, 0.05, 0j, 0.285))  # np.roots lost its level
+    @example(XState(5e-324, 0.5, 0.5, 0.0, 0j, 0.5))  # subnormal rho11
+    @example(XState(1e-310, 0.5, 0.5, 0.0, 0j, 0.5))
+    @example(_NO_LEVEL_STATES[0])  # b = 0
+    @example(_NO_LEVEL_STATES[1])  # subnormal b
+    def test_violation_levels_match_a_dense_sign_scan(self, x0):
+        """Between neighbouring points of a dense grid, the violation levels are
+        as many, modulo 2, as the sign changes of max(u1 + u2, u1 + u3) - 1 from
+        the closed-form u1, u2, u3, and the last one leaves the sign of the
+        right point.  No X state has a level below 0.2, so the grid sees every
+        level but one within 1e-9 of x = 1."""
+        k1, k3, b, a = trajectory_coefficients(x0)
+        grid = np.linspace(1e-3, 1.0 - 1e-9, 20001)
+        u1, u2, u3 = (k1 * grid) ** 2, (1.0 + b * grid + a * grid * grid) ** 2, (k3 * grid) ** 2
+        nonneg = np.maximum(u1 + u2, u1 + u3) - 1.0 >= 0.0
+        levels = [(x, up) for x, up in violation_levels(x0) if x <= grid[-1]]
+        assert all(x > grid[0] for x, _ in levels)
+        cell = np.searchsorted(grid, [x for x, _ in levels]).astype(int) - 1
+        odd = np.zeros(len(grid) - 1, dtype=bool)
+        np.logical_xor.at(odd, cell, True)
+        np.testing.assert_array_equal(odd, nonneg[1:] != nonneg[:-1])
+        for (_, up), i, after in zip(levels, cell.tolist(), cell[1:].tolist() + [-1]):
+            if i != after:  # the last level in its cell
+                assert up == nonneg[i + 1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(x_states(), psd_edge_x_states()))
+    def test_companion_first_row_is_bounded(self, x0):
+        # the companion's first row, -(c, 2ab, a^2) / 2b as eigvals receives it,
+        # is finite and within 4
+        companions, eigvals = [], np.linalg.eigvals
+
+        def spy(m):
+            companions.append(m.copy())
+            return eigvals(m)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.linalg, "eigvals", spy)
+            violation_levels(x0)
+        first = companions[0][0, 0]
+        assert np.isfinite(first).all() and (abs(first) <= 4.0).all()
+        assert first[0] != 0.0  # -c / 2b, so not the zeros of a row left out
+
+    def test_cubic_levels_lie_within_8_ulps_of_a_root(self):
+        # p = (u1 + u2 - 1) / x changes sign, in exact arithmetic, within 8 ulps
+        # of each level that is not 1 / hypot(k1, k3); without the Newton step
+        # about a quarter of them lie further out
+        rng = np.random.default_rng(41)
+        coefficients = [trajectory_coefficients(random_x_state(rng)) for _ in range(3000)]
+        levels, _ = _violation_rows(*np.array(coefficients).T[:, :, None])
+        n_levels = 0
+        for (k1, k3, b, a), row in zip(coefficients, levels):
+            hypot = math.hypot(k1, k3)
+            k1, b, a = map(Fraction, (k1, b, a))
+            for x in row[~np.isnan(row)].tolist():
+                if abs(x * hypot - 1.0) <= 1e-12 or x == 1.0:
+                    continue
+                lo, hi = (Fraction(x + d * math.ulp(x)) for d in (-8, 8))
+                p = [((a * a * v + 2 * a * b) * v + b * b + 2 * a + k1 * k1) * v + 2 * b
+                     for v in (lo, hi)]
+                assert p[0] * p[1] <= 0
+                n_levels += 1
+        assert n_levels > 50
+
+    @pytest.mark.parametrize("x0", _NO_LEVEL_STATES)
+    def test_no_violation_level_without_a_finite_companion(self, x0):
+        # the ground state has b = 0; a subnormal b in the PSD slack makes
+        # c / 2b overflow, and its one real root lies near 1e-313
+        assert violation_levels(x0) == []
+        assert scan_events(x0, ExponentialModel(1.0), 800.0) == []
 
     def test_surface_equals_crossing_roots(self):
         alpha2, r, roots = crossing_surface(40, 25)
@@ -850,12 +969,21 @@ class TestSubnormalRho11:
     def test_levels_and_events_equal_those_at_zero(self, rho11):
         x0, zero = self.state(rho11), self.state(0.0)
         assert crossing_levels(x0) == crossing_levels(zero) == [0.3333333333333333, 1.0]
-        assert (_violation_levels(*trajectory_coefficients(x0))
-                == _violation_levels(*trajectory_coefficients(zero)))
+        assert violation_levels(x0) == violation_levels(zero)
         for model, tmax in ((ExponentialModel(1.0), 5.0), (LorentzianModel(1.0, 5.0), 12.0)):
             events = scan_events(x0, model, tmax)
             assert events == scan_events(zero, model, tmax)
             assert EventKind.SET_JUMP in [e.kind for e in events]
+
+    @pytest.mark.parametrize("rho11", [1e-40, 1e-100, 1e-150, 1e-310, 5e-324])
+    def test_tiny_rho11_keeps_its_violation_level(self, rho11):
+        # bmax = 2 where u1 + u2 = 1, at x = -2b / (b^2 + k1^2) for rho11 = 0;
+        # np.roots, dividing by a^2, lost it for a tiny normal rho11
+        x0, zero = (XState(r, 0.475, 0.475, 0.05 - r, 0j, 0.285) for r in (rho11, 0.0))
+        assert violation_levels(x0) == violation_levels(zero)
+        assert violation_levels(x0) == [(pytest.approx(3.8 / (1.9 ** 2 + 0.57 ** 2)), True)]
+        kinds = [e.kind for e in scan_events(x0, ExponentialModel(1.0), 1.0)]
+        assert kinds == [EventKind.VIOLATION_OFF, EventKind.SET_JUMP, EventKind.SET_JUMP]
 
 
 class TestTimeScan:
@@ -1722,7 +1850,7 @@ class TestEventRoots:
         n_events = 0
         for x0 in SCAN_STATES:
             levels = crossing_levels(x0) + [
-                x for x, _ in _violation_levels(*trajectory_coefficients(x0))]
+                x for x, _ in violation_levels(x0)]
             counting = _CountingModel(model)
             for e in scan_events(x0, counting, 5.0):
                 level = min(levels, key=lambda x: abs(x - e.q2))
@@ -1742,7 +1870,7 @@ class TestEventRoots:
         n_events = 0
         for x0, model, tmax in scans:
             levels = crossing_levels(x0) + [
-                x for x, _ in _violation_levels(*trajectory_coefficients(x0))]
+                x for x, _ in violation_levels(x0)]
             for e in scan_events(x0, model, tmax):
                 level = min(levels, key=lambda x: abs(x - e.q2))
                 exact = -math.log(level) / model.gamma
