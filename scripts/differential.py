@@ -9,10 +9,11 @@ two such records.
     python scripts/differential.py --against HEAD   # git's HEAD against src/
 
 --write runs a fixed corpus through the public closed-form, dynamics and
-oracle functions, and the Bell function at both closed-form sets, and writes
-one line per value: a label, the value's type and the value, floats as
-float.hex (so -0.0 and every last bit count), or the exception type and
-message where a call raises.  The corpus holds random X
+oracle functions (certify_settings at the closed-form settings, at the
+oracle's own and at zero settings), and the Bell function at both
+closed-form sets, and writes one line per value: a label, the value's type
+and the value, floats as float.hex (so -0.0 and every last bit count), or
+the exception type and message where a call raises.  The corpus holds random X
 states, coherence phases of exactly +-pi and next to them, +-0.0 parts, ties
 u2 = u3, u1 = 0, pure and fully mixed states, subnormal rho11, extended
 Werner-like states, states at the tolerance edges of the PSD rule and
@@ -54,6 +55,7 @@ SEED = 2009
 TMAX = 6.0
 Q_VALUES = (1.0, 1.0 + 5e-13, 0.8, -0.6, 0.3 + 0.4j, -0.5j, 1e-160, 0.0, 1.1)
 SURFACE = (24, 24)
+CERTIFY_ITERS = 1100  # past one block of moves, so a certify stage spans two
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -254,19 +256,23 @@ def records() -> list[str]:
     """Every record line of the corpus, in a fixed order."""
     import numpy as np
 
-    (DensityMatrix4, OracleConfig, TabulatedModel, XState, as_x_state, bell_function,
-     brute_force_bmax, crossing_levels, evolve_x, horodecki_eigenvalues, optimal_settings,
-     scan_events, settings_set1, settings_set2, time_scan, trajectory_coefficients,
-     validate_density_matrix, x_state_eigenvalues, x_to_dense) = _api(
-        "DensityMatrix4", "OracleConfig", "TabulatedModel", "XState", "as_x_state",
-        "bell_function", "brute_force_bmax", "crossing_levels", "evolve_x",
-        "horodecki_eigenvalues", "optimal_settings", "scan_events", "settings_set1",
-        "settings_set2", "time_scan", "trajectory_coefficients", "validate_density_matrix",
-        "x_state_eigenvalues", "x_to_dense")
+    (BellSettings, DensityMatrix4, OracleConfig, TabulatedModel, XState, as_x_state,
+     bell_function, brute_force_bmax, certify_settings, crossing_levels, evolve_x,
+     horodecki_eigenvalues, optimal_settings, scan_events, settings_set1, settings_set2,
+     time_scan, trajectory_coefficients, validate_density_matrix, x_state_eigenvalues,
+     x_to_dense) = _api(
+        "BellSettings", "DensityMatrix4", "OracleConfig", "TabulatedModel", "XState",
+        "as_x_state", "bell_function", "brute_force_bmax", "certify_settings",
+        "crossing_levels", "evolve_x", "horodecki_eigenvalues", "optimal_settings",
+        "scan_events", "settings_set1", "settings_set2", "time_scan",
+        "trajectory_coefficients", "validate_density_matrix", "x_state_eigenvalues",
+        "x_to_dense")
     from bellopt.dynamics import crossing_surface
 
     grid = np.linspace(0.0, TMAX, 25)
     oracle = OracleConfig(grid_n=4, refine_iters=40, restarts=2)
+    certify = OracleConfig(refine_iters=CERTIFY_ITERS)
+    zeros = BellSettings((0.0,) * 4, (0.0,) * 4)  # far from optimal: the walk accepts moves
     rng = np.random.default_rng(SEED)
     models = _models()
     lines = []
@@ -303,11 +309,17 @@ def records() -> list[str]:
             call(f"x{i} events", scan_events, x, model, TMAX)
             if i % 16 == 0:
                 call(f"x{i} oracle", lambda: brute_force_bmax(x_to_dense(x), oracle))
+                call(f"x{i} certify", lambda: certify_settings(
+                    x_to_dense(x), optimal_settings(x)[0], certify))
+                call(f"x{i} certify zeros",
+                     lambda: certify_settings(x_to_dense(x), zeros, certify))
     for i in range(20):
         rho = call(f"g{i}", validate_density_matrix, ginibre(rng))
         call(f"g{i} horodecki", horodecki_eigenvalues, rho)
         call(f"g{i} as_x", as_x_state, rho)
-        call(f"g{i} oracle", brute_force_bmax, rho, oracle)
+        result = call(f"g{i} oracle", brute_force_bmax, rho, oracle)
+        if result is not None:
+            call(f"g{i} certify", certify_settings, rho, result, certify)
 
     def rows_and_entries(entries):
         rho = DensityMatrix4(entries)

@@ -34,6 +34,7 @@ EXIT_INPUT_ERROR = 2
 EXIT_NOT_X = 3
 EXIT_ORACLE_MISMATCH = 4
 MAX_STATE_BYTES = 2 ** 20  # a valid state file is under 1 KiB
+_FIRST_READ = 2 ** 16  # bytes read before the rest, so a small file needs no 1 MiB buffer
 
 _DEG = 180.0 / math.pi
 
@@ -79,7 +80,9 @@ def _load_state(args):
     with: --off-x-tol, else the file's off_x_tol, else the default."""
     try:
         with open(args.input, "rb") as fh:
-            data = fh.read(MAX_STATE_BYTES + 1)
+            data = fh.read(_FIRST_READ)
+            if len(data) == _FIRST_READ:  # the rest, up to one byte past the cap
+                data += fh.read(MAX_STATE_BYTES + 1 - _FIRST_READ)
         if len(data) > MAX_STATE_BYTES:
             raise ValueError(f"{args.input} is larger than {MAX_STATE_BYTES} bytes")
         doc = json.loads(data.decode("utf-8"))  # JSON is UTF-8 (RFC 8259)

@@ -28,16 +28,18 @@ MAX_GRID_BYTES = 256 * 2 ** 20
 
 _MASK64 = (1 << 64) - 1
 _GAMMA64 = 0x9E3779B97F4A7C15
-# Moves certify_settings draws and evaluates at once.
-_CERTIFY_BLOCK = 256
+# Moves certify_settings draws and evaluates at once: one block per stage at
+# the default refine_iters, the first block also holding the base value.
+_CERTIFY_BLOCK = 1024
 # Most starts refined in one batch: a search holds ~3 kB per start, so a
 # batch stays under ~1 MB however many restarts are asked for.
 _COMPASS_BATCH = 256
 # The 81 pattern points m = n + i h e1 + j h e2 (i outer): i, j, whether each
-# is interior, i^2 + j^2, and c_a c_b for c = (1, i, j), as |T m|^2 = c^T G c.
+# is interior, i^2 + j^2, c = (1, i, j) and c_a c_b, as |T m|^2 = c^T G c.
 _I, _J = np.repeat(np.arange(-4.0, 5.0), 9), np.tile(np.arange(-4.0, 5.0), 9)
 _INTERIOR = (np.abs(_I) < 4) & (np.abs(_J) < 4)
 _RADII = _I * _I + _J * _J
+_C = np.stack([np.ones(81), _I, _J], axis=1)[:, :, None]
 _BASIS = np.array([a * b for a in (np.ones(81), _I, _J) for b in (np.ones(81), _I, _J)])
 # The 9 entries of n, h e1, h e2 as products of three columns of sin th, sin ph,
 # cos th, cos ph, -sin th, -sin ph, 1, 0, h: n = (st cp 1, st sp 1, ct 1 1), ...
@@ -183,7 +185,7 @@ def _compass_search(t: np.ndarray, starts: np.ndarray, initial_step: float,
         top = vals.min(axis=1)
         zoom = _INTERIOR[k] | (now - top <= rounding)
         moved = k != 40  # the center keeps its angles as they are
-        x, y, z = (f[:, 0] + _I[k, None] * f[:, 1] + _J[k, None] * f[:, 2])[moved].T
+        x, y, z = (_C[k[moved]] * f[moved]).sum(axis=1).T  # n + i h e1 + j h e2
         at[moved, 0], at[moved, 1] = np.arctan2(np.hypot(x, y), z), np.arctan2(y, x)
         now = top
         step = step * np.where(zoom, 0.25, 1.5)
@@ -283,10 +285,9 @@ def certify_settings(rho: DensityMatrix4, s: BellSettings, cfg: OracleConfig) ->
     """
     t = pauli_correlation_matrix(rho)
     current = np.array(s.thetas + s.phis)
-    base = float(_bell_values(t, current))
     rng = Splitmix64(cfg.seed)
     steps = max(cfg.refine_iters, 64)
-    best = base
+    base = None
     for radius in (math.pi / 8.0, math.pi / 64.0):
         # Moves are drawn and evaluated a block at a time, so memory does
         # not grow with refine_iters; the walk accepts the first proposal
@@ -295,9 +296,13 @@ def certify_settings(rho: DensityMatrix4, s: BellSettings, cfg: OracleConfig) ->
         for start in range(0, steps, _CERTIFY_BLOCK):
             rows = min(_CERTIFY_BLOCK, steps - start)
             moves = rng.uniforms(8 * rows, -radius, radius).reshape(rows, 8)
+            if base is None:  # row 0 of the first block: the base value, a zero move
+                moves = np.vstack((np.zeros(8), moves))
             while len(moves):
                 proposals = current + moves
                 values = _bell_values(t, proposals)
+                if base is None:  # current + 0.0 differs from current only in
+                    base = best = float(values[0])  # zero signs, which |B| drops
                 better = np.flatnonzero(values > best)
                 if better.size == 0:
                     break

@@ -363,6 +363,20 @@ class TestStateFile:
         assert captured.out == ""
         assert captured.err == f"error: {path} is larger than 1048576 bytes\n"
 
+    @pytest.mark.parametrize("size", [cli._FIRST_READ - 1, cli._FIRST_READ,
+                                      cli._FIRST_READ + 1])
+    def test_file_read_in_two_steps_loads_whole(self, tmp_path, capsys, size):
+        # the first read fills at _FIRST_READ bytes and the rest follows; the
+        # padding leads, so a file cut after the first read is not JSON
+        path, unpadded_path = tmp_path / "state.json", bell_file(tmp_path)
+        text = Path(unpadded_path).read_text()
+        assert main(["angles", "--input", str(unpadded_path)]) == 0
+        unpadded = capsys.readouterr()
+        path.write_text(" " * (size - len(text)) + text)
+        assert path.stat().st_size == size
+        assert main(["angles", "--input", str(path)]) == 0
+        assert capsys.readouterr() == unpadded
+
     @pytest.mark.parametrize("command", ["bmax", "angles", "oracle-check", "scan"])
     def test_missing_file_exits_2(self, tmp_path, capsys, command):
         path = tmp_path / "absent.json"

@@ -450,25 +450,30 @@ class TestBruteForce:
         assert imported == {"__future__", "dataclasses", "states"}
 
 
-def _sequential_certify(rho, s, cfg):
-    """The certify walk proposing one move at a time."""
+def _sequential_certify(rho, s, cfg, accepted=None):
+    """The certify walk proposing one move at a time; each accepted move's
+    (stage, step) is appended to `accepted` when it is given."""
     t = pauli_correlation_matrix(rho)
     current = np.array(s.thetas + s.phis)
     base = best = float(_bell_values(t, current))
     rng = ScalarSplitmix64(cfg.seed)
-    for radius in (math.pi / 8.0, math.pi / 64.0):
-        for _ in range(max(cfg.refine_iters, 64)):
+    for stage, radius in enumerate((math.pi / 8.0, math.pi / 64.0)):
+        for step in range(max(cfg.refine_iters, 64)):
             move = [rng.uniform(-radius, radius) for _ in range(8)]
             proposal = current + np.array(move)
             value = float(_bell_values(t, proposal))
             if value > best:
                 best, current = value, proposal
+                if accepted is not None:
+                    accepted.append((stage, step))
     return best - base
 
 
 class TestCertify:
-    # 2500 spans ten blocks of _CERTIFY_BLOCK moves, the last one partial
-    @pytest.mark.parametrize("refine", [0, 64, 130, 500, 2500])
+    # per stage of _CERTIFY_BLOCK-move blocks (the first block also holds the
+    # base value): 1023 and 1024 are one block, 1025 and 2049 end in a block
+    # of one move, 2500 spans three blocks, the last one partial
+    @pytest.mark.parametrize("refine", [0, 64, 130, 500, 1023, 1024, 1025, 2049, 2500])
     def test_block_walk_equals_sequential_walk(self, refine):
         rng = np.random.default_rng(33)
         x = random_x_state(rng)
@@ -477,6 +482,41 @@ class TestCertify:
         for s in (optimal_settings(x)[0], zeros):
             cfg = OracleConfig(refine_iters=refine, seed=11)
             assert certify_settings(rho, s, cfg) == _sequential_certify(rho, s, cfg)
+
+    @staticmethod
+    def _count_evaluations(monkeypatch) -> list:
+        """The row count of every `_bell_values` call certify_settings makes."""
+        calls = []
+
+        def counted(t, angles):
+            calls.append(len(angles))
+            return _bell_values(t, angles)
+
+        monkeypatch.setattr(oracle, "_bell_values", counted)
+        return calls
+
+    def test_optimal_settings_take_two_evaluations_at_the_defaults(self, monkeypatch):
+        calls = self._count_evaluations(monkeypatch)
+        x = random_x_state(np.random.default_rng(33))
+        assert certify_settings(x_to_dense(x), optimal_settings(x)[0], OracleConfig()) <= 1e-6
+        assert calls == [501, 500]  # the base value and 500 moves, then 500 moves
+
+    @pytest.mark.parametrize("refine", [500, 1025, 2500])
+    def test_one_evaluation_per_block_and_accepted_move(self, monkeypatch, refine):
+        # an accepted move re-evaluates the rest of its block, if any is left
+        calls = self._count_evaluations(monkeypatch)
+        x = random_x_state(np.random.default_rng(33))
+        zeros = BellSettings((0.0,) * 4, (0.0,) * 4)
+        cfg = OracleConfig(refine_iters=refine)
+        starts = range(0, refine, oracle._CERTIFY_BLOCK)
+        last = {min(b + oracle._CERTIFY_BLOCK, refine) - 1 for b in starts}
+        for s in (optimal_settings(x)[0], zeros):
+            accepted = []
+            _sequential_certify(x_to_dense(x), s, cfg, accepted)
+            calls.clear()
+            certify_settings(x_to_dense(x), s, cfg)
+            assert len(calls) == 2 * len(starts) + sum(k not in last for _, k in accepted)
+        assert len(accepted) > 5  # zero settings: the walk moves
 
     def test_memory_does_not_grow_with_refine(self):
         x = random_x_state(np.random.default_rng(33))

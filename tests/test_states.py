@@ -297,10 +297,16 @@ class TestPlainPythonValidation:
     @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -0.5, 20.0, -20.0]),
                     min_size=32, max_size=32))
     @example([-0.0] * 32)  # the Hermitian part then holds -0.0 real parts
+    @example([20.0, 20.0] + ([0.0] * 8 + [20.0, 20.0]) * 3)  # |tr - 1| = 1.131e-10
     def test_rows_are_entries_bit_for_bit(self, parts):
         m = np.array([complex(re * 1e-12, im * 1e-12)
                       for re, im in zip(parts[::2], parts[1::2])]).reshape(4, 4)
         m[range(4), range(4)] += 0.25
+        tr = complex(m[0, 0]) + complex(m[1, 1]) + complex(m[2, 2]) + complex(m[3, 3])
+        if abs(tr - 1.0) > TRACE_TOL:  # the diagonal's parts add up past the tolerance
+            with pytest.raises(TraceNotOne):
+                validate_density_matrix(m)
+            return
         rho = validate_density_matrix(m)
         assert type(rho.rows) is tuple and all(type(row) is tuple for row in rho.rows)
         hexed = [[(z.real.hex(), z.imag.hex()) for z in row] for row in rho.rows]
