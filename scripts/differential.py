@@ -53,7 +53,8 @@ from enum import Enum
 
 SEED = 2009
 TMAX = 6.0
-Q_VALUES = (1.0, 1.0 + 5e-13, 0.8, -0.6, 0.3 + 0.4j, -0.5j, 1e-160, 0.0, 1.1)
+Q_VALUES = (1.0, 1.0 + 5e-13, 0.8, -0.6, 0.3 + 0.4j, -0.5j, 1e-160, 0.0, 1.1,
+            -0.6035880804157655 - 0.7972963245745032j)  # |q| == 1.0, but not |q * q|
 SURFACE = (24, 24)
 CERTIFY_ITERS = 1100  # past one block of moves, so a certify stage spans two
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -133,6 +134,7 @@ def x_corpus(rng) -> list[tuple]:
         (0.5, 0.0, 0.0, 0.5, 0j, tol),  # inner block's least eigenvalue exactly -tol
         (0.5, 0.0, 0.0, 0.5, edge, tol),  # both blocks at the edge
         (0.5, 0.0, 0.0, 0.5, math.nextafter(edge, 1.0), tol),  # and one past it
+        (0.25, 0.25, 0.25, 0.25, 0.35, 0.75),  # both blocks past it, the second by more
     ]
     return corpus
 

@@ -45,7 +45,7 @@ from typing import Union
 
 import numpy as np
 
-from .angles import _settings_rows, optimal_settings
+from .angles import _settings_rows
 from .chsh import TIE_TOL, Region, _eigenvalues
 from .states import MAX_SAMPLES, POSITIVITY_TOL, DensityMatrix4, XState, _block_least_eigenvalue
 
@@ -702,7 +702,7 @@ def _scan_columns(x0: XState, t: np.ndarray, q: np.ndarray) -> TimeScan:
         | ~(_block_least_eigenvalue(r22, r33, m23, np.hypot) >= -POSITIVITY_TOL)
     )
     if failed.any():  # the scalar path raises the first failing row's error
-        optimal_settings(evolve_x(x0, complex(q[failed.argmax()])))
+        evolve_x(x0, complex(q[failed.argmax()]))
     tie = abs(u2 - u3) <= TIE_TOL
     set1 = tie | (u2 >= u3)
     # BellEigenvalues.b1, .b2 and .bmax, with max(b1, b2)

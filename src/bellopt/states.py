@@ -13,7 +13,7 @@ Conventions used throughout the package:
 * DensityMatrix4 keeps its Hermitian part as the tuple `rows`, and builds the
   read-only array `entries` from it on first access; its PSD check uses the
   2x2 blocks if every off-X entry is exactly 0, else numpy's eigvalsh.
-  XState applies that same block rule, so the two accept the same X matrices.
+  XState calls the same _x_least_eigenvalue, so the two judge X matrices alike.
   The X-state route never loads numpy: what needs it imports it inside.
 * BellSettings applies the range rule _check_direction to each of its four
   directions, and _unit_vector gives a direction's Bloch vector.
@@ -114,7 +114,8 @@ class DensityMatrix4:
             import numpy as np
             lam_min = float(np.linalg.eigvalsh(entries if r is m else np.array(rows)).min())
         else:
-            lam_min = _x_least_eigenvalue(rows)
+            lam_min = _x_least_eigenvalue(rows[0][0].real, rows[1][1].real, rows[2][2].real,
+                                          rows[3][3].real, abs(rows[0][3]), abs(rows[1][2]))
         if not lam_min >= -POSITIVITY_TOL:  # also rejects NaN
             raise NotPositive(f"smallest eigenvalue {lam_min:.3e}")
         object.__setattr__(self, "rows", rows)
@@ -153,10 +154,10 @@ def _block_least_eigenvalue(a, d, mod_c, hypot=lambda x, y: abs(complex(x, y))):
     return (a + d) / 2 - hypot((a - d) / 2, mod_c)
 
 
-def _x_least_eigenvalue(r) -> float:
-    """Least eigenvalue of a Hermitian X matrix, rows r, over its blocks {0,3} and {1,2}."""
-    return min(_block_least_eigenvalue(r[0][0].real, r[3][3].real, abs(r[0][3])),
-               _block_least_eigenvalue(r[1][1].real, r[2][2].real, abs(r[1][2])))
+def _x_least_eigenvalue(rho11, rho22, rho33, rho44, m14, m23) -> float:
+    """Least eigenvalue over the X blocks {0,3} and {1,2}: the smaller, or NaN if either is."""
+    a, b = _block_least_eigenvalue(rho11, rho44, m14), _block_least_eigenvalue(rho22, rho33, m23)
+    return min(a, b) if b == b else b  # min(a, NaN) would be a
 
 
 def validate_density_matrix(entries) -> DensityMatrix4:
@@ -195,11 +196,9 @@ class XState:
         total = self.rho11 + self.rho22 + self.rho33 + self.rho44  # as DensityMatrix4 adds
         if abs(total - 1.0) > TRACE_TOL:
             raise TraceNotOne(f"populations sum deviates from 1 by {abs(total - 1.0):.3e}")
-        # DensityMatrix4's rule, one block at a time: a min() of both would pass a NaN
-        lam_min = _block_least_eigenvalue(self.rho11, self.rho44, abs(self.rho14))
-        if lam_min >= -POSITIVITY_TOL:
-            lam_min = _block_least_eigenvalue(self.rho22, self.rho33, abs(self.rho23))
-        if not lam_min >= -POSITIVITY_TOL:
+        lam_min = _x_least_eigenvalue(self.rho11, self.rho22, self.rho33, self.rho44,
+                                      abs(self.rho14), abs(self.rho23))
+        if not lam_min >= -POSITIVITY_TOL:  # also rejects NaN
             raise NotPositive(f"smallest eigenvalue {lam_min:.3e}")
 
     @property

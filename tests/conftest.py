@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from bellopt import DensityMatrix4, XState, x_to_dense
+from bellopt.states import POSITIVITY_TOL, _block_least_eigenvalue
 
 BELL_X = XState(0.0, 0.5, 0.5, 0.0, 0.0, 0.5)
 
@@ -60,6 +61,18 @@ def werner(r: float) -> XState:
     """r * |(01)+(10)><...| + (1 - r) I/4."""
     bg = 0.25 * (1.0 - r)
     return XState(bg, bg + 0.5 * r, bg + 0.5 * r, bg, 0.0, 0.5 * r)
+
+
+def largest_accepted_modulus(a: float, d: float) -> float:
+    """The largest |c| for which the block ((a, c), (c*, d)) passes XState's
+    rule (c = 0 must pass), found by bisection."""
+    lo, hi = 0.0, abs(a) + abs(d) + 1.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if _block_least_eigenvalue(a, d, mid) >= -POSITIVITY_TOL:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 @st.composite

@@ -57,8 +57,9 @@ from bellopt.dynamics import (
     _violation_rows,
     crossing_surface,
 )
-from bellopt.states import POSITIVITY_TOL, TRACE_TOL, _block_least_eigenvalue
-from conftest import damping_amplitudes, random_density, random_x_state, werner, x_states
+from bellopt.states import POSITIVITY_TOL, TRACE_TOL, _x_least_eigenvalue
+from conftest import (damping_amplitudes, largest_accepted_modulus, random_density,
+                      random_x_state, werner, x_states)
 
 
 def _sign(v: float) -> float:
@@ -506,18 +507,6 @@ class TestAmplitudeDamping:
             apply_amplitude_damping(mixed_rho, 1.1)
 
 
-def _largest_accepted_modulus(a: float, d: float) -> float:
-    """The largest |c| for which the block ((a, c), (c*, d)) passes XState's
-    rule (c = 0 must pass), found by bisection."""
-    lo, hi = 0.0, abs(a) + abs(d) + 1.0
-    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        if _block_least_eigenvalue(a, d, mid) >= -POSITIVITY_TOL:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 @st.composite
 def psd_edge_x_states(draw):
     """X states at the tolerance edges of the PSD rule: rho11..rho33 drawn (one
@@ -531,11 +520,10 @@ def psd_edge_x_states(draw):
         p[negative] = -draw(st.floats(0.0, POSITIVITY_TOL))
     rho44 = 1.0 - (p[0] + p[1] + p[2])
     # a population near -POSITIVITY_TOL may fail the rule by rounding alone
-    assume(min(_block_least_eigenvalue(p[0], rho44, 0.0),
-               _block_least_eigenvalue(p[1], p[2], 0.0)) >= -POSITIVITY_TOL)
+    assume(_x_least_eigenvalue(*p, rho44, 0.0, 0.0) >= -POSITIVITY_TOL)
     phases = st.sampled_from([1.0, -1.0, 1j, -1j])
-    rho14 = draw(st.sampled_from([0.0, _largest_accepted_modulus(p[0], rho44)])) * draw(phases)
-    rho23 = draw(st.sampled_from([0.0, _largest_accepted_modulus(p[1], p[2])])) * draw(phases)
+    rho14 = draw(st.sampled_from([0.0, largest_accepted_modulus(p[0], rho44)])) * draw(phases)
+    rho23 = draw(st.sampled_from([0.0, largest_accepted_modulus(p[1], p[2])])) * draw(phases)
     return XState(*p, rho44, rho14, rho23)
 
 

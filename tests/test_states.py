@@ -168,7 +168,8 @@ class TestPositivityOnTheStoredMatrix:
     @example((-1e-10, 0.0, 0j, 0.5, 0.5, 0j))  # least eigenvalue exactly -1e-10
     def test_block_formula_matches_eigvalsh(self, blocks):
         m = x_matrix(*blocks)
-        by_blocks = _x_least_eigenvalue(tuple(map(tuple, m.tolist())))
+        a1, d1, c14, a2, d2, c23 = blocks
+        by_blocks = _x_least_eigenvalue(a1, a2, d2, d1, abs(c14), abs(c23))
         by_eigvalsh = float(np.linalg.eigvalsh(m).min())
         diff = abs(by_blocks - by_eigvalsh)
         assert diff <= 16 * math.ulp(np.abs(m).max())
@@ -176,11 +177,11 @@ class TestPositivityOnTheStoredMatrix:
             assert (by_blocks < -POSITIVITY_TOL) == (by_eigvalsh < -POSITIVITY_TOL)
 
     def test_exact_examples(self):
-        assert _x_least_eigenvalue(((0.5, 0, 0, 0.5), (0, 0, 0, 0),
-                                    (0, 0, 0, 0), (0.5, 0, 0, 0.5))) == 0.0
-        m = x_matrix(-1e-10, 0.0, 0j, 0.5, 0.5 + 1e-10, 0j)
-        assert _x_least_eigenvalue(tuple(map(tuple, m.tolist()))) == -1e-10
-        validate_density_matrix(m)  # -1e-10 is not below -POSITIVITY_TOL
+        assert _x_least_eigenvalue(0.5, 0.0, 0.0, 0.5, 0.5, 0.0) == 0.0
+        assert _x_least_eigenvalue(-1e-10, 0.5, 0.5 + 1e-10, 0.0, 0.0, 0.0) == -1e-10
+        validate_density_matrix(x_matrix(-1e-10, 0.0, 0j, 0.5, 0.5 + 1e-10, 0j))  # -1e-10 passes
+        assert _x_least_eigenvalue(0.25, 0.25, 0.25, 0.25, 0.35, 0.75) == -0.5  # the smaller
+        assert math.isnan(_x_least_eigenvalue(0.5, 0.0, 0.0, 0.5, 0.0, math.nan))
 
     def test_x_states_never_call_eigvalsh(self, monkeypatch):
         rng = np.random.default_rng(18)
@@ -385,18 +386,24 @@ class TestOneRuleForXStates:
     @example((0.0, -0.9e-10, -0.9e-10, 1.0 + 1.8e-10, 0.0, 0.0))
     @example((-5e-11, 1.9e-11, -3.9e-11, 1.0 + 7e-11, 0.0, 0.0))
     @example((-POSITIVITY_TOL, 0.5, 0.5 + POSITIVITY_TOL, 0.0, 0.0, 0.0))
+    @example((0.25, 0.25, 0.25, 0.25, 0.35, 0.75))  # both blocks fail, the second by more
     def test_accepted_iff_the_dense_matrix_is(self, args):
         a1, a2, d2, d1, c14, c23 = args
+        x = x_error = dense_error = None
         try:
             x = XState(*args)
-        except StateValidationError:
-            x = None
+        except StateValidationError as exc:
+            x_error = exc
         try:
             validate_density_matrix(x_matrix(a1, d1, c14, a2, d2, c23))
             dense_ok = True
-        except StateValidationError:
-            dense_ok = False
+        except StateValidationError as exc:
+            dense_ok, dense_error = False, exc
         assert (x is not None) == dense_ok
+        if all(map(cmath.isfinite, args)):  # one fault, and one smallest eigenvalue named
+            assert type(x_error) is type(dense_error)
+            if isinstance(x_error, NotPositive):
+                assert str(x_error) == str(dense_error)
         if x is not None:
             x_to_dense(x)
             x_state_eigenvalues(x)
