@@ -16,15 +16,19 @@ and the value, floats as float.hex (so -0.0 and every last bit count), or
 the exception type and message where a call raises.  The corpus holds random X
 states, coherence phases of exactly +-pi and next to them, +-0.0 parts, ties
 u2 = u3, u1 = 0, pure and fully mixed states, subnormal rho11, extended
-Werner-like states, states at the tolerance edges of the PSD rule and
-Ginibre (non-X) states, and DensityMatrix4 built from arrays and from nested
-lists with Hermiticity defects up to just past HERMITICITY_TOL and +-0.0 and
--5e-324 parts in mirrored entries, as the float.hex of its rows and entries,
-and nested lists it rejects (text cells, ragged and wrong shapes);
-TabulatedModel.from_csv records the samples it loads
-from generated table files (a BOM and CRLF, padded fields, quoted rows after
-the first block the loader parses, +-0.0 parts, subnormal samples), written
-to a temporary directory.  --compare pairs the records of two files by label
+Werner-like states, states at the tolerance edges of the PSD rule, two with
+a non-finite entry, and Ginibre (non-X) states, and DensityMatrix4 built
+from arrays and from nested lists with Hermiticity defects up to just past
+HERMITICITY_TOL and +-0.0 and -5e-324 parts in mirrored entries, as the
+float.hex of its rows and entries, and nested lists it rejects (text cells,
+ragged and wrong shapes);
+TabulatedModel.from_csv records the samples it loads, or the error it raises,
+from generated table files (a BOM and CRLF, padded fields, +-0.0 parts,
+subnormal samples, blank lines and a run of them longer than a chunk, and
+after the first chunk the loader parses: quoted rows, fields with an
+underscore, in Arabic-Indic digits, padded with \\x1c, in hex, Infinity and
+1e400, a line only of whitespace and a trailing comma), written to a
+temporary directory.  --compare pairs the records of two files by label
 (the text before the type field, or before " !" where a call raised), prints
 every label whose records differ or that one file lacks, with the count of
 such labels and of the states they belong to, and exits 1; or it counts the
@@ -136,6 +140,8 @@ def x_corpus(rng) -> list[tuple]:
         (0.5, 0.0, 0.0, 0.5, math.nextafter(edge, 1.0), tol),  # and one past it
         (0.25, 0.25, 0.25, 0.25, 0.35, 0.75),  # both blocks past it, the second by more
     ]
+    corpus += [(math.nan, 0.0, 0.0, 1.0, 0j, 0j),  # not finite
+               (0.5, 0.0, 0.0, 0.5, complex(math.inf, 0.0), 0j)]
     return corpus
 
 
@@ -189,8 +195,11 @@ def list_corpus() -> list:
 
 
 def table_files() -> dict[str, bytes]:
-    """Table files of 3000 samples, each longer than the 64 KiB block that
-    TabulatedModel.from_csv parses at once, by the name of what they hold."""
+    """Table files of 3000 samples, each longer than the 64 KiB chunk that
+    TabulatedModel.from_csv parses at once, by the name of what they hold.
+    Fields that numpy's reader and float() read differently, a line only of
+    whitespace and a trailing comma come after the first chunk, so that
+    chunk goes through numpy's reader and the rest through the per-line one."""
     import numpy as np
 
     rng = np.random.default_rng(SEED)
@@ -207,12 +216,39 @@ def table_files() -> dict[str, bytes]:
     def table(samples, t=times, field=lambda k, x: repr(x), head="", eol="\n") -> bytes:
         rows = (",".join(field(k, x) for x in (t[k], *samples[k])) for k in range(n))
         return (head + "t,q_re,q_im" + eol + "".join(r + eol for r in rows)).encode()
+
+    def late(text):
+        # fields written by text in every 7th row from row 2000 on, after the first chunk
+        return lambda k, x: text(x) if k >= 2000 and k % 7 == 0 else repr(x)
+
+    def inserted(data, line, text) -> bytes:
+        # data with text before its line `line`, the header being line 0
+        cut = 0
+        for _ in range(line):
+            cut = data.index(b"\n", cut) + 1
+        return data[:cut] + text + data[cut:]
+
+    def underscored(x):
+        mantissa, _, exponent = f"{x:.17e}".partition("e")
+        return f"{mantissa[:-1]}_{mantissa[-1]}e{exponent}"
+    arabic = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                         "\u0665\u0666\u0667\u0668\u0669")
     return {
         "bom-crlf": table(q, head="\ufeff", eol="\r\n"),
         "padded": table(q, field=lambda k, x: f"{pads[k % 7]}{x!r}{pads[k * 3 % 7]}"),
-        "quoted": table(q, field=lambda k, x: f'"{x!r}"' if k >= 2000 and k % 7 == 0 else repr(x)),
+        "quoted": table(q, field=late(lambda x: f'"{x!r}"')),
         "signed-zero": table(signed),
         "subnormal": table(subnormal, t=[0.0, 5e-324, 1e-310, *times[3:]]),
+        "underscore": table(q, field=late(underscored)),
+        "arabic-digits": table(q, field=late(lambda x: repr(x).translate(arabic))),
+        "x1c-padded": table(q, field=late(lambda x: f"\x1c{x!r}\x1e")),
+        "hex": table(q, field=late(float.hex)),
+        "infinity": table(q, field=late(lambda x: "Infinity")),
+        "overflow": table(q, field=late(lambda x: "1e400")),
+        # a blank line after each row, and a run of blank lines longer than a chunk
+        "blank-lines": inserted(table(q, eol="\n\n"), 3000, b"\n" * 70000),
+        "whitespace-line": inserted(table(q), 2500, b" \t\n"),
+        "trailing-comma": inserted(table(q), 2500, b"9,0.5,0,\n"),
     }
 
 

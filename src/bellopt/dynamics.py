@@ -35,12 +35,14 @@ from __future__ import annotations
 
 import cmath
 import csv
+import io
 import math
+import re
 from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain
 from typing import Union
 
 import numpy as np
@@ -55,7 +57,9 @@ _MAX_ROOT_ITERS = 80
 MAX_PIECES = 10 ** 6
 _FIELD_LIMIT = 131072  # csv's default field size limit, in characters
 MAX_LINE_BYTES = 3 * (4 * _FIELD_LIMIT + 2) + 4  # csv's limit: 3 quoted fields, 4-byte chars
-_BLOCK_CHARS = 1 << 16  # characters of table text parsed as one block
+_BLOCK_CHARS = 1 << 16  # characters of table text parsed as one chunk
+_PLAIN = b"0123456789.eE+-, \t\n"  # the bytes of a chunk numpy's reader takes
+_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")  # a line as readline splits it
 
 
 def _times(t) -> np.ndarray:
@@ -220,24 +224,28 @@ class TabulatedModel:
         header `t,q_re,q_im`, three fields in every other non-empty row, at most
         MAX_PIECES + 1 rows, and no line (its break included) over MAX_LINE_BYTES.
 
-        After the header, plain rows are read in blocks of about _BLOCK_CHARS
-        characters and parsed a column at a time; a block with any other line
-        (a quote, a lone CR, a bad byte, a line over csv's field limit, a bad or
-        surplus row) goes through the per-line reader from its first line on.
-        The files accepted, the values read and the error texts are those of
-        the per-line reader alone."""
+        After the header, the file is read in chunks of about _BLOCK_CHARS
+        characters, each completed to a line end.  A chunk of blank lines and
+        plain rows (only the bytes 0-9 . e E + - , space, tab and LF or CRLF,
+        no line over csv's field limit, three fields in each row, none past
+        the row cap) goes through numpy's reader; any other chunk goes through
+        the per-line reader from its first line on.  Over that alphabet numpy
+        reads a field exactly when float() does, with the same bits, so the
+        files accepted, the values read and the error texts are those of the
+        per-line reader alone."""
         times, values = array("d"), array("d")  # t, and the (re, im) pairs of q
         with open(path, encoding="latin-1", newline="") as fh:
             lines = iter(partial(fh.readline, MAX_LINE_BYTES + 1), "")
             header = next(lines, "")
             # a quoted header may run on to later lines, so then all are read per line
             _read_rows(chain([header], lines) if '"' in header else [header], 0, times, values)
-            start = 1  # lines before the block
-            for block in _blocks(lines):
-                if not _parse_block(block, times, values):
-                    _read_rows(chain(block, lines), start, times, values)
+            start = 1  # lines before the chunk
+            while chunk := fh.read(_BLOCK_CHARS):
+                chunk += fh.readline(MAX_LINE_BYTES + 1)  # to the end of its last line
+                if not _parse_chunk(chunk, times, values):
+                    _read_rows(chain(_LINE.findall(chunk), lines), start, times, values)
                     break
-                start += len(block)
+                start += chunk.count("\n")
         return cls(np.frombuffer(times), np.frombuffer(values, dtype=complex))
 
     def q(self, t):
@@ -307,41 +315,24 @@ def _read_rows(lines, start, times, values) -> None:
         raise ValueError(f"line {start + reader.line_num + 1}: {exc}") from exc
 
 
-def _blocks(lines):
-    """Lists of consecutive lines, each ending once it holds _BLOCK_CHARS
-    characters, so a line too long for csv ends its block."""
-    block, size = [], 0
-    for line in lines:
-        block.append(line)
-        size += len(line)
-        if size >= _BLOCK_CHARS:
-            yield block
-            block, size = [], 0
-    if block:
-        yield block
-
-
-def _parse_block(block, times, values) -> bool:
-    """Append a block of blank lines and rows of three unquoted fields to times
-    and values a column at a time, with the per-line reader's float() and row
-    cap; False, appending nothing, if any line needs that reader."""
-    if max(map(len, block)) > _FIELD_LIMIT:  # before any copy
+def _parse_chunk(chunk, times, values) -> bool:
+    """Append a chunk of blank lines and plain rows of three numbers to times
+    and values through numpy's reader, with the per-line reader's row cap;
+    False, appending nothing, if any line needs the per-line reader."""
+    text = chunk.replace("\r\n", "\n")
+    if text.encode("latin-1").translate(None, _PLAIN) or (
+            len(text) > _FIELD_LIMIT and max(map(len, text.split("\n"))) > _FIELD_LIMIT):
         return False
-    try:
-        text = "".join(block).encode("latin-1").decode("utf-8").replace("\r\n", "\n")
-    except UnicodeDecodeError:
-        return False
-    rows = list(filter(None, text.split("\n")))
-    if ('"' in text or "\r" in text or len(times) + len(rows) > MAX_PIECES + 1
-            or set(map(str.count, rows, repeat(","))) - {2}):
-        return False
-    try:  # t, re, im of each row in turn
-        v = array("d", map(float, ",".join(rows).split(",") if rows else ()))
+    if text.count("\n") == len(text):  # blank lines only; numpy would warn of no data
+        return True
+    try:  # numpy skips empty lines only, so each other line is one row
+        rows = np.loadtxt(io.StringIO(text), delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return False
-    times += v[::3]
-    del v[::3]
-    values += v
+    if rows.shape[1] != 3 or len(times) + len(rows) > MAX_PIECES + 1:
+        return False
+    times.frombytes(rows[:, 0].tobytes())
+    values.frombytes(rows[:, 1:].tobytes())
     return True
 
 

@@ -31,6 +31,7 @@ _GAMMA64 = 0x9E3779B97F4A7C15
 # Moves certify_settings draws and evaluates at once: one block per stage at
 # the default refine_iters, the first block also holding the base value.
 _CERTIFY_BLOCK = 1024
+_CERTIFY_WINDOW = 64  # moves evaluated at once after an accepted move, as more often follow
 # Most starts refined in one batch: a search holds ~3 kB per start, so a
 # batch stays under ~1 MB however many restarts are asked for.
 _COMPASS_BATCH = 256
@@ -298,15 +299,17 @@ def certify_settings(rho: DensityMatrix4, s: BellSettings, cfg: OracleConfig) ->
             moves = rng.uniforms(8 * rows, -radius, radius).reshape(rows, 8)
             if base is None:  # row 0 of the first block: the base value, a zero move
                 moves = np.vstack((np.zeros(8), moves))
+            window = len(moves)  # the whole block, then windows after a move
             while len(moves):
-                proposals = current + moves
+                proposals = current + moves[:window]
                 values = _bell_values(t, proposals)
                 if base is None:  # current + 0.0 differs from current only in
                     base = best = float(values[0])  # zero signs, which |B| drops
                 better = np.flatnonzero(values > best)
-                if better.size == 0:
-                    break
-                k = int(better[0])
-                best, current = float(values[k]), proposals[k]
-                moves = moves[k + 1:]
+                if better.size:
+                    k = int(better[0])
+                    best, current = float(values[k]), proposals[k]
+                    moves, window = moves[k + 1:], _CERTIFY_WINDOW
+                else:
+                    moves = moves[len(values):]
     return best - base

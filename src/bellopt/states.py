@@ -175,8 +175,8 @@ class XState:
 
     Populations follow the basis ordering (|11>, |10>, |01>, |00>); rho14 is
     the |11><00| coherence and rho23 the |10><01| coherence.  It is a density
-    matrix as DensityMatrix4 checks one: populations sum to 1 within TRACE_TOL
-    and each 2x2 block's least eigenvalue is >= -POSITIVITY_TOL.
+    matrix as DensityMatrix4 checks one: finite entries, populations summing to
+    1 within TRACE_TOL, and each 2x2 block's least eigenvalue >= -POSITIVITY_TOL.
     """
 
     rho11: float
@@ -187,17 +187,19 @@ class XState:
     rho23: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "rho11", float(self.rho11))
-        object.__setattr__(self, "rho22", float(self.rho22))
-        object.__setattr__(self, "rho33", float(self.rho33))
-        object.__setattr__(self, "rho44", float(self.rho44))
-        object.__setattr__(self, "rho14", complex(self.rho14))
-        object.__setattr__(self, "rho23", complex(self.rho23))
-        total = self.rho11 + self.rho22 + self.rho33 + self.rho44  # as DensityMatrix4 adds
+        object.__setattr__(self, "rho11", rho11 := float(self.rho11))
+        object.__setattr__(self, "rho22", rho22 := float(self.rho22))
+        object.__setattr__(self, "rho33", rho33 := float(self.rho33))
+        object.__setattr__(self, "rho44", rho44 := float(self.rho44))
+        object.__setattr__(self, "rho14", rho14 := complex(self.rho14))
+        object.__setattr__(self, "rho23", rho23 := complex(self.rho23))
+        if not (math.isfinite(rho11) and math.isfinite(rho22) and math.isfinite(rho33)
+                and math.isfinite(rho44) and cmath.isfinite(rho14) and cmath.isfinite(rho23)):
+            raise StateValidationError("matrix has a non-finite entry")  # as DensityMatrix4
+        total = rho11 + rho22 + rho33 + rho44  # as DensityMatrix4 adds
         if abs(total - 1.0) > TRACE_TOL:
             raise TraceNotOne(f"populations sum deviates from 1 by {abs(total - 1.0):.3e}")
-        lam_min = _x_least_eigenvalue(self.rho11, self.rho22, self.rho33, self.rho44,
-                                      abs(self.rho14), abs(self.rho23))
+        lam_min = _x_least_eigenvalue(rho11, rho22, rho33, rho44, abs(rho14), abs(rho23))
         if not lam_min >= -POSITIVITY_TOL:  # also rejects NaN
             raise NotPositive(f"smallest eigenvalue {lam_min:.3e}")
 

@@ -5,6 +5,7 @@ import re
 import time
 import tracemalloc
 import warnings
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -159,9 +160,13 @@ class TestQLorentzian:
 
 # whitespace that float() strips and that csv and the line reader keep in a field
 _PADS = [" ", "\t", "\x0b", "\x0c", "\x85", "\u2028", "\u2029"]
-# fields no plain block takes: NUL, a bad byte, a BOM, one character past csv's
-# field limit, not a number, empty, an unclosed quote
-_BAD_FIELDS = [b"1\x00", b"0.5\xff", b"\xef\xbb\xbf1", b"0" * 131073, b"abc", b"", b'"0.5']
+# fields no plain chunk takes: NUL, a bad byte, a BOM, one character past csv's
+# field limit, not a number, empty, an unclosed quote; and fields that numpy's
+# reader and float() read differently: digits with an underscore or in another
+# script, a hex float, an infinity, an overflow, \x1c/\x1e padding
+_BAD_FIELDS = [b"1\x00", b"0.5\xff", b"\xef\xbb\xbf1", b"0" * 131073, b"abc", b"", b'"0.5',
+               b"1_0", "\u0661\u0662".encode(), b"0x1p3", b"Infinity", b"1e400",
+               b"\x1c0.5", b"0.5\x1e"]
 # the plain header most often, so that most tables reach their rows
 _HEADERS = [b"t,q_re,q_im"] * 4 + [b"\xef\xbb\xbft,q_re,q_im", b" t ,q_re,\tq_im ",
                                    b'"t",q_re,q_im', b'"t\n",q_re,q_im', b"time,q_re,q_im", b""]
@@ -172,8 +177,9 @@ def csv_tables(draw) -> bytes:
     """A table file: valid rows (increasing times from 0, q(0) = 1, |q| < 1),
     some fields padded, with LF or CRLF, and up to four edits at random lines:
     a quoted field (with or without a line break in it), a short, long or bad
-    row, a lone CR, a blank or whitespace-only line, two rows joined into one
-    by whitespace, a lone CR or a character str.splitlines() splits on."""
+    row, a trailing comma, a lone CR, a blank or whitespace-only line, a run
+    of up to 40 blank lines, two rows joined into one by whitespace, a lone CR
+    or a character str.splitlines() splits on."""
     step = draw(st.sampled_from([0.25, 5e-324, 2.5e-310, 1e300]))
     number = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-315]),
                        st.floats(-0.7, 0.7))
@@ -193,19 +199,24 @@ def csv_tables(draw) -> bytes:
         i = draw(st.integers(1, len(lines) - 1))
         fields = lines[i][0].split(b",")
         j = draw(st.integers(0, len(fields) - 1))
-        edit = draw(st.sampled_from(["quote", "quoted-break", "short", "long", "bad", "cr",
-                                     "blank", "space", "space-cr", "joined"]))
+        edit = draw(st.sampled_from(["quote", "quoted-break", "short", "long", "bad", "comma",
+                                     "cr", "blank", "blanks", "space", "space-cr", "joined"]))
         if edit in ("quote", "quoted-break"):
             fields[j] = b'"' + fields[j] + (b'\n"' if edit == "quoted-break" else b'"')
         elif edit in ("short", "long"):
             fields = fields[:-1] if edit == "short" else fields + [b"0.5"]
         elif edit == "bad":
             fields[j] = draw(st.sampled_from(_BAD_FIELDS))
+        elif edit == "comma":
+            fields.append(b"")
         elif edit == "cr":
             lines[i][1] = b"\r"
         elif edit == "joined" and i + 1 < len(lines):
             sep = draw(st.sampled_from(_PADS + ["\x1c", "\x1d", "\x1e", "\r"])).encode()
             lines[i][0] = lines[i][0] + sep + lines.pop(i + 1)[0]
+            continue
+        elif edit == "blanks":
+            lines[i:i] = [[b"", eol] for _ in range(draw(st.integers(2, 40)))]
             continue
         else:
             pad = b"" if edit == "blank" else draw(st.sampled_from(_PADS)).encode()
@@ -418,32 +429,61 @@ class TestTabulated:
     @settings(max_examples=300, deadline=None)
     @given(table=csv_tables(), budget=st.integers(1, 300),
            cap=st.one_of(st.just(MAX_PIECES), st.integers(1, 60)))
-    # lines a plain block would misread: a whitespace line ending in a lone CR,
+    # lines a plain chunk would misread: a whitespace line ending in a lone CR,
     # two rows joined by a character str.splitlines() splits on, one row past
     # the cap, a field float() reads but csv refuses, and a quoted row in a
-    # later block
+    # later chunk
     @example(table=b"t,q_re,q_im\n0,1,0\n \r1,0.5,0\n", budget=300, cap=MAX_PIECES)
     @example(table=b"t,q_re,q_im\n0,1,0\n1,0.5,0\x1c2,0.25,0\n", budget=300, cap=MAX_PIECES)
     @example(table=b"t,q_re,q_im\n0,1,0\n1,0.5,0\n2,0.25,0\n", budget=300, cap=1)
     @example(table=b"t,q_re,q_im\n0,1,0\n1," + b"0" * 131073 + b",0\n", budget=300,
              cap=MAX_PIECES)
     @example(table=b't,q_re,q_im\n0,1,0\n1,0.5,0\n"2",0.25,0\n', budget=8, cap=MAX_PIECES)
+    # padding that numpy strips and float() refuses, a chunk of short rows
+    # alone, a whitespace-only line, a trailing comma, blank lines inside a
+    # chunk, and chunks of blank lines only, some cut between the CR and LF of
+    # a CRLF
+    @example(table=b"t,q_re,q_im\n0,1,0\n1,\x1c0.5,0\n", budget=300, cap=MAX_PIECES)
+    @example(table=b"t,q_re,q_im\n0,1\n1,0.5\n", budget=300, cap=MAX_PIECES)
+    @example(table=b"t,q_re,q_im\n0,1,0\n \n1,0.5,0\n", budget=300, cap=MAX_PIECES)
+    @example(table=b"t,q_re,q_im\n0,1,0\n1,0.5,0,\n", budget=300, cap=MAX_PIECES)
+    @example(table=b"t,q_re,q_im\n0,1,0\n\n\n1,0.5,0\n\n", budget=300, cap=MAX_PIECES)
+    @example(table=b"t,q_re,q_im\n0,1,0\n" + b"\n" * 20 + b"1,0.5,0\n", budget=8,
+             cap=MAX_PIECES)
+    @example(table=b"t,q_re,q_im\r\n0,1,0\r\n" + b"\r\n" * 20 + b"1,0.5,0\r\n", budget=7,
+             cap=MAX_PIECES)
     def test_block_reader_matches_the_per_line_reader(self, tmp_path_factory, table,
                                                       budget, cap):
-        # a small block budget starts the per-line reader at block 2 or later
+        # a small chunk budget starts the per-line reader at chunk 2 or later
         path = tmp_path_factory.getbasetemp() / "differential-table.csv"
         path.write_bytes(table)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dynamics, "MAX_PIECES", cap)
-            default_blocks = _loaded(path)
+            default_chunks = _loaded(path)
             mp.setattr(dynamics, "_BLOCK_CHARS", budget)
-            small_blocks = _loaded(path)
-            mp.setattr(dynamics, "_parse_block", lambda block, times, values: False)
+            small_chunks = _loaded(path)
+            mp.setattr(dynamics, "_parse_chunk", lambda chunk, times, values: False)
             per_line = _loaded(path)
-        assert default_blocks == small_blocks == per_line
+        assert default_chunks == small_chunks == per_line
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.text("0123456789.eE+- \t", max_size=12))
+    @example("1e400")
+    @example("-1e-400")
+    @example("5e-324")
+    @example(" +.5e-3\t")
+    @example("1.e5")
+    @example("")
+    def test_plain_fields_read_as_float_reads_them(self, field):
+        # over the chunk alphabet, numpy's reader takes a field only if
+        # float() does, with the same bits
+        times, values = array("d"), array("d")
+        if dynamics._parse_chunk(f"{field},{field},{field}\n", times, values):
+            bits = np.float64(float(field)).tobytes()
+            assert times.tobytes() == bits and values.tobytes() == bits * 2
 
     def test_plain_blocks_skip_the_per_line_reader(self, tmp_path, monkeypatch):
-        # the per-line reader takes the header, then only the block holding the
+        # the per-line reader takes the header, then only the chunk holding the
         # first quoted row, from its first line on
         starts, read_rows = [], dynamics._read_rows
 
@@ -456,6 +496,10 @@ class TestTabulated:
         path.write_text("".join(lines))
         plain = TabulatedModel.from_csv(path)
         assert starts == [(0, 0)] and len(plain.times) == 3000
+        path.write_bytes("".join(lines).replace("\n", "\r\n").encode())  # CRLF is plain too
+        starts.clear()
+        assert TabulatedModel.from_csv(path).values.tobytes() == plain.values.tobytes()
+        assert starts == [(0, 0)]
         lines[2501] = '"' + lines[2501].replace(",", '","').rstrip("\n") + '"\n'
         path.write_text("".join(lines))
         starts.clear()
@@ -1911,18 +1955,18 @@ class TestNonFiniteInputs:
          "sample 1 is not finite"),
         (lambda: TabulatedModel((0.0,), (1.0,)), "at least two samples"),
         pytest.param(lambda: XState(math.nan, 0.5, 0.5, 0.0, 0.0, 0.0),
-                     "smallest eigenvalue nan", id="XState-rho11-nan"),
+                     "matrix has a non-finite entry", id="XState-rho11-nan"),
         pytest.param(lambda: XState(0.0, 0.5, 0.5, 0.0, 0.0, complex(math.inf, 0.0)),
-                     "smallest eigenvalue -inf", id="XState-rho23-inf"),
+                     "matrix has a non-finite entry", id="XState-rho23-inf"),
         pytest.param(lambda: XState(0.5, 0.0, 0.0, 0.5, complex(0.0, math.nan), 0.0),
-                     "smallest eigenvalue nan", id="XState-rho14-nan"),
-        # a NaN in the second block, which a min() over both blocks would pass
+                     "matrix has a non-finite entry", id="XState-rho14-nan"),
+        # a NaN in the second block, refused before any eigenvalue
         pytest.param(lambda: XState(0.5, math.nan, 0.0, 0.5, 0.0, 0.0),
-                     "smallest eigenvalue nan", id="XState-rho22-nan"),
+                     "matrix has a non-finite entry", id="XState-rho22-nan"),
         pytest.param(lambda: XState(0.5, 0.0, math.nan, 0.5, 0.0, 0.0),
-                     "smallest eigenvalue nan", id="XState-rho33-nan"),
+                     "matrix has a non-finite entry", id="XState-rho33-nan"),
         pytest.param(lambda: XState(0.5, 0.0, 0.0, 0.5, 0.0, complex(math.nan, 0.0)),
-                     "smallest eigenvalue nan", id="XState-rho23-nan"),
+                     "matrix has a non-finite entry", id="XState-rho23-nan"),
         *[pytest.param(lambda q=q: evolve_x(ewl_state(EWLParams(0.3, 1.0)), q),
                        "|q| must be <= 1, got nan", id=f"evolve_x-{q!r}")
           for q in (math.nan, complex(math.nan, 0.0), complex(0.5, math.nan))],

@@ -474,14 +474,17 @@ class TestCertify:
     # base value): 1023 and 1024 are one block, 1025 and 2049 end in a block
     # of one move, 2500 spans three blocks, the last one partial
     @pytest.mark.parametrize("refine", [0, 64, 130, 500, 1023, 1024, 1025, 2049, 2500])
-    def test_block_walk_equals_sequential_walk(self, refine):
+    def test_block_walk_equals_sequential_walk(self, monkeypatch, refine):
         rng = np.random.default_rng(33)
         x = random_x_state(rng)
         rho = x_to_dense(x)
         zeros = AngleSettings((0, 0, 0, 0), (0, 0, 0, 0), set_id=Region.SET1)
-        for s in (optimal_settings(x)[0], zeros):
-            cfg = OracleConfig(refine_iters=refine, seed=11)
-            assert certify_settings(rho, s, cfg) == _sequential_certify(rho, s, cfg)
+        # after an accepted move: windows of one move, of a few, and the default
+        for window in (1, 5, oracle._CERTIFY_WINDOW):
+            monkeypatch.setattr(oracle, "_CERTIFY_WINDOW", window)
+            for s in (optimal_settings(x)[0], zeros):
+                cfg = OracleConfig(refine_iters=refine, seed=11)
+                assert certify_settings(rho, s, cfg) == _sequential_certify(rho, s, cfg)
 
     @staticmethod
     def _count_evaluations(monkeypatch) -> list:
@@ -503,19 +506,33 @@ class TestCertify:
 
     @pytest.mark.parametrize("refine", [500, 1025, 2500])
     def test_one_evaluation_per_block_and_accepted_move(self, monkeypatch, refine):
-        # an accepted move re-evaluates the rest of its block, if any is left
+        # a block is evaluated whole; after an accepted move, the moves left
+        # in it are evaluated a window at a time up to the next accepted move
         calls = self._count_evaluations(monkeypatch)
         x = random_x_state(np.random.default_rng(33))
         zeros = BellSettings((0.0,) * 4, (0.0,) * 4)
         cfg = OracleConfig(refine_iters=refine)
-        starts = range(0, refine, oracle._CERTIFY_BLOCK)
-        last = {min(b + oracle._CERTIFY_BLOCK, refine) - 1 for b in starts}
+        block, window = oracle._CERTIFY_BLOCK, oracle._CERTIFY_WINDOW
         for s in (optimal_settings(x)[0], zeros):
             accepted = []
             _sequential_certify(x_to_dense(x), s, cfg, accepted)
+            expected = []
+            for stage in (0, 1):
+                moved = {k for st, k in accepted if st == stage}
+                for start in range(0, refine, block):
+                    end = min(start + block, refine)
+                    k, size, base = start, end - start, stage == 0 and start == 0
+                    while k < end:  # base: the first call also holds the base value
+                        stop = min(k + size, end)
+                        expected.append(stop - k + base)
+                        hits, base = [j for j in range(k, stop) if j in moved], False
+                        if hits:
+                            k, size = hits[0] + 1, window
+                        else:
+                            k = stop
             calls.clear()
             certify_settings(x_to_dense(x), s, cfg)
-            assert len(calls) == 2 * len(starts) + sum(k not in last for _, k in accepted)
+            assert calls == expected
         assert len(accepted) > 5  # zero settings: the walk moves
 
     def test_memory_does_not_grow_with_refine(self):
