@@ -16,12 +16,14 @@ and the value, floats as float.hex (so -0.0 and every last bit count), or
 the exception type and message where a call raises.  The corpus holds random X
 states, coherence phases of exactly +-pi and next to them, +-0.0 parts, ties
 u2 = u3, u1 = 0, pure and fully mixed states, subnormal rho11, extended
-Werner-like states, states at the tolerance edges of the PSD rule, two with
-a non-finite entry, and Ginibre (non-X) states, and DensityMatrix4 built
-from arrays and from nested lists with Hermiticity defects up to just past
-HERMITICITY_TOL and +-0.0 and -5e-324 parts in mirrored entries, as the
-float.hex of its rows and entries, and nested lists it rejects (text cells,
-ragged and wrong shapes);
+Werner-like states, states at the tolerance edges of the PSD rule (one also
+off in trace; time_scan and scan_events run these under each of the four
+models, every other state under one in turn), two with a non-finite entry,
+and Ginibre (non-X) states, and DensityMatrix4 built from arrays and from
+nested lists with Hermiticity defects up to just past HERMITICITY_TOL and
++-0.0 and -5e-324 parts in mirrored entries, as the float.hex of its rows
+and entries, and nested lists it rejects (text cells, ragged and wrong
+shapes);
 TabulatedModel.from_csv records the samples it loads, or the error it raises,
 from generated table files (a BOM and CRLF, padded fields, +-0.0 parts,
 subnormal samples, blank lines and a run of them longer than a chunk, and
@@ -89,7 +91,6 @@ def x_corpus(rng) -> list[tuple]:
     import numpy as np
 
     from bellopt import EWLParams, ewl_state
-    from bellopt.states import POSITIVITY_TOL
 
     corpus = []
     for _ in range(120):  # random X states
@@ -129,8 +130,19 @@ def x_corpus(rng) -> list[tuple]:
     for _ in range(40):  # extended Werner-like states
         x = ewl_state(EWLParams(*rng.uniform(0.0, 1.0, 2), rng.uniform(-4.0, 4.0)))
         corpus.append((x.rho11, x.rho22, x.rho33, x.rho44, x.rho14, x.rho23))
+    corpus += edge_x_states()
+    corpus += [(math.nan, 0.0, 0.0, 1.0, 0j, 0j),  # not finite
+               (0.5, 0.0, 0.0, 0.5, complex(math.inf, 0.0), 0j)]
+    return corpus
+
+
+def edge_x_states() -> list[tuple]:
+    """States at the tolerance edges of the PSD and trace rules, as XState
+    arguments; records() scans each of them under every model."""
+    from bellopt.states import POSITIVITY_TOL
+
     tol, edge = POSITIVITY_TOL, 0.5000000000999999  # 0.5 - edge is the last float >= -tol
-    corpus += [  # at the tolerance edges of the PSD rule
+    return [
         (0.0, 0.5, 0.5, 0.0, 0.99e-5, 0j),  # a coherence between two zero populations
         (0.0, -0.9e-10, -0.9e-10, 1.0 + 1.8e-10, 0j, 0j),
         (-5e-11, 1.9e-11, -3.9e-11, 1.0 + 7e-11, 0j, 0j),
@@ -139,10 +151,8 @@ def x_corpus(rng) -> list[tuple]:
         (0.5, 0.0, 0.0, 0.5, edge, tol),  # both blocks at the edge
         (0.5, 0.0, 0.0, 0.5, math.nextafter(edge, 1.0), tol),  # and one past it
         (0.25, 0.25, 0.25, 0.25, 0.35, 0.75),  # both blocks past it, the second by more
+        (0.5, 0.0, 0.0, 0.5 + 0.9e-10, 0.5 + 1.44e-10, 0j),  # at the edge, off in trace
     ]
-    corpus += [(math.nan, 0.0, 0.0, 1.0, 0j, 0j),  # not finite
-               (0.5, 0.0, 0.0, 0.5, complex(math.inf, 0.0), 0j)]
-    return corpus
 
 
 def ginibre(rng):
@@ -312,7 +322,7 @@ def records() -> list[str]:
     certify = OracleConfig(refine_iters=CERTIFY_ITERS)
     zeros = BellSettings((0.0,) * 4, (0.0,) * 4)  # far from optimal: the walk accepts moves
     rng = np.random.default_rng(SEED)
-    models = _models()
+    models, edges = _models(), edge_x_states()
     lines = []
 
     def call(label, fn, *args):
@@ -342,9 +352,10 @@ def records() -> list[str]:
                 call(f"x{i} evolve{k}", evolve_x, x, q)
             call(f"x{i} coefficients", trajectory_coefficients, x)
             call(f"x{i} levels", crossing_levels, x)
-            model = models[i % len(models)]
-            call(f"x{i} scan", time_scan, x, model, grid)
-            call(f"x{i} events", scan_events, x, model, TMAX)
+            # a state at the tolerance edges under every model, any other under one
+            for k in range(len(models)) if elements in edges else [i % len(models)]:
+                call(f"x{i} scan{k}", time_scan, x, models[k], grid)
+                call(f"x{i} events{k}", scan_events, x, models[k], TMAX)
             if i % 16 == 0:
                 call(f"x{i} oracle", lambda: brute_force_bmax(x_to_dense(x), oracle))
                 call(f"x{i} certify", lambda: certify_settings(

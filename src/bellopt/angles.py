@@ -31,7 +31,6 @@ class AngleSettings(BellSettings):
         return self
 
 
-
 def settings_set1(x: XState) -> AngleSettings:
     """Settings for the u2 >= u3 branch.
 

@@ -9,7 +9,7 @@ in the density matrix elements, which is what makes explicit optimal
 settings possible.  _eigenvalues writes them once, for a state and for scan
 rows, each square a product v * v, which Python and numpy round alike (a
 float's v ** 2 is libm's pow, not always correctly rounded).  BellEigenvalues
-holds them unchecked: the XState they come from was checked where it was built.
+holds them unchecked: the state they come from was judged where it entered.
 """
 
 from __future__ import annotations
@@ -18,14 +18,8 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .states import (
-    BellSettings,
-    DensityMatrix4,
-    XState,
-    _pauli_vector,
-    _unit_vector,
-    pauli_correlation_matrix,
-)
+from .states import (BellSettings, DensityMatrix4, XState, _pauli_vector, _unit_vector,
+                     pauli_correlation_matrix)
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 TIE_TOL = 1e-12
@@ -45,7 +39,7 @@ class BellEigenvalues:
     u1 = 4(|rho14| + |rho23|)^2 and u3 = 4(|rho14| - |rho23|)^2 come from the
     coherences, u2 = (rho11 + rho44 - rho22 - rho33)^2 from the populations;
     u1 >= u3 >= 0.  A record without checks that derives tie, region, b1, b2
-    and bmax: its values come from an XState, validated where it was built.
+    and bmax: its values come from a state judged where it entered.
     """
 
     u1: float

@@ -49,7 +49,7 @@ import numpy as np
 
 from .angles import _settings_rows
 from .chsh import TIE_TOL, Region, _eigenvalues
-from .states import MAX_SAMPLES, POSITIVITY_TOL, DensityMatrix4, XState, _block_least_eigenvalue
+from .states import MAX_SAMPLES, DensityMatrix4, XState
 
 EVENT_REL_TOL = 1e-9
 Q_ABS_MAX = 1.0 + 1e-12  # largest damping amplitude |q| accepted
@@ -57,6 +57,7 @@ _MAX_ROOT_ITERS = 80
 MAX_PIECES = 10 ** 6
 _FIELD_LIMIT = 131072  # csv's default field size limit, in characters
 MAX_LINE_BYTES = 3 * (4 * _FIELD_LIMIT + 2) + 4  # csv's limit: 3 quoted fields, 4-byte chars
+# below _FIELD_LIMIT, so only a chunk's last line, which readline completes, can be longer
 _BLOCK_CHARS = 1 << 16  # characters of table text parsed as one chunk
 _PLAIN = b"0123456789.eE+-, \t\n"  # the bytes of a chunk numpy's reader takes
 _LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")  # a line as readline splits it
@@ -319,9 +320,9 @@ def _parse_chunk(chunk, times, values) -> bool:
     """Append a chunk of blank lines and plain rows of three numbers to times
     and values through numpy's reader, with the per-line reader's row cap;
     False, appending nothing, if any line needs the per-line reader."""
-    text = chunk.replace("\r\n", "\n")
-    if text.encode("latin-1").translate(None, _PLAIN) or (
-            len(text) > _FIELD_LIMIT and max(map(len, text.split("\n"))) > _FIELD_LIMIT):
+    start = chunk.rfind("\n", 0, -1) + 1  # of the last line, the only one that can be long
+    if len(chunk) - chunk.endswith("\n") - chunk.endswith("\r\n") - start > _FIELD_LIMIT or (
+            text := chunk.replace("\r\n", "\n")).encode("latin-1").translate(None, _PLAIN):
         return False
     if text.count("\n") == len(text):  # blank lines only; numpy would warn of no data
         return True
@@ -342,12 +343,11 @@ QModel = Union[ExponentialModel, LorentzianModel, TabulatedModel]
 def apply_amplitude_damping(rho0: DensityMatrix4, q: complex) -> DensityMatrix4:
     """Apply the one-qubit damping map with amplitude q to both qubits.
 
-    Operator-sum form with Kraus pair K0 = diag(q, 1),
-    K1 = sqrt(1 - |q|^2) |0><1| per qubit, with q / |q| where |q| rounds
-    above 1; the product map is CPTP and returns a validated state.
+    Operator-sum form with Kraus pair K0 = diag(q, 1), K1 = sqrt(1 - |q|^2)
+    |0><1| per qubit, with q / |q| where |q| rounds above 1.  The product map
+    is CPTP: its image, the Kraus sum made Hermitian, is not judged again.
     """
-    q = complex(q)
-    mod_q = abs(q)
+    mod_q = abs(q := complex(q))
     if not mod_q <= Q_ABS_MAX:  # also rejects NaN
         raise ValueError(f"|q| must be <= 1, got {mod_q!r}")
     loss = math.sqrt(max(0.0, 1.0 - mod_q * mod_q))
@@ -359,24 +359,23 @@ def apply_amplitude_damping(rho0: DensityMatrix4, q: complex) -> DensityMatrix4:
         for kb in (k0, k1):
             k = np.kron(ka, kb)
             out += k @ rho0.entries @ k.conj().T
-    return DensityMatrix4(out)
+    h = out.conj().T  # an entry off its mirror's conjugate by rounding becomes their mean
+    return DensityMatrix4._derived(np.where(out == h, out, 0.5 * out + 0.5 * h).tolist())
 
 
 def evolve_x(x0: XState, q: complex) -> XState:
     """Closed-form element map of the two-qubit damping channel on X states.
 
     With x = |q|^2: rho11 -> rho11 x^2, rho22/rho33 gain the one-photon decay
-    from rho11, rho44 = 1 - the rest, rho14 -> q^2 rho14, rho23 -> x rho23.
-    The dense product channel up to rounding, but it drops a start's trace miss
-    (<= TRACE_TOL): a start at the PSD edge can fail here, not there.  A |q|
-    in (1, Q_ABS_MAX] acts as q / |q|, so rounding cannot scale rho14 up.
+    from rho11, rho44 = 1 - the rest (a start's trace miss is dropped), rho14 ->
+    q^2 rho14, rho23 -> x rho23: the dense product channel up to rounding, and
+    CPTP, so it is not judged again.  A |q| in (1, Q_ABS_MAX] acts as q / |q|.
     """
-    q = complex(q)
-    mod_q = abs(q)
+    mod_q = abs(q := complex(q))
     if not mod_q <= Q_ABS_MAX:  # also rejects NaN
         raise ValueError(f"|q| must be <= 1, got {mod_q!r}")
     r11, r22, r33, r44, rho14, rho23 = _evolve(x0, q, max(1.0, mod_q), min(1.0, mod_q * mod_q))
-    return XState(r11, r22, r33, r44, complex(*rho14), complex(*rho23))
+    return XState._derived(r11, r22, r33, r44, complex(*rho14), complex(*rho23))
 
 
 def _evolve(x0: XState, q, scale, x):
@@ -423,7 +422,7 @@ def _ewl_entries(alpha2, r):
 
 def ewl_state(p: EWLParams) -> XState:
     rho11, rho22, rho33, m23 = _ewl_entries(p.alpha2, p.r)
-    return XState(rho11, rho22, rho33, rho11, 0.0j, float(m23) * cmath.exp(1j * p.delta))
+    return XState._derived(rho11, rho22, rho33, rho11, 0.0j, float(m23) * cmath.exp(1j * p.delta))
 
 
 def _coefficients(rho11, rho22, rho33, m14, m23):
@@ -637,7 +636,8 @@ class TimeScan:
     b1, b2 and bmax, the active region (1 or 2) with its tie flag, and the
     eight angles of the active set as thetas and phis of shape (n, 4), in
     AngleSettings.thetas / .phis order.  Entry i equals what evolve_x,
-    x_state_eigenvalues and optimal_settings give at t[i], bit for bit."""
+    x_state_eigenvalues and optimal_settings give at t[i], bit for bit; as
+    there, an evolved state is the channel's image of x0, not judged again."""
 
     t: np.ndarray
     q2: np.ndarray
@@ -655,10 +655,9 @@ class TimeScan:
 
 def time_scan(x0: XState, model: QModel, t_grid) -> TimeScan:
     """Evolve x0 along t_grid (at most MAX_SAMPLES times) in one array pass,
-    from one model.q call.  Each check a row can fail is one mask, and the
-    first row that fails one raises what the scalar path raises there.
-    The events of the trajectory come from scan_events(x0, model,
-    t_grid[-1]).
+    from one model.q call.  A row fails only evolve_x's |q| check, and the
+    first that fails raises what the scalar path raises there.  The events
+    of the trajectory come from scan_events(x0, model, t_grid[-1]).
     """
     t = np.array(t_grid, dtype=float)
     if t.ndim != 1:
@@ -685,13 +684,7 @@ def _scan_columns(x0: XState, t: np.ndarray, q: np.ndarray) -> TimeScan:
     m14, m23 = np.hypot(*rho14), np.hypot(*rho23)
     gap = r11 + r44 - r22 - r33
     u1, u2, u3 = _eigenvalues(m14, m23, gap)
-    # evolve_x's |q| and XState's blocks, failing on NaN; with r44 = 1 - (r11 + r22 + r33),
-    # a row off in trace has a population far below 0, so it fails a block too
-    failed = (
-        ~(mod_q <= Q_ABS_MAX)
-        | ~(_block_least_eigenvalue(r11, r44, m14, np.hypot) >= -POSITIVITY_TOL)
-        | ~(_block_least_eigenvalue(r22, r33, m23, np.hypot) >= -POSITIVITY_TOL)
-    )
+    failed = ~(mod_q <= Q_ABS_MAX)  # evolve_x's one check, failing on NaN
     if failed.any():  # the scalar path raises the first failing row's error
         evolve_x(x0, complex(q[failed.argmax()]))
     tie = abs(u2 - u3) <= TIE_TOL

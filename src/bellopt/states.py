@@ -13,7 +13,7 @@ Conventions used throughout the package:
 * DensityMatrix4 keeps its Hermitian part as the tuple `rows`, and builds the
   read-only array `entries` from it on first access; its PSD check uses the
   2x2 blocks if every off-X entry is exactly 0, else numpy's eigvalsh.
-  XState calls the same _x_least_eigenvalue, so the two judge X matrices alike.
+  XState(...) calls the same _x_least_eigenvalue; XState._derived judges nothing.
   The X-state route never loads numpy: what needs it imports it inside.
 * BellSettings applies the range rule _check_direction to each of its four
   directions, and _unit_vector gives a direction's Bloch vector.
@@ -73,7 +73,8 @@ class NotXStructured(StateValidationError):
 class DensityMatrix4:
     """Validated 4x4 two-qubit state: Hermitian, unit trace, PSD.  `entries`
     holds the input's Hermitian part, so defects below HERMITICITY_TOL vanish.
-    The input is an array (read by tolist()) or nested sequences of numbers."""
+    The input is an array (read by tolist()) or nested sequences of numbers.
+    _derived holds Hermitian rows derived from judged states, judging nothing."""
 
     entries: np.ndarray  # built from rows on first access, by __getattr__
     rows: tuple = field(repr=False)
@@ -129,8 +130,14 @@ class DensityMatrix4:
         object.__setattr__(self, "entries", m)
         return m
 
+    @classmethod
+    def _derived(cls, rows) -> DensityMatrix4:
+        rho = object.__new__(cls)  # rows of Python complexes, unjudged
+        object.__setattr__(rho, "rows", tuple(map(tuple, rows)))
+        return rho
+
     def __reduce__(self):  # pickle and copy rebuild from rows, so entries stays read-only
-        return type(self), (self.rows,)
+        return type(self)._derived, (self.rows,)
 
 
 def _number(v) -> complex:  # complex(v), but text is no number though complex() parses it
@@ -147,25 +154,17 @@ def _half(z: complex) -> complex:
     return complex(re if z.real else re - 0.0 * z.imag, im if z.imag else im + 0.0 * z.real)
 
 
-def _block_least_eigenvalue(a, d, mod_c, hypot=lambda x, y: abs(complex(x, y))):
-    """Least eigenvalue (a + d)/2 - hypot((a - d)/2, |c|) of the Hermitian 2x2
-    block ((a, c), (c*, d)), mod_c = |c|, for floats or for rows with np.hypot;
-    abs of a complex equals np.hypot bit for bit, math.hypot does not."""
-    return (a + d) / 2 - hypot((a - d) / 2, mod_c)
-
-
 def _x_least_eigenvalue(rho11, rho22, rho33, rho44, m14, m23) -> float:
-    """Least eigenvalue over the X blocks {0,3} and {1,2}: the smaller, or NaN if either is."""
-    a, b = _block_least_eigenvalue(rho11, rho44, m14), _block_least_eigenvalue(rho22, rho33, m23)
+    """Least eigenvalue over the X blocks {0,3} and {1,2}, (a + d)/2 - hypot((a - d)/2, |c|)
+    for a block ((a, c), (c*, d)): the smaller, or NaN if either is."""
+    a = (rho11 + rho44) / 2 - abs(complex((rho11 - rho44) / 2, m14))
+    b = (rho22 + rho33) / 2 - abs(complex((rho22 - rho33) / 2, m23))
     return min(a, b) if b == b else b  # min(a, NaN) would be a
 
 
 def validate_density_matrix(entries) -> DensityMatrix4:
-    """Validate a raw 4x4 complex array as a two-qubit density matrix.
-
-    Raises NotHermitian, TraceNotOne or NotPositive naming the violated
-    invariant together with the worst offending magnitude.
-    """
+    """Validate a raw 4x4 complex array as a two-qubit density matrix; raises
+    NotHermitian, TraceNotOne or NotPositive with the worst offending magnitude."""
     return DensityMatrix4(entries)
 
 
@@ -174,9 +173,10 @@ class XState:
     """The 7 free parameters of an X-patterned two-qubit density matrix.
 
     Populations follow the basis ordering (|11>, |10>, |01>, |00>); rho14 is
-    the |11><00| coherence and rho23 the |10><01| coherence.  It is a density
-    matrix as DensityMatrix4 checks one: finite entries, populations summing to
-    1 within TRACE_TOL, and each 2x2 block's least eigenvalue >= -POSITIVITY_TOL.
+    the |11><00| coherence and rho23 the |10><01| coherence.  XState(...) is
+    judged as DensityMatrix4 judges a matrix: finite entries, populations summing
+    to 1 within TRACE_TOL, each 2x2 block's least eigenvalue >= -POSITIVITY_TOL.
+    _derived, for what the library derives from judged states, judges nothing.
     """
 
     rho11: float
@@ -193,8 +193,7 @@ class XState:
         object.__setattr__(self, "rho44", rho44 := float(self.rho44))
         object.__setattr__(self, "rho14", rho14 := complex(self.rho14))
         object.__setattr__(self, "rho23", rho23 := complex(self.rho23))
-        if not (math.isfinite(rho11) and math.isfinite(rho22) and math.isfinite(rho33)
-                and math.isfinite(rho44) and cmath.isfinite(rho14) and cmath.isfinite(rho23)):
+        if not all(map(cmath.isfinite, (rho11, rho22, rho33, rho44, rho14, rho23))):
             raise StateValidationError("matrix has a non-finite entry")  # as DensityMatrix4
         total = rho11 + rho22 + rho33 + rho44  # as DensityMatrix4 adds
         if abs(total - 1.0) > TRACE_TOL:
@@ -203,6 +202,17 @@ class XState:
         if not lam_min >= -POSITIVITY_TOL:  # also rejects NaN
             raise NotPositive(f"smallest eigenvalue {lam_min:.3e}")
 
+    @classmethod
+    def _derived(cls, rho11, rho22, rho33, rho44, rho14, rho23) -> XState:
+        x = object.__new__(cls)  # the fields as __post_init__ converts them, unjudged
+        object.__setattr__(x, "rho11", float(rho11))
+        object.__setattr__(x, "rho22", float(rho22))
+        object.__setattr__(x, "rho33", float(rho33))
+        object.__setattr__(x, "rho44", float(rho44))
+        object.__setattr__(x, "rho14", complex(rho14))
+        object.__setattr__(x, "rho23", complex(rho23))
+        return x
+
     @property
     def diagonal_gap(self) -> float:
         """rho11 + rho44 - rho22 - rho33, the z-z spin correlation."""
@@ -210,22 +220,23 @@ class XState:
 
 
 def as_x_state(rho: DensityMatrix4, off_x_tol: float = DEFAULT_OFF_X_TOL) -> XState:
-    """Extract the 7 X parameters, requiring off-pattern entries <= off_x_tol."""
+    """Extract the 7 X parameters, requiring off-pattern entries <= off_x_tol; the
+    X part of rho, a pinching, keeps its trace and least eigenvalue bound."""
     if not off_x_tol >= 0:  # also rejects NaN, for which every comparison is False
         raise ValueError(f"off_x_tol must be >= 0, got {off_x_tol!r}")
     r = rho.rows
     mags = [abs(r[i][j]) for i, j in _OFF_X_INDICES]
     if max(mags) > off_x_tol:
         raise NotXStructured(max(mags), _OFF_X_INDICES[mags.index(max(mags))])
-    return XState(r[0][0].real, r[1][1].real, r[2][2].real, r[3][3].real, r[0][3], r[1][2])
+    return XState._derived(r[0][0].real, r[1][1].real, r[2][2].real, r[3][3].real,
+                           r[0][3], r[1][2])
 
 
 def x_to_dense(x: XState) -> DensityMatrix4:
-    """Hermitian completion of an XState back into a full density matrix."""
-    c14, c23 = x.rho14, x.rho23
-    return DensityMatrix4([[x.rho11, 0j, 0j, c14], [0j, x.rho22, c23, 0j],
-                           [0j, c23.conjugate(), x.rho33, 0j],
-                           [c14.conjugate(), 0j, 0j, x.rho44]])
+    """Hermitian completion of an XState into a DensityMatrix4, not judged again."""
+    (a, b, c, d), c14, c23 = map(complex, (x.rho11, x.rho22, x.rho33, x.rho44)), x.rho14, x.rho23
+    return DensityMatrix4._derived([[a, 0j, 0j, c14], [0j, b, c23, 0j],
+                                    [0j, c23.conjugate(), c, 0j], [c14.conjugate(), 0j, 0j, d]])
 
 
 def _pauli_vector(r: tuple, c) -> tuple[float, float, float]:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from bellopt import DensityMatrix4, XState, x_to_dense
-from bellopt.states import POSITIVITY_TOL, _block_least_eigenvalue
+from bellopt.states import POSITIVITY_TOL, _x_least_eigenvalue
 
 BELL_X = XState(0.0, 0.5, 0.5, 0.0, 0.0, 0.5)
 
@@ -68,7 +68,7 @@ def largest_accepted_modulus(a: float, d: float) -> float:
     rule (c = 0 must pass), found by bisection."""
     lo, hi = 0.0, abs(a) + abs(d) + 1.0
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        if _block_least_eigenvalue(a, d, mid) >= -POSITIVITY_TOL:
+        if _x_least_eigenvalue(a, 0.0, 0.0, d, mid, 0.0) >= -POSITIVITY_TOL:
             lo = mid
         else:
             hi = mid

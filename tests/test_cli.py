@@ -534,9 +534,9 @@ class TestScan:
         expected_ts = sorted(-math.log(x) for x in roots)
         assert jump_ts == pytest.approx(expected_ts, abs=1e-7)
 
-    @pytest.mark.xfail(strict=True, reason="evolve_x drops the start's trace miss, so "
-                                           "the first row fails the PSD rule")
     def test_trace_miss_state_that_bmax_accepts(self, tmp_path, capsys):
+        # evolve_x drops the start's trace miss, and the evolved state is not
+        # judged again, so the first row at the PSD edge is answered
         x1 = XState(0.5, 0.0, 0.0, 0.5 + 0.9e-10, 0.5 + 1.44e-10, 0.0)
         path = write_state(tmp_path, x_to_dense(x1).entries)
         assert main(["bmax", "--input", path]) == 0
@@ -1016,12 +1016,19 @@ class TestToleranceEdgeStates:
             assert main(["oracle-check", "--input", path, "--grid-n", "8",
                          "--restarts", "1", "--refine", "20"]) in (0, 4), path
 
-    @pytest.mark.xfail(strict=True, reason="one tolerance contract across commands "
-                                           "(ROADMAP): scan judges an evolved state "
-                                           "with no slack of its own")
     def test_scan(self, tmp_path, capsys):
+        # two tables: a Lorentzian q whose phase rotates, and a unit-modulus q
+        t = np.linspace(0.0, 3.0, 61)
+        tables = []
+        for name, q in (("rotating", dynamics.LorentzianModel(1.0, 5.0).q(t) * np.exp(0.7j * t)),
+                        ("unit", np.exp(1j * math.pi * t))):
+            q[0] = 1.0
+            path = tmp_path / f"{name}.csv"
+            path.write_text("t,q_re,q_im\n" + "".join(
+                f"{a!r},{b.real!r},{b.imag!r}\n" for a, b in zip(t.tolist(), q.tolist())))
+            tables.append(f"table:{path}")
         refused = [(model, path) for path in self.accepted(tmp_path)
-                   for model in ("exp:1", "lorentz:1,5")
+                   for model in ("exp:1", "lorentz:1,5", *tables)
                    if main(["scan", "--input", path, "--qmodel", model,
                             "--tmax", "3", "--samples", "7"]) != 0]
         assert refused == []

@@ -19,11 +19,9 @@ from bellopt import (
     EventKind,
     ExponentialModel,
     LorentzianModel,
-    NotPositive,
     Region,
     ScanEvent,
     TabulatedModel,
-    TraceNotOne,
     XState,
     apply_amplitude_damping,
     as_x_state,
@@ -425,6 +423,9 @@ class TestTabulated:
         finally:
             tracemalloc.stop()
         assert peak < 4 * MAX_LINE_BYTES
+        # only a chunk's last line can be long, and it is measured before
+        # the chunk is copied, encoded or split
+        assert peak < 3 * MAX_LINE_BYTES
 
     @settings(max_examples=300, deadline=None)
     @given(table=csv_tables(), budget=st.integers(1, 300),
@@ -586,24 +587,41 @@ class TestEvolveX:
         assert np.array_equal(apply_amplitude_damping(rho0, q).entries, rho0.entries)
 
     # A unit-modulus q whose rounded q * q has modulus 1 + ulps scales rho14
-    # of this edge state past its PSD bound; the dense channel accepts it.
-    # Both fail until the evolved state is judged with the start's slack.
+    # of this edge state one ulp past its PSD bound, as the dense channel
+    # does; the evolved state is not judged again, so neither path refuses it.
     EDGE_STATE = XState(0.5, 0.0, 0.0, 0.5, 0.5000000000999999, 1e-10)
 
-    @pytest.mark.xfail(strict=True, raises=NotPositive,
-                       reason="a unit-modulus q scales an edge rho14 past its bound")
     def test_unit_phase_keeps_an_edge_state(self):
         q = -0.6035880804157655 - 0.7972963245745032j
         assert abs(q) == 1.0
         x = evolve_x(self.EDGE_STATE, q)
-        assert abs(x.rho14) == abs(self.EDGE_STATE.rho14)
+        # the rotation rounds: |rho14| moves by at most one ulp
+        m14 = abs(self.EDGE_STATE.rho14)
+        assert abs(abs(x.rho14) - m14) <= math.ulp(m14)
 
-    @pytest.mark.xfail(strict=True, raises=NotPositive,
-                       reason="a unit-modulus q scales an edge rho14 past its bound")
     def test_rotating_phase_scan_of_an_edge_state(self):
         t = np.linspace(0.0, 1.0, 21)
         scan = time_scan(self.EDGE_STATE, TabulatedModel(t, np.exp(1j * np.pi * t)), t)
         assert len(scan.t) == 21
+
+    @settings(max_examples=300, deadline=None)
+    @given(psd_edge_x_states(), st.one_of(
+        damping_amplitudes(), st.sampled_from([1.0, -1.0, 1j, -1j, 0.0]),
+        st.floats(-math.pi, math.pi).map(lambda a: complex(math.cos(a), math.sin(a)))))
+    # the reproductions: a unit phase whose rounded q * q has modulus 1 + ulps,
+    # the first refused row of the rotating-phase scan, and a start off in trace
+    @example(EDGE_STATE, -0.6035880804157655 - 0.7972963245745032j)
+    @example(EDGE_STATE, 0.8910065241883679 + 0.4539904997395468j)
+    @example(XState(0.5, 0.0, 0.0, 0.5 + 0.9e-10, 0.5 + 1.44e-10, 0.0), 1.0)
+    def test_edge_states_evolve_without_a_second_judgement(self, x0, q):
+        # q in the closed unit disc: the evolved state is the channel's image
+        # of a judged start, so neither evolve_x nor the dense channel refuses
+        # it; they agree but for the start's trace miss, which evolve_x drops
+        x = evolve_x(x0, q)
+        channel = apply_amplitude_damping(x_to_dense(x0), q).entries
+        miss = abs(x0.rho11 + x0.rho22 + x0.rho33 + x0.rho44 - 1.0)
+        assert np.abs(x_to_dense(x).entries - channel).max() <= 1e-12 + miss
+        assert_rows_bit_for_bit(x0, TabulatedModel((0.0, 1.0), (1.0, q)), [0.0, 1.0])
 
     def test_identity_at_q_one(self):
         rng = np.random.default_rng(34)
@@ -1576,12 +1594,12 @@ class _NaNAfterStart:
 
 
 class TestScanChecks:
-    """Each check of the scalar row path is one mask in time_scan, and its
-    first failing row raises the scalar path's exception: evolve_x's |q| and
-    XState's least eigenvalue of each 2x2 block.  A row fails the trace check
-    only with a population far below 0, as r44 is 1 - (r11 + r22 + r33), so
-    that case also fails a block mask.  BellEigenvalues checks nothing, so the
-    valid states at its former bounds scan like the scalar loop."""
+    """The scalar row path checks only evolve_x's |q|, which is one mask in
+    time_scan, and the first failing row raises the scalar path's exception.
+    An evolved state is the damping channel's image of a judged start and is
+    not judged again, so starts that bypass XState's checks scan like the
+    scalar loop with no raise.  BellEigenvalues checks nothing, so the valid
+    states at its former bounds do too."""
 
     TSIRELSON_E = 0.1125e-10  # u1 = u2 = 1 + 0.9e-10, just past Tsirelson's u1 + u2 <= 2
 
@@ -1590,14 +1608,14 @@ class TestScanChecks:
          "|q| must be <= 1, got 1.0000000005"),
         (ewl_state(EWLParams(0.3, 1.0)), _NaNAfterStart(), ValueError,
          "|q| must be <= 1, got nan"),
-        (unchecked_x_state(1e20, 0.0, 0.0, 0.0, 0j, 0j), ExponentialModel(1.0),
-         TraceNotOne, "populations sum deviates from 1 by 1.000e+00"),
-        (unchecked_x_state(0.0, 1.5, -0.5, 0.0, 0j, 0j), ExponentialModel(1.0),
-         NotPositive, "smallest eigenvalue -5.000e-01"),
+        # starts that bypass XState's checks: an evolved state is not judged
+        # again, so neither path raises, and the rows agree
+        (unchecked_x_state(1e20, 0.0, 0.0, 0.0, 0j, 0j), ExponentialModel(1.0), None, None),
+        (unchecked_x_state(0.0, 1.5, -0.5, 0.0, 0j, 0j), ExponentialModel(1.0), None, None),
         (unchecked_x_state(0.5, 0.0, 0.0, 0.5, 0.6 + 0j, 0j), ExponentialModel(1.0),
-         NotPositive, "smallest eigenvalue -1.000e-01"),
+         None, None),
         (unchecked_x_state(0.0, 0.5, 0.5, 0.0, 0j, 0.6 + 0j), ExponentialModel(1.0),
-         NotPositive, "smallest eigenvalue -1.000e-01"),
+         None, None),
         # valid states: neither path raises, and the rows agree
         (XState(1.0 + 0.9e-10, -0.9e-10, 0.0, 0.0, 0j, 0j), ExponentialModel(1.0),
          None, None),
