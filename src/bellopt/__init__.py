@@ -14,8 +14,7 @@ _NAMES = {
                      "validate_density_matrix", "as_x_state", "x_to_dense",
                      "pauli_correlation_matrix"], "states"),
     **dict.fromkeys(["Region", "BellEigenvalues", "TSIRELSON", "bell_function",
-                     "x_state_eigenvalues", "bmax_x", "horodecki_eigenvalues",
-                     "horodecki_bmax"], "chsh"),
+                     "x_state_eigenvalues", "horodecki_eigenvalues", "horodecki_bmax"], "chsh"),
     **dict.fromkeys(["AngleSettings", "settings_set1", "settings_set2", "optimal_settings",
                      "settings_distance"], "angles"),
     **dict.fromkeys(["OracleConfig", "OracleResult", "BudgetExceeded", "Splitmix64",

@@ -27,7 +27,8 @@ class AngleSettings(BellSettings):
     set_id: Region
 
     def bell_settings(self) -> "AngleSettings":
-        """The settings themselves, which bell_function takes as they are."""
+        """The settings themselves, which bell_function takes as they are; kept only
+        for the benchmark's point-queries op, it goes with the next benchmark change."""
         return self
 
 

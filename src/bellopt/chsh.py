@@ -9,7 +9,9 @@ in the density matrix elements, which is what makes explicit optimal
 settings possible.  _eigenvalues writes them once, for a state and for scan
 rows, each square a product v * v, which Python and numpy round alike (a
 float's v ** 2 is libm's pow, not always correctly rounded).  BellEigenvalues
-holds them unchecked: the state they come from was judged where it entered.
+holds them, or horodecki_eigenvalues' descending ones (region always set 1, not
+printed by `bmax`).  The tie, the region and the bound are written only in it,
+for one state, and in _bell_rows, for scan rows.
 """
 
 from __future__ import annotations
@@ -34,12 +36,12 @@ class Region(IntEnum):
 
 @dataclass(frozen=True)
 class BellEigenvalues:
-    """Eigenvalues (u1, u2, u3) of T^T T for an X state, in closed-form order.
+    """Eigenvalues (u1, u2, u3) of T^T T: an X state's closed forms, or any state's descending.
 
-    u1 = 4(|rho14| + |rho23|)^2 and u3 = 4(|rho14| - |rho23|)^2 come from the
-    coherences, u2 = (rho11 + rho44 - rho22 - rho33)^2 from the populations;
-    u1 >= u3 >= 0.  A record without checks that derives tie, region, b1, b2
-    and bmax: its values come from a state judged where it entered.
+    For an X state u1 = 4(|rho14| + |rho23|)^2 and u3 = 4(|rho14| - |rho23|)^2
+    come from the coherences, u2 = (rho11 + rho44 - rho22 - rho33)^2 from the
+    populations; u1 >= u3 >= 0.  A record without checks that derives tie,
+    region, b1, b2 and bmax: its values come from a state judged where it entered.
     """
 
     u1: float
@@ -59,21 +61,27 @@ class BellEigenvalues:
     @property
     def b1(self) -> float:
         """Bell value at settings set 1: 2*sqrt(u1 + u2)."""
-        return _bound(self.u1, self.u2)
+        return 2.0 * math.sqrt(self.u1 + self.u2)
 
     @property
     def b2(self) -> float:
         """Bell value at settings set 2: 2*sqrt(u1 + u3)."""
-        return _bound(self.u1, self.u3)
+        return 2.0 * math.sqrt(self.u1 + self.u3)
 
     @property
     def bmax(self) -> float:
+        """The Bell maximum max(b1, b2): b1 unless b2 > b1, so b1 for descending u."""
         return max(self.b1, self.b2)
 
 
-def _bound(ua: float, ub: float) -> float:
-    # the Bell maximum over eigenvalues ua, ub of U: any two for X states, the two largest else
-    return 2.0 * math.sqrt(ua + ub)
+def _bell_rows(u1, u2, u3):
+    # BellEigenvalues' tie, set-1 mask, region, b1, b2 and bmax on scan rows, bit for bit
+    import numpy as np
+
+    tie = abs(u2 - u3) <= TIE_TOL
+    set1, b1, b2 = tie | (u2 >= u3), 2.0 * np.sqrt(u1 + u2), 2.0 * np.sqrt(u1 + u3)
+    region = np.where(set1, int(Region.SET1), int(Region.SET2))
+    return tie, set1, region, b1, b2, np.where(b2 > b1, b2, b1)
 
 
 def _dot(a: tuple, v: tuple) -> float:
@@ -102,11 +110,6 @@ def x_state_eigenvalues(x: XState) -> BellEigenvalues:
     return BellEigenvalues(*_eigenvalues(abs(x.rho14), abs(x.rho23), x.diagonal_gap))
 
 
-def bmax_x(x: XState) -> float:
-    """Maximum of the Bell function for an X state: 2*sqrt(u1 + max(u2, u3))."""
-    return x_state_eigenvalues(x).bmax
-
-
 def horodecki_eigenvalues(rho: DensityMatrix4) -> tuple[float, float, float]:
     """Eigenvalues of U = T^T T for an arbitrary two-qubit state, descending.
 
@@ -122,5 +125,4 @@ def horodecki_eigenvalues(rho: DensityMatrix4) -> tuple[float, float, float]:
 def horodecki_bmax(rho: DensityMatrix4) -> float:
     """Maximum of the Bell function for an arbitrary two-qubit state:
     2*sqrt(u1 + u2) over the two largest eigenvalues of U = T^T T."""
-    u1, u2, _ = horodecki_eigenvalues(rho)
-    return _bound(u1, u2)
+    return BellEigenvalues(*horodecki_eigenvalues(rho)).bmax

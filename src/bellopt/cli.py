@@ -25,7 +25,7 @@ import sys
 
 from . import __version__
 from .angles import optimal_settings, settings_set2
-from .chsh import _bound, bell_function, horodecki_eigenvalues, x_state_eigenvalues
+from .chsh import BellEigenvalues, bell_function, horodecki_eigenvalues, x_state_eigenvalues
 from .states import (DEFAULT_OFF_X_TOL, MAX_SAMPLES, NotXStructured, as_x_state,
                      validate_density_matrix)
 
@@ -109,17 +109,17 @@ def _load_state(args):
     return rho, off_x_tol if args.off_x_tol is None else args.off_x_tol
 
 
+def _bell_eigenvalues(rho, x) -> BellEigenvalues:
+    # by the closed form for rho's X state x, from one SVD of T (Horodecki) when there is none
+    return BellEigenvalues(*horodecki_eigenvalues(rho)) if x is None else x_state_eigenvalues(x)
+
+
 def _bmax_doc(rho, x=None) -> dict:
-    """B_max and the eigenvalues u: by the closed form for rho's X state x,
-    from one SVD of T (Horodecki) when there is none."""
-    if x is None:
-        u, region, tie = horodecki_eigenvalues(rho), None, False
-        bmax = _bound(u[0], u[1])
-    else:
-        e = x_state_eigenvalues(x)
-        u, region, tie, bmax = (e.u1, e.u2, e.u3), int(e.region), e.tie, e.bmax
-    return {"version": __version__, "bmax": bmax, "u": list(u),
-            "region": region, "tie": tie, "violates": bmax > 2.0}
+    """B_max and the eigenvalues u; a non-X state has no region and no tie."""
+    e = _bell_eigenvalues(rho, x)
+    return {"version": __version__, "bmax": e.bmax, "u": [e.u1, e.u2, e.u3],
+            "region": None if x is None else int(e.region), "tie": x is not None and e.tie,
+            "violates": e.bmax > 2.0}
 
 
 def _bmax_text(doc: dict) -> str:
@@ -306,7 +306,7 @@ def cmd_oracle_check(args):
     flags = {"grid_n": args.grid_n, "refine_iters": args.refine,
              "restarts": args.restarts, "seed": args.seed}
     cfg = OracleConfig(**{k: v for k, v in flags.items() if v is not None})  # else defaults
-    analytic = _bmax_doc(rho, x)["bmax"]
+    analytic = _bell_eigenvalues(rho, x).bmax
     result = brute_force_bmax(rho, cfg)
     difference = result.bmax_est - analytic
     # certify the closed-form settings, or the oracle's own when there are none

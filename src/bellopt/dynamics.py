@@ -48,7 +48,7 @@ from typing import Union
 import numpy as np
 
 from .angles import _settings_rows
-from .chsh import TIE_TOL, Region, _eigenvalues
+from .chsh import _bell_rows, _eigenvalues
 from .states import MAX_SAMPLES, DensityMatrix4, XState
 
 EVENT_REL_TOL = 1e-9
@@ -687,12 +687,7 @@ def _scan_columns(x0: XState, t: np.ndarray, q: np.ndarray) -> TimeScan:
     failed = ~(mod_q <= Q_ABS_MAX)  # evolve_x's one check, failing on NaN
     if failed.any():  # the scalar path raises the first failing row's error
         evolve_x(x0, complex(q[failed.argmax()]))
-    tie = abs(u2 - u3) <= TIE_TOL
-    set1 = tie | (u2 >= u3)
-    # BellEigenvalues.b1, .b2 and .bmax, with max(b1, b2)
-    b1, b2 = 2.0 * np.sqrt(u1 + u2), 2.0 * np.sqrt(u1 + u3)
+    tie, set1, region, b1, b2, bmax = _bell_rows(u1, u2, u3)
     thetas, phis = _settings_rows(set1, gap, u1, u2, u3, m14, m23, rho14, rho23)
-    return TimeScan(t=t, q2=q2, u1=u1, u2=u2, u3=u3, b1=b1, b2=b2,
-                    bmax=np.where(b2 > b1, b2, b1),
-                    region=np.where(set1, int(Region.SET1), int(Region.SET2)),
-                    tie=tie, thetas=thetas, phis=phis)
+    return TimeScan(t=t, q2=q2, u1=u1, u2=u2, u3=u3, b1=b1, b2=b2, bmax=bmax,
+                    region=region, tie=tie, thetas=thetas, phis=phis)

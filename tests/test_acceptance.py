@@ -24,7 +24,6 @@ from bellopt import (
     XState,
     apply_amplitude_damping,
     bell_function,
-    bmax_x,
     brute_force_bmax,
     crossing_roots,
     evolve_x,
@@ -79,9 +78,9 @@ def test_criterion_1_bell_state_exactness(tmp_path):
 
         bell = XState(0.0, 0.5, 0.5, 0.0, 0.0, 0.5)
         rho = x_to_dense(bell)
-        assert abs(bmax_x(bell) - TSIRELSON) <= 1e-12
-        b1 = bell_function(rho, settings_set1(bell).bell_settings())
-        b2 = bell_function(rho, settings_set2(bell).bell_settings())
+        assert abs(x_state_eigenvalues(bell).bmax - TSIRELSON) <= 1e-12
+        b1 = bell_function(rho, settings_set1(bell))
+        b2 = bell_function(rho, settings_set2(bell))
         assert abs(b1 - TSIRELSON) <= 1e-10
         assert abs(b2 - TSIRELSON) <= 1e-10
 
@@ -90,12 +89,12 @@ def test_criterion_2_werner_threshold():
     with criterion(2, "Werner: bmax = 2*sqrt(2)*r, verdict flips at 1/sqrt(2)", 1.0):
         for k in range(1, 11):
             r = 0.1 * k
-            assert abs(bmax_x(werner(r)) - TSIRELSON * r) <= 1e-12
+            assert abs(x_state_eigenvalues(werner(r)).bmax - TSIRELSON * r) <= 1e-12
         lo, hi = 0.5, 1.0  # verdict is False at 0.5, True at 1.0
-        assert bmax_x(werner(lo)) <= 2.0 < bmax_x(werner(hi))
+        assert x_state_eigenvalues(werner(lo)).bmax <= 2.0 < x_state_eigenvalues(werner(hi)).bmax
         while hi - lo > 1e-9:
             mid = 0.5 * (lo + hi)
-            if bmax_x(werner(mid)) > 2.0:
+            if x_state_eigenvalues(werner(mid)).bmax > 2.0:
                 hi = mid
             else:
                 lo = mid
@@ -110,7 +109,7 @@ def test_criterion_3_pure_state_formula():
             beta2 = 1.0 - alpha2
             x = XState(0.0, beta2, alpha2, 0.0, 0.0, math.sqrt(alpha2 * beta2))
             expected = 2.0 * math.sqrt(1.0 + 4.0 * alpha2 * beta2)
-            assert abs(bmax_x(x) - expected) <= 1e-12
+            assert abs(x_state_eigenvalues(x).bmax - expected) <= 1e-12
 
 
 def test_criterion_4_angle_certification():
@@ -119,10 +118,10 @@ def test_criterion_4_angle_certification():
         rng = np.random.default_rng(404)
         for _ in range(10_000):
             x = random_x_state(rng)
-            analytic = bmax_x(x)
+            analytic = x_state_eigenvalues(x).bmax
             rho = x_to_dense(x)
             settings, _ = optimal_settings(x)
-            certified = bell_function(rho, settings.bell_settings())
+            certified = bell_function(rho, settings)
             assert abs(certified - analytic) <= 1e-10
             assert abs(horodecki_bmax(rho) - analytic) <= 1e-10
 
@@ -135,7 +134,7 @@ def test_criterion_5_oracle_soundness_completeness():
         checked = 0
         while checked < 100:
             x = random_x_state(rng)
-            analytic = bmax_x(x)
+            analytic = x_state_eigenvalues(x).bmax
             if analytic < 0.2:
                 continue
             checked += 1
@@ -237,8 +236,8 @@ def test_criterion_7_jump_phenomenon():
         for x_probe in np.linspace(x_off + 1e-6, x_b1 - 1e-6, 7):
             state = evolve_x(x0, math.sqrt(x_probe))
             rho = x_to_dense(state)
-            b_set1 = bell_function(rho, settings_set1(state).bell_settings())
-            b_set2 = bell_function(rho, settings_set2(state).bell_settings())
+            b_set1 = bell_function(rho, settings_set1(state))
+            b_set2 = bell_function(rho, settings_set2(state))
             assert b_set1 <= 2.0
             assert b_set2 > 2.0
 

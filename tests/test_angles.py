@@ -18,7 +18,6 @@ from bellopt import (
     TSIRELSON,
     XState,
     bell_function,
-    bmax_x,
     brute_force_bmax,
     certify_settings,
     crossing_roots,
@@ -51,7 +50,7 @@ class TestSet1:
         assert s.thetas[2] == pytest.approx(3 * PI / 4, abs=1e-15)
         assert s.thetas[3] == pytest.approx(PI / 4, abs=1e-15)
         assert s.phis == (0.0, 0.0, 0.0, 0.0)
-        assert bell_function(bell_rho, s.bell_settings()) \
+        assert bell_function(bell_rho, s) \
             == pytest.approx(TSIRELSON, abs=1e-12)
 
     def test_werner_has_same_angles_scaled_value(self, bell_x):
@@ -59,7 +58,7 @@ class TestSet1:
         s = settings_set1(w)
         assert s.thetas == settings_set1(bell_x).thetas
         assert s.phis == settings_set1(bell_x).phis
-        assert bell_function(x_to_dense(w), s.bell_settings()) \
+        assert bell_function(x_to_dense(w), s) \
             == pytest.approx(0.9 * TSIRELSON, abs=1e-12)
 
     def test_complex_coherence_example(self):
@@ -71,7 +70,7 @@ class TestSet1:
         assert s.thetas[2] == pytest.approx(
             PI / 2 - math.atan(math.sqrt(0.04 / 0.49)), abs=1e-15)
         # u3 > u2 here, so set 1 is the suboptimal branch: value 2*sqrt(u1+u2)
-        assert bell_function(x_to_dense(x), s.bell_settings()) \
+        assert bell_function(x_to_dense(x), s) \
             == pytest.approx(2 * math.sqrt(0.53), abs=1e-12)
 
     def test_degenerate_no_coherence(self):
@@ -79,8 +78,8 @@ class TestSet1:
         s = settings_set1(x)
         # arctan(sqrt(u2/0)) -> pi/2, positive gap: theta2 -> 0
         assert s.thetas[2] == pytest.approx(0.0, abs=1e-15)
-        assert bell_function(x_to_dense(x), s.bell_settings()) \
-            == pytest.approx(bmax_x(x), abs=1e-12)
+        assert bell_function(x_to_dense(x), s) \
+            == pytest.approx(x_state_eigenvalues(x).bmax, abs=1e-12)
 
 
 class TestSet2:
@@ -91,7 +90,7 @@ class TestSet2:
         assert s.phis[1] == pytest.approx(PI / 2, abs=1e-15)
         assert s.phis[2] == pytest.approx(PI / 4, abs=1e-15)
         assert s.phis[3] == pytest.approx(-PI / 4, abs=1e-15)
-        assert bell_function(bell_rho, s.bell_settings()) \
+        assert bell_function(bell_rho, s) \
             == pytest.approx(TSIRELSON, abs=1e-12)
 
     def test_worked_example(self):
@@ -99,7 +98,7 @@ class TestSet2:
         s = settings_set2(x)
         assert s.phis[2] == pytest.approx(math.atan(3.0 / 7.0), abs=1e-15)
         assert s.phis[3] == pytest.approx(-math.atan(3.0 / 7.0), abs=1e-15)
-        assert bell_function(x_to_dense(x), s.bell_settings()) \
+        assert bell_function(x_to_dense(x), s) \
             == pytest.approx(2 * math.sqrt(0.58), abs=1e-12)
 
     def test_sign_convention_when_rho23_vanishes(self):
@@ -114,8 +113,8 @@ class TestOptimalSettings:
         s, u = optimal_settings(w)
         assert u.tie and s.set_id is Region.SET1
         rho = x_to_dense(w)
-        b1 = bell_function(rho, settings_set1(w).bell_settings())
-        b2 = bell_function(rho, settings_set2(w).bell_settings())
+        b1 = bell_function(rho, settings_set1(w))
+        b2 = bell_function(rho, settings_set2(w))
         assert b1 == pytest.approx(0.8 * TSIRELSON, abs=1e-12)
         assert b2 == pytest.approx(0.8 * TSIRELSON, abs=1e-12)
 
@@ -135,8 +134,8 @@ class TestOptimalSettings:
         for _ in range(500):
             x = random_x_state(rng)
             s, _ = optimal_settings(x)
-            assert bell_function(x_to_dense(x), s.bell_settings()) \
-                == pytest.approx(bmax_x(x), abs=1e-10)
+            assert bell_function(x_to_dense(x), s) \
+                == pytest.approx(x_state_eigenvalues(x).bmax, abs=1e-10)
 
     def test_dominance_of_active_set(self):
         rng = np.random.default_rng(13)
@@ -144,9 +143,9 @@ class TestOptimalSettings:
             x = random_x_state(rng)
             rho = x_to_dense(x)
             s, _ = optimal_settings(x)
-            active = bell_function(rho, s.bell_settings())
+            active = bell_function(rho, s)
             other = settings_set2(x) if s.set_id is Region.SET1 else settings_set1(x)
-            assert active >= bell_function(rho, other.bell_settings()) - 1e-12
+            assert active >= bell_function(rho, other) - 1e-12
 
 
 class TestValueFormulas:
@@ -156,14 +155,14 @@ class TestValueFormulas:
     @given(x_states())
     def test_set1_value(self, x):
         u = x_state_eigenvalues(x)
-        got = bell_function(x_to_dense(x), settings_set1(x).bell_settings())
+        got = bell_function(x_to_dense(x), settings_set1(x))
         assert got == pytest.approx(2 * math.sqrt(u.u1 + u.u2), abs=1e-10)
 
     @settings(max_examples=150, deadline=None)
     @given(x_states())
     def test_set2_value(self, x):
         u = x_state_eigenvalues(x)
-        got = bell_function(x_to_dense(x), settings_set2(x).bell_settings())
+        got = bell_function(x_to_dense(x), settings_set2(x))
         assert got == pytest.approx(2 * math.sqrt(u.u1 + u.u3), abs=1e-10)
 
     @settings(max_examples=100)
@@ -212,8 +211,8 @@ class TestBoundary:
             assert abs(u.u2 - u.u3) <= 1e-12 and u.u1 > u.u2 > 0
             rho = x_to_dense(x)
             s1, s2 = settings_set1(x), settings_set2(x)
-            b1 = bell_function(rho, s1.bell_settings())
-            b2 = bell_function(rho, s2.bell_settings())
+            b1 = bell_function(rho, s1)
+            b2 = bell_function(rho, s2)
             assert b1 == pytest.approx(b2, abs=1e-10)
             assert settings_distance(s1, s2) > 1e-3
 

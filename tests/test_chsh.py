@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from bellopt import (
     Region,
     TSIRELSON,
     bell_function,
-    bmax_x,
     horodecki_bmax,
     horodecki_eigenvalues,
     pauli_correlation_matrix,
@@ -20,6 +20,7 @@ from bellopt import (
     x_to_dense,
 )
 from bellopt.chsh import TIE_TOL, _dot
+from bellopt.cli import main
 from bellopt.states import _pauli_vector, _unit_vector
 from conftest import PAULIS, random_density, random_x_state, werner, x_states
 
@@ -70,7 +71,7 @@ class TestBellFunction:
             assert bell_function(mixed_rho, random_settings(rng)) <= 1e-14
 
     def test_bell_state_at_optimal_equatorial_settings(self, bell_rho, bell_x):
-        assert bell_function(bell_rho, settings_set2(bell_x).bell_settings()) \
+        assert bell_function(bell_rho, settings_set2(bell_x)) \
             == pytest.approx(TSIRELSON, abs=1e-12)
 
     def test_classical_saturation_all_z(self):
@@ -204,14 +205,15 @@ class TestBellEigenvalues:
 
 class TestBmaxX:
     def test_bell_state(self, bell_x):
-        assert bmax_x(bell_x) == pytest.approx(TSIRELSON, abs=1e-15)
+        assert x_state_eigenvalues(bell_x).bmax == pytest.approx(TSIRELSON, abs=1e-15)
 
     @pytest.mark.parametrize("r", [0.1 * k for k in range(1, 11)])
     def test_werner_scaling(self, r):
-        assert bmax_x(werner(r)) == pytest.approx(TSIRELSON * r, abs=1e-12)
+        assert x_state_eigenvalues(werner(r)).bmax == pytest.approx(TSIRELSON * r, abs=1e-12)
 
     def test_werner_boundary(self):
-        assert bmax_x(werner(1.0 / math.sqrt(2.0))) == pytest.approx(2.0, abs=1e-12)
+        assert x_state_eigenvalues(werner(1.0 / math.sqrt(2.0))).bmax \
+            == pytest.approx(2.0, abs=1e-12)
 
     def test_pure_bell_like_formula(self):
         from bellopt import XState
@@ -221,7 +223,7 @@ class TestBmaxX:
             a2 = rng.uniform(0.01, 0.99)
             ab = math.sqrt(a2 * (1 - a2))
             x = XState(0.0, 1 - a2, a2, 0.0, 0.0, ab)
-            assert bmax_x(x) == pytest.approx(
+            assert x_state_eigenvalues(x).bmax == pytest.approx(
                 2.0 * math.sqrt(1.0 + 4.0 * a2 * (1 - a2)), abs=1e-12)
 
     @settings(max_examples=100)
@@ -232,7 +234,8 @@ class TestBmaxX:
         rotated = XState(x.rho11, x.rho22, x.rho33, x.rho44,
                          abs(x.rho14) * np.exp(0.73j),
                          abs(x.rho23) * np.exp(-2.11j))
-        assert bmax_x(rotated) == pytest.approx(bmax_x(x), abs=1e-12)
+        assert x_state_eigenvalues(rotated).bmax \
+            == pytest.approx(x_state_eigenvalues(x).bmax, abs=1e-12)
 
 
 def bell_diagonal(c, rng=None):
@@ -289,6 +292,27 @@ class TestHorodecki:
     def test_maximally_mixed(self, mixed_rho):
         assert horodecki_bmax(mixed_rho) == pytest.approx(0.0, abs=1e-12)
 
+    def test_bound_is_the_two_largest_eigenvalues_bit_for_bit(self, tmp_path, capsys):
+        # horodecki_eigenvalues are descending, so BellEigenvalues' max(b1, b2) is
+        # b1 = 2*sqrt(u1 + u2) exactly, in the library and in `bmax` on the state
+        rng = np.random.default_rng(12)
+        kets = [np.array([1.0, 1.0, 0.0, 1.0]) / math.sqrt(3.0)]
+        kets += [rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(5)]
+        states = [random_density(rng) for _ in range(20)]
+        states += [validate_density_matrix(np.outer(k, k.conj()) / np.vdot(k, k).real)
+                   for k in kets]
+        states.append(validate_density_matrix(np.eye(4) / 4.0))  # fully mixed, an X state
+        for i, rho in enumerate(states):
+            u1, u2, _ = horodecki_eigenvalues(rho)
+            expected = 2.0 * math.sqrt(u1 + u2)
+            assert horodecki_bmax(rho) == expected
+            path = tmp_path / f"state{i}.json"
+            path.write_text(json.dumps(
+                {"rho": [[[z.real, z.imag] for z in row] for row in rho.rows]}))
+            assert main(["bmax", "--input", str(path), "--format", "json"]) \
+                == (0 if i == len(states) - 1 else 3)
+            assert json.loads(capsys.readouterr().out)["bmax"] == expected
+
     def test_bell_state(self, bell_rho):
         assert horodecki_bmax(bell_rho) == pytest.approx(TSIRELSON, abs=1e-12)
 
@@ -296,7 +320,7 @@ class TestHorodecki:
         rng = np.random.default_rng(5)
         for _ in range(1000):
             x = random_x_state(rng)
-            assert abs(horodecki_bmax(x_to_dense(x)) - bmax_x(x)) <= 1e-10
+            assert abs(horodecki_bmax(x_to_dense(x)) - x_state_eigenvalues(x).bmax) <= 1e-10
 
     def test_tsirelson_bound_on_random_states(self):
         rng = np.random.default_rng(6)

@@ -511,7 +511,7 @@ class TestAngles:
         doc = json.loads(capsys.readouterr().out)
         settings = AngleSettings(tuple(doc["theta"]), tuple(doc["phi"]),
                                  set_id=Region(doc["set"]))
-        reevaluated = bell_function(x_to_dense(x), settings.bell_settings())
+        reevaluated = bell_function(x_to_dense(x), settings)
         assert reevaluated == pytest.approx(doc["bell_value"], abs=1e-9)
 
 

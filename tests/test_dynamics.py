@@ -26,7 +26,6 @@ from bellopt import (
     apply_amplitude_damping,
     as_x_state,
     bell_function,
-    bmax_x,
     crossing_levels,
     crossing_roots,
     evolve_x,
@@ -609,10 +608,14 @@ class TestEvolveX:
         damping_amplitudes(), st.sampled_from([1.0, -1.0, 1j, -1j, 0.0]),
         st.floats(-math.pi, math.pi).map(lambda a: complex(math.cos(a), math.sin(a)))))
     # the reproductions: a unit phase whose rounded q * q has modulus 1 + ulps,
-    # the first refused row of the rotating-phase scan, and a start off in trace
+    # the first refused row of the rotating-phase scan, a start off in trace, and
+    # one off in trace by 9.99e-11 with its outer block at the PSD edge, whose
+    # image has least eigenvalue -1.999e-10 even at q = 1
     @example(EDGE_STATE, -0.6035880804157655 - 0.7972963245745032j)
     @example(EDGE_STATE, 0.8910065241883679 + 0.4539904997395468j)
     @example(XState(0.5, 0.0, 0.0, 0.5 + 0.9e-10, 0.5 + 1.44e-10, 0.0), 1.0)
+    @example(XState(0.8414893328205039, 5.539961710207487e-08, 0.15851057315837955,
+                    3.8721399710092685e-08, 0.00018074234076465332, 0), 1.0)
     def test_edge_states_evolve_without_a_second_judgement(self, x0, q):
         # q in the closed unit disc: the evolved state is the channel's image
         # of a judged start, so neither evolve_x nor the dense channel refuses

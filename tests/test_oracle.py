@@ -21,13 +21,13 @@ from bellopt import (
     XState,
     as_x_state,
     bell_function,
-    bmax_x,
     brute_force_bmax,
     certify_settings,
     horodecki_bmax,
     optimal_settings,
     pauli_correlation_matrix,
     settings_set2,
+    x_state_eigenvalues,
     x_to_dense,
 )
 from bellopt import oracle
@@ -376,7 +376,7 @@ class TestBruteForce:
         rng = np.random.default_rng(21)
         for _ in range(15):
             x = random_x_state(rng)
-            analytic = bmax_x(x)
+            analytic = x_state_eigenvalues(x).bmax
             res = brute_force_bmax(x_to_dense(x), FAST_CFG)
             assert res.bmax_est <= analytic + 1e-6
             if analytic >= 0.2:

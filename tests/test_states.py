@@ -325,7 +325,7 @@ class TestPlainPythonValidation:
         assert np.array_equal(t, pauli_correlation_matrix(bell_rho))
         z = BellSettings((0.0,) * 4, (0.0,) * 4)
         assert bell_function(rows_only, z) == bell_function(bell_rho, z)
-        s = optimal_settings(x)[0].bell_settings()
+        s = optimal_settings(x)[0]
         assert bell_function(rows_only, s) == bell_function(bell_rho, s)
 
     @pytest.mark.parametrize("duplicate", [lambda r: pickle.loads(pickle.dumps(r)),
