@@ -370,6 +370,8 @@ def evolve_x(x0: XState, q: complex) -> XState:
     from rho11, rho44 = 1 - the rest (a start's trace miss is dropped), rho14 ->
     q^2 rho14, rho23 -> x rho23: the dense product channel up to rounding, and
     CPTP, so it is not judged again.  A |q| in (1, Q_ABS_MAX] acts as q / |q|.
+    Conjectured bound, tested but not proven: least eigenvalue >= -(POSITIVITY_TOL
+    + max(0, tr x0 - 1)) up to a few ulp (test_edge_states_evolve_without_a_second_judgement).
     """
     mod_q = abs(q := complex(q))
     if not mod_q <= Q_ABS_MAX:  # also rejects NaN

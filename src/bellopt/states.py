@@ -13,7 +13,7 @@ Conventions used throughout the package:
 * DensityMatrix4 keeps its Hermitian part as the tuple `rows`, and builds the
   read-only array `entries` from it on first access; its PSD check uses the
   2x2 blocks if every off-X entry is exactly 0, else numpy's eigvalsh.
-  XState(...) calls the same _x_least_eigenvalue; XState._derived judges nothing.
+  XState(...) is judged by DensityMatrix4 on its dense completion; _derived judges nothing.
   The X-state route never loads numpy: what needs it imports it inside.
 * BellSettings applies the range rule _check_direction to each of its four
   directions, and _unit_vector gives a direction's Bloch vector.
@@ -174,8 +174,8 @@ class XState:
 
     Populations follow the basis ordering (|11>, |10>, |01>, |00>); rho14 is
     the |11><00| coherence and rho23 the |10><01| coherence.  XState(...) is
-    judged as DensityMatrix4 judges a matrix: finite entries, populations summing
-    to 1 within TRACE_TOL, each 2x2 block's least eigenvalue >= -POSITIVITY_TOL.
+    judged by DensityMatrix4 on its dense completion x_to_dense, so it accepts
+    and refuses what that matrix would, with the same texts.
     _derived, for what the library derives from judged states, judges nothing.
     """
 
@@ -187,20 +187,13 @@ class XState:
     rho23: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "rho11", rho11 := float(self.rho11))
-        object.__setattr__(self, "rho22", rho22 := float(self.rho22))
-        object.__setattr__(self, "rho33", rho33 := float(self.rho33))
-        object.__setattr__(self, "rho44", rho44 := float(self.rho44))
-        object.__setattr__(self, "rho14", rho14 := complex(self.rho14))
-        object.__setattr__(self, "rho23", rho23 := complex(self.rho23))
-        if not all(map(cmath.isfinite, (rho11, rho22, rho33, rho44, rho14, rho23))):
-            raise StateValidationError("matrix has a non-finite entry")  # as DensityMatrix4
-        total = rho11 + rho22 + rho33 + rho44  # as DensityMatrix4 adds
-        if abs(total - 1.0) > TRACE_TOL:
-            raise TraceNotOne(f"populations sum deviates from 1 by {abs(total - 1.0):.3e}")
-        lam_min = _x_least_eigenvalue(rho11, rho22, rho33, rho44, abs(rho14), abs(rho23))
-        if not lam_min >= -POSITIVITY_TOL:  # also rejects NaN
-            raise NotPositive(f"smallest eigenvalue {lam_min:.3e}")
+        object.__setattr__(self, "rho11", float(self.rho11))
+        object.__setattr__(self, "rho22", float(self.rho22))
+        object.__setattr__(self, "rho33", float(self.rho33))
+        object.__setattr__(self, "rho44", float(self.rho44))
+        object.__setattr__(self, "rho14", complex(self.rho14))
+        object.__setattr__(self, "rho23", complex(self.rho23))
+        DensityMatrix4(x_to_dense(self).rows)  # judged as the matrix it stands for
 
     @classmethod
     def _derived(cls, rho11, rho22, rho33, rho44, rho14, rho23) -> XState:
