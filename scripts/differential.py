@@ -16,13 +16,14 @@ and the value, floats as float.hex (so -0.0 and every last bit count), or
 the exception type and message where a call raises.  The corpus holds random X
 states, coherence phases of exactly +-pi and next to them, +-0.0 parts, ties
 u2 = u3, u1 = 0, pure and fully mixed states, subnormal rho11, extended
-Werner-like states, states at the tolerance edges of the PSD rule (one also
+Werner-like states, states at the tolerance edges of the PSD rule (two also
 off in trace; time_scan and scan_events run these under each of the four
-models, every other state under one in turn), two with a non-finite entry,
-and Ginibre (non-X) states, and DensityMatrix4 built from arrays and from
-nested lists with Hermiticity defects up to just past HERMITICITY_TOL and
-+-0.0 and -5e-324 parts in mirrored entries, as the float.hex of its rows
-and entries, and nested lists it rejects (text cells, ragged and wrong
+models, every other state under one in turn), two with a non-finite entry
+and one with a coherence whose modulus is past float range, and Ginibre
+(non-X) states, and DensityMatrix4 built from arrays and from nested lists
+with Hermiticity defects up to just past HERMITICITY_TOL and +-0.0 and
+-5e-324 parts in mirrored entries, as the float.hex of its rows and
+entries, and nested lists it rejects (text cells, ragged and wrong
 shapes);
 TabulatedModel.from_csv records the samples it loads, or the error it raises,
 from generated table files (a BOM and CRLF, padded fields, +-0.0 parts,
@@ -132,7 +133,8 @@ def x_corpus(rng) -> list[tuple]:
         corpus.append((x.rho11, x.rho22, x.rho33, x.rho44, x.rho14, x.rho23))
     corpus += edge_x_states()
     corpus += [(math.nan, 0.0, 0.0, 1.0, 0j, 0j),  # not finite
-               (0.5, 0.0, 0.0, 0.5, complex(math.inf, 0.0), 0j)]
+               (0.5, 0.0, 0.0, 0.5, complex(math.inf, 0.0), 0j),
+               (0.5, 0.0, 0.0, 0.5, complex(1.7e308, 1.7e308), 0j)]  # |rho14| past float range
     return corpus
 
 
@@ -152,6 +154,10 @@ def edge_x_states() -> list[tuple]:
         (0.5, 0.0, 0.0, 0.5, math.nextafter(edge, 1.0), tol),  # and one past it
         (0.25, 0.25, 0.25, 0.25, 0.35, 0.75),  # both blocks past it, the second by more
         (0.5, 0.0, 0.0, 0.5 + 0.9e-10, 0.5 + 1.44e-10, 0j),  # at the edge, off in trace
+        # trace 1 + 9.99e-11 with the outer block at the edge: evolved, its least
+        # eigenvalue reads -1.999e-10 at q = 1 (README, evolved states)
+        (0.8414893328205039, 5.539961710207487e-08, 0.15851057315837955,
+         3.8721399710092685e-08, 0.00018074234076465332, 0j),
     ]
 
 

@@ -115,8 +115,11 @@ class DensityMatrix4:
             import numpy as np
             lam_min = float(np.linalg.eigvalsh(entries if r is m else np.array(rows)).min())
         else:
-            lam_min = _x_least_eigenvalue(rows[0][0].real, rows[1][1].real, rows[2][2].real,
-                                          rows[3][3].real, abs(rows[0][3]), abs(rows[1][2]))
+            try:
+                lam_min = _x_least_eigenvalue(rows[0][0].real, rows[1][1].real, rows[2][2].real,
+                                              rows[3][3].real, abs(rows[0][3]), abs(rows[1][2]))
+            except OverflowError:  # |c| or a block's hypot past float range: far from PSD
+                lam_min = -math.inf
         if not lam_min >= -POSITIVITY_TOL:  # also rejects NaN
             raise NotPositive(f"smallest eigenvalue {lam_min:.3e}")
         object.__setattr__(self, "rows", rows)
@@ -176,7 +179,7 @@ class XState:
     the |11><00| coherence and rho23 the |10><01| coherence.  XState(...) is
     judged by DensityMatrix4 on its dense completion x_to_dense, so it accepts
     and refuses what that matrix would, with the same texts.
-    _derived, for what the library derives from judged states, judges nothing.
+    _derived, for derived states, judges nothing; both convert by _set_fields.
     """
 
     rho11: float
@@ -186,30 +189,24 @@ class XState:
     rho14: complex
     rho23: complex
 
-    def __post_init__(self):
-        object.__setattr__(self, "rho11", float(self.rho11))
-        object.__setattr__(self, "rho22", float(self.rho22))
-        object.__setattr__(self, "rho33", float(self.rho33))
-        object.__setattr__(self, "rho44", float(self.rho44))
-        object.__setattr__(self, "rho14", complex(self.rho14))
-        object.__setattr__(self, "rho23", complex(self.rho23))
-        DensityMatrix4(x_to_dense(self).rows)  # judged as the matrix it stands for
+    def __post_init__(self):  # judged as the matrix it stands for
+        DensityMatrix4(x_to_dense(_set_fields(self, **vars(self))).rows)
 
     @classmethod
     def _derived(cls, rho11, rho22, rho33, rho44, rho14, rho23) -> XState:
-        x = object.__new__(cls)  # the fields as __post_init__ converts them, unjudged
-        object.__setattr__(x, "rho11", float(rho11))
-        object.__setattr__(x, "rho22", float(rho22))
-        object.__setattr__(x, "rho33", float(rho33))
-        object.__setattr__(x, "rho44", float(rho44))
-        object.__setattr__(x, "rho14", complex(rho14))
-        object.__setattr__(x, "rho23", complex(rho23))
-        return x
+        return _set_fields(object.__new__(cls), rho11, rho22, rho33, rho44, rho14, rho23)
 
     @property
     def diagonal_gap(self) -> float:
         """rho11 + rho44 - rho22 - rho33, the z-z spin correlation."""
         return self.rho11 + self.rho44 - self.rho22 - self.rho33
+
+
+def _set_fields(x: XState, rho11, rho22, rho33, rho44, rho14, rho23) -> XState:
+    """x with its fields set as XState keeps them, populations float and coherences complex."""
+    x.__dict__.update(rho11=float(rho11), rho22=float(rho22), rho33=float(rho33),
+                      rho44=float(rho44), rho14=complex(rho14), rho23=complex(rho23))
+    return x
 
 
 def as_x_state(rho: DensityMatrix4, off_x_tol: float = DEFAULT_OFF_X_TOL) -> XState:

@@ -192,6 +192,15 @@ class TestBmax:
         assert captured.out == ""
         assert captured.err == "error: smallest eigenvalue -2.475e-10\n"
 
+    def test_coherence_beyond_float_range_exits_2(self, tmp_path, capsys):
+        m = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
+        m[0, 3] = complex(1.7e308, 1.7e308)
+        m[3, 0] = m[0, 3].conjugate()
+        assert main(["bmax", "--input", write_state(tmp_path, m)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: smallest eigenvalue -inf\n"
+
     def test_populations_at_the_positivity_tolerance(self, tmp_path, capsys):
         # a valid state that XState's former population range rejected
         path = write_state(tmp_path, np.diag([0.0, -0.9e-10, -0.9e-10, 1.0 + 1.8e-10]))

@@ -1591,15 +1591,6 @@ def test_gap_squared_by_product():
     assert_rows_bit_for_bit(x0, ExponentialModel(1.0), [0.0, 1.0])
 
 
-def unchecked_x_state(*elements) -> XState:
-    """An XState built without its checks, to start a scan from a state they
-    reject."""
-    x = object.__new__(XState)
-    for name, v in zip(("rho11", "rho22", "rho33", "rho44", "rho14", "rho23"), elements):
-        object.__setattr__(x, name, v)
-    return x
-
-
 class _Overshoot:
     """q(t) = 1 + 1e-9 t: |q| exceeds 1 + 1e-12 from t = 1e-3 on."""
 
@@ -1629,13 +1620,14 @@ class TestScanChecks:
          "|q| must be <= 1, got 1.0000000005"),
         (ewl_state(EWLParams(0.3, 1.0)), _NaNAfterStart(), ValueError,
          "|q| must be <= 1, got nan"),
-        # starts that bypass XState's checks: an evolved state is not judged
-        # again, so neither path raises, and the rows agree
-        (unchecked_x_state(1e20, 0.0, 0.0, 0.0, 0j, 0j), ExponentialModel(1.0), None, None),
-        (unchecked_x_state(0.0, 1.5, -0.5, 0.0, 0j, 0j), ExponentialModel(1.0), None, None),
-        (unchecked_x_state(0.5, 0.0, 0.0, 0.5, 0.6 + 0j, 0j), ExponentialModel(1.0),
+        # starts that bypass XState's checks, built by the library's unjudged
+        # XState._derived: an evolved state is not judged again, so neither
+        # path raises, and the rows agree
+        (XState._derived(1e20, 0.0, 0.0, 0.0, 0j, 0j), ExponentialModel(1.0), None, None),
+        (XState._derived(0.0, 1.5, -0.5, 0.0, 0j, 0j), ExponentialModel(1.0), None, None),
+        (XState._derived(0.5, 0.0, 0.0, 0.5, 0.6 + 0j, 0j), ExponentialModel(1.0),
          None, None),
-        (unchecked_x_state(0.0, 0.5, 0.5, 0.0, 0j, 0.6 + 0j), ExponentialModel(1.0),
+        (XState._derived(0.0, 0.5, 0.5, 0.0, 0j, 0.6 + 0j), ExponentialModel(1.0),
          None, None),
         # valid states: neither path raises, and the rows agree
         (XState(1.0 + 0.9e-10, -0.9e-10, 0.0, 0.0, 0j, 0j), ExponentialModel(1.0),

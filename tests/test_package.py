@@ -133,6 +133,19 @@ def test_malformed_lists_load_no_numpy():
     assert _loaded_after(code) == {"bellopt.states"}
 
 
+def test_x_states_load_no_numpy():
+    # one accepted and one refused, by a coherence whose modulus is past float range
+    code = ("from bellopt import NotPositive, XState\n"
+            "XState(0.5, 0, 0, 0.5, 0.5, 0)\n"
+            "try:\n"
+            "    XState(0.5, 0, 0, 0.5, complex(1.7e308, 1.7e308), 0)\n"
+            "except NotPositive:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise AssertionError('accepted')")
+    assert _loaded_after(code) == {"bellopt.states"}
+
+
 MODULES = ("states", "chsh", "angles", "dynamics", "oracle")
 
 

@@ -237,6 +237,21 @@ class TestPlainPythonValidation:
         with pytest.raises(StateValidationError, match="^matrix has a non-finite entry$"):
             validate_density_matrix(m)
 
+    @pytest.mark.parametrize("args", [
+        (0.5, 0.0, 0.0, 0.5, complex(1.7e308, 1.7e308), 0j),  # |rho14| past float range
+        (0.0, 0.5, 0.5, 0.0, 0j, complex(-1.7e308, 1.7e308)),  # |rho23| past it
+        (1e308, -1e308, 0.5, 0.5, 1.79e308, 0j),  # |rho14| finite, the block's hypot past it
+    ], ids=["rho14", "rho23", "hypot"])
+    def test_coherence_beyond_float_range_is_not_positive(self, args):
+        # a finite X matrix whose block eigenvalue overflows is as far from
+        # PSD as can be said: its least eigenvalue reads -inf, not OverflowError
+        m = x_matrix(args[0], args[3], args[4], args[1], args[2], args[5])
+        for build in (lambda: XState(*args), lambda: validate_density_matrix(m),
+                      lambda: validate_density_matrix(m.tolist())):
+            with pytest.raises(NotPositive) as err:
+                build()
+            assert str(err.value) == "smallest eigenvalue -inf"
+
     @pytest.mark.parametrize("i, j", [(0, 1), (0, 3), (0, 0)])
     def test_entries_past_half_the_float_range_rejected(self, i, j):
         # m + m^H would overflow here; the Hermitian part is taken without
@@ -350,6 +365,11 @@ class TestPlainPythonValidation:
             assert dup.entries.tolist() == [list(row) for row in dup.rows]
 
 
+def bits(v) -> tuple:
+    """A float's or a complex's type and parts as float.hex, so -0.0 and every bit count."""
+    return (type(v), v.hex()) if type(v) is float else (type(v), v.real.hex(), v.imag.hex())
+
+
 @st.composite
 def x_edge_args(draw):
     """XState arguments at the edges of the PSD and trace rules: populations
@@ -391,6 +411,10 @@ class TestOneRuleForXStates:
     @example((0.25, 0.25, 0.25, 0.25, 0.35, 0.75))  # both blocks fail, the second by more
     @example((math.nan, 0.0, 0.0, 1.0, 0.0, 0.0))  # not finite: no eigenvalue is named
     @example((0.5, 0.0, 0.0, 0.5, math.inf, 0.0))
+    @example((1, 0, 0, 0, 0, 0))  # ints, bools and numpy scalars convert as Python numbers do
+    @example((False, True, False, False, False, False))
+    @example((np.float64(0.25), np.float32(0.25), np.int64(0), np.float16(0.5),
+              np.complex64(0.1j), np.complex128(0)))
     def test_accepted_iff_the_dense_matrix_is(self, args):
         a1, a2, d2, d1, c14, c23 = args
         x = x_error = dense_error = None
@@ -398,6 +422,12 @@ class TestOneRuleForXStates:
             x = XState(*args)
         except StateValidationError as exc:
             x_error = exc
+        # XState(...) and the unjudged XState._derived convert through one function
+        twin = XState._derived(*args)
+        assert [type(v) for v in vars(twin).values()] == [float] * 4 + [complex] * 2
+        if x is not None:
+            assert [bits(v) for v in vars(x).values()] == [bits(v) for v in vars(twin).values()]
+            assert x == twin and hash(x) == hash(twin) and repr(x) == repr(twin)
         try:
             validate_density_matrix(x_matrix(a1, d1, c14, a2, d2, c23))
             dense_ok = True
