@@ -23,8 +23,9 @@ and one with a coherence whose modulus is past float range, and Ginibre
 (non-X) states, and DensityMatrix4 built from arrays and from nested lists
 with Hermiticity defects up to just past HERMITICITY_TOL and +-0.0 and
 -5e-324 parts in mirrored entries, as the float.hex of its rows and
-entries, and nested lists it rejects (text cells, ragged and wrong
-shapes);
+entries, of its pauli_correlation_matrix and, for every 8th, of the rows
+and entries of a pickled and a deep-copied copy, and nested lists it
+rejects (text cells, ragged and wrong shapes);
 TabulatedModel.from_csv records the samples it loads, or the error it raises,
 from generated table files (a BOM and CRLF, padded fields, +-0.0 parts,
 subnormal samples, blank lines and a run of them longer than a chunk, and
@@ -48,10 +49,12 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import copy
 import dataclasses
 import itertools
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -312,15 +315,15 @@ def records() -> list[str]:
 
     (BellSettings, DensityMatrix4, OracleConfig, TabulatedModel, XState, as_x_state,
      bell_function, brute_force_bmax, certify_settings, crossing_levels, evolve_x,
-     horodecki_eigenvalues, optimal_settings, scan_events, settings_set1, settings_set2,
-     time_scan, trajectory_coefficients, validate_density_matrix, x_state_eigenvalues,
-     x_to_dense) = _api(
+     horodecki_eigenvalues, optimal_settings, pauli_correlation_matrix, scan_events,
+     settings_set1, settings_set2, time_scan, trajectory_coefficients, validate_density_matrix,
+     x_state_eigenvalues, x_to_dense) = _api(
         "BellSettings", "DensityMatrix4", "OracleConfig", "TabulatedModel", "XState",
         "as_x_state", "bell_function", "brute_force_bmax", "certify_settings",
         "crossing_levels", "evolve_x", "horodecki_eigenvalues", "optimal_settings",
-        "scan_events", "settings_set1", "settings_set2", "time_scan",
-        "trajectory_coefficients", "validate_density_matrix", "x_state_eigenvalues",
-        "x_to_dense")
+        "pauli_correlation_matrix", "scan_events", "settings_set1", "settings_set2",
+        "time_scan", "trajectory_coefficients", "validate_density_matrix",
+        "x_state_eigenvalues", "x_to_dense")
     from bellopt.dynamics import crossing_surface
 
     grid = np.linspace(0.0, TMAX, 25)
@@ -380,9 +383,19 @@ def records() -> list[str]:
         rho = DensityMatrix4(entries)
         return rho.rows, rho.entries
 
+    def copies(entries):
+        # a pickled and a deep-copied copy, made after entries was read
+        rho = DensityMatrix4(entries)
+        rho.entries
+        return [(c.rows, c.entries) for c in (pickle.loads(pickle.dumps(rho)),
+                                              copy.deepcopy(rho))]
+
     for i, m in enumerate(hermitian_corpus(rng)):
         call(f"h{i} array", rows_and_entries, m)
         call(f"h{i} list", rows_and_entries, m.tolist())
+        call(f"h{i} correlation", lambda: pauli_correlation_matrix(DensityMatrix4(m)))
+        if i % 8 == 0:
+            call(f"h{i} copies", copies, m)
     for i, entries in enumerate(list_corpus()):
         call(f"l{i}", rows_and_entries, entries)
     call("surface", crossing_surface, *SURFACE)

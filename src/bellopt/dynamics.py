@@ -354,11 +354,11 @@ def apply_amplitude_damping(rho0: DensityMatrix4, q: complex) -> DensityMatrix4:
     scale = max(1.0, mod_q)  # q / |q| where |q| rounds above 1, as _evolve divides
     k0 = np.array([[complex(q.real / scale, q.imag / scale), 0.0], [0.0, 1.0]], dtype=complex)
     k1 = np.array([[0.0, 0.0], [loss, 0.0]], dtype=complex)
-    out = np.zeros((4, 4), dtype=complex)
+    out, m = np.zeros((4, 4), dtype=complex), rho0.entries
     for ka in (k0, k1):
         for kb in (k0, k1):
             k = np.kron(ka, kb)
-            out += k @ rho0.entries @ k.conj().T
+            out += k @ m @ k.conj().T
     h = out.conj().T  # an entry off its mirror's conjugate by rounding becomes their mean
     return DensityMatrix4._derived(np.where(out == h, out, 0.5 * out + 0.5 * h).tolist())
 

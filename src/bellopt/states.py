@@ -11,7 +11,7 @@ Conventions used throughout the package:
   with the first Kronecker factor acting on qubit 1.  _pauli_vector gives its
   rows and every Bell-function trace: it is the one Pauli kernel.
 * DensityMatrix4 keeps its Hermitian part as the tuple `rows`, and builds the
-  read-only array `entries` from it on first access; its PSD check uses the
+  read-only array `entries` from it on each access, cached nowhere; its PSD check uses the
   2x2 blocks if every off-X entry is exactly 0, else numpy's eigvalsh.
   XState(...) is judged by DensityMatrix4 on its dense completion; _derived judges nothing.
   The X-state route never loads numpy: what needs it imports it inside.
@@ -76,7 +76,7 @@ class DensityMatrix4:
     The input is an array (read by tolist()) or nested sequences of numbers.
     _derived holds Hermitian rows derived from judged states, judging nothing."""
 
-    entries: np.ndarray  # built from rows on first access, by __getattr__
+    entries: np.ndarray  # built from rows on each access, cached nowhere, by __getattr__
     rows: tuple = field(repr=False)
 
     def __init__(self, entries):
@@ -130,17 +130,13 @@ class DensityMatrix4:
         import numpy as np
         m = np.array(self.rows)
         m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
         return m
 
     @classmethod
-    def _derived(cls, rows) -> DensityMatrix4:
+    def _derived(cls, rows) -> DensityMatrix4:  # also loads pickles that name it
         rho = object.__new__(cls)  # rows of Python complexes, unjudged
         object.__setattr__(rho, "rows", tuple(map(tuple, rows)))
         return rho
-
-    def __reduce__(self):  # pickle and copy rebuild from rows, so entries stays read-only
-        return type(self)._derived, (self.rows,)
 
 
 def _number(v) -> complex:  # complex(v), but text is no number though complex() parses it
@@ -230,10 +226,10 @@ def x_to_dense(x: XState) -> DensityMatrix4:
 
 
 def _pauli_vector(r: tuple, c) -> tuple[float, float, float]:
-    """(Tr(m sigma_x), Tr(m sigma_y), Tr(m sigma_z)) of the qubit-1 block
-    m = Tr_2(rho (1 (x) c.sigma)), for rho as rows r of Python complexes and a
-    real 3-vector c, so that a . _pauli_vector(r, c) = Tr(rho (a.sigma (x)
-    c.sigma)); n.sigma = ((nz, nx - i ny), (nx + i ny, -nz))."""
+    """(Tr(m sigma_x), Tr(m sigma_y), Tr(m sigma_z)) of the qubit-1 block m = Tr_2(rho (1 (x)
+    c.sigma)), n.sigma = ((nz, nx - i ny), (nx + i ny, -nz)), for rho as Hermitian rows r of
+    Python complexes, as a DensityMatrix4's are (a trace's imaginary part is then rounding),
+    and a real 3-vector c, so that a . _pauli_vector(r, c) = Tr(rho (a.sigma (x) c.sigma))."""
     cz, c01, c10 = c[2], complex(c[0], -c[1]), complex(c[0], c[1])
     m00 = cz * (r[0][0] - r[1][1]) + c10 * r[0][1] + c01 * r[1][0]
     m01 = cz * (r[0][2] - r[1][3]) + c10 * r[0][3] + c01 * r[1][2]
@@ -241,9 +237,6 @@ def _pauli_vector(r: tuple, c) -> tuple[float, float, float]:
     m11 = cz * (r[2][2] - r[3][3]) + c10 * r[2][3] + c01 * r[3][2]
     # Tr(m n.sigma) = nx (m01 + m10) + ny i (m01 - m10) + nz (m00 - m11)
     x, y, z = m01 + m10, m01 - m10, m00 - m11
-    if abs(x.imag) > 1e-12 or abs(y.real) > 1e-12 or abs(z.imag) > 1e-12:
-        worst = max(abs(x.imag), abs(y.real), abs(z.imag))
-        raise ValueError(f"correlation has imaginary residue {worst:.3e}")
     return x.real, -y.imag, z.real
 
 

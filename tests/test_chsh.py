@@ -135,19 +135,6 @@ class TestDirectTrace:
             via_t = abs(b @ t @ a + bp @ t @ a + b @ t @ ap - bp @ t @ ap)
             assert abs(bell_function(rho, s) - via_t) <= 1e-14
 
-    def test_imaginary_residue_raises(self):
-        # DensityMatrix4 stores a Hermitian matrix; bypass it to reach the check.
-        rho = validate_density_matrix(np.eye(4) / 4.0)
-        entries = rho.entries + np.diag([1e-9j, 0, 0, 0])
-        fake = type("Fake", (), {"entries": entries,
-                                 "rows": tuple(map(tuple, entries.tolist()))})()
-        with pytest.raises(ValueError, match="correlation has imaginary residue"):
-            correlation(fake, Z_UP, Z_UP)
-        with pytest.raises(ValueError, match="correlation has imaginary residue"):
-            bell_function(fake, all_z_settings())
-        with pytest.raises(ValueError, match="correlation has imaginary residue 1.000e-09"):
-            pauli_correlation_matrix(fake)
-
 
 class TestXStateEigenvalues:
     def test_bell_state(self, bell_x):

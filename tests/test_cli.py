@@ -213,6 +213,21 @@ class TestBmax:
         assert "B_max = 2.82842712" in out
         assert "violates CHSH (B_max > 2): yes" in out
 
+    @pytest.mark.parametrize("args, bmax", [
+        ((0, 0, 0, 1, 0.9e-5, 0), 2.000000000324),
+        ((0.5e-10, -1e-10, 0, 1 + 0.5e-10, 0.7e-5, 0), 2.000000000596)])
+    def test_verdict_takes_no_slack(self, tmp_path, capsys, args, bmax):
+        # states that only the PSD slack admits: B_max exceeds 2 by a tolerance-sized
+        # u1, and the verdict, which compares with 2 exactly, says yes (README)
+        path = write_state(tmp_path, x_to_dense(XState(*args)).entries)
+        assert main(["bmax", "--input", path]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("B_max = 2\n")
+        assert "violates CHSH (B_max > 2): yes" in out
+        assert main(["bmax", "--input", path, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["bmax"] == bmax and doc["violates"] is True
+
 
 class TestHermiticityDefectBelowTolerance:
     """A defect below HERMITICITY_TOL passes validation, so every command

@@ -5,7 +5,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from bellopt import (
@@ -20,17 +20,20 @@ from bellopt import (
     StateValidationError,
     TraceNotOne,
     XState,
+    apply_amplitude_damping,
     as_x_state,
+    evolve_x,
     pauli_correlation_matrix,
     validate_density_matrix,
     x_to_dense,
 )
 from bellopt.angles import optimal_settings, settings_set1, settings_set2
 from bellopt.chsh import bell_function, x_state_eigenvalues
-from bellopt.states import (POSITIVITY_TOL, TRACE_TOL, _check_direction, _unit_vector,
-                            _x_least_eigenvalue)
-from conftest import (PAULIS, lower_triangle_fault, random_density, random_x_state, werner,
-                      x_states)
+from bellopt.dynamics import Q_ABS_MAX
+from bellopt.states import (HERMITICITY_TOL, POSITIVITY_TOL, TRACE_TOL, _check_direction,
+                            _unit_vector, _x_least_eigenvalue)
+from conftest import (PAULIS, damping_amplitudes, lower_triangle_fault, random_density,
+                      random_x_state, werner, x_states)
 
 
 def trace_correlation(rho, pauli_q1, pauli_q2):
@@ -353,8 +356,11 @@ class TestPlainPythonValidation:
         states = [x_to_dense(werner(0.8)), random_density(np.random.default_rng(28)),
                   validate_density_matrix(np.eye(4) / 4.0 + defect)]
         for rho in states:
+            pickled = pickle.dumps(rho)
             if entries_built:
                 rho.entries
+            # a state holds rows alone: entries is built on each access, cached nowhere
+            assert vars(rho) == {"rows": rho.rows} and pickle.dumps(rho) == pickled
             dup = duplicate(rho)
             assert type(dup) is DensityMatrix4
             assert [[(z.real.hex(), z.imag.hex()) for z in row] for row in dup.rows] == [
@@ -363,6 +369,15 @@ class TestPlainPythonValidation:
             with pytest.raises(ValueError):
                 dup.entries[0, 0] = 5.0
             assert dup.entries.tolist() == [list(row) for row in dup.rows]
+            assert vars(dup) == {"rows": dup.rows}
+
+    def test_pickles_that_name_derived_still_load(self):
+        # the form pickles took when DensityMatrix4 rebuilt itself by _derived
+        rho = random_density(np.random.default_rng(28))
+        old = type("Old", (), {"__reduce__": lambda _: (DensityMatrix4._derived, (rho.rows,))})
+        loaded = pickle.loads(pickle.dumps(old()))
+        assert type(loaded) is DensityMatrix4 and loaded.rows == rho.rows
+        assert vars(loaded) == {"rows": rho.rows} and not loaded.entries.flags.writeable
 
 
 def bits(v) -> tuple:
@@ -502,7 +517,54 @@ class TestXToDense:
         assert back == x  # exact equality of the 7 parameters
 
 
+@st.composite
+def held_states(draw):
+    """A DensityMatrix4 of each kind the library holds: built from an array or
+    from nested lists, with +-0.0 and +-5e-324 parts in mirrored entries and
+    Hermiticity defects up to HERMITICITY_TOL; an X state's dense completion;
+    an evolve_x image; or an apply_amplitude_damping image of one of these."""
+    kind = draw(st.sampled_from(["input", "x", "evolved", "damped"]))
+    q = draw(st.one_of(damping_amplitudes(), st.sampled_from(
+        [1.0, Q_ABS_MAX, -0.6035880804157655 - 0.7972963245745032j])))  # last: |q * q| > 1
+    if kind in ("x", "evolved") or kind == "damped" and draw(st.booleans()):
+        x = draw(x_states())
+        rho = x_to_dense(evolve_x(x, q) if kind == "evolved" else x)
+    else:
+        tiny = st.sampled_from([0.0, -0.0, 5e-324, -5e-324])
+        coherence = st.one_of(tiny, st.sampled_from([0.01, -0.007]))
+        defect = st.sampled_from([1e-17, 0.5 * HERMITICITY_TOL, 0.999 * HERMITICITY_TOL,
+                                  math.nextafter(HERMITICITY_TOL, 0.0)])
+        if draw(st.booleans()):  # I/4 with coherences, else a Ginibre state mixed with I/4
+            m = np.eye(4, dtype=complex) / 4.0
+            for i, j in zip(*np.triu_indices(4, 1)):
+                m[i, j] = complex(draw(coherence), draw(coherence))
+                m[j, i] = m[i, j].conjugate()
+        else:
+            ginibre = random_density(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))))
+            m = 0.9 * ginibre.entries + 0.025 * np.eye(4)
+        for i, j in zip(*np.triu_indices(4, 1)):  # +-0.0 and +-5e-324 parts, then a defect
+            m[j, i] += complex(draw(tiny), draw(tiny))
+            if draw(st.booleans()):
+                m[i, j] += draw(defect) * draw(st.sampled_from([1.0, -1.0, 1j, -1j]))
+        for i in range(4):  # an imaginary diagonal part; four add up to at most 8e-11
+            m[i, i] = complex(m[i, i].real, draw(st.one_of(tiny, st.sampled_from(
+                [1e-17, 2e-11, -2e-11]))))
+        try:
+            rho = DensityMatrix4(m.tolist() if draw(st.booleans()) else m)
+        except NotHermitian:  # a defect next to the tolerance that rounding took past it
+            reject()
+    return apply_amplitude_damping(rho, q) if kind == "damped" else rho
+
+
 class TestPauliCorrelationMatrix:
+    @settings(max_examples=300, deadline=None)
+    @given(held_states())
+    def test_every_held_state_is_exactly_hermitian(self, rho):
+        # what lets _pauli_vector drop a trace's imaginary part: it is rounding alone
+        r = rho.rows
+        assert all(r[j][i] == r[i][j].conjugate() for i in range(4) for j in range(4))
+        assert all(r[i][i].imag == 0 for i in range(4))
+
     def test_maximally_mixed_is_zero(self, mixed_rho):
         assert np.all(pauli_correlation_matrix(mixed_rho) == 0.0)
 
