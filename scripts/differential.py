@@ -12,20 +12,23 @@ two such records.
 oracle functions (certify_settings at the closed-form settings, at the
 oracle's own and at zero settings), and the Bell function at both
 closed-form sets, and writes one line per value: a label, the value's type
-and the value, floats as float.hex (so -0.0 and every last bit count), or
-the exception type and message where a call raises.  The corpus holds random X
-states, coherence phases of exactly +-pi and next to them, +-0.0 parts, ties
-u2 = u3, u1 = 0, pure and fully mixed states, subnormal rho11, extended
-Werner-like states, states at the tolerance edges of the PSD rule (two also
-off in trace; time_scan and scan_events run these under each of the four
-models, every other state under one in turn), two with a non-finite entry
-and one with a coherence whose modulus is past float range, and Ginibre
-(non-X) states, and DensityMatrix4 built from arrays and from nested lists
-with Hermiticity defects up to just past HERMITICITY_TOL and +-0.0 and
--5e-324 parts in mirrored entries, as the float.hex of its rows and
-entries, of its pauli_correlation_matrix and, for every 8th, of the rows
-and entries of a pickled and a deep-copied copy, and nested lists it
-rejects (text cells, ragged and wrong shapes);
+and the value, floats as float.hex (so -0.0 and every last bit count), a
+text as its length and SHA-256, or the exception type and message where a
+call raises.  The corpus holds random X states, coherence phases of exactly
++-pi and next to them, +-0.0 parts, ties u2 = u3, u1 = 0, pure and fully
+mixed states, subnormal rho11, extended Werner-like states, states at the
+tolerance edges of the PSD rule (two also off in trace; time_scan and
+scan_events run these under each of the four models, every other state
+under one in turn, and each scan's CSV text is recorded too, as is that of
+one 500-sample scan per model, long enough for the CSV formatter to write a
+rarely changing column once per run, and of the surface), two with a
+non-finite entry and one with a coherence whose modulus is past float
+range, and Ginibre (non-X) states, and DensityMatrix4 built from arrays and
+from nested lists with Hermiticity defects up to just past HERMITICITY_TOL
+and +-0.0 and -5e-324 parts in mirrored entries, as the float.hex of its
+rows and entries, of its pauli_correlation_matrix and, for every 8th, of
+the rows and entries of a pickled and a deep-copied copy, and nested lists
+it rejects (text cells, ragged and wrong shapes);
 TabulatedModel.from_csv records the samples it loads, or the error it raises,
 from generated table files (a BOM and CRLF, padded fields, +-0.0 parts,
 subnormal samples, blank lines and a run of them longer than a chunk, and
@@ -51,6 +54,7 @@ import argparse
 import cmath
 import copy
 import dataclasses
+import hashlib
 import itertools
 import math
 import os
@@ -66,6 +70,7 @@ TMAX = 6.0
 Q_VALUES = (1.0, 1.0 + 5e-13, 0.8, -0.6, 0.3 + 0.4j, -0.5j, 1e-160, 0.0, 1.1,
             -0.6035880804157655 - 0.7972963245745032j)  # |q| == 1.0, but not |q * q|
 SURFACE = (24, 24)
+LONG_SAMPLES = 500  # one scan per model this long, so the CSV formatter bakes columns
 CERTIFY_ITERS = 1100  # past one block of moves, so a certify stage spans two
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -289,6 +294,8 @@ def _values(label: str, value):
 
     if isinstance(value, Enum):
         yield label, type(value).__name__, value.name
+    elif isinstance(value, str):  # a CSV text: its length and SHA-256
+        yield label, "str", f"{len(value)}:{hashlib.sha256(value.encode()).hexdigest()}"
     elif isinstance(value, (bool, int, np.bool_, np.integer)):
         yield label, type(value).__name__, repr(value)
     elif isinstance(value, (float, np.floating)):
@@ -324,6 +331,8 @@ def records() -> list[str]:
         "pauli_correlation_matrix", "scan_events", "settings_set1", "settings_set2",
         "time_scan", "trajectory_coefficients", "validate_density_matrix",
         "x_state_eigenvalues", "x_to_dense")
+    from bellopt import EWLParams, ewl_state
+    from bellopt.cli import _scan_csv, cmd_surface
     from bellopt.dynamics import crossing_surface
 
     grid = np.linspace(0.0, TMAX, 25)
@@ -344,6 +353,14 @@ def records() -> list[str]:
         lines.extend(" ".join(r) for r in _values(label, value))
         return value
 
+    def scan_csv(name, x, k, t_grid):
+        # the records of time_scan and scan_events under models[k], and the scan CSV of both
+        scan = call(f"{name} scan{k}", time_scan, x, models[k], t_grid)
+        events = call(f"{name} events{k}", scan_events, x, models[k], TMAX)
+        if scan is not None and events is not None:
+            call(f"{name} csv{k}", _scan_csv, scan, {"version": "v", "events": [
+                {"kind": e.kind.value, "t": e.t, "q2": e.q2} for e in events]})
+
     for i, elements in enumerate(x_corpus(rng)):
         x = call(f"x{i}", XState, *elements)
         if x is not None:
@@ -363,8 +380,7 @@ def records() -> list[str]:
             call(f"x{i} levels", crossing_levels, x)
             # a state at the tolerance edges under every model, any other under one
             for k in range(len(models)) if elements in edges else [i % len(models)]:
-                call(f"x{i} scan{k}", time_scan, x, models[k], grid)
-                call(f"x{i} events{k}", scan_events, x, models[k], TMAX)
+                scan_csv(f"x{i}", x, k, grid)
             if i % 16 == 0:
                 call(f"x{i} oracle", lambda: brute_force_bmax(x_to_dense(x), oracle))
                 call(f"x{i} certify", lambda: certify_settings(
@@ -399,6 +415,14 @@ def records() -> list[str]:
     for i, entries in enumerate(list_corpus()):
         call(f"l{i}", rows_and_entries, entries)
     call("surface", crossing_surface, *SURFACE)
+
+    def surface_csv():
+        _, doc, render = cmd_surface(argparse.Namespace(grid="%d,%d" % SURFACE))
+        return render(doc)
+    call("surface csv", surface_csv)
+    x = ewl_state(EWLParams(0.3, 1.0))  # two SetJump levels, between which the angles hold
+    for k in range(len(models)):
+        scan_csv("long", x, k, np.linspace(0.0, TMAX, LONG_SAMPLES))
     with tempfile.TemporaryDirectory() as tmp:
         for name, data in table_files().items():
             path = os.path.join(tmp, f"{name}.csv")

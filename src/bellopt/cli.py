@@ -7,7 +7,8 @@ byte-identical files.  Exit codes: 0 success, 2 input/validation error
 4 oracle disagreement.
 
 Every number in text and CSV output follows one rule, written in fmt9 for one
-value and in _csv_rows for columns: 9 significant digits, in lowercase
+value and in _csv_rows for columns, where a rarely changing column's text is
+formatted once per run of equal values: 9 significant digits, in lowercase
 scientific notation with 8 decimals when 0 < |v| < 10^-4 or |v| >= 10^6; -0
 prints as 0; an absent value (a surface row's missing crossing root) is an
 empty cell.  Each command imports what only it uses: `bmax` and `angles` on
@@ -41,19 +42,30 @@ _DEG = 180.0 / math.pi
 
 def _csv_rows(columns) -> str:
     """CSV lines of `columns` (1-D arrays and (n, k) blocks, side by side),
-    each cell by the number rule of the module docstring, in one % operation:
-    there are few distinct row patterns of plain, scientific and NaN cells."""
+    each cell by the number rule of the module docstring.  A column whose
+    value changes (NaN counts) in at most n // 16 rows is baked: each distinct
+    pair of cell-kind pattern and run of baked values gets one row format,
+    with the baked text in it, and one % over all rows formats the rest."""
     import numpy as np
 
     values = np.column_stack(columns) + 0.0  # + 0.0 turns -0.0 into 0.0
+    n, k = values.shape
     magnitude = np.abs(values)
     absent = np.isnan(values)
     # cell kind: 0 plain, 1 scientific, 2 absent; a row's pattern in base 3
     kinds = np.where(absent, 2, (values != 0.0) & ((magnitude < 1e-4) | (magnitude >= 1e6)))
-    patterns = (kinds @ 3 ** np.arange(values.shape[1])).tolist()
-    formats = {p: ",".join(("%.9g", "%.8e", "")[p // 3 ** j % 3]
-                           for j in range(values.shape[1])) for p in set(patterns)}
-    return "\n".join([formats[p] for p in patterns]) % tuple(values[~absent].tolist())
+    changes = values[1:] != values[:-1]
+    baked = changes.sum(axis=0) <= n // 16
+    runs = np.cumsum(np.concatenate(([False], changes[:, baked].any(axis=1))))
+    keys = kinds @ 3 ** np.arange(k) + runs * 3 ** k
+    picked = np.unique(keys, return_index=True)[1]  # one row of each key
+    codes = ("%.9g", "%.8e", "", "%%.9g", "%%.8e", "")  # baked cells, then escaped free ones
+    formats = {key: ",".join([codes[c] for c in code]) % tuple([v for v in text if v == v])
+               for key, code, text in zip(keys[picked].tolist(),
+                                          (kinds[picked] + 3 * ~baked).tolist(),
+                                          values[picked][:, baked].tolist())}
+    free = values[~(absent | baked)]
+    return "\n".join([formats[key] for key in keys.tolist()]) % tuple(free.tolist())
 
 
 def fmt9(v: float) -> str:

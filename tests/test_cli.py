@@ -123,29 +123,83 @@ def _scalar_rule(v: float) -> str:
     return f"{v:.9g}"
 
 
+# edge values of the number rule, NaN, +-0.0, +-5e-324 and inf among them
+RUN_VALUES = [math.nan, 0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, 1e-4,
+              math.nextafter(1e-4, 0.0), -1e-4, 1e6, math.nextafter(1e6, 0.0), -1e6, 0.5]
+# the two sides of a kind flip: (plain, scientific)
+FLIPS = [(1e-4, math.nextafter(1e-4, 0.0)), (math.nextafter(1e6, 0.0), 1e6),
+         (-0.0, -5e-324), (0.5, math.inf)]
+
+
+@st.composite
+def run_tables(draw):
+    """Columns of n rows made of runs of edge values, and two columns that flip
+    kind at their changes: one with n // 16 changes, which the formatter bakes,
+    and one with n // 16 + 1, which it leaves free."""
+    n = draw(st.sampled_from([1, 2, 16, 17, 500]))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        starts = draw(st.lists(st.integers(1, max(n - 1, 1)), max_size=40))
+        cuts = sorted({0, *(s for s in starts if s < n)})
+        values = draw(st.lists(st.sampled_from(RUN_VALUES), min_size=len(cuts),
+                               max_size=len(cuts)))
+        columns.append(np.repeat(values, np.diff([*cuts, n])))
+    for changes in (n // 16, n // 16 + 1):
+        if changes < n:
+            at = draw(st.permutations(range(1, n)))[:changes]
+            flip = np.array(draw(st.sampled_from(FLIPS)))
+            columns.insert(draw(st.integers(0, len(columns))),
+                           flip[np.cumsum(np.isin(np.arange(n), at)) % 2])
+    return columns
+
+
+class TestRunFormats:
+    @settings(max_examples=300, deadline=None)
+    @given(run_tables(), st.booleans())
+    def test_cells_equal_the_scalar_rule(self, columns, blocked):
+        # a baked column's text is written once per run, a free one's in every row
+        expected = "\n".join(",".join("" if v != v else _scalar_rule(v) for v in row)
+                             for row in zip(*columns))
+        if blocked and len(columns) > 1:  # 1-D columns beside an (n, k) block
+            columns = [columns[0], np.column_stack(columns[1:])]
+        assert _csv_rows(columns) == expected
+
+
 class TestScanCsv:
     # edge values of the two formats, -0.0, and negative scientific
     EDGES = [1e-4, math.nextafter(1e-4, 0.0), 1e6, math.nextafter(1e6, 0.0),
              -0.0, 0.0, 5e-324, -5e-324, -3.25e-7, -math.nextafter(1e-4, 0.0),
              -1e-4, -2.5e8, -1e6, 0.1 + 0.2, math.pi, -1e300, 123456.789]
 
-    def test_cells_equal_fmt9(self):
-        # every edge value lands in every numeric column and in both event cells
-        n = len(self.EDGES)
-        columns = [np.roll(self.EDGES, j) for j in range(16)]
-        scan = TimeScan(*columns[:8], region=np.array([1, 2] * n)[:n],
-                        tie=np.zeros(n, dtype=bool),
+    def check_cells(self, columns, region):
+        # the 16 numeric columns and active_set as a scan, written as scan CSV
+        n = len(region)
+        scan = TimeScan(*columns[:8], region=region, tie=np.zeros(n, dtype=bool),
                         thetas=np.column_stack(columns[8:12]),
                         phis=np.column_stack(columns[12:]))
         events = [{"kind": "SetJump", "t": t, "q2": q2}
                   for t, q2 in zip(self.EDGES, self.EDGES[::-1])]
         lines = _scan_csv(scan, {"version": "v", "events": events}).splitlines()
         for cell in (fmt9, _scalar_rule):
-            expected = [",".join([cell(c[i]) for c in columns[:8]] + [str(scan.region[i])]
+            expected = [",".join([cell(c[i]) for c in columns[:8]] + [str(region[i])]
                                  + [cell(c[i]) for c in columns[8:]]) for i in range(n)]
             assert lines[2:2 + n] == expected
             assert lines[2 + n:] == [f"# event,SetJump,{cell(e['t'])},{cell(e['q2'])}"
                                      for e in events]
+
+    def test_cells_equal_fmt9(self):
+        # every edge value lands in every numeric column and in both event cells
+        n = len(self.EDGES)
+        self.check_cells([np.roll(self.EDGES, j) for j in range(16)],
+                         np.array([1, 2] * n)[:n])
+
+    def test_cells_equal_fmt9_in_runs(self):
+        # active_set and the angle columns hold each edge value for 32 rows: at
+        # most 18 changes in 544 rows, so their text is written once per run
+        runs = np.repeat(self.EDGES, 32)
+        self.check_cells([np.roll(np.tile(self.EDGES, 32), j) for j in range(8)]
+                         + [np.roll(runs, 33 * j) for j in range(8)],
+                         np.repeat([1, 2, 1], [100, 300, 144]))
 
     def test_no_events(self):
         scan = TimeScan(*([np.array([0.5])] * 8), region=np.array([2]),

@@ -39,6 +39,15 @@ def _load_differential():
     return module
 
 
+def _moved_by_wrap(labels) -> bool:
+    """Whether labels are of records a shifted _wrap can move: phis, the Bell
+    value at the settings, and the CSV of a scan whose phis moved."""
+    scans = {label.split(".phis[")[0] for label in labels if ".phis[" in label}
+    return all(".phis[" in label or " bell_function[" in label
+               or (" csv" in label and label.replace(" csv", " scan") in scans)
+               for label in labels)
+
+
 @pytest.fixture(scope="module")
 def differential_runs(tmp_path_factory):
     """Two runs of the differential script, as (path, seconds) each."""
@@ -120,8 +129,7 @@ def test_differential_reports_a_one_ulp_change(differential_runs, tmp_path, monk
     states = {re.split(r"[ .\[]", label)[0] for label in labels}
     assert count == f"{len(differing)} records differ in {len(states)} states"
     assert labels[0] == "x0 set1.phis[0]"
-    # _wrap moves only phis, and with them the Bell value at the settings
-    assert all(".phis[" in label or " bell_function[" in label for label in labels)
+    assert _moved_by_wrap(labels)
     assert any(" bell_function[" in label for label in labels)
     assert differential.main(["--compare", str(reference), str(changed)]) == 1
 
@@ -204,8 +212,8 @@ def test_differential_against_reports_a_one_ulp_commit(scratch_clone):
     assert lines[1].startswith("  HEAD~1: x0 set1.phis[0] float ")
     assert lines[2].startswith("  src: x0 set1.phis[0] float ")
     assert lines[1].rsplit(" ", 1)[1] != lines[2].rsplit(" ", 1)[1]
-    labels = lines[:-1:3]
-    assert all(".phis[" in label or " bell_function[" in label for label in labels)
+    labels = [line.removesuffix(" differs:") for line in lines[:-1:3]]
+    assert _moved_by_wrap(labels)
     assert re.fullmatch(rf"{len(labels)} records differ in \d+ states", lines[-1])
 
 
