@@ -26,8 +26,8 @@ non-finite entry and one with a coherence whose modulus is past float
 range, and Ginibre (non-X) states, and DensityMatrix4 built from arrays and
 from nested lists with Hermiticity defects up to just past HERMITICITY_TOL
 and +-0.0 and -5e-324 parts in mirrored entries, as the float.hex of its
-rows and entries, of its pauli_correlation_matrix and, for every 8th, of
-the rows and entries of a pickled and a deep-copied copy, and nested lists
+rows and of np.array(rows), of its pauli_correlation_matrix and, for every 8th,
+of the same two of a pickled and a deep-copied copy, and nested lists
 it rejects (text cells, ragged and wrong shapes);
 TabulatedModel.from_csv records the samples it loads, or the error it raises,
 from generated table files (a BOM and CRLF, padded fields, +-0.0 parts,
@@ -305,9 +305,9 @@ def _values(label: str, value):
         yield from _values(label + ".im", value.imag)
     elif isinstance(value, np.ndarray):
         yield from _values(label, value.tolist())
-    elif dataclasses.is_dataclass(value):
+    elif dataclasses.is_dataclass(value):  # the fields it stores, so older trees record the same
         for f in dataclasses.fields(value):
-            if f.repr:
+            if f.name in vars(value):
                 yield from _values(f"{label}.{f.name}", getattr(value, f.name))
     elif isinstance(value, (tuple, list)):
         for i, v in enumerate(value):
@@ -395,25 +395,24 @@ def records() -> list[str]:
         if result is not None:
             call(f"g{i} certify", certify_settings, rho, result, certify)
 
-    def rows_and_entries(entries):
+    def rows_and_array(entries):
         rho = DensityMatrix4(entries)
-        return rho.rows, rho.entries
+        return rho.rows, np.array(rho.rows)
 
     def copies(entries):
-        # a pickled and a deep-copied copy, made after entries was read
+        # a pickled and a deep-copied copy
         rho = DensityMatrix4(entries)
-        rho.entries
-        return [(c.rows, c.entries) for c in (pickle.loads(pickle.dumps(rho)),
-                                              copy.deepcopy(rho))]
+        return [(c.rows, np.array(c.rows)) for c in (pickle.loads(pickle.dumps(rho)),
+                                                    copy.deepcopy(rho))]
 
     for i, m in enumerate(hermitian_corpus(rng)):
-        call(f"h{i} array", rows_and_entries, m)
-        call(f"h{i} list", rows_and_entries, m.tolist())
+        call(f"h{i} array", rows_and_array, m)
+        call(f"h{i} list", rows_and_array, m.tolist())
         call(f"h{i} correlation", lambda: pauli_correlation_matrix(DensityMatrix4(m)))
         if i % 8 == 0:
             call(f"h{i} copies", copies, m)
     for i, entries in enumerate(list_corpus()):
-        call(f"l{i}", rows_and_entries, entries)
+        call(f"l{i}", rows_and_array, entries)
     call("surface", crossing_surface, *SURFACE)
 
     def surface_csv():

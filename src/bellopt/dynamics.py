@@ -354,7 +354,7 @@ def apply_amplitude_damping(rho0: DensityMatrix4, q: complex) -> DensityMatrix4:
     scale = max(1.0, mod_q)  # q / |q| where |q| rounds above 1, as _evolve divides
     k0 = np.array([[complex(q.real / scale, q.imag / scale), 0.0], [0.0, 1.0]], dtype=complex)
     k1 = np.array([[0.0, 0.0], [loss, 0.0]], dtype=complex)
-    out, m = np.zeros((4, 4), dtype=complex), rho0.entries
+    out, m = np.zeros((4, 4), dtype=complex), np.array(rho0.rows)
     for ka in (k0, k1):
         for kb in (k0, k1):
             k = np.kron(ka, kb)

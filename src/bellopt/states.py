@@ -10,9 +10,8 @@ Conventions used throughout the package:
 * The spin correlation matrix is t[m][n] = Tr(rho (sigma_n (x) sigma_m)),
   with the first Kronecker factor acting on qubit 1.  _pauli_vector gives its
   rows and every Bell-function trace: it is the one Pauli kernel.
-* DensityMatrix4 keeps its Hermitian part as the tuple `rows`, and builds the
-  read-only array `entries` from it on each access, cached nowhere; its PSD check uses the
-  2x2 blocks if every off-X entry is exactly 0, else numpy's eigvalsh.
+* DensityMatrix4's one field is its Hermitian part, the tuple `rows`; its PSD check uses
+  the 2x2 blocks if every off-X entry is exactly 0, else numpy's eigvalsh.
   XState(...) is judged by DensityMatrix4 on its dense completion; _derived judges nothing.
   The X-state route never loads numpy: what needs it imports it inside.
 * BellSettings applies the range rule _check_direction to each of its four
@@ -26,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -71,13 +70,12 @@ class NotXStructured(StateValidationError):
 
 @dataclass(frozen=True, eq=False, init=False)
 class DensityMatrix4:
-    """Validated 4x4 two-qubit state: Hermitian, unit trace, PSD.  `entries`
-    holds the input's Hermitian part, so defects below HERMITICITY_TOL vanish.
+    """Validated 4x4 two-qubit state: Hermitian, unit trace, PSD.  `rows` holds
+    the input's Hermitian part, so defects below HERMITICITY_TOL vanish.
     The input is an array (read by tolist()) or nested sequences of numbers.
     _derived holds Hermitian rows derived from judged states, judging nothing."""
 
-    entries: np.ndarray  # built from rows on each access, cached nowhere, by __getattr__
-    rows: tuple = field(repr=False)
+    rows: tuple
 
     def __init__(self, entries):
         shape = getattr(entries, "shape", None)
@@ -123,14 +121,6 @@ class DensityMatrix4:
         if not lam_min >= -POSITIVITY_TOL:  # also rejects NaN
             raise NotPositive(f"smallest eigenvalue {lam_min:.3e}")
         object.__setattr__(self, "rows", rows)
-
-    def __getattr__(self, name):
-        if name != "entries":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        import numpy as np
-        m = np.array(self.rows)
-        m.setflags(write=False)
-        return m
 
     @classmethod
     def _derived(cls, rows) -> DensityMatrix4:  # also loads pickles that name it

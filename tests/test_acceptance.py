@@ -279,15 +279,15 @@ def test_criterion_9_channel_properties():
         for _ in range(1000):
             rho = random_density(rng)
             q = math.sqrt(rng.uniform(0, 1)) * np.exp(1j * rng.uniform(-np.pi, np.pi))
-            out = apply_amplitude_damping(rho, q).entries
+            out = np.array(apply_amplitude_damping(rho, q).rows)
             assert abs(out.trace() - 1.0) <= 1e-12
             assert np.abs(out - out.conj().T).max() <= 1e-12
             assert float(np.linalg.eigvalsh(out).min()) >= -1e-10
         for _ in range(1000):
             x = random_x_state(rng)
             q = math.sqrt(rng.uniform(0, 1)) * np.exp(1j * rng.uniform(-np.pi, np.pi))
-            closed = x_to_dense(evolve_x(x, q)).entries
-            channel = apply_amplitude_damping(x_to_dense(x), q).entries
+            closed = np.array(x_to_dense(evolve_x(x, q)).rows)
+            channel = np.array(apply_amplitude_damping(x_to_dense(x), q).rows)
             assert np.abs(closed - channel).max() <= 1e-12
 
 

@@ -85,7 +85,7 @@ def kron_correlation(rho, a, b):
     def observable(d):
         n = _unit_vector(*d)
         return n[0] * PAULIS[0] + n[1] * PAULIS[1] + n[2] * PAULIS[2]
-    return float(np.einsum("ij,ji->", rho.entries,
+    return float(np.einsum("ij,ji->", np.array(rho.rows),
                            np.kron(observable(a), observable(b))).real)
 
 

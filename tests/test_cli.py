@@ -221,7 +221,7 @@ class TestBmax:
         assert doc["u"] == pytest.approx([1.0, 1.0, 1.0], abs=1e-14)
 
     def test_werner_half_does_not_violate(self, tmp_path, capsys):
-        path = write_state(tmp_path, x_to_dense(werner(0.5)).entries)
+        path = write_state(tmp_path, x_to_dense(werner(0.5)).rows)
         assert main(["bmax", "--input", path, "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["bmax"] == pytest.approx(math.sqrt(2), abs=1e-12)
@@ -273,7 +273,7 @@ class TestBmax:
     def test_verdict_takes_no_slack(self, tmp_path, capsys, args, bmax):
         # states that only the PSD slack admits: B_max exceeds 2 by a tolerance-sized
         # u1, and the verdict, which compares with 2 exactly, says yes (README)
-        path = write_state(tmp_path, x_to_dense(XState(*args)).entries)
+        path = write_state(tmp_path, x_to_dense(XState(*args)).rows)
         assert main(["bmax", "--input", path]) == 0
         out = capsys.readouterr().out
         assert out.startswith("B_max = 2\n")
@@ -544,7 +544,7 @@ class TestAngles:
         assert alt["phi"][3] == pytest.approx(-math.pi / 4, abs=1e-12)
 
     def test_ewl_pure_state_set1(self, tmp_path, capsys):
-        path = write_state(tmp_path, x_to_dense(ewl_state(EWLParams(0.3, 1.0))).entries)
+        path = write_state(tmp_path, x_to_dense(ewl_state(EWLParams(0.3, 1.0))).rows)
         assert main(["angles", "--input", path, "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["set"] == 1 and doc["tie"] is False
@@ -584,7 +584,7 @@ class TestAngles:
         from conftest import random_x_state
 
         x = random_x_state(rng)
-        path = write_state(tmp_path, x_to_dense(x).entries)
+        path = write_state(tmp_path, x_to_dense(x).rows)
         assert main(["angles", "--input", path, "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         settings = AngleSettings(tuple(doc["theta"]), tuple(doc["phi"]),
@@ -616,7 +616,7 @@ class TestScan:
         # evolve_x drops the start's trace miss, and the evolved state is not
         # judged again, so the first row at the PSD edge is answered
         x1 = XState(0.5, 0.0, 0.0, 0.5 + 0.9e-10, 0.5 + 1.44e-10, 0.0)
-        path = write_state(tmp_path, x_to_dense(x1).entries)
+        path = write_state(tmp_path, x_to_dense(x1).rows)
         assert main(["bmax", "--input", path]) == 0
         assert main(["scan", "--input", path, "--qmodel", "exp:1",
                      "--tmax", "1", "--samples", "3"]) == 0
@@ -626,7 +626,7 @@ class TestScan:
         # LorentzianModel(5, 0.5).q rounds to |q| = 1 + 2**-52 near t = 6.7e-9;
         # as q / |q| it leaves rho14 in bounds, where q^2 would scale it out
         x0 = XState(0.5, 0.0, 0.0, 0.5, 0.5000000000999999, 1e-10)
-        path = write_state(tmp_path, x_to_dense(x0).entries)
+        path = write_state(tmp_path, x_to_dense(x0).rows)
         assert main(["bmax", "--input", path]) == 0
         assert main(["scan", "--input", path, "--qmodel", "lorentz:5,0.5",
                      "--tmax", "7.073332279644438e-09", "--samples", "11"]) == 0
@@ -733,7 +733,7 @@ class TestScan:
         assert doc["events"] == []
 
     def test_initial_state_from_density_file(self, tmp_path, capsys):
-        path = write_state(tmp_path, x_to_dense(werner(0.95)).entries)
+        path = write_state(tmp_path, x_to_dense(werner(0.95)).rows)
         assert main(["scan", "--input", path, "--qmodel", "exp:1.0",
                      "--tmax", "3", "--samples", "120", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -985,7 +985,7 @@ class TestOracleCheck:
         assert doc["is_x"] is True
 
     def test_werner_03(self, tmp_path, capsys):
-        path = write_state(tmp_path, x_to_dense(werner(0.3)).entries)
+        path = write_state(tmp_path, x_to_dense(werner(0.3)).rows)
         assert main(["oracle-check", "--input", path,
                      "--grid-n", "6", "--restarts", "2", "--refine", "200",
                      "--seed", "1", "--format", "json"]) == 0
@@ -995,7 +995,7 @@ class TestOracleCheck:
 
     def test_disagreement_exits_4_and_still_writes_the_document(self, tmp_path, capsys):
         # a coarse oracle (one start, no refinement) misses this Ginibre state's maximum
-        path = write_state(tmp_path, random_density(np.random.default_rng(11)).entries)
+        path = write_state(tmp_path, random_density(np.random.default_rng(11)).rows)
         argv = ["oracle-check", "--input", path, "--grid-n", "4", "--restarts", "1",
                 "--refine", "0", "--format", "json"]
         assert main(argv) == 4
@@ -1128,7 +1128,7 @@ _RHO = st.one_of(st.lists(_ROW, min_size=4, max_size=4), st.lists(_ROW, max_size
 _VALID = (
     np.diag([0.0, 0.5, 0.5, 0.0]) + np.fliplr(np.diag([0.0, 0.5, 0.5, 0.0])),
     np.eye(4) / 4.0,
-    x_to_dense(werner(0.9)).entries,
+    np.array(x_to_dense(werner(0.9)).rows),
     np.outer([0.6, 0.0, 0.48, 0.64], [0.6, 0.0, 0.48, 0.64]),  # pure, not X
 )
 

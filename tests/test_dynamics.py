@@ -523,7 +523,7 @@ class TestAmplitudeDamping:
         rng = np.random.default_rng(31)
         rho = random_density(rng)
         out = apply_amplitude_damping(rho, 1.0)
-        assert np.allclose(out.entries, rho.entries, atol=1e-15)
+        assert np.allclose(np.array(out.rows), np.array(rho.rows), atol=1e-15)
 
     def test_full_decay_reaches_ground(self):
         rng = np.random.default_rng(32)
@@ -531,15 +531,15 @@ class TestAmplitudeDamping:
         out = apply_amplitude_damping(rho, 0.0)
         expected = np.zeros((4, 4), dtype=complex)
         expected[3, 3] = 1.0
-        assert np.allclose(out.entries, expected, atol=1e-12)
+        assert np.allclose(np.array(out.rows), expected, atol=1e-12)
 
     def test_double_excitation_binomial(self):
         rho = validate_density_matrix(np.diag([1.0, 0.0, 0.0, 0.0]))
         for x in (0.2, 0.5, 0.9):
             out = apply_amplitude_damping(rho, math.sqrt(x))
-            got = np.real(np.diag(out.entries))
+            got = np.real(np.diag(np.array(out.rows)))
             expected = np.array([x * x, x * (1 - x), x * (1 - x), (1 - x) ** 2])
-            oracle = np.real(np.diag(kraus_oracle(rho.entries, math.sqrt(x))))
+            oracle = np.real(np.diag(kraus_oracle(np.array(rho.rows), math.sqrt(x))))
             assert np.allclose(expected, oracle, atol=1e-15)
             assert np.allclose(got, expected, atol=1e-14)
 
@@ -548,7 +548,7 @@ class TestAmplitudeDamping:
         for _ in range(100):
             rho = random_density(rng)
             q = math.sqrt(rng.uniform(0, 1)) * np.exp(1j * rng.uniform(-np.pi, np.pi))
-            out = apply_amplitude_damping(rho, q).entries
+            out = np.array(apply_amplitude_damping(rho, q).rows)
             assert abs(out.trace() - 1.0) <= 1e-12
             assert np.abs(out - out.conj().T).max() <= 1e-12
             assert np.linalg.eigvalsh(out).min() >= -1e-10
@@ -596,7 +596,7 @@ class TestEvolveX:
         assert evolve_x(x0, q) == x0
         assert_rows_bit_for_bit(x0, TabulatedModel((0.0, 1.0), (1.0, q)), [0.0, 1.0])
         rho0 = x_to_dense(x0)
-        assert np.array_equal(apply_amplitude_damping(rho0, q).entries, rho0.entries)
+        assert np.array_equal(np.array(apply_amplitude_damping(rho0, q).rows), np.array(rho0.rows))
 
     # A unit-modulus q whose rounded q * q has modulus 1 + ulps scales rho14
     # of this edge state one ulp past its PSD bound, as the dense channel
@@ -634,9 +634,9 @@ class TestEvolveX:
         # of a judged start, so neither evolve_x nor the dense channel refuses
         # it; they agree but for the start's trace miss, which evolve_x drops
         x = evolve_x(x0, q)
-        channel = apply_amplitude_damping(x_to_dense(x0), q).entries
+        channel = np.array(apply_amplitude_damping(x_to_dense(x0), q).rows)
         trace = x0.rho11 + x0.rho22 + x0.rho33 + x0.rho44
-        assert np.abs(x_to_dense(x).entries - channel).max() <= 1e-12 + abs(trace - 1.0)
+        assert np.abs(np.array(x_to_dense(x).rows) - channel).max() <= 1e-12 + abs(trace - 1.0)
         assert_rows_bit_for_bit(x0, TabulatedModel((0.0, 1.0), (1.0, q)), [0.0, 1.0])
         # the conjectured bound: the start's PSD slack plus the trace excess
         # that rho44 = 1 - the rest drops, up to a few ulp
@@ -660,8 +660,8 @@ class TestEvolveX:
     @settings(max_examples=150, deadline=None)
     @given(x_states(), damping_amplitudes())
     def test_matches_product_channel(self, x, q):
-        closed = x_to_dense(evolve_x(x, q)).entries
-        channel = apply_amplitude_damping(x_to_dense(x), q).entries
+        closed = np.array(x_to_dense(evolve_x(x, q)).rows)
+        channel = np.array(apply_amplitude_damping(x_to_dense(x), q).rows)
         assert np.abs(closed - channel).max() <= 1e-12
 
     def test_exponential_semigroup(self):
@@ -672,14 +672,14 @@ class TestEvolveX:
             t1, t2 = rng.uniform(0, 3, 2)
             two_steps = evolve_x(evolve_x(x, model.q(t1)), model.q(t2))
             one_step = evolve_x(x, model.q(t1 + t2))
-            dense_a, dense_b = x_to_dense(two_steps).entries, x_to_dense(one_step).entries
+            dense_a, dense_b = (np.array(x_to_dense(x).rows) for x in (two_steps, one_step))
             assert np.abs(dense_a - dense_b).max() <= 1e-12
 
 
 class TestEWL:
     def test_r_zero_is_maximally_mixed(self):
         x = ewl_state(EWLParams(alpha2=0.3, r=0.0, delta=1.0))
-        assert np.allclose(x_to_dense(x).entries, np.eye(4) / 4.0, atol=1e-15)
+        assert np.allclose(np.array(x_to_dense(x).rows), np.eye(4) / 4.0, atol=1e-15)
 
     def test_r_one_balanced_is_bell(self, bell_x):
         x = ewl_state(EWLParams(alpha2=0.5, r=1.0, delta=0.0))
@@ -699,7 +699,7 @@ class TestEWL:
             ket[2] = alpha                          # |01>
             ket[1] = beta * np.exp(1j * delta)      # |10>
             expected = r * np.outer(ket, ket.conj()) + (1 - r) * np.eye(4) / 4
-            got = x_to_dense(ewl_state(EWLParams(alpha2, r, delta))).entries
+            got = np.array(x_to_dense(ewl_state(EWLParams(alpha2, r, delta))).rows)
             assert np.abs(got - expected).max() <= 1e-15
 
     def test_entries_are_the_plain_float_formula(self):
@@ -1719,8 +1719,8 @@ class TestExactEvents:
         for x0, model, events in _event_scans():
             for e in events:
                 q = model.q(e.t)
-                dense = apply_amplitude_damping(x_to_dense(x0), q).entries
-                assert np.abs(x_to_dense(evolve_x(x0, q)).entries - dense).max() <= 1e-12
+                dense = np.array(apply_amplitude_damping(x_to_dense(x0), q).rows)
+                assert np.abs(np.array(x_to_dense(evolve_x(x0, q)).rows) - dense).max() <= 1e-12
 
     def test_events_lie_on_their_levels(self):
         for x0, model, events in _event_scans():

@@ -65,6 +65,13 @@ def test_angle_settings_has_no_from_angles():
     assert not hasattr(bellopt.AngleSettings, "from_angles")
 
 
+def test_a_state_holds_rows_alone():
+    rho = bellopt.validate_density_matrix([[0.25 if i == j else 0 for j in range(4)]
+                                           for i in range(4)])
+    assert not hasattr(rho, "entries")
+    assert vars(rho) == {"rows": rho.rows}
+
+
 def test_numpy_is_the_only_runtime_dependency():
     # every absolute import in the package is the standard library or numpy
     imported = set()
@@ -134,9 +141,13 @@ def test_malformed_lists_load_no_numpy():
 
 
 def test_x_states_load_no_numpy():
-    # one accepted and one refused, by a coherence whose modulus is past float range
-    code = ("from bellopt import NotPositive, XState\n"
-            "XState(0.5, 0, 0, 0.5, 0.5, 0)\n"
+    # one accepted and one refused, by a coherence whose modulus is past float range,
+    # and the repr of a dense completion and of a state built from nested lists
+    code = ("from bellopt import DensityMatrix4, NotPositive, XState, x_to_dense\n"
+            "x = XState(0.5, 0, 0, 0.5, 0.5, 0)\n"
+            "assert repr(x_to_dense(x)).startswith('DensityMatrix4(rows=')\n"
+            "assert repr(DensityMatrix4([[0.5, 0, 0, 0.5], [0, 0, 0, 0], [0, 0, 0, 0],"
+            " [0.5, 0, 0, 0.5]])).startswith('DensityMatrix4(rows=')\n"
             "try:\n"
             "    XState(0.5, 0, 0, 0.5, complex(1.7e308, 1.7e308), 0)\n"
             "except NotPositive:\n"
