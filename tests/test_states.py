@@ -1,5 +1,6 @@
 import cmath
 import copy
+import dataclasses
 import math
 import pickle
 
@@ -123,6 +124,15 @@ class TestValidateDensityMatrix:
         with pytest.raises(StateValidationError) as info:
             validate_density_matrix(entries)
         assert str(info.value) == message
+
+    def test_the_held_matrix_is_immutable(self):
+        rho = validate_density_matrix(np.eye(4) / 4.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rho.rows = ((1.0,) * 4,) * 4
+        with pytest.raises(TypeError):
+            rho.rows[0][0] = 1.0
+        np.array(rho.rows)[0, 0] = 1.0  # the array is a copy
+        assert rho.rows == tuple(map(tuple, (np.eye(4) / 4.0 + 0j).tolist()))
 
 
 def x_matrix(a1, d1, c14, a2, d2, c23):
@@ -347,14 +357,21 @@ class TestPlainPythonValidation:
     @pytest.mark.parametrize("duplicate", [lambda r: pickle.loads(pickle.dumps(r)),
                                            copy.copy, copy.deepcopy],
                              ids=["pickle", "copy", "deepcopy"])
-    def test_copies_keep_rows(self, duplicate):
+    @pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
+    def test_copies_keep_rows(self, duplicate, read):
         defect = np.zeros((4, 4), dtype=complex)
         defect[0, 1] = 3e-11j  # below HERMITICITY_TOL: rows is the Hermitian part
         states = [x_to_dense(werner(0.8)), random_density(np.random.default_rng(28)),
                   validate_density_matrix(np.eye(4) / 4.0 + defect)]
         for rho in states:
             pickled = pickle.dumps(rho)
-            assert vars(rho) == {"rows": rho.rows}  # a state holds rows alone
+            if read:  # the readers leave nothing behind on the state
+                np.array(rho.rows)
+                pauli_correlation_matrix(rho)
+                bell_function(rho, BellSettings((0.0,) * 4, (0.0,) * 4))
+                apply_amplitude_damping(rho, 0.6 - 0.3j)
+            # a state holds rows alone
+            assert vars(rho) == {"rows": rho.rows} and pickle.dumps(rho) == pickled
             dup = duplicate(rho)
             assert type(dup) is DensityMatrix4 and pickle.dumps(dup) == pickled
             assert [[(z.real.hex(), z.imag.hex()) for z in row] for row in dup.rows] == [
