@@ -56,8 +56,12 @@ def _csv_rows(columns) -> str:
     kinds = np.where(absent, 2, (values != 0.0) & ((magnitude < 1e-4) | (magnitude >= 1e6)))
     changes = values[1:] != values[:-1]
     baked = changes.sum(axis=0) <= n // 16
-    runs = np.cumsum(np.concatenate(([False], changes[:, baked].any(axis=1))))
-    keys = kinds @ 3 ** np.arange(k) + runs * 3 ** k
+    keys = np.cumsum(np.concatenate(([False], changes[:, baked].any(axis=1))))  # runs
+    for j in range(0, k, 26):  # 26 columns at a time keep keys < 3^26 n in int64
+        if j:
+            keys = np.unique(keys, return_inverse=True)[1]  # renumbered below n
+        block = kinds[:, j:j + 26]
+        keys = block @ 3 ** np.arange(block.shape[1]) + keys * 3 ** block.shape[1]
     picked = np.unique(keys, return_index=True)[1]  # one row of each key
     codes = ("%.9g", "%.8e", "", "%%.9g", "%%.8e", "")  # baked cells, then escaped free ones
     formats = {key: ",".join([codes[c] for c in code]) % tuple([v for v in text if v == v])

@@ -32,9 +32,6 @@ _GAMMA64 = 0x9E3779B97F4A7C15
 # the default refine_iters, the first block also holding the base value.
 _CERTIFY_BLOCK = 1024
 _CERTIFY_WINDOW = 64  # moves evaluated at once after an accepted move, as more often follow
-# Most starts refined in one batch: a search holds ~3 kB per start, so a
-# batch stays under ~1 MB however many restarts are asked for.
-_COMPASS_BATCH = 256
 # The 81 pattern points m = n + i h e1 + j h e2 (i outer): i, j, whether each
 # is interior, i^2 + j^2, c = (1, i, j) and c_a c_b, as |T m|^2 = c^T G c.
 _I, _J = np.repeat(np.arange(-4.0, 5.0), 9), np.tile(np.arange(-4.0, 5.0), 9)
@@ -132,12 +129,10 @@ def _frame(theta, phi):
 
 
 def _grid_bytes(grid_n: int, restarts: int) -> int:
-    # Over-estimates the bytes brute_force_bmax holds at once: 8 float64
-    # arrays over the grid directions, 16 words per start (draws, point,
-    # value, count) and 12 per pattern point of each start in a batch (a poll
-    # holds ~5: 81 values, their divisors, 9 factors and four 3x3 matrices each).
-    starts = restarts + 1
-    return 8 * (8 * grid_n ** 2 + 16 * starts + 972 * min(starts, _COMPASS_BATCH))
+    # Over-estimates the bytes brute_force_bmax holds at once, in float64 words: 8 per
+    # grid direction and, per start, 16 (draws, point, value, count) and 12 per pattern
+    # point (a poll holds ~5: 81 values, their divisors, 9 factors, four 3x3 matrices each).
+    return 8 * (8 * grid_n ** 2 + 988 * (restarts + 1))
 
 
 def _coarse_grid_best(t: np.ndarray, grid_n: int) -> np.ndarray:
@@ -261,10 +256,8 @@ def brute_force_bmax(rho: DensityMatrix4, cfg: OracleConfig) -> OracleResult:
     restarts = Splitmix64(cfg.seed).uniforms(2 * cfg.restarts, lo, math.pi)
     starts = np.vstack([_coarse_grid_best(t, cfg.grid_n),
                         restarts.reshape(cfg.restarts, 2)])
-    batches = [_compass_search(t, starts[i:i + _COMPASS_BATCH],
-                               math.pi / cfg.grid_n, cfg.refine_iters)
-               for i in range(0, len(starts), _COMPASS_BATCH)]
-    values, points, evals = (np.concatenate(parts) for parts in zip(*batches))
+    values, points, evals = _compass_search(t, starts, math.pi / cfg.grid_n,
+                                            cfg.refine_iters)
     angles = _settings(t, _alice(t, *points[int(values.argmin())].tolist()))
     return OracleResult(
         thetas=tuple(angles[:4].tolist()),

@@ -135,11 +135,14 @@ FLIPS = [(1e-4, math.nextafter(1e-4, 0.0)), (math.nextafter(1e6, 0.0), 1e6),
 def run_tables(draw):
     """Columns of n rows made of runs of edge values, and two columns that flip
     kind at their changes: one with n // 16 changes, which the formatter bakes,
-    and one with n // 16 + 1, which it leaves free."""
+    and one with n // 16 + 1, which it leaves free.  A wide table has 41
+    columns, more than one int64 key of kind patterns holds."""
     n = draw(st.sampled_from([1, 2, 16, 17, 500]))
+    flips = sum(changes < n for changes in (n // 16, n // 16 + 1))
+    wide = draw(st.booleans())
     columns = []
-    for _ in range(draw(st.integers(1, 4))):
-        starts = draw(st.lists(st.integers(1, max(n - 1, 1)), max_size=40))
+    for _ in range(41 - flips if wide else draw(st.integers(1, 4))):
+        starts = draw(st.lists(st.integers(1, max(n - 1, 1)), max_size=4 if wide else 40))
         cuts = sorted({0, *(s for s in starts if s < n)})
         values = draw(st.lists(st.sampled_from(RUN_VALUES), min_size=len(cuts),
                                max_size=len(cuts)))
@@ -1047,7 +1050,7 @@ class TestOracleCheck:
         assert time.perf_counter() - start < 1.0
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("error: oracle search needs 128000001994880 bytes "
+        assert captured.err == ("error: oracle search needs 7904000000012000 bytes "
                                 "(limit 268435456 bytes)\n")
 
 

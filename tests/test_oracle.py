@@ -121,6 +121,8 @@ class TestConfig:
         while _grid_bytes(n, restarts) <= MAX_GRID_BYTES:
             n += 1
         assert _grid_bytes(n - 1, restarts) <= MAX_GRID_BYTES < _grid_bytes(n, restarts)
+        # at the default grid, one batch of every start fits up to 33 960 restarts
+        assert _grid_bytes(8, 33960) <= MAX_GRID_BYTES < _grid_bytes(8, 33961)
 
         def no_grid(t, grid_n):
             raise AssertionError("the rejected grid was evaluated")
@@ -130,21 +132,22 @@ class TestConfig:
 
         monkeypatch.setattr(oracle, "_coarse_grid_best", no_grid)
         monkeypatch.setattr(Splitmix64, "uniforms", no_draws)
-        for cfg in (OracleConfig(grid_n=n), OracleConfig(restarts=10 ** 12)):
-            need = _grid_bytes(cfg.grid_n, cfg.restarts)
+        for cfg, need in ((OracleConfig(grid_n=n), _grid_bytes(n, restarts)),
+                          (OracleConfig(restarts=33961), 268439744),
+                          (OracleConfig(restarts=10 ** 12), 7904000000012000)):
             with pytest.raises(BudgetExceeded) as info:
                 brute_force_bmax(bell_rho, cfg)
             assert str(info.value) == (f"oracle search needs {need} bytes "
                                        f"(limit {MAX_GRID_BYTES} bytes)")
 
     def test_budget_counts_what_the_search_holds(self):
-        # a restart costs 2 draws and a place in a batch; grid points add up
+        # a restart costs 2 draws and its own 81 pattern points; grid points add up
         assert _grid_bytes(8, 2 * 10 ** 6) > _grid_bytes(8, 10 ** 6) > _grid_bytes(8, 16)
         assert _grid_bytes(100, 16) <= MAX_GRID_BYTES < _grid_bytes(3000, 16)
 
     @pytest.mark.parametrize("cfg", [OracleConfig(), OracleConfig(grid_n=60, restarts=300),
                                      OracleConfig(grid_n=300, restarts=4)],
-                             ids=["default", "two-batches", "large-grid"])
+                             ids=["default", "many-starts", "large-grid"])
     def test_budget_over_estimates_the_peak(self, cfg):
         # what the search holds at once, its compass buffers included, is
         # within the bytes the budget asks for
@@ -393,13 +396,6 @@ class TestBruteForce:
         r1 = brute_force_bmax(bell_rho, FAST_CFG)
         r2 = brute_force_bmax(bell_rho, FAST_CFG)
         assert r1 == r2
-
-    def test_restart_batches_do_not_change_the_result(self, monkeypatch):
-        rho = random_density(np.random.default_rng(24))
-        cfg = OracleConfig(grid_n=4, refine_iters=60, restarts=7, seed=3)
-        whole = brute_force_bmax(rho, cfg)
-        monkeypatch.setattr(oracle, "_COMPASS_BATCH", 3)
-        assert brute_force_bmax(rho, cfg) == whole
 
     def test_counts_evaluations(self, bell_rho):
         # 4^2 grid directions, 1 per start, 81 per poll of each of the 3

@@ -479,13 +479,20 @@ class TestXStateExtraction:
         assert x.rho14 == 0.0
         assert x.rho23 == 0.25
 
-    def test_off_pattern_entry_rejected(self):
+    @pytest.mark.parametrize("entries, index", [
+        ({(0, 1): 0.01}, (0, 1)), ({(0, 2): 0.01j}, (0, 2)), ({(1, 3): -0.01}, (1, 3)),
+        ({(2, 3): -0.01j}, (2, 3)), ({(2, 3): 0.01, (0, 2): -0.01j}, (0, 2))],
+        ids=["01", "02", "13", "23", "tie"])
+    def test_off_pattern_entry_rejected(self, entries, index):
+        # each entry and its mirror, its conjugate; of equal magnitudes the
+        # first pair in row order is named
         m = np.eye(4, dtype=complex) / 4.0
-        m[0, 1] = m[1, 0] = 0.01
-        rho = validate_density_matrix(m)
+        for (i, j), z in entries.items():
+            m[i, j], m[j, i] = z, np.conj(z)
         with pytest.raises(NotXStructured) as err:
-            as_x_state(rho, off_x_tol=1e-9)
-        assert err.value.magnitude == pytest.approx(0.01)
+            as_x_state(validate_density_matrix(m), off_x_tol=1e-9)
+        assert err.value.magnitude == 0.01 and err.value.index == index
+        assert str(err.value) == f"off-pattern entry {index} has magnitude 1.000e-02"
 
     def test_off_pattern_entry_allowed_with_loose_tol(self):
         m = np.eye(4, dtype=complex) / 4.0
