@@ -8,10 +8,21 @@ T(a - a'), worth f(a, a') = |T(a + a')| + |T(a - a')| by Cauchy-Schwarz
 a, a' the vectors a +- a' are orthogonal, so max f = 2 sqrt(||T||_F^2 -
 min_n |T n|^2) over unit n, attained with a, a' in the plane normal to n.
 |T n|^2 is minimized over n's two angles on a grid, then by a zooming 9x9
-pattern search from the best grid point and from seeded splitmix64 restarts;
-Alice's and Bob's directions then follow explicitly.  The reported value is
-the Bell function at the 8 angles found.  Evaluators are elementwise or fixed-size
-contractions, start axis first, so results are bitwise the same in any batching.
+pattern search from the best grid point and from `restarts` seeded
+splitmix64 starts (default 1, more on request).  n^T (T^T T) n is a Rayleigh
+quotient: on the sphere its local minima are all global, every other critical
+point having a descent direction (Absil, Mahony & Sepulchre, Optimization
+Algorithms on Matrix Manifolds (2008), 4.6).  A pattern search can still stop
+short when u2 is near u3: at a saddle whose descent directions fall between
+its own, or crawling along a nearly flat valley.  So the best point n is
+then searched on three great circles, each in its one angle: the one normal
+to n gives the tangent direction w of least |T w|^2, then the circle through
+n and w, then the one normal to both through the point found.  From a saddle
+the second circle reaches the least direction; one start suffices.  Alice's
+and Bob's directions then follow explicitly.  The reported value is the Bell
+function at the 8 angles found.  Evaluators are elementwise or fixed-size
+contractions, start axis first, so results are bitwise the same in any
+batching.
 """
 
 from __future__ import annotations
@@ -32,6 +43,8 @@ _GAMMA64 = 0x9E3779B97F4A7C15
 # the default refine_iters, the first block also holding the base value.
 _CERTIFY_BLOCK = 1024
 _CERTIFY_WINDOW = 64  # moves evaluated at once after an accepted move, as more often follow
+_CIRCLE_STEPS = 29  # _circle_min's steps h, halved from pi/8 to 1.5e-9
+_CIRCLE_EVALS = 3 * (4 + 2 * _CIRCLE_STEPS)  # three circles: 4 samples, then 2 per step
 # The 81 pattern points m = n + i h e1 + j h e2 (i outer): i, j, whether each
 # is interior, i^2 + j^2, c = (1, i, j) and c_a c_b, as |T m|^2 = c^T G c.
 _I, _J = np.repeat(np.arange(-4.0, 5.0), 9), np.tile(np.arange(-4.0, 5.0), 9)
@@ -72,9 +85,14 @@ class Splitmix64:
 
 @dataclass(frozen=True)
 class OracleConfig:
+    """`restarts` seeded starts join the grid's best point: 1 by default, as
+    |T n|^2, a Rayleigh quotient, has no spurious minima on the sphere (Absil,
+    Mahony & Sepulchre 2008, 4.6), and the great circles searched after the
+    pattern search leave a saddle; callers may ask for more."""
+
     grid_n: int = 8
     refine_iters: int = 500
-    restarts: int = 16
+    restarts: int = 1
     seed: int = 0
 
     def __post_init__(self):
@@ -165,7 +183,7 @@ def _compass_search(t: np.ndarray, starts: np.ndarray, initial_step: float,
     e[:, 6] = 1.0
     now = value = _gram(t, point, step, e)[1][:, 0]  # |T n|^2, the pattern's center
     evals = np.full(len(point), 1 + 81 * max_iters)  # less for a start that stops
-    rounding = 4.0 * np.finfo(float).eps * sum(v * v for v in t.ravel().tolist())
+    rounding = _rounding(t)
     live = np.arange(len(point))  # rows of the live starts, kept compacted in at, now, step
     for poll in range(max_iters):
         done = step < 1e-8
@@ -202,6 +220,40 @@ def _gram(t: np.ndarray, points: np.ndarray, step: np.ndarray, e: np.ndarray) ->
     f = (e.take(_IA, 1) * e.take(_IB, 1) * e.take(_IC, 1)).reshape(-1, 3, 3)
     w = np.einsum("pq,laq->lap", t, f)
     return f, np.einsum("lap,lbp->lab", w, w).reshape(-1, 9)
+
+
+def _rounding(t: np.ndarray) -> float:
+    """A gain in |T n|^2 that is no more than rounding: 4 eps ||T||_F^2."""
+    return 4.0 * np.finfo(float).eps * sum(v * v for v in t.ravel().tolist())
+
+
+def _circle_min(t: np.ndarray, p, q) -> tuple[float, list, list]:
+    """Least |T m|^2 on the great circle m = cos psi p + sin psi q through the
+    orthonormal directions p, q (component triples), that m, and the
+    circle's direction -sin psi p + cos psi q at m.
+
+    |T m|^2 = (a + c)/2 + (a - c)/2 cos 2 psi + b sin 2 psi, a sinusoid of
+    period pi that rises with the distance to its minimum: the best of psi =
+    0, pi/4, pi/2, 3 pi/4 is within pi/8 of it, and the best of psi and
+    psi +- h is within h/2 of it when psi is within h.
+    """
+    tp, tq = _images(t, *p), _images(t, *q)
+    a, b, c = (float(sum(x * y for x, y in zip(r, s))) for r, s in ((tp, tp), (tp, tq), (tq, tq)))
+    mean, half = 0.5 * (a + c), 0.5 * (a - c)
+
+    def g(psi):
+        return mean + half * math.cos(2.0 * psi) + b * math.sin(2.0 * psi)
+
+    value, psi = min((g(k * math.pi / 4), k * math.pi / 4) for k in range(4))
+    h = math.pi / 8
+    for _ in range(_CIRCLE_STEPS):
+        below, above = g(psi - h), g(psi + h)
+        if min(below, above) < value:
+            value, psi = (below, psi - h) if below <= above else (above, psi + h)
+        h *= 0.5
+    cs, sn = math.cos(psi), math.sin(psi)
+    return (value, [cs * x + sn * y for x, y in zip(p, q)],
+            [cs * y - sn * x for x, y in zip(p, q)])
 
 
 def _polar(x: float, y: float, z: float) -> tuple[float, float]:
@@ -241,10 +293,14 @@ def brute_force_bmax(rho: DensityMatrix4, cfg: OracleConfig) -> OracleResult:
 
     The best Alice pair lies normal to the direction n of least |T n|^2,
     found on a grid, then by pattern search from the best grid point and
-    from seeded restarts.  Deterministic for a fixed cfg (including the
-    seed); starts are merged by min, the earliest winning ties.
-    `evaluations` counts the grid_n^2 grid directions, 1 per start and 81
-    per poll of each live start.
+    from cfg.restarts seeded starts: 1 by default, as the Rayleigh quotient
+    |T n|^2 has no spurious minima (Absil et al. 2008, 4.6).  Starts are
+    merged by min, the earliest winning ties; the least |T m|^2 on three
+    great circles from that n (module docstring) replaces it when lower by
+    more than rounding, as after a stop at a saddle or in a flat valley.
+    Deterministic for a fixed cfg (including the seed).  `evaluations`
+    counts the grid_n^2 grid directions, 1 per start, 81 per poll of each
+    live start and _CIRCLE_EVALS on the circles.
     """
     need = _grid_bytes(cfg.grid_n, cfg.restarts)
     if need > MAX_GRID_BYTES:
@@ -258,12 +314,20 @@ def brute_force_bmax(rho: DensityMatrix4, cfg: OracleConfig) -> OracleResult:
                         restarts.reshape(cfg.restarts, 2)])
     values, points, evals = _compass_search(t, starts, math.pi / cfg.grid_n,
                                             cfg.refine_iters)
-    angles = _settings(t, _alice(t, *points[int(values.argmin())].tolist()))
+    best = int(values.argmin())
+    n, e1, e2 = ([float(x) for x in v] for v in _frame(*points[best].tolist()))
+    # along the tangent direction w of least |T w|^2, out of a saddle or a
+    # slow valley where the pattern search stopped, then along its normal
+    _, w, normal = _circle_min(t, e1, e2)
+    value, m, _ = _circle_min(t, _circle_min(t, n, w)[1], normal)
+    if value < values[best] - _rounding(t):
+        points[best] = _polar(*m)
+    angles = _settings(t, _alice(t, *points[best].tolist()))
     return OracleResult(
         thetas=tuple(angles[:4].tolist()),
         phis=tuple(angles[4:].tolist()),
         bmax_est=float(_bell_values(t, angles)),
-        evaluations=cfg.grid_n ** 2 + int(evals.sum()),
+        evaluations=cfg.grid_n ** 2 + int(evals.sum()) + _CIRCLE_EVALS,
     )
 
 

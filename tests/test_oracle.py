@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bellopt import (
     AngleSettings,
@@ -35,13 +37,14 @@ from bellopt.oracle import (
     MAX_GRID_BYTES,
     _alice,
     _bell_values,
+    _circle_min,
     _compass_search,
     _frame,
     _gram,
     _grid_bytes,
     _settings,
 )
-from conftest import random_density, random_x_state, werner
+from conftest import random_density, random_x_state, werner, x_states
 
 FAST_CFG = OracleConfig(grid_n=8, refine_iters=200, restarts=4, seed=2)
 
@@ -115,12 +118,17 @@ class TestConfig:
                 OracleResult(thetas=(0.0,) * 4, phis=(0.0,) * 4, bmax_est=bmax,
                              evaluations=1)
 
+    def test_default_is_one_restart(self):
+        # the grid's best point and one seeded start: |T n|^2 has no spurious minima
+        assert OracleConfig().restarts == 1
+
     def test_budget_guard(self, bell_rho, monkeypatch):
         restarts = OracleConfig().restarts
         n = 4
         while _grid_bytes(n, restarts) <= MAX_GRID_BYTES:
             n += 1
         assert _grid_bytes(n - 1, restarts) <= MAX_GRID_BYTES < _grid_bytes(n, restarts)
+        assert n - 1 == 2047  # README: "grid_n above 2047" exceeds the budget
         # at the default grid, one batch of every start fits up to 33 960 restarts
         assert _grid_bytes(8, 33960) <= MAX_GRID_BYTES < _grid_bytes(8, 33961)
 
@@ -366,6 +374,69 @@ def _golden_state(name):
                                     for row in doc["rho"]]))
 
 
+# u2 = 0.00764 just above u3 = 0.00652: n = z, the grid's best point, is a
+# saddle of |T n|^2 whose descent directions lie within 2.5 degrees of one
+# line, between the pattern's, so the compass search stops on it
+NEAR_TIE = XState(0.2718523331414992, 0.2281476668585008, 0.2281476668585008,
+                  0.2718523331414992, complex(-0.1310743444873232, 0.16317921794793575),
+                  complex(-0.15779604585477208, -0.060306084520516084))
+
+
+def rotated(x: XState, seed: int) -> DensityMatrix4:
+    """x under local unitaries U (x) V drawn from the seed: T's singular
+    values stay, its singular directions leave the axes and the grid."""
+    rng = np.random.default_rng(seed)
+    u, v = (np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+            for _ in range(2))
+    k = np.kron(u, v)
+    m = k @ np.array(x_to_dense(x).rows) @ k.conj().T
+    return DensityMatrix4((m + m.conj().T) / 2.0)
+
+
+@st.composite
+def tie_states(draw):
+    """X states whose T has two equal least singular values, u2 = u3 <= u1,
+    or nearly equal ones: rho11 = rho44 = (1 + g) / 4 with the gap g =
+    2(|rho14| - |rho23|)(1 + eps), so that for eps = 0 the minima of |T n|^2
+    form a circle.  Werner states (a sphere of minima) are drawn too."""
+    if draw(st.booleans()):
+        return werner(draw(st.floats(0.0, 1.0)))
+    total = draw(st.floats(0.0, 0.4))  # |rho14| + |rho23| <= 0.4 keeps both blocks PSD
+    m14 = total * draw(st.floats(0.5, 1.0))
+    m23 = total - m14
+    eps = draw(st.one_of(st.just(0.0), st.floats(-0.2, 0.2)))
+    outer = 0.25 * (1.0 + 2.0 * (m14 - m23) * (1.0 + eps))
+    mu, nu = (draw(st.floats(-math.pi, math.pi)) for _ in range(2))
+    return XState(outer, 0.5 - outer, 0.5 - outer, outer, m14 * np.exp(1j * mu),
+                  m23 * np.exp(1j * nu))
+
+
+class TestCircle:
+    def test_least_value_on_the_circle(self):
+        # against 20 000 directions spread over the circle through p and q
+        rng = np.random.default_rng(41)
+        psi = np.linspace(0.0, math.pi, 20000, endpoint=False)
+        for rho in [random_density(rng) for _ in range(20)] + [x_to_dense(NEAR_TIE)]:
+            t = pauli_correlation_matrix(rho)
+            _, p, q = _frame(rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi))
+            value, m, along = _circle_min(t, p, q)
+            p, q, m, along = (np.array(v, dtype=float) for v in (p, q, m, along))
+            assert np.linalg.det([p, q, m]) == pytest.approx(0.0, abs=1e-12)  # on the circle
+            assert m @ m == pytest.approx(1.0) and along @ along == pytest.approx(1.0)
+            assert abs(m @ along) <= 1e-12
+            assert np.linalg.det([p, q, along]) == pytest.approx(0.0, abs=1e-12)
+            assert value == pytest.approx(float(np.sum((t @ m) ** 2)), rel=1e-12, abs=1e-15)
+            dense = t @ (np.cos(psi) * p[:, None] + np.sin(psi) * q[:, None])
+            assert value <= np.min(np.sum(dense * dense, axis=0)) + 1e-15
+
+    def test_sphere_and_zero(self, bell_rho, mixed_rho):
+        # every direction is as good: the value is the sphere's
+        _, p, q = _frame(0.3, 1.1)
+        for rho, g in ((bell_rho, 1.0), (mixed_rho, 0.0)):
+            value, _, _ = _circle_min(pauli_correlation_matrix(rho), p, q)
+            assert value == pytest.approx(g, abs=1e-15)
+
+
 class TestBruteForce:
     def test_maximally_mixed(self, mixed_rho):
         res = brute_force_bmax(mixed_rho, FAST_CFG)
@@ -399,11 +470,11 @@ class TestBruteForce:
 
     def test_counts_evaluations(self, bell_rho):
         # 4^2 grid directions, 1 per start, 81 per poll of each of the 3
-        # starts (no step falls from pi/4 below 1e-8 in 3 polls)
+        # starts (no step falls from pi/4 below 1e-8 in 3 polls), 62 on each of 3 circles
         for refine in (0, 3):
             cfg = OracleConfig(grid_n=4, refine_iters=refine, restarts=2, seed=1)
             res = brute_force_bmax(bell_rho, cfg)
-            assert res.evaluations == 4 ** 2 + 3 + 3 * 81 * refine
+            assert res.evaluations == 4 ** 2 + 3 + 3 * 81 * refine + 3 * 62
 
     def test_default_search_reaches_the_horodecki_value(self, monkeypatch):
         # every start stops on its step (not the poll cap) within 100 polls,
@@ -428,6 +499,65 @@ class TestBruteForce:
             assert abs(res.bmax_est - horodecki_bmax(rho)) <= 1e-12
         assert len(polls) == len(states) * (cfg.restarts + 1)
         assert max(polls) <= 100
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        x_states().map(x_to_dense),
+        st.integers(0, 2 ** 32 - 1).map(lambda k: random_density(np.random.default_rng(k))),
+        tie_states().map(x_to_dense),
+        st.builds(rotated, tie_states(), st.integers(0, 2 ** 32 - 1)),
+        st.just(DensityMatrix4(np.eye(4, dtype=complex) / 4.0))))  # T = 0
+    @example(_golden_state("tie"))
+    @example(x_to_dense(NEAR_TIE))
+    @example(x_to_dense(XState(0.24356875654017626, 0.235708140380459, 0.2843076115452857,
+                               0.23641549153407895, complex(0.019362118351313965, 0.0),
+                               complex(-0.0206920104887006, -0.033433310948075674))))
+    def test_one_restart_is_enough(self, rho):
+        # |T n|^2 is a Rayleigh quotient on the sphere: every local minimum is
+        # global, and the circles leave a saddle or a flat valley where the
+        # pattern search stopped, so 15 more starts find no larger value
+        one = brute_force_bmax(rho, OracleConfig(restarts=1)).bmax_est
+        many = brute_force_bmax(rho, OracleConfig(restarts=16)).bmax_est
+        exact = horodecki_bmax(rho)
+        assert abs(one - many) <= 1e-8
+        assert abs(one - exact) <= 1e-8 and abs(many - exact) <= 1e-8
+
+    def test_a_search_stopped_at_a_saddle_leaves_it(self):
+        rho, u = x_to_dense(NEAR_TIE), x_state_eigenvalues(NEAR_TIE)
+        t, cfg = pauli_correlation_matrix(rho), OracleConfig()
+        start = oracle._coarse_grid_best(t, cfg.grid_n)
+        assert start[0] == 0.0  # the pole: n = z is T^T T's middle eigenvector
+        values, points, _ = _compass_search(t, start[None], math.pi / cfg.grid_n,
+                                            cfg.refine_iters)
+        assert points.tolist() == [start.tolist()]  # no poll moved it
+        assert values[0] == pytest.approx(u.u2, rel=1e-12)
+        # the normal circle holds the least direction
+        _, e1, e2 = _frame(*start.tolist())
+        assert _circle_min(t, e1, e2)[0] == pytest.approx(u.u3, rel=1e-12)
+        res = brute_force_bmax(rho, cfg)
+        assert abs(res.bmax_est - u.bmax) <= 1e-12
+
+    def test_a_search_crawling_a_flat_valley_is_finished(self):
+        # u2 = 0.159968 just below u3 = 0.16, off the axes: both starts spend
+        # all 500 polls crawling the valley of near-minima, 6.4e-7 above u2
+        gap = 0.4 * (1.0 - 1e-4)
+        x = XState(0.25 * (1.0 + gap), 0.25 * (1.0 - gap), 0.25 * (1.0 - gap),
+                   0.25 * (1.0 + gap), 0.3, 0.1)
+        rho, u = rotated(x, 19), x_state_eigenvalues(x)
+        t, cfg = pauli_correlation_matrix(rho), OracleConfig()
+        polls = []
+
+        def counted(*args):
+            result = _compass_search(*args)
+            polls.extend(((result[2] - 1) // 81).tolist())
+            assert result[0].min() - u.u2 > 1e-7
+            return result
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_compass_search", counted)
+            res = brute_force_bmax(rho, cfg)
+        assert polls == [500, 500]
+        assert abs(res.bmax_est - u.bmax) <= 1e-12
 
     def test_value_is_the_bell_function_at_the_returned_angles(self, bell_rho,
                                                                 mixed_rho):
